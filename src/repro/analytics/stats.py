@@ -18,6 +18,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Optional
 
+from repro.store.errors import StoreFormatError
 from repro.store.locks import lease_stale
 from repro.store.runstore import RunStore
 from repro.store.util import file_size
@@ -46,7 +47,10 @@ def store_stats(serve_root) -> Dict[str, Any]:
     snapshot_bytes = 0
     for scenario in store.scenarios():
         for run_id in store.run_ids(scenario):
-            summary = store.describe(scenario, run_id)
+            try:
+                summary = store.describe(scenario, run_id)
+            except StoreFormatError:
+                summary = {}  # counted; no bytes or lease this build can read
             runs += 1
             snapshot_bytes += int(summary.get("bytes", 0))
             lease = summary.get("lease")

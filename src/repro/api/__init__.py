@@ -9,11 +9,6 @@
   TDDFT, DC-MESH, MESH, MD, local-mode, Maxwell and MLMD engines.
 * :mod:`repro.api.result`   — the unified :class:`RunResult` container and
   the :class:`RunFailure` batch error slot.
-* :mod:`repro.api.store`    — the on-disk :class:`CheckpointStore` facade
-  over the :mod:`repro.store` subsystem (incremental binary snapshots,
-  append-only series log, manifest index, retention policies; the legacy
-  one-JSON-per-snapshot layout remains readable and writable via
-  ``format=1``).
 * :mod:`repro.api.registry` — named scenarios, :func:`run_scenario` and the
   shared-workspace :class:`BatchRunner`.
 * :mod:`repro.api.executor` — the process-parallel :class:`ExecutionService`
@@ -25,6 +20,10 @@
 * :mod:`repro.api.client`   — :class:`ServeClient`, the stdlib-HTTP client
   of the daemon.
 * :mod:`repro.api.cli`      — the ``python -m repro`` command-line runner.
+
+Checkpoint persistence is the :mod:`repro.store` subsystem; its one store
+class, :class:`repro.store.RunStore`, is exported here under its historical
+name :class:`CheckpointStore`.
 """
 
 from repro.api.adapters import ADAPTERS, build_engine
@@ -42,7 +41,9 @@ from repro.api.spec import (
     ENGINE_KINDS, GridSpec, MaterialSpec, PropagatorSpec, PulseSpec,
     RuntimeSpec, ScenarioSpec, parse_assignments,
 )
-from repro.api.store import CheckpointStore
+from repro.store import RunStore
+
+CheckpointStore = RunStore
 
 __all__ = [
     "ADAPTERS",

@@ -10,7 +10,7 @@ Subcommands
     Build the engine, run it, print a final-value summary and optionally
     write the full :class:`~repro.api.result.RunResult` as JSON.  With
     ``--checkpoint-dir`` the run streams snapshots to a
-    :class:`~repro.api.store.CheckpointStore` (cadence: ``--checkpoint-every``
+    :class:`~repro.store.RunStore` (cadence: ``--checkpoint-every``
     or the spec's ``runtime.checkpoint_every``), and ``--resume`` picks an
     interrupted run back up from its latest snapshot.
 ``batch [scenarios ...] [--all] [--workers N]``
@@ -37,11 +37,10 @@ Subcommands
     router gateway (:class:`~repro.fleet.router.FleetRouter` — the same wire
     protocol as a single daemon, so every client above works against it
     unchanged), list membership records, or poll per-member queue depth.
-``store ls/inspect/migrate/compact DIR``
+``store ls/inspect/compact DIR``
     Maintain a checkpoint store root: list runs (format, snapshot counts,
-    sizes), inspect one run's manifest, upgrade v1 JSON trees to the v2
-    incremental layout in place, or compact (merge series segments, sweep
-    unreferenced files, apply a ``--retention`` policy).
+    sizes), inspect one run's manifest, or compact (merge series segments,
+    sweep unreferenced files, apply a ``--retention`` policy).
 ``analytics ingest/summary/query/regress/bench/dashboard``
     The columnar results warehouse (:mod:`repro.analytics`): backfill
     existing result trees and ``repro-bench/1`` documents, inspect and
@@ -102,7 +101,7 @@ from repro.api.registry import default_registry
 from repro.api.result import RunResult
 from repro.api.server import DEFAULT_PORT, ScenarioServer
 from repro.api.spec import ScenarioSpec, parse_assignments
-from repro.api.store import CheckpointStore
+from repro.store import RunStore
 
 
 def _package_version() -> str:
@@ -298,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     store = sub.add_parser(
         "store",
         help="inspect and maintain checkpoint stores (ls / inspect / "
-             "migrate / compact)",
+             "compact)",
     )
     store_sub = store.add_subparsers(dest="store_command", required=True)
     store_ls = store_sub.add_parser("ls", help="list the runs under a store root")
@@ -312,14 +311,6 @@ def _build_parser() -> argparse.ArgumentParser:
     store_inspect.add_argument("root", help="checkpoint store root directory")
     store_inspect.add_argument("scenario", help="scenario name")
     store_inspect.add_argument("run_id", help="run id")
-    store_migrate = store_sub.add_parser(
-        "migrate", help="upgrade v1 (per-snapshot JSON) runs to the v2 "
-                        "incremental layout, in place")
-    store_migrate.add_argument("root", help="checkpoint store root directory")
-    store_migrate.add_argument("--scenario", default=None,
-                               help="migrate only this scenario's runs")
-    store_migrate.add_argument("--keep-v1", action="store_true",
-                               help="leave the v1 JSON files behind")
     store_compact = store_sub.add_parser(
         "compact", help="merge series segments, sweep unreferenced files, "
                         "optionally apply a retention policy")
@@ -532,11 +523,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.resume and not args.checkpoint_dir:
         raise ValueError("--resume requires --checkpoint-dir")
     if args.resume:
-        # Existence check only (steps() is a manifest lookup, or a directory
-        # scan on pre-migration trees): checkpoints are complete sessions and
-        # can be large — the executor parses the real payload exactly once,
-        # on the resume path itself.
-        if not CheckpointStore(args.checkpoint_dir).steps(spec.name, args.run_id):
+        # Existence check only (steps() is a manifest lookup): checkpoints
+        # are complete sessions and can be large — the executor parses the
+        # real payload exactly once, on the resume path itself.
+        if not RunStore(args.checkpoint_dir).steps(spec.name, args.run_id):
             raise ValueError(
                 f"--resume: no checkpoint for scenario {spec.name!r} run "
                 f"{args.run_id!r} under {args.checkpoint_dir!r}; drop "
@@ -721,9 +711,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
                                 as_json=args.as_json)
     if args.store_command == "inspect":
         return store_cli.cmd_inspect(args.root, args.scenario, args.run_id)
-    if args.store_command == "migrate":
-        return store_cli.cmd_migrate(args.root, scenario=args.scenario,
-                                     keep_v1=args.keep_v1)
     assert args.store_command == "compact"
     return store_cli.cmd_compact(args.root, scenario=args.scenario,
                                  retention=args.retention)

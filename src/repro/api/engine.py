@@ -318,7 +318,7 @@ class EngineAdapter(abc.ABC):
         only part of the first run's report (preparation is lazy).
 
         ``on_checkpoint`` (for example
-        :meth:`repro.api.store.CheckpointStore.save` bound to a run id)
+        :meth:`repro.store.RunStore.save` bound to a run id)
         receives a session snapshot every ``checkpoint_every``-th step — the
         default cadence comes from ``spec.runtime.checkpoint_every`` — plus
         one at the final step.

@@ -6,7 +6,7 @@ serving/batching item asks for: it shards a batch of scenario specs across
 :class:`~repro.perf.workspace.KernelWorkspace` (the workspace is deliberately
 not shared across processes — each worker amortises its own phase/stencil
 caches over the runs it executes), streams periodic checkpoints to a
-:class:`~repro.api.store.CheckpointStore`, and merges the per-run outcomes —
+:class:`~repro.store.RunStore`, and merges the per-run outcomes —
 shipped between processes as ``RunResult`` JSON dicts — back into input
 order.
 
@@ -52,9 +52,8 @@ from repro import faults, telemetry
 from repro.api.adapters import build_engine
 from repro.api.result import RunFailure, RunResult
 from repro.api.spec import ScenarioSpec
-from repro.api.store import CheckpointStore
 from repro.perf.workspace import KernelWorkspace
-from repro.store import DEFAULT_LEASE_TTL_S
+from repro.store import DEFAULT_LEASE_TTL_S, RunStore
 from repro.store.retention import describe_retention, parse_retention
 
 FAULT_WORKER_PRE_RUN = faults.register(
@@ -135,7 +134,7 @@ def _run_payload(spec: ScenarioSpec, payload: Dict[str, Any]) -> RunResult:
         # landing on a different worker renews the same lease instead of
         # colliding with it.  owner_pid is the daemon's pid — that is the
         # process whose death should make the lease breakable.
-        store = CheckpointStore(
+        store = RunStore(
             payload["checkpoint_dir"],
             keep=int(payload.get("keep", 0)),
             retention=payload.get("retention") or None,
@@ -424,7 +423,7 @@ class ExecutionService:
         Worker process count; ``0`` runs inline in the calling process and
         ``None`` uses the machine's CPU count.
     checkpoint_dir:
-        Root of the :class:`CheckpointStore` the workers write to (and
+        Root of the :class:`RunStore` the workers write to (and
         resume from).  ``None`` disables snapshots — retries then restart
         failed runs from scratch.
     checkpoint_every:
@@ -434,7 +433,7 @@ class ExecutionService:
         How many times a failed run is re-queued (with ``resume=True``)
         before its slot becomes a :class:`RunFailure`.
     keep:
-        Per-run snapshot retention forwarded to :class:`CheckpointStore`
+        Per-run snapshot retention forwarded to :class:`RunStore`
         (0 keeps every snapshot).
     retention:
         Optional richer retention policy (a
@@ -458,7 +457,7 @@ class ExecutionService:
         on ``with`` exit).
     owner / lease_ttl:
         Run-ownership lease identity shipped to every worker's store (see
-        :class:`~repro.api.store.CheckpointStore`).  All workers of this
+        :class:`~repro.store.RunStore`).  All workers of this
         service share the one identity — a retry on a different worker
         renews the lease rather than colliding with it — and the recorded
         pid is *this* process's, so leases become breakable when the service

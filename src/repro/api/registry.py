@@ -202,7 +202,7 @@ def run_scenario(spec: ScenarioSpec,
     """Build the adapter for ``spec`` and drive it through a full run.
 
     ``resume_from`` accepts an :meth:`~repro.api.engine.EngineAdapter.checkpoint`
-    payload (for example :meth:`repro.api.store.CheckpointStore.latest`) and
+    payload (for example :meth:`repro.store.RunStore.latest`) and
     finishes the interrupted run instead of starting over; ``on_checkpoint``
     receives periodic snapshots every ``checkpoint_every`` steps either way.
     """

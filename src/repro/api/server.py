@@ -14,7 +14,7 @@ Durability is filesystem-first, sharing the existing checkpoint machinery:
 * every accepted submission is journalled to ``<root>/queue/<run_id>.json``
   *before* it is acknowledged;
 * workers stream periodic session snapshots into the shared
-  :class:`~repro.api.store.CheckpointStore` under ``<root>/checkpoints``;
+  :class:`~repro.store.RunStore` under ``<root>/checkpoints``;
 * finished outcomes are persisted to ``<root>/results/<run_id>.json`` and the
   journal entry is removed;
 * with a ``retention`` policy the startup replay also *house-keeps* the root:
@@ -77,14 +77,15 @@ from repro import faults, telemetry
 from repro.api.executor import WorkerPool
 from repro.api.registry import default_registry
 from repro.api.spec import ScenarioSpec
-from repro.api.store import CheckpointStore, atomic_write_json, validate_key
 from repro.fleet.membership import (
     DEFAULT_MEMBER_TTL_S, FleetRegistry, member_id_for,
 )
 from repro.fleet.scheduler import (
     FAULT_STEAL_PRE_CLAIM, FleetClaimLost, FleetScheduler,
 )
-from repro.store import DEFAULT_LEASE_TTL_S
+from repro.store import (
+    DEFAULT_LEASE_TTL_S, RunStore, atomic_write_json, validate_key,
+)
 from repro.store.errors import StoreLockTimeout
 from repro.store.locks import RunLock, owner_alive
 from repro.store.manifest import read_lease
@@ -343,7 +344,7 @@ class ScenarioServer:
         self._fleet: Optional[FleetScheduler] = None
         self._member_id: Optional[str] = None
         self._stolen_ids: List[str] = []
-        self.store = CheckpointStore(
+        self.store = RunStore(
             self.root / "checkpoints", keep=keep, retention=self.retention
         )
         self.batch_max = int(batch_max)

@@ -278,7 +278,7 @@ class RuntimeSpec(_SpecSection):
     value makes :meth:`repro.api.engine.EngineAdapter.run` emit a checkpoint
     every that many steps (plus one at the final step) whenever the caller
     provides an ``on_checkpoint`` sink such as
-    :meth:`repro.api.store.CheckpointStore.save`.
+    :meth:`repro.store.RunStore.save`.
     """
 
     num_steps: int = 10

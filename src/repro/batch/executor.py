@@ -21,17 +21,16 @@ from typing import Any, Dict, List, Optional
 
 from repro.api.result import RunFailure
 from repro.api.spec import ScenarioSpec
-from repro.api.store import CheckpointStore
 from repro.batch.engine import BatchedEngine
-from repro.store import DEFAULT_LEASE_TTL_S
+from repro.store import DEFAULT_LEASE_TTL_S, RunStore
 
 __all__ = ["execute_batch_payload"]
 
 
-def _member_store(payload: Dict[str, Any]) -> Optional[CheckpointStore]:
+def _member_store(payload: Dict[str, Any]) -> Optional[RunStore]:
     if not payload.get("checkpoint_dir"):
         return None
-    return CheckpointStore(
+    return RunStore(
         payload["checkpoint_dir"],
         keep=int(payload.get("keep", 0)),
         retention=payload.get("retention") or None,

@@ -44,7 +44,7 @@ from repro.api.registry import default_registry
 from repro.api.server import (
     API_PREFIX, DEFAULT_PORT, ServerError, resolve_submission_spec,
 )
-from repro.api.store import validate_key
+from repro.store import validate_key
 from repro.fleet.membership import DEFAULT_MEMBER_TTL_S, FleetRegistry
 
 FAULT_ROUTER_PRE_PROXY = faults.register(

@@ -1,12 +1,13 @@
 """repro.store: incremental checkpoint storage.
 
-The storage subsystem behind :class:`repro.api.store.CheckpointStore` (which
-remains the thin compatibility facade the rest of the code talks to):
+One on-disk format, one store class — :class:`RunStore`, which the API layer
+re-exports under its historical name ``repro.api.CheckpointStore``:
 
-* :mod:`repro.store.runstore`  — :class:`RunStore`, the v2 store: one binary
-  npz blob per engine-state snapshot, an append-only segmented series log
-  that records observables exactly once, and a per-run ``MANIFEST.json``
-  index making ``latest()``/``steps()``/resume O(1) lookups.
+* :mod:`repro.store.runstore`  — :class:`RunStore`: one binary npz blob per
+  engine-state snapshot, an append-only segmented series log that records
+  observables exactly once, and a per-run ``MANIFEST.json`` index making
+  ``latest()``/``steps()``/resume O(1) lookups.  Run directories in any
+  other format are refused with a typed :class:`StoreFormatError`.
 * :mod:`repro.store.codec`     — the state-blob codec (plain JSON-able
   payloads <-> npz skeleton + arrays, bit-exact including ``-0.0``/0-d/
   complex leaves).
@@ -15,13 +16,10 @@ remains the thin compatibility facade the rest of the code talks to):
 * :mod:`repro.store.retention` — pluggable pruning policies
   (``keep=N``, ``every=K``, ``max-age``, ``max-bytes``) and
   :func:`parse_retention` for spec strings.
-* :mod:`repro.store.legacy`    — the v1 one-JSON-file-per-snapshot layout
-  (still written via ``format=1`` and read transparently as a fallback).
 * :mod:`repro.store.locks`     — the cross-process per-run file lock and the
   run-ownership lease records inside the manifest (TTL + heartbeat +
   stale-lease takeover).
-* :mod:`repro.store.migrate`   — in-place v1 -> v2 upgrade + compaction.
-* :mod:`repro.store.cli`       — ``repro store ls/inspect/migrate/compact``.
+* :mod:`repro.store.cli`       — ``repro store ls/inspect/compact``.
 
 This package deliberately never imports :mod:`repro.api`: it operates on the
 plain checkpoint payload dicts the engine layer emits, which is what lets
@@ -32,7 +30,6 @@ an import cycle.
 from repro.store.errors import (
     CheckpointError, RunLeaseHeld, StoreFormatError, StoreLockTimeout,
 )
-from repro.store.legacy import LegacyCheckpointStore
 from repro.store.locks import (
     DEFAULT_LEASE_TTL_S, RunLock, claim_lease, default_owner, lease_remaining,
     lease_stale, release_lease,
@@ -51,7 +48,6 @@ __all__ = [
     "DEFAULT_LEASE_TTL_S",
     "KeepEvery",
     "KeepLast",
-    "LegacyCheckpointStore",
     "MaxAge",
     "MaxBytes",
     "RetentionPolicy",

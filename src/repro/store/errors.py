@@ -15,7 +15,16 @@ class CheckpointError(ValueError):
 
 
 class StoreFormatError(CheckpointError):
-    """An on-disk artefact was written by an unknown (newer) store format."""
+    """An on-disk run was written by a store format this build does not read
+    (a newer one, or the retired format 1).
+
+    ``store_format`` is the format found on disk, so listings can name it
+    without parsing the message.
+    """
+
+    def __init__(self, message: str, store_format=None) -> None:
+        super().__init__(message)
+        self.store_format = store_format
 
 
 class StoreLockTimeout(CheckpointError):

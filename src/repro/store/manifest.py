@@ -8,9 +8,8 @@ directory scans, and the atomic manifest rewrite is the commit point of every
 mutation (blob and segment writes happen first; a crash in between leaves an
 orphan file the next compaction sweeps, never a manifest naming missing data).
 
-``store_format`` gates compatibility: readers reject manifests written by a
-*newer* format instead of guessing, and the absence of a manifest is what
-marks a v1 (per-snapshot JSON) run directory.
+``store_format`` gates compatibility: readers reject manifests written by
+any other format instead of guessing.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ def new_manifest(scenario: str, run_id: str) -> Dict[str, Any]:
 def read_manifest(run_dir) -> Optional[Dict[str, Any]]:
     """The run's manifest dict, or None when the directory has none.
 
-    A manifest from a newer store format raises :class:`StoreFormatError`
+    A manifest from another store format raises :class:`StoreFormatError`
     (reading it as v2 would silently mangle the run); an unparsable manifest
     raises :class:`CheckpointError` — atomic rewrites make torn manifests
     impossible in normal operation, so that is a real store fault.
@@ -86,7 +85,8 @@ def read_manifest(run_dir) -> Optional[Dict[str, Any]]:
     if fmt != STORE_FORMAT:
         raise StoreFormatError(
             f"run manifest {path} has store_format {fmt!r}; this build "
-            f"reads format {STORE_FORMAT} (upgrade repro, or migrate the tree)"
+            f"reads format {STORE_FORMAT} only (use the repro release that "
+            "wrote it)", fmt,
         )
     if not isinstance(manifest.get("snapshots"), list) or not isinstance(
         manifest.get("series"), dict

@@ -19,12 +19,14 @@ unaccounted bytes/files that the next append truncates or :meth:`compact`
 sweeps.  Because every incoming checkpoint payload is a *complete session*,
 the store can also self-heal from any divergence between the payload and the
 log (a run id restarted from scratch, a foreign writer): it resets the run
-and rebuilds it from the payload alone — exactly the self-containedness the
-v1 format bought with its O(n^2) serialization, kept here without paying it.
+and rebuilds it from the payload alone — the self-containedness of a
+one-file-per-snapshot layout without its O(n^2) total serialization.
 
-Reading is v1-compatible: a run directory without a manifest is served from
-the legacy per-snapshot JSON files, so resuming on a pre-migration tree
-works before ``repro store migrate`` ever runs.
+This is the only layout the store reads or writes.  A run directory holding
+the retired format 1 (``step-NNNNNNNN.json`` files, no manifest) is refused
+with a typed :class:`~repro.store.errors.StoreFormatError` — by reads and by
+``save`` alike, so a new manifest is never started beside files the store
+cannot account for.
 
 Concurrency model: any number of readers against any number of writers.
 Same-process writers are serialised by a per-run ``threading.Lock``; writers
@@ -45,6 +47,7 @@ concurrent pruning (manifest re-read fallback in :meth:`latest`).
 from __future__ import annotations
 
 import contextlib
+import re
 import threading
 import time as _time
 from pathlib import Path
@@ -53,8 +56,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro import faults
 from repro.telemetry import metrics as _telemetry
 from repro.store.codec import decode_state, encode_state, read_blob, write_blob
-from repro.store.errors import CheckpointError
-from repro.store.legacy import LegacyCheckpointStore, legacy_steps
+from repro.store.errors import CheckpointError, StoreFormatError
 from repro.store.locks import (
     DEFAULT_LEASE_TTL_S, RunLock, claim_lease, release_lease,
 )
@@ -63,7 +65,8 @@ from repro.store.manifest import (
     snapshot_steps, upsert_snapshot, write_manifest,
 )
 from repro.store.retention import (
-    RetentionLike, RetentionPolicy, StoredItem, parse_retention,
+    CompositePolicy, KeepLast, RetentionLike, RetentionPolicy, StoredItem,
+    parse_retention,
 )
 from repro.store.series import SEGMENT_BYTE_LIMIT, SeriesLog, new_series_state
 from repro.store.util import file_size, validate_key
@@ -80,9 +83,35 @@ _LATEST_RETRY_LIMIT = 8
 
 _BLOB_TEMPLATE = "state-{step:08d}.npz"
 
+#: Snapshot files of the retired store format 1 (one JSON file per snapshot).
+_FORMAT_1_FILE = re.compile(r"^step-\d{8,}\.json$")
+
 
 def blob_filename(step: int) -> str:
     return _BLOB_TEMPLATE.format(step=int(step))
+
+
+def _read_manifest_or_refuse(directory: Path) -> Optional[Dict[str, Any]]:
+    """The run's manifest, or None for a directory with no run in it.
+
+    A manifest-less directory that holds format-1 snapshot files is a run
+    this build cannot read: raise instead of reporting it empty (a save
+    would start a new manifest beside files no index accounts for).  The
+    directory scan happens only when there is no manifest, so saves into an
+    established run pay nothing for it.
+    """
+    manifest = read_manifest(directory)
+    if manifest is None and directory.is_dir():
+        for path in directory.iterdir():
+            if _FORMAT_1_FILE.match(path.name):
+                message = (
+                    f"store format 1 run directory {directory} "
+                    f"({path.name}, no {MANIFEST_NAME}) is no longer read; "
+                    "migrate it with a release that still ships "
+                    "`repro store migrate`"
+                )
+                raise StoreFormatError(message, 1)
+    return manifest
 
 
 class RunStore:
@@ -92,12 +121,16 @@ class RunStore:
     ----------
     root:
         Directory the store lives in; created lazily on first save.
+    keep:
+        When positive, retain only the newest ``keep`` snapshots of each run
+        (sugar for a ``keep=N`` retention rule; 0 keeps everything).
     retention:
         Snapshot retention policy (a :class:`RetentionPolicy`, a spec string
         such as ``"keep=3,max-bytes=1G"``, or None to keep everything),
-        applied to each run after every save.  The newest snapshot is never
-        pruned; the series log is never pruned (resume needs the full
-        recorded history — that is the bit-identical contract).
+        applied to each run after every save; composes with ``keep``.  The
+        newest snapshot is never pruned; the series log is never pruned
+        (resume needs the full recorded history — that is the bit-identical
+        contract).
     owner:
         Lease identity for run ownership, or None (the default) to write
         without claiming leases — existing single-writer callers keep their
@@ -114,7 +147,8 @@ class RunStore:
         benchmark's baseline); leases still work, just unguarded.
     """
 
-    def __init__(self, root, retention: RetentionLike = None,
+    def __init__(self, root, keep: int = 0,
+                 retention: RetentionLike = None,
                  segment_limit: int = SEGMENT_BYTE_LIMIT,
                  owner: Optional[str] = None,
                  owner_pid: Optional[int] = None,
@@ -123,7 +157,14 @@ class RunStore:
                  lock_timeout: float = 10.0,
                  locking: bool = True) -> None:
         self.root = Path(root)
+        if keep < 0:
+            raise ValueError("keep must be >= 0")
+        self.keep = int(keep)
         self.retention = parse_retention(retention)
+        if self.keep:
+            keep_rule = KeepLast(self.keep)
+            self.retention = keep_rule if self.retention is None \
+                else CompositePolicy([keep_rule, self.retention])
         self.segment_limit = int(segment_limit)
         self.owner = str(owner) if owner is not None else None
         self.owner_pid = owner_pid
@@ -131,7 +172,6 @@ class RunStore:
         self.lease_ttl = float(lease_ttl)
         self.lock_timeout = float(lock_timeout)
         self.locking = bool(locking)
-        self._legacy = LegacyCheckpointStore(root)
         self._locks: Dict[Tuple[str, str], threading.Lock] = {}
         self._master_lock = threading.Lock()
 
@@ -181,7 +221,7 @@ class RunStore:
         t0 = _time.perf_counter() if _telemetry.enabled() else None
         with self._lock(scenario, run_id), self._run_lock(directory):
             directory.mkdir(parents=True, exist_ok=True)
-            manifest = read_manifest(directory)
+            manifest = _read_manifest_or_refuse(directory)
             if manifest is None:
                 manifest = new_manifest(scenario, run_id)
             # Ownership check first, before any bytes move: a second live
@@ -243,7 +283,7 @@ class RunStore:
             arrays: List[Any] = []
             # Only strip times/records when the series machinery re-persists
             # them; a payload carrying records without a times list keeps
-            # them verbatim (the v1 store persisted such payloads as-is).
+            # them verbatim.
             stripped = ("state", "times", "records") if has_series \
                 else ("state",)
             meta: Dict[str, Any] = {
@@ -351,25 +391,21 @@ class RunStore:
     def steps(self, scenario: str, run_id: str = "default") -> List[int]:
         """Step numbers with stored snapshots, ascending."""
         directory = self.run_dir(scenario, run_id)
-        manifest = read_manifest(directory)
-        if manifest is None:
-            return legacy_steps(directory)
-        return snapshot_steps(manifest)
+        manifest = _read_manifest_or_refuse(directory)
+        return [] if manifest is None else snapshot_steps(manifest)
 
     def load(self, scenario: str, run_id: str = "default",
              step: Optional[int] = None) -> Dict[str, Any]:
         """Load one snapshot (the latest when ``step`` is None)."""
         directory = self.run_dir(scenario, run_id)
-        manifest = read_manifest(directory)
-        if manifest is None:
-            return self._legacy.load(scenario, run_id, step)
+        manifest = _read_manifest_or_refuse(directory)
+        available = [] if manifest is None else snapshot_steps(manifest)
+        if manifest is None or (step is None and not available):
+            raise CheckpointError(
+                f"no checkpoints stored for scenario {scenario!r} "
+                f"run {run_id!r} under {self.root}"
+            )
         if step is None:
-            available = snapshot_steps(manifest)
-            if not available:
-                raise CheckpointError(
-                    f"no checkpoints stored for scenario {scenario!r} "
-                    f"run {run_id!r} under {self.root}"
-                )
             step = available[-1]
         entry = find_snapshot(manifest, step)
         if entry is None:
@@ -423,9 +459,9 @@ class RunStore:
         """
         directory = self.run_dir(scenario, run_id)
         for _ in range(_LATEST_RETRY_LIMIT):
-            manifest = read_manifest(directory)
+            manifest = _read_manifest_or_refuse(directory)
             if manifest is None:
-                return self._legacy.latest(scenario, run_id)
+                return None
             available = snapshot_steps(manifest)
             if not available:
                 return None
@@ -447,28 +483,30 @@ class RunStore:
     # ------------------------------------------------------------------
     def scenarios(self) -> List[str]:
         """Scenario names with at least one stored run directory."""
-        return self._legacy.scenarios()
+        if not self.root.is_dir():
+            return []
+        return sorted(p.name for p in self.root.iterdir() if p.is_dir())
 
     def run_ids(self, scenario: str) -> List[str]:
         """Run ids stored for one scenario."""
-        return self._legacy.run_ids(scenario)
+        directory = self.root / validate_key(scenario, "scenario")
+        if not directory.is_dir():
+            return []
+        return sorted(p.name for p in directory.iterdir() if p.is_dir())
 
     def describe(self, scenario: str, run_id: str = "default",
                  ) -> Dict[str, Any]:
         """Inspection summary of one run (for ``repro store inspect``)."""
         directory = self.run_dir(scenario, run_id)
-        manifest = read_manifest(directory)
+        manifest = _read_manifest_or_refuse(directory)
         if manifest is None:
-            steps = legacy_steps(directory)
             return {
                 "scenario": scenario,
                 "run_id": run_id,
-                "store_format": 1 if steps else None,
-                "snapshots": len(steps),
-                "steps": steps,
-                "bytes": sum(
-                    file_size(path) for path in directory.glob("step-*.json")
-                ) if steps else 0,
+                "store_format": None,
+                "snapshots": 0,
+                "steps": [],
+                "bytes": 0,
                 "series_frames": None,
                 "segments": None,
                 "lease": None,
@@ -495,7 +533,7 @@ class RunStore:
         """Drop this store's lease on a run (end-of-run cleanup).
 
         Returns True when a lease was actually released.  A store with no
-        ``owner``, a lease already taken over, or a lease-less/legacy run
+        ``owner``, a lease already taken over, or a run with no manifest
         all release nothing — silently, because release runs in best-effort
         cleanup paths.
         """
@@ -533,8 +571,7 @@ class RunStore:
         """Merge series segments and sweep unreferenced files of one run.
 
         Returns a small report (segments merged, orphans removed, bytes
-        reclaimed).  Legacy (v1) run directories are left untouched — use
-        :mod:`repro.store.migrate` to upgrade them first.
+        reclaimed).  A directory without a manifest is left untouched.
         """
         directory = self.run_dir(scenario, run_id)
         report = {"scenario": scenario, "run_id": run_id,
@@ -563,12 +600,12 @@ class RunStore:
                     path.unlink()
                 except OSError:
                     pass
-            # Sweep orphans: stale v1 snapshots left behind by an in-place
-            # upgrade, blobs whose manifest commit never happened, tmp files.
+            # Sweep orphans: blobs and segments whose manifest commit never
+            # happened, tmp files.
             for path in directory.iterdir():
                 if path.name in referenced or not path.is_file():
                     continue
-                if (path.name.startswith(("state-", "series-", "step-", ".tmp-"))
+                if (path.name.startswith(("state-", "series-", ".tmp-"))
                         and path not in obsolete):
                     report["reclaimed_bytes"] += file_size(path)
                     report["removed_files"] += 1

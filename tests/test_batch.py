@@ -179,11 +179,19 @@ class TestWorkspaceThreads:
     def test_scratch_buffers_are_per_thread(self):
         workspace = KernelWorkspace()
         grabbed = {}
+        # Pools are keyed on threading.get_ident(), which the OS reuses once
+        # a thread exits: hold both threads alive until each has grabbed.
+        both_grabbed = threading.Barrier(2)
 
         def grab(slot):
             grabbed[slot] = workspace.scratch("shared-tag", (32,), np.float64)
 
-        threads = [threading.Thread(target=grab, args=(i,)) for i in range(2)]
+        def grab_alongside(slot):
+            grab(slot)
+            both_grabbed.wait(timeout=30)
+
+        threads = [threading.Thread(target=grab_alongside, args=(i,))
+                   for i in range(2)]
         for thread in threads:
             thread.start()
         for thread in threads:

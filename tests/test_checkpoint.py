@@ -244,16 +244,6 @@ class TestCheckpointStore:
         # .lock is the permanent advisory cross-process mutex, not a leak.
         assert names == [".lock", "MANIFEST.json", "state-00000001.npz"]
 
-    def test_legacy_format_writes_v1_files(self, tmp_path):
-        # format=1 is the previous release's code path, kept for generating
-        # genuine v1 trees (CI's migration job relies on it).
-        store = CheckpointStore(tmp_path, format=1)
-        store.save(self.make_checkpoint(1))
-        names = os.listdir(store.run_dir("md-nve"))
-        assert names == ["step-00000001.json"]
-        # ... which the default (v2) store reads transparently.
-        assert CheckpointStore(tmp_path).latest("md-nve")["step"] == 1
-
     def test_steps_past_the_zero_padding_stay_visible(self, tmp_path):
         # step >= 10^8 spills past the 8-digit padding; the listing regex
         # must still match it or resume would silently use a stale snapshot.

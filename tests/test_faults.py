@@ -10,8 +10,6 @@ subprocess, then proves the documented recovery property:
 * **store points** — the run directory stays readable, a clean re-run of the
   same save sequence completes, and the recovered store ends bit-identical
   to one that never crashed;
-* **migrate points** — a crashed migration re-runs to completion and loads
-  bit-identically to an uninterrupted migration of the same v1 tree;
 * **server points** — a daemon killed at the point either never acked (no
   journal: the run simply does not exist afterwards) or acked durably (the
   restarted daemon replays/serves it bit-identically to inline execution);
@@ -33,7 +31,7 @@ import pytest
 
 from repro import faults
 from repro.api import (
-    BatchRunner, CheckpointStore, ScenarioServer, ServeClient, ServeError,
+    BatchRunner, ScenarioServer, ServeClient, ServeError,
 )
 from repro.api.executor import ExecutionService
 from repro.api.result import RunFailure, RunResult
@@ -42,7 +40,6 @@ from repro.store import RunStore
 import repro.analytics  # noqa: F401 - registers the analytics fault points
 import repro.fleet.membership  # noqa: F401 - registers the fleet fault points
 import repro.fleet.router  # noqa: F401 - registers the router fault point
-import repro.store.migrate  # noqa: F401 - registers the migrate fault points
 import repro.telemetry  # noqa: F401 - registers the telemetry fault points
 
 from test_api import smoke_spec
@@ -65,8 +62,6 @@ DRIVERS = {
     "series.append.mid_batch": "TestStoreCrashMatrix",
     "series.append.pre_fsync": "TestStoreCrashMatrix",
     "store.reset.post_manifest": "TestStoreCrashMatrix",
-    "migrate.replay.mid_run": "TestMigrateCrashMatrix",
-    "migrate.cleanup.pre_unlink": "TestMigrateCrashMatrix",
     "server.journal.pre_write": "TestServerCrashMatrix",
     "server.journal.post_write": "TestServerCrashMatrix",
     "server.result.pre_persist": "TestServerCrashMatrix",
@@ -196,56 +191,6 @@ class TestStoreCrashMatrix:
         for step in pristine.steps("chaos", "r"):
             assert json.dumps(recovered.load("chaos", "r", step), sort_keys=True) \
                 == json.dumps(pristine.load("chaos", "r", step), sort_keys=True)
-
-
-# ----------------------------------------------------------------------
-# Migration: crash mid-replay and mid-cleanup
-# ----------------------------------------------------------------------
-@chaos
-class TestMigrateCrashMatrix:
-    def _build_v1(self, root: Path) -> None:
-        store = CheckpointStore(root, format=1)
-        for step in range(3):
-            store.save({
-                "format": 1, "scenario": "legacy", "engine": "md",
-                "time": float(step), "step": step,
-                "state": {"x": [float(step)]},
-                "times": [float(s) for s in range(step + 1)],
-                "records": {"e": [1.5] * (step + 1)},
-            }, run_id="old")
-
-    def _migrate(self, root: Path, plan: str = "") -> subprocess.CompletedProcess:
-        return subprocess.run(
-            [sys.executable, "-m", "repro", "store", "migrate", str(root)],
-            env=_env_with(plan), capture_output=True, text=True, timeout=120,
-        )
-
-    @pytest.mark.parametrize("point", [
-        "migrate.replay.mid_run", "migrate.cleanup.pre_unlink",
-    ])
-    def test_crashed_migration_reruns_bit_identically(self, tmp_path, point):
-        self._build_v1(tmp_path / "clean")
-        self._build_v1(tmp_path / "crashed")
-
-        ok = self._migrate(tmp_path / "clean")
-        assert ok.returncode == 0, ok.stderr
-
-        crashed = self._migrate(tmp_path / "crashed", plan=f"{point}=crash")
-        assert crashed.returncode == faults.CRASH_EXIT_CODE, crashed.stderr
-
-        # The interrupted tree is still loadable (v1 fallback or partial v2)...
-        RunStore(tmp_path / "crashed").latest("legacy", "old")
-        # ...and a second migration completes it.
-        rerun = self._migrate(tmp_path / "crashed")
-        assert rerun.returncode == 0, rerun.stderr
-
-        recovered = RunStore(tmp_path / "crashed")
-        pristine = RunStore(tmp_path / "clean")
-        assert recovered.describe("legacy", "old")["store_format"] == 2
-        assert recovered.steps("legacy", "old") == pristine.steps("legacy", "old")
-        for step in pristine.steps("legacy", "old"):
-            assert json.dumps(recovered.load("legacy", "old", step), sort_keys=True) \
-                == json.dumps(pristine.load("legacy", "old", step), sort_keys=True)
 
 
 # ----------------------------------------------------------------------

@@ -43,8 +43,8 @@ from repro.api import (
     default_registry,
 )
 from repro.api.client import ServeTimeout
-from repro.api.store import atomic_write_json
 from repro.fleet import FleetRegistry, FleetRouter, member_id_for
+from repro.store import atomic_write_json
 
 from test_api import smoke_spec
 from test_checkpoint import assert_results_bit_identical

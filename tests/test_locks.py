@@ -366,9 +366,8 @@ class TestFaultPlans:
     def test_registered_points_cover_every_layer(self):
         import repro.api.executor  # noqa: F401 - registers its points
         import repro.api.server  # noqa: F401
-        import repro.store.migrate  # noqa: F401
         registered = set(faults.points())
-        for prefix in ("manifest.", "series.", "store.", "migrate.",
+        for prefix in ("manifest.", "series.", "store.",
                        "server.", "executor."):
             assert any(name.startswith(prefix) for name in registered), prefix
 
@@ -428,11 +427,6 @@ class TestStoreCliErrorPaths:
         assert main(["store", "inspect", str(tmp_path / "empty"),
                      "scen", "nope"]) == 2
         assert "no run" in capsys.readouterr().out
-
-    def test_migrate_on_corrupt_tree_exits_2(self, tmp_path, capsys):
-        root = self.corrupt_root(tmp_path)
-        assert main(["store", "migrate", str(root)]) == 2
-        assert capsys.readouterr().err.startswith("error:")
 
     def test_healthy_ls_still_exits_0(self, tmp_path, capsys):
         root = tmp_path / "ok"

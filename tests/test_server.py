@@ -533,7 +533,7 @@ class TestHousekeeping:
         # A daemon that crashed between persisting a result and unlinking the
         # journal leaves both files; replaying the journal would execute the
         # finished run a second time.
-        from repro.api.store import atomic_write_json
+        from repro.store import atomic_write_json
 
         root = tmp_path / "state"
         spec = smoke_spec("maxwell-vacuum", num_steps=2).to_dict()
@@ -552,7 +552,8 @@ class TestHousekeeping:
             self, tmp_path):
         import os as _os
 
-        from repro.api.store import CheckpointStore, atomic_write_json
+        from repro.api import CheckpointStore
+        from repro.store import atomic_write_json
 
         root = tmp_path / "state"
         store = CheckpointStore(root / "checkpoints")
@@ -574,7 +575,7 @@ class TestHousekeeping:
     def test_keep_every_terms_do_not_apply_to_results(self, tmp_path):
         # every=K is a snapshot-step rule; against result mtimes it would
         # delete ~everything whose mtime isn't divisible by K.
-        from repro.api.store import atomic_write_json
+        from repro.store import atomic_write_json
 
         root = tmp_path / "state"
         for index, run_id in enumerate(["r0", "r1", "r2"]):
@@ -588,7 +589,7 @@ class TestHousekeeping:
             == ["r0", "r1", "r2"]
 
     def test_no_retention_means_no_pruning(self, tmp_path):
-        from repro.api.store import atomic_write_json
+        from repro.store import atomic_write_json
 
         root = tmp_path / "state"
         for run_id in ("a", "b"):

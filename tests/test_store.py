@@ -11,9 +11,9 @@ Covers the four pillars the v2 store stands on:
 * **retention/compaction**: any prune/compact sequence preserves
   ``latest()`` resumability (property-tested), and the newest snapshot is
   never pruned;
-* **migration**: a genuine v1 JSON tree written by the previous release's
-  code path (``format=1``) migrates in place and resumes bit-identically,
-  for every registered scenario.
+* **one format**: snapshots travelling through the store resume
+  bit-identically for every registered scenario, and a run directory in the
+  retired format 1 is refused with a typed error, its files left alone.
 """
 
 from __future__ import annotations
@@ -28,13 +28,12 @@ from hypothesis import strategies as st
 
 from repro.api import CheckpointStore, build_engine, default_registry
 from repro.store import (
-    CheckpointError, CompositePolicy, KeepEvery, KeepLast,
-    LegacyCheckpointStore, MaxAge, MaxBytes, RunStore, StoredItem,
-    describe_retention, parse_retention,
+    CheckpointError, CompositePolicy, KeepEvery, KeepLast, MaxAge, MaxBytes,
+    RunStore, StoredItem, StoreFormatError, describe_retention,
+    parse_retention,
 )
 from repro.store.codec import decode_state, encode_state
 from repro.store.manifest import read_manifest
-from repro.store.migrate import migrate_tree
 from repro.store.series import SeriesLog, decode_frames, encode_frame, new_series_state
 
 from test_api import smoke_spec
@@ -142,7 +141,7 @@ class TestBlobCodec:
 
 
 def json_cycle_any(payload):
-    """json round trip that tolerates NaN/inf like the v1 store did."""
+    """json round trip that tolerates NaN/inf."""
     return json.loads(json.dumps(payload))
 
 
@@ -376,7 +375,7 @@ class TestRunStoreProperties:
 
     def test_records_without_times_are_kept_verbatim(self, tmp_path):
         # A payload with records but no times list bypasses the series
-        # machinery; the v1 store persisted it as-is and v2 must too.
+        # machinery and is persisted as-is.
         store = RunStore(tmp_path)
         payload = {"format": 1, "scenario": "s", "engine": "md", "time": 1.0,
                    "step": 1, "state": {"x": [1.0]},
@@ -416,42 +415,10 @@ class TestRunStoreProperties:
         deltas = np.diff(sizes)
         assert deltas.max() - deltas.min() == 0  # flat per-record byte cost
 
-
-# ----------------------------------------------------------------------
-# v1 -> v2 migration, for every registered scenario
-# ----------------------------------------------------------------------
-class TestMigration:
-    @pytest.mark.parametrize("name", default_registry().names())
-    def test_v1_tree_migrates_and_resumes_bit_identically(self, name, tmp_path):
-        total, interrupt = 4, 2
-        spec = smoke_spec(name, num_steps=total)
-        uninterrupted = build_engine(spec).run()
-
-        # A genuine v1 tree, written by the previous release's code path.
-        v1 = CheckpointStore(tmp_path, format=1)
-        interrupted = build_engine(spec)
-        interrupted.run(num_steps=interrupt, checkpoint_every=1,
-                        on_checkpoint=lambda c: v1.save(c, run_id="r1"))
-        run_dir = v1.run_dir(spec.name, "r1")
-        v1_files = sorted(p.name for p in run_dir.iterdir())
-        assert v1_files == ["step-00000001.json", "step-00000002.json"]
-
-        reports = migrate_tree(RunStore(tmp_path))
-        assert sum(r["migrated"] for r in reports) == 2
-        assert not list(run_dir.glob("step-*.json"))  # upgraded in place
-        assert read_manifest(run_dir) is not None
-
-        v2 = CheckpointStore(tmp_path)
-        assert v2.steps(spec.name, "r1") == [1, 2]
-        snapshot = v2.latest(spec.name, "r1")
-        assert snapshot["step"] == interrupt
-        resumed = build_engine(spec).resume(snapshot)
-        assert_results_bit_identical(uninterrupted, resumed)
-
     @pytest.mark.parametrize("name", default_registry().names())
     def test_interrupt_resume_through_v2_store_is_bit_identical(self, name,
                                                                 tmp_path):
-        # The acceptance criterion of the v2 store itself: the existing
+        # The acceptance criterion of the store itself: the existing
         # test_checkpoint contract, rerun with snapshots travelling through
         # the incremental store instead of an in-memory dict.
         total, interrupt = 4, 2
@@ -466,43 +433,6 @@ class TestMigration:
         assert snapshot is not None and snapshot["step"] == interrupt
         resumed = build_engine(spec).resume(snapshot)
         assert_results_bit_identical(uninterrupted, resumed)
-
-    def test_migration_is_idempotent(self, tmp_path):
-        v1 = CheckpointStore(tmp_path, format=1)
-        for step, n in ((1, 2), (2, 3)):
-            v1.save(synthetic_checkpoint(step, n), run_id="r")
-        store = RunStore(tmp_path)
-        first = migrate_tree(store)
-        second = migrate_tree(store)
-        assert sum(r["migrated"] for r in first) == 2
-        assert sum(r["migrated"] for r in second) == 0
-        assert store.steps("synthetic", "r") == [1, 2]
-
-    def test_interrupted_migration_rerun_loses_nothing(self, tmp_path):
-        # A migration interrupted after replaying only step 1 leaves a
-        # manifest + all four v1 files.  The rerun must replay the three
-        # unmigrated snapshots before removing any v1 file — not treat
-        # "manifest exists" as "fully migrated" and delete steps 2-4.
-        from repro.store.legacy import legacy_load
-
-        v1 = CheckpointStore(tmp_path, format=1)
-        for step in (1, 2, 3, 4):
-            v1.save(synthetic_checkpoint(step, step + 1), run_id="r")
-        store = RunStore(tmp_path)
-        run_dir = store.run_dir("synthetic", "r")
-        # Simulate the interruption: replay only the first snapshot.
-        store.save(legacy_load(run_dir, 1), run_id="r")
-        assert read_manifest(run_dir) is not None
-        assert len(list(run_dir.glob("step-*.json"))) == 4
-
-        reports = migrate_tree(store)
-        assert sum(r["migrated"] for r in reports) == 3
-        assert not list(run_dir.glob("step-*.json"))
-        assert store.steps("synthetic", "r") == [1, 2, 3, 4]
-        assert_payloads_identical(
-            store.latest("synthetic", "r"),
-            json_cycle_any(synthetic_checkpoint(4, 5)),
-        )
 
     def test_damaged_series_log_self_heals_on_next_save(self, tmp_path):
         # A segment shorter than the manifest accounts for (lost data) must
@@ -521,79 +451,54 @@ class TestMigration:
             json_cycle_any(synthetic_checkpoint(4, 5)),
         )
 
-    def test_migrated_run_with_v1_keep_gaps(self, tmp_path):
-        # keep=N pruning leaves gaps in a v1 tree; migration must replay the
-        # surviving snapshots and keep the latest resumable.
-        v1 = CheckpointStore(tmp_path, format=1, keep=2)
-        for step in (1, 2, 3, 4, 5):
-            v1.save(synthetic_checkpoint(step, step + 1), run_id="r")
-        assert v1.steps("synthetic", "r") == [4, 5]
-        migrate_tree(RunStore(tmp_path))
-        v2 = CheckpointStore(tmp_path)
-        assert v2.steps("synthetic", "r") == [4, 5]
-        assert_payloads_identical(
-            v2.latest("synthetic", "r"),
-            json_cycle_any(synthetic_checkpoint(5, 6)),
-        )
-
 
 # ----------------------------------------------------------------------
-# The legacy (v1) engine stays covered while it ships
+# Store format 1 (one JSON file per snapshot) is refused, never touched
 # ----------------------------------------------------------------------
-class TestLegacyStore:
-    def make_checkpoint(self, step: int) -> dict:
-        return {"format": 1, "scenario": "md-nve", "engine": "md",
-                "time": float(step), "step": step, "state": {"x": [1.0]}}
+class TestFormat1Refused:
+    def v1_run(self, root):
+        """A hand-written format-1 run directory (no writer ships any more)."""
+        run_dir = root / "synthetic" / "old"
+        run_dir.mkdir(parents=True)
+        for step in (1, 2):
+            (run_dir / f"step-{step:08d}.json").write_text(
+                json.dumps(synthetic_checkpoint(step, step + 1))
+            )
+        return run_dir
 
-    def test_latest_survives_files_pruned_after_the_scan(self, tmp_path,
-                                                         monkeypatch):
-        store = LegacyCheckpointStore(tmp_path)
-        store.save(self.make_checkpoint(2))
-        path_4 = store.save(self.make_checkpoint(4))
-        real_steps = LegacyCheckpointStore.steps
+    def test_reads_and_save_raise_and_leave_the_files_alone(self, tmp_path):
+        run_dir = self.v1_run(tmp_path)
+        before = {p.name: p.read_bytes() for p in run_dir.glob("step-*.json")}
+        store = RunStore(tmp_path)
+        for refused in (
+            lambda: store.steps("synthetic", "old"),
+            lambda: store.load("synthetic", "old"),
+            lambda: store.load("synthetic", "old", step=1),
+            lambda: store.latest("synthetic", "old"),
+            lambda: store.describe("synthetic", "old"),
+            lambda: store.save(synthetic_checkpoint(3, 4), run_id="old"),
+        ):
+            with pytest.raises(StoreFormatError, match="format 1") as caught:
+                refused()
+            assert caught.value.store_format == 1
+        assert store.compact("synthetic", "old")["removed_files"] == 0
+        assert read_manifest(run_dir) is None  # save started no v2 manifest
+        after = {p.name: p.read_bytes() for p in run_dir.glob("step-*.json")}
+        assert after == before
 
-        def steps_then_prune(self_store, scenario, run_id="default"):
-            found = real_steps(self_store, scenario, run_id)
-            if path_4.exists():
-                path_4.unlink()  # the concurrent writer's prune lands here
-            return found
+    def test_ls_labels_it_and_inspect_exits_2(self, tmp_path, capsys):
+        from repro.api.cli import main
 
-        monkeypatch.setattr(LegacyCheckpointStore, "steps", steps_then_prune)
-        snapshot = store.latest("md-nve")
-        assert snapshot is not None and snapshot["step"] == 2
+        self.v1_run(tmp_path)
+        RunStore(tmp_path).save(synthetic_checkpoint(2, 3), run_id="new")
+        assert main(["store", "ls", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert any("old" in l and "v1 (unsupported)" in l for l in lines)
+        assert any("new" in l and "v2" in l for l in lines)
 
-    def test_latest_rescans_when_every_scanned_file_vanished(self, tmp_path,
-                                                             monkeypatch):
-        store = LegacyCheckpointStore(tmp_path)
-        stale = store.save(self.make_checkpoint(2))
-        real_steps = LegacyCheckpointStore.steps
-        state = {"first": True}
-
-        def racing_steps(self_store, scenario, run_id="default"):
-            found = real_steps(self_store, scenario, run_id)
-            if state.pop("first", False):
-                stale.unlink()
-                store.save(self.make_checkpoint(6))
-            return found
-
-        monkeypatch.setattr(LegacyCheckpointStore, "steps", racing_steps)
-        snapshot = store.latest("md-nve")
-        assert snapshot is not None and snapshot["step"] == 6
-
-    def test_latest_gives_up_after_bounded_rescans(self, tmp_path, monkeypatch):
-        store = LegacyCheckpointStore(tmp_path)
-        monkeypatch.setattr(LegacyCheckpointStore, "steps",
-                            lambda *a, **k: [2])
-        with pytest.raises(CheckpointError, match="vanishing"):
-            store.latest("md-nve")
-
-    def test_facade_rejects_retention_on_v1(self, tmp_path):
-        with pytest.raises(ValueError, match="format=2"):
-            CheckpointStore(tmp_path, format=1, retention="keep=3")
-
-    def test_facade_rejects_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown"):
-            CheckpointStore(tmp_path, format=7)
+        assert main(["store", "inspect", str(tmp_path),
+                     "synthetic", "old"]) == 2
+        assert "format 1" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -624,18 +529,15 @@ class TestStoreCLI:
 
         assert main(["store", "inspect", str(tmp_path), "nope", "run"]) == 2
 
-    def test_migrate_and_compact(self, tmp_path, capsys):
+    def test_compact_with_retention(self, tmp_path, capsys):
         from repro.api.cli import main
 
-        v1 = CheckpointStore(tmp_path, format=1)
+        store = CheckpointStore(tmp_path)
         for step, n in ((1, 2), (3, 4)):
-            v1.save(synthetic_checkpoint(step, n), run_id="r")
-        assert main(["store", "migrate", str(tmp_path)]) == 0
-        assert "migrated 2 snapshot(s)" in capsys.readouterr().out
+            store.save(synthetic_checkpoint(step, n), run_id="r")
         assert main(["store", "compact", str(tmp_path),
                      "--retention", "keep=1"]) == 0
         assert "pruned 1 snapshot(s)" in capsys.readouterr().out
-        store = CheckpointStore(tmp_path)
         assert store.steps("synthetic", "r") == [3]
         assert_payloads_identical(
             store.latest("synthetic", "r"),
