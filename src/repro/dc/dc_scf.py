@@ -13,7 +13,9 @@ QXMD lineage):
    domain with fixed per-domain electron counts, the common simplification for
    charge-balanced domains), and assemble the new global density from the
    domain cores.
-5. Mix densities and iterate until the global density is self-consistent.
+5. Mix densities (the Anderson :class:`~repro.scf.mixing.DensityMixer` the
+   monolithic solver uses; ``mixing`` is its damping) and iterate until the
+   global density is self-consistent.
 
 Because cores tile the cell exactly and buffers only serve to converge the
 local orbitals, the assembled density approaches the monolithic Kohn-Sham
@@ -35,6 +37,7 @@ from repro.qd.occupations import OccupationState
 from repro.qd.wavefunctions import WaveFunctions
 from repro.qd.xc import lda_exchange_correlation
 from repro.scf.eigensolver import lowest_eigenstates
+from repro.scf.mixing import DensityMixer
 
 
 @dataclass
@@ -48,6 +51,7 @@ class DCSCFResult:
     converged: bool
     iterations: int
     density_residuals: List[float] = field(default_factory=list)
+    mixer_restarts: int = 0
 
     @property
     def total_electrons(self) -> float:
@@ -117,6 +121,7 @@ class DCKohnShamSolver:
         else:
             density = np.array(initial_density, dtype=float, copy=True)
 
+        mixer = DensityMixer(grid, total_electrons, self.mixing)
         residuals: List[float] = []
         converged = False
         wavefunctions: List[WaveFunctions] = []
@@ -155,11 +160,8 @@ class DCKohnShamSolver:
                 eigenvalues.append(eigvals)
                 local_densities.append(local_density)
             new_density = decomposition.assemble_density(local_densities)
-            residual = float(
-                np.sqrt(grid.integrate((new_density - density) ** 2))
-            ) / max(total_electrons, 1.0)
+            density, residual = mixer.mix(density, new_density)
             residuals.append(residual)
-            density = (1.0 - self.mixing) * density + self.mixing * new_density
             if residual < self.tolerance:
                 converged = True
                 break
@@ -171,4 +173,5 @@ class DCKohnShamSolver:
             converged=converged,
             iterations=iterations,
             density_residuals=residuals,
+            mixer_restarts=mixer.restarts,
         )

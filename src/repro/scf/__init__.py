@@ -9,5 +9,6 @@ share one representation.
 
 from repro.scf.eigensolver import lowest_eigenstates
 from repro.scf.kohn_sham import KohnShamSolver, SCFResult
+from repro.scf.mixing import DensityMixer
 
-__all__ = ["lowest_eigenstates", "KohnShamSolver", "SCFResult"]
+__all__ = ["lowest_eigenstates", "DensityMixer", "KohnShamSolver", "SCFResult"]

@@ -1,9 +1,13 @@
 """Self-consistent-field ground-state solver.
 
 The loop is the textbook Kohn-Sham SCF: build v_loc from the current density,
-diagonalise, fill orbitals by the aufbau principle, mix the output density with
-the input density (linear mixing), and repeat until the density change drops
-below tolerance.  The result feeds both the real-time TDDFT driver (initial
+diagonalise, fill orbitals by the aufbau principle, hand the (input, output)
+density pair to the Anderson :class:`~repro.scf.mixing.DensityMixer` for the
+next input density, and repeat until the density change drops below
+tolerance.  ``mixing`` is the damping of the Anderson step; when the mixer's
+safeguard clears its history the step falls back to plain linear mixing with
+that same parameter, and ``SCFResult.mixer_restarts`` counts how often it
+did.  The result feeds both the real-time TDDFT driver (initial
 orbitals/occupations of each DC domain) and the divide-and-conquer assembly
 (domain densities are stitched into the global density).
 """
@@ -11,6 +15,7 @@ orbitals/occupations of each DC domain) and the divide-and-conquer assembly
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import List, Optional
 
 import numpy as np
@@ -19,6 +24,8 @@ from repro.qd.hamiltonian import LocalHamiltonian
 from repro.qd.occupations import OccupationState
 from repro.qd.wavefunctions import WaveFunctions
 from repro.scf.eigensolver import lowest_eigenstates
+from repro.scf.mixing import DensityMixer
+from repro.telemetry import metrics as _telemetry
 
 
 @dataclass
@@ -33,6 +40,7 @@ class SCFResult:
     converged: bool
     iterations: int
     density_residuals: List[float] = field(default_factory=list)
+    mixer_restarts: int = 0
 
     @property
     def homo_lumo_gap(self) -> float:
@@ -62,7 +70,8 @@ class KohnShamSolver:
         Number of Kohn-Sham orbitals to compute; defaults to enough to hold
         the electrons plus two virtual orbitals (needed by surface hopping).
     mixing:
-        Linear density-mixing parameter in (0, 1].
+        Damping of the Anderson density-mixing step, in (0, 1] (the linear
+        mixing parameter whenever the mixer's history is empty).
     """
 
     hamiltonian: LocalHamiltonian
@@ -87,6 +96,7 @@ class KohnShamSolver:
     # ------------------------------------------------------------------
     def run(self, initial_density: Optional[np.ndarray] = None) -> SCFResult:
         """Run the SCF loop to convergence (or ``max_iterations``)."""
+        t0 = perf_counter()
         grid = self.hamiltonian.grid
         occupations = OccupationState.ground_state(self.n_orbitals, self.n_electrons)
         if initial_density is None:
@@ -94,6 +104,7 @@ class KohnShamSolver:
             density = np.full(grid.shape, self.n_electrons / grid.volume)
         else:
             density = np.array(initial_density, dtype=float, copy=True)
+        mixer = DensityMixer(grid, self.n_electrons, self.mixing)
         residuals: List[float] = []
         converged = False
         eigenvalues = np.zeros(self.n_orbitals)
@@ -107,11 +118,8 @@ class KohnShamSolver:
             )
             wf = WaveFunctions(grid, orbitals)
             new_density = wf.density(occupations.electrons_per_orbital())
-            residual = float(
-                np.sqrt(grid.integrate((new_density - density) ** 2))
-            ) / max(self.n_electrons, 1.0)
+            density, residual = mixer.mix(density, new_density)
             residuals.append(residual)
-            density = (1.0 - self.mixing) * density + self.mixing * new_density
             if residual < self.tolerance:
                 converged = True
                 break
@@ -120,6 +128,12 @@ class KohnShamSolver:
         total_energy = self.hamiltonian.total_energy(
             wavefunctions.psi, occupations.electrons_per_orbital()
         )
+        _telemetry.observe("repro_scf_run_seconds", perf_counter() - t0,
+                           "one KohnShamSolver.run")
+        _telemetry.incr("repro_scf_iterations_total", iterations,
+                        "SCF iterations (one eigensolve each)")
+        _telemetry.incr("repro_scf_mixer_restarts_total", mixer.restarts,
+                        "Anderson histories cleared by the mixer's safeguard")
         return SCFResult(
             wavefunctions=wavefunctions,
             occupations=occupations,
@@ -129,4 +143,5 @@ class KohnShamSolver:
             converged=converged,
             iterations=iterations,
             density_residuals=residuals,
+            mixer_restarts=mixer.restarts,
         )

@@ -199,6 +199,19 @@ class TestMetrics:
             telemetry.disable()
             telemetry.reset()
 
+    def test_ground_state_is_visible_in_the_registry(self, live_telemetry):
+        from repro.api import run_scenario
+
+        result = run_scenario(default_registry().get("dcmesh-pulse"),
+                              num_steps=1)
+        snap = telemetry.snapshot()
+        assert snap["histograms"]["repro_engine_prepare_seconds"]["count"] == 1
+        assert snap["histograms"]["repro_scf_run_seconds"]["count"] == 1
+        assert snap["counters"]["repro_scf_iterations_total"]["value"] \
+            == result.metadata["scf_iterations"]
+        assert snap["counters"]["repro_scf_mixer_restarts_total"]["value"] \
+            == result.metadata["scf_mixer_restarts"]
+
     @pytest.mark.parametrize("spec,expected", [
         ("1", True), ("on", True), ("TRUE", True), ("yes", True),
         ("0", False), ("off", False), ("", False), (None, False),
