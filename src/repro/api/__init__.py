@@ -17,6 +17,8 @@
 * :mod:`repro.api.server`   — the long-lived :class:`ScenarioServer` daemon
   (``repro serve``): warm worker pool across requests, durable submission
   journal, NDJSON checkpoint streaming, crash-resume on restart.
+* :mod:`repro.api.http`     — the one ``/v1`` HTTP layer (route table,
+  request handler, socket lifecycle) serving the daemon and the fleet router.
 * :mod:`repro.api.client`   — :class:`ServeClient`, the stdlib-HTTP client
   of the daemon.
 * :mod:`repro.api.cli`      — the ``python -m repro`` command-line runner.

@@ -37,8 +37,9 @@ import socket
 import time
 from typing import Any, Dict, Iterator, List, Optional, Union
 
+from repro.api.http import API_PREFIX
 from repro.api.result import RunFailure, RunResult
-from repro.api.server import API_PREFIX, DEFAULT_PORT
+from repro.api.server import DEFAULT_PORT
 from repro.api.spec import ScenarioSpec
 
 #: One finished run, as returned by :meth:`ServeClient.result`.

@@ -31,51 +31,32 @@ produces results bit-identical to an uninterrupted run.  Graceful shutdown
 submissions are refused, in-flight runs finish (their snapshots are already
 on disk), queued runs stay journalled for the next daemon.
 
-Wire protocol (newline-delimited JSON over HTTP/1.0; see README "Serving")::
-
-    POST /v1/runs                 {"scenario": name, "overrides": {...}} or
-                                  {"spec": {...}} [+ "run_id", "checkpoint_every"]
-    GET  /v1/runs                 all run records
-    GET  /v1/runs/<id>            one run record (status, attempts, pid, ...)
-    GET  /v1/runs/<id>/result     final outcome JSON (409 while pending)
-    GET  /v1/runs/<id>/events     NDJSON stream: status + checkpoint events,
-                                  terminated by a "done"/"failed" event
-    GET  /v1/health               daemon + pool + queue statistics
-    GET  /v1/stats                deep observability: queue depth, EWMA run
-                                  time, warm-pool hit rate, store footprint,
-                                  lease states, analytics ingest counters,
-                                  telemetry snapshot (when enabled)
-    GET  /v1/metrics              Prometheus text exposition (0.0.4) of the
-                                  daemon's telemetry registry
-    GET  /v1/runs/<id>/trace      the run's span records (JSON)
-    GET  /v1/fleet                fleet membership (live + stale members)
-    GET  /v1/scenarios            registered scenario names
-    POST /v1/shutdown             {"drain": bool} — stop accepting and exit
-
-The matching Python client lives in :mod:`repro.api.client`; the CLI front
-ends are ``python -m repro serve / submit / status / fetch / shutdown``.
+The wire protocol is documented once, in :mod:`repro.api.http` — the one
+``/v1`` HTTP layer this daemon is an *application* of.  The matching Python
+client lives in :mod:`repro.api.client`; the CLI front ends are
+``python -m repro serve / submit / status / fetch / shutdown``.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import signal
 import socket
 import threading
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Union
-from urllib.parse import parse_qs, urlparse
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 import repro
 from repro import faults, telemetry
 from repro.api.executor import WorkerPool
-from repro.api.registry import default_registry
+from repro.api.http import (  # noqa: F401 - API_PREFIX is re-exported
+    API_PREFIX, FINISHED, HttpService, ServerError, recovered_record,
+    result_pending,
+)
 from repro.api.spec import ScenarioSpec
 from repro.fleet.membership import (
     DEFAULT_MEMBER_TTL_S, FleetRegistry, member_id_for,
@@ -121,9 +102,6 @@ FAULT_SERVE_RETRY_PRE_REQUEUE = faults.register(
     "must leave the run journalled for the next daemon)",
 )
 
-#: Wire-protocol version prefix of every route.
-API_PREFIX = "/v1"
-
 #: Default TCP port (ascii "sc" — the paper's venue — is taken; this is free).
 DEFAULT_PORT = 8642
 
@@ -140,9 +118,6 @@ _KEEPALIVE_S = 10.0
 #: one or two breaks; a run that reliably kills its worker exhausts this
 #: allowance and then its retries, so crash loops stay bounded.
 _POOL_BREAK_ALLOWANCE = 3
-
-#: Terminal record states.
-_FINISHED = ("done", "failed")
 
 
 def _without_keep_every(policy: Optional[RetentionPolicy],
@@ -167,21 +142,6 @@ def _journalled_trace(entry: Dict[str, Any]) -> Optional[Dict[str, Any]]:
         return {"trace_id": str(trace["trace_id"]),
                 "parent": trace.get("parent")}
     return None
-
-
-class ServerError(RuntimeError):
-    """A request the daemon refused; carries the HTTP status to answer with.
-
-    ``retry_after`` (seconds) is emitted as a ``Retry-After`` header when
-    set — honest backpressure for 429/503 so clients back off for about as
-    long as the queue actually needs instead of guessing.
-    """
-
-    def __init__(self, status: int, message: str,
-                 retry_after: Optional[float] = None) -> None:
-        super().__init__(message)
-        self.status = int(status)
-        self.retry_after = retry_after
 
 
 @dataclass
@@ -381,10 +341,10 @@ class ScenarioServer:
         self._wake = threading.Condition()
         self._seq = 0
         self._stopping = False
-        self._stopped = threading.Event()
         self._scheduler: Optional[threading.Thread] = None
-        self._httpd: Optional[ThreadingHTTPServer] = None
-        self._http_thread: Optional[threading.Thread] = None
+        self._http = HttpService(self, "repro-serve/1")
+        #: Set once :meth:`stop` has run to its end (closing the socket).
+        self._stopped = self._http.stopped
 
     # ------------------------------------------------------------------
     # Durability: journal + persisted results
@@ -833,7 +793,7 @@ class ScenarioServer:
         if outcome is not None and outcome.get("spec") == spec:
             # Finished by this or a previous daemon incarnation; results
             # persisted before the spec stamp existed stay conservative (409).
-            ack = self.record_dict(run_id)
+            ack = self.status(run_id)
             ack["position"] = None
             ack["deduplicated"] = True
             return ack
@@ -1391,7 +1351,7 @@ class ScenarioServer:
     # ------------------------------------------------------------------
     # Introspection (thread-safe snapshots)
     # ------------------------------------------------------------------
-    def record_dict(self, run_id: str) -> Dict[str, Any]:
+    def status(self, run_id: str) -> Dict[str, Any]:
         with self._wake:
             record = self._records.get(run_id)
             if record is not None:
@@ -1400,16 +1360,7 @@ class ScenarioServer:
         outcome = self._load_outcome(run_id)
         if outcome is None:
             raise ServerError(404, f"unknown run id {run_id!r}")
-        summary = outcome.get("ok") or outcome.get("failure") or {}
-        return {
-            "run_id": run_id,
-            "scenario": str(summary.get("scenario", "?")),
-            "engine": str(summary.get("engine", "?")),
-            "status": "done" if "ok" in outcome else "failed",
-            "attempts": None,
-            "recovered": True,
-            "error": summary.get("error") if "failure" in outcome else None,
-        }
+        return recovered_record(run_id, outcome)
 
     def list_runs(self) -> List[Dict[str, Any]]:
         with self._wake:
@@ -1426,16 +1377,18 @@ class ScenarioServer:
         except (OSError, json.JSONDecodeError):
             return None
 
-    def result_payload(self, run_id: str) -> Dict[str, Any]:
-        record = self.record_dict(run_id)
-        if record["status"] not in _FINISHED:
-            raise ServerError(
-                409, f"run {run_id!r} is {record['status']}; no result yet"
-            )
+    def result(self, run_id: str) -> Dict[str, Any]:
+        record = self.status(run_id)
+        if record["status"] not in FINISHED:
+            raise result_pending(run_id, record["status"])
         outcome = self._load_outcome(run_id)
         if outcome is None:
             raise ServerError(500, f"result of run {run_id!r} is missing on disk")
         return outcome
+
+    def fleet_overview(self) -> Dict[str, Any]:
+        """The shared-root membership registry as this daemon sees it."""
+        return {"members": self.registry.members(include_stale=True)}
 
     def health(self) -> Dict[str, Any]:
         with self._wake:
@@ -1573,13 +1526,13 @@ class ScenarioServer:
         ``ping`` events so client socket timeouts don't mistake a silent
         healthy stream for a dead daemon.
         """
-        record = self.record_dict(run_id)  # 404s early for unknown ids
+        record = self.status(run_id)  # 404s early for unknown ids
         scenario = record["scenario"]
         last_status: Optional[str] = None
         seen_step = int(from_step)
         last_emit = time.monotonic()
         while True:
-            record = self.record_dict(run_id)
+            record = self.status(run_id)
             if record["status"] != last_status:
                 last_status = record["status"]
                 last_emit = time.monotonic()
@@ -1592,9 +1545,9 @@ class ScenarioServer:
                     last_emit = time.monotonic()
                     yield {"event": "checkpoint", "run_id": run_id,
                            "step": step}
-            if record["status"] in _FINISHED:
+            if record["status"] in FINISHED:
                 yield {"event": record["status"], "run_id": run_id,
-                       "outcome": self.result_payload(run_id)}
+                       "outcome": self.result(run_id)}
                 return
             if time.monotonic() - last_emit > _KEEPALIVE_S:
                 last_emit = time.monotonic()
@@ -1606,7 +1559,7 @@ class ScenarioServer:
     # ------------------------------------------------------------------
     def start(self) -> "ScenarioServer":
         """Bind the socket, recover the journal and start serving (non-blocking)."""
-        if self._httpd is not None:
+        if self._scheduler is not None:
             raise RuntimeError("server is already started")
         self.root.mkdir(parents=True, exist_ok=True)
         self._queue_dir.mkdir(parents=True, exist_ok=True)
@@ -1619,17 +1572,9 @@ class ScenarioServer:
             daemon=True,
         )
         self._scheduler.start()
-        handler = _make_handler(self)
-        self._httpd = ThreadingHTTPServer((self.host, self.port), handler)
-        self._httpd.daemon_threads = True
-        self.port = int(self._httpd.server_address[1])
-        self._http_thread = threading.Thread(
-            target=self._httpd.serve_forever, name="repro-serve-http",
-            kwargs={"poll_interval": 0.1}, daemon=True,
-        )
-        self._http_thread.start()
-        # Join the fleet only once the port is final (port=0 was rewritten
-        # above) so the membership record advertises a reachable address.
+        # Join the fleet only once the port is final (port=0 is rewritten
+        # here) so the membership record advertises a reachable address.
+        self.port = self._http.start(self.host, self.port)
         try:
             self._member_id = self.registry.join(self.member_entry())
         except (OSError, faults.InjectedFault):
@@ -1671,31 +1616,24 @@ class ScenarioServer:
                         break
                     self._wake.wait(timeout=remaining if remaining else 0.5)
         self.pool.shutdown(wait=drain)
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-            self._httpd = None
         if self._scheduler is not None:
             self._scheduler.join(timeout=5.0)
             self._scheduler = None
-        self._stopped.set()
+        # Last: closing the socket is what releases serve_forever().
+        self._http.close()
+
+    def shutdown(self, drain: bool = True,
+                 ) -> Tuple[Dict[str, Any], Callable[[], None]]:
+        """``POST /v1/shutdown``: the ack, and the stop to run once it is
+        sent (queued runs stay journalled either way, see :meth:`stop`)."""
+        with self._wake:  # refuse from the ack on: no 202 may follow it
+            self._stopping = True
+        return ({"ok": True, "draining": drain},
+                lambda: self.stop(drain=drain))
 
     def serve_forever(self) -> None:
         """Blocking run loop with SIGINT/SIGTERM-triggered graceful drain."""
-        if self._httpd is None:
-            self.start()
-
-        def _signal_stop(signum, frame):  # noqa: ARG001 - signal signature
-            threading.Thread(
-                target=self.stop, kwargs={"drain": True}, daemon=True,
-            ).start()
-
-        try:
-            signal.signal(signal.SIGTERM, _signal_stop)
-            signal.signal(signal.SIGINT, _signal_stop)
-        except ValueError:
-            pass  # not the main thread (tests drive start/stop directly)
-        self._stopped.wait()
+        self._http.serve_forever()
 
     def __enter__(self) -> "ScenarioServer":
         return self.start()
@@ -1703,216 +1641,3 @@ class ScenarioServer:
     def __exit__(self, *exc_info) -> None:
         if not self._stopped.is_set():
             self.stop(drain=True)
-
-
-# ----------------------------------------------------------------------
-# HTTP layer
-# ----------------------------------------------------------------------
-def resolve_submission_spec(body: Dict[str, Any]) -> Dict[str, Any]:
-    """A POST /v1/runs body's spec dict (inline ``spec`` or registry
-    ``scenario`` + ``overrides``); raises :class:`ServerError` on bad input.
-
-    Module-level because the fleet router resolves submissions the same way
-    before it picks a member to forward to.
-    """
-    if "spec" in body:
-        spec = body["spec"]
-        if not isinstance(spec, dict):
-            raise ServerError(400, "'spec' must be a JSON object")
-        return spec
-    if "scenario" in body:
-        try:
-            spec = default_registry().get(str(body["scenario"]))
-        except KeyError as exc:
-            raise ServerError(404, str(exc.args[0])) from exc
-        overrides = body.get("overrides") or {}
-        if not isinstance(overrides, dict):
-            raise ServerError(400, "'overrides' must be a JSON object")
-        if overrides:
-            try:
-                spec = spec.with_overrides(overrides)
-            except (KeyError, ValueError) as exc:
-                raise ServerError(400, str(exc)) from exc
-        return spec.to_dict()
-    raise ServerError(400, "submission needs 'spec' or 'scenario'")
-
-
-def _make_handler(daemon: ScenarioServer):
-    class Handler(BaseHTTPRequestHandler):
-        server_version = "repro-serve/1"
-        # HTTP/1.0 + Connection: close keeps the NDJSON event stream free of
-        # chunked-transfer framing: curl and http.client just read lines.
-        protocol_version = "HTTP/1.0"
-
-        def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-            pass  # the daemon is quiet; traffic logging belongs to callers
-
-        # -- helpers ----------------------------------------------------
-        def _send_json(self, payload: Dict[str, Any], status: int = 200) -> None:
-            body = (json.dumps(payload) + "\n").encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def _send_text(self, text: str, status: int = 200,
-                       content_type: str =
-                       "text/plain; version=0.0.4; charset=utf-8") -> None:
-            body = text.encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def _send_error_json(self, status: int, message: str,
-                             retry_after: Optional[float] = None) -> None:
-            body = (json.dumps({"error": message}) + "\n").encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            if retry_after is not None:
-                # Whole seconds, rounded up: HTTP Retry-After is integral,
-                # and rounding down would tell clients to retry too early.
-                self.send_header("Retry-After", str(int(retry_after + 0.999)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def _read_body(self) -> Dict[str, Any]:
-            length = int(self.headers.get("Content-Length") or 0)
-            raw = self.rfile.read(length) if length else b""
-            if not raw:
-                return {}
-            try:
-                payload = json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise ServerError(400, f"request body is not JSON: {exc}")
-            if not isinstance(payload, dict):
-                raise ServerError(400, "request body must be a JSON object")
-            return payload
-
-        def _route(self, method: str) -> None:
-            parsed = urlparse(self.path)
-            parts = [p for p in parsed.path.split("/") if p]
-            if not parts or f"/{parts[0]}" != API_PREFIX:
-                raise ServerError(404, f"unknown path {parsed.path!r}")
-            parts = parts[1:]
-            query = parse_qs(parsed.query)
-            if method == "GET":
-                return self._route_get(parts, query)
-            if method == "POST":
-                return self._route_post(parts)
-            raise ServerError(405, f"method {method} not allowed")
-
-        def _route_get(self, parts: List[str], query) -> None:
-            if parts == ["health"]:
-                return self._send_json(daemon.health())
-            if parts == ["stats"]:
-                return self._send_json(daemon.stats())
-            if parts == ["metrics"]:
-                return self._send_text(telemetry.render_prometheus())
-            if parts == ["fleet"]:
-                return self._send_json(
-                    {"members": daemon.registry.members(include_stale=True)}
-                )
-            if parts == ["scenarios"]:
-                return self._send_json(
-                    {"scenarios": default_registry().names()}
-                )
-            if parts == ["runs"]:
-                return self._send_json({"runs": daemon.list_runs()})
-            if len(parts) == 2 and parts[0] == "runs":
-                return self._send_json(daemon.record_dict(parts[1]))
-            if len(parts) == 3 and parts[0] == "runs" and parts[2] == "result":
-                return self._send_json(daemon.result_payload(parts[1]))
-            if len(parts) == 3 and parts[0] == "runs" and parts[2] == "trace":
-                return self._send_json(daemon.trace_payload(parts[1]))
-            if len(parts) == 3 and parts[0] == "runs" and parts[2] == "events":
-                try:
-                    from_step = int(query.get("from", ["0"])[0])
-                except ValueError as exc:
-                    raise ServerError(
-                        400, f"'from' must be an integer: {exc}"
-                    ) from exc
-                return self._stream_events(parts[1], from_step)
-            raise ServerError(404, f"unknown path {self.path!r}")
-
-        def _route_post(self, parts: List[str]) -> None:
-            if parts == ["runs"]:
-                body = self._read_body()
-                spec = self._resolve_spec(body)
-                ack = daemon.submit(
-                    spec,
-                    run_id=body.get("run_id"),
-                    checkpoint_every=body.get("checkpoint_every"),
-                    fault_plan=body.get("faults"),
-                    trace=body.get("trace"),
-                )
-                return self._send_json(ack, status=202)
-            if parts == ["shutdown"]:
-                body = self._read_body()
-                drain = bool(body.get("drain", True))
-                self._send_json({"ok": True, "draining": drain})
-                # Stop from a helper thread: this handler thread must finish
-                # its response, and httpd.shutdown() waits for the serve loop.
-                threading.Thread(
-                    target=daemon.stop, kwargs={"drain": drain}, daemon=True,
-                ).start()
-                return None
-            raise ServerError(404, f"unknown path {self.path!r}")
-
-        _resolve_spec = staticmethod(resolve_submission_spec)
-
-        def _stream_events(self, run_id: str, from_step: int) -> None:
-            # 404 before committing to a stream.
-            daemon.record_dict(run_id)
-            self.send_response(200)
-            self.send_header("Content-Type", "application/x-ndjson")
-            self.end_headers()
-            try:
-                for event in daemon.iter_events(run_id, from_step=from_step):
-                    self.wfile.write(
-                        (json.dumps(event) + "\n").encode("utf-8")
-                    )
-                    self.wfile.flush()
-            except (BrokenPipeError, ConnectionResetError):
-                pass  # the client hung up mid-stream
-            except Exception as exc:  # noqa: BLE001 - headers already sent
-                # Mid-stream faults must stay NDJSON: an HTTP error response
-                # at this point would splice a raw status line into the body.
-                try:
-                    self.wfile.write((json.dumps({
-                        "event": "error", "run_id": run_id,
-                        "error": f"{type(exc).__name__}: {exc}",
-                    }) + "\n").encode("utf-8"))
-                    self.wfile.flush()
-                except (BrokenPipeError, ConnectionResetError):
-                    pass
-
-        # -- verbs ------------------------------------------------------
-        def _dispatch(self, method: str) -> None:
-            try:
-                self._route(method)
-            except ServerError as exc:
-                self._send_error_json(exc.status, str(exc),
-                                      retry_after=exc.retry_after)
-            except (BrokenPipeError, ConnectionResetError):
-                pass  # the client hung up
-            except Exception as exc:  # noqa: BLE001 - the daemon must answer
-                # An unmapped bug must come back as a 500 JSON error, not a
-                # dropped connection (which clients misread as daemon-down).
-                try:
-                    self._send_error_json(
-                        500, f"internal error: {type(exc).__name__}: {exc}"
-                    )
-                except Exception:  # headers already sent / socket gone
-                    pass
-
-        def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-            self._dispatch("GET")
-
-        def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-            self._dispatch("POST")
-
-    return Handler

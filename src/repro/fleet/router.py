@@ -1,9 +1,9 @@
 """The fleet front door: one address that load-balances a daemon fleet.
 
 ``repro fleet route --port P --root DIR`` starts a :class:`FleetRouter` — a
-thin stdlib-HTTP gateway that speaks the exact same ``/v1`` wire protocol as
-a single daemon, so :class:`~repro.api.client.ServeClient` (and every CLI
-front end built on it) works against the router unchanged.  Behind that
+second application of the one ``/v1`` HTTP layer (:mod:`repro.api.http`) the
+daemon is served by, so :class:`~repro.api.client.ServeClient` (and every
+CLI front end built on it) works against the router unchanged.  Behind that
 address:
 
 * **submit** is load-balanced across live fleet members by least queue
@@ -31,19 +31,17 @@ nothing is lost.
 from __future__ import annotations
 
 import json
-import signal
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro import faults, telemetry
 from repro.api.client import ServeClient, ServeError, ServeUnavailable
-from repro.api.registry import default_registry
-from repro.api.server import (
-    API_PREFIX, DEFAULT_PORT, ServerError, resolve_submission_spec,
+from repro.api.http import (
+    FINISHED, HttpService, ServerError, recovered_record, result_pending,
 )
+from repro.api.server import DEFAULT_PORT
 from repro.store import validate_key
 from repro.fleet.membership import DEFAULT_MEMBER_TTL_S, FleetRegistry
 
@@ -60,9 +58,6 @@ __all__ = [
 
 #: One above the daemons' default port, so a one-machine fleet needs no flags.
 DEFAULT_ROUTER_PORT = DEFAULT_PORT + 1
-
-#: Terminal run states, as on the daemon side.
-_FINISHED = ("done", "failed")
 
 #: Poll cadence of the orphaned-run event fallback, seconds.
 _ORPHAN_POLL_S = 0.25
@@ -121,9 +116,7 @@ class FleetRouter:
         self._routed = 0
         self._failovers = 0
 
-        self._httpd: Optional[ThreadingHTTPServer] = None
-        self._http_thread: Optional[threading.Thread] = None
-        self._stopped = threading.Event()
+        self._http = HttpService(self, "repro-fleet-router/1")
 
     # ------------------------------------------------------------------
     # Members + per-member clients
@@ -211,10 +204,15 @@ class FleetRouter:
     # ------------------------------------------------------------------
     # Submission routing
     # ------------------------------------------------------------------
-    def submit(self, body: Dict[str, Any]) -> Dict[str, Any]:
-        """Route one POST /v1/runs body to the least-loaded live member.
+    def submit(self, spec: Dict[str, Any], run_id: Optional[str] = None,
+               checkpoint_every: Optional[int] = None,
+               fault_plan: Optional[Union[str, Dict[str, str]]] = None,
+               trace: Optional[Dict[str, Any]] = None,
+               ) -> Dict[str, Any]:
+        """Route one submission to the least-loaded live member.
 
-        Resolves ``scenario``/``overrides`` to a full spec *here* so every
+        Same signature as the daemon's ``submit``: the HTTP layer has already
+        resolved ``scenario``/``overrides`` to the full ``spec``, so every
         member sees an identical submission (and 409 conflicts can be
         compared against the shared journal).  Transient member refusals
         (429/503) collect the smallest Retry-After and move on; dropped
@@ -228,8 +226,7 @@ class FleetRouter:
         # BEFORE forwarding (the run directory doesn't exist yet here), so it
         # rides the forwarded context as a carried span the owning daemon
         # flushes into the run's span log.
-        incoming = body.get("trace") if isinstance(body.get("trace"), dict) \
-            else None
+        incoming = trace if isinstance(trace, dict) else None
         trace_ctx = incoming
         if trace_ctx is None and telemetry.enabled():
             trace_ctx = telemetry.new_context()
@@ -239,12 +236,9 @@ class FleetRouter:
                 "router.submit", trace_ctx,
                 attrs={"router": f"{self.host}:{self.port}"},
             )
-        spec = resolve_submission_spec(body)
-        run_id = body.get("run_id")
-        forward = {"spec": spec}
-        for field in ("run_id", "checkpoint_every", "faults"):
-            if body.get(field) is not None:
-                forward[field] = body[field]
+        forward = {field: value for field, value in (
+            ("spec", spec), ("run_id", run_id), ("faults", fault_plan),
+            ("checkpoint_every", checkpoint_every)) if value is not None}
         ranked = self._ranked()
         if router_span is not None:
             telemetry.finish_span(router_span, {"members": len(ranked)})
@@ -378,17 +372,7 @@ class FleetRouter:
         # adoption by a stealing member.
         outcome = self._read_json(self.root / "results" / f"{run_id}.json")
         if outcome is not None:
-            summary = outcome.get("ok") or outcome.get("failure") or {}
-            return {
-                "run_id": run_id,
-                "scenario": str(summary.get("scenario", "?")),
-                "engine": str(summary.get("engine", "?")),
-                "status": "done" if "ok" in outcome else "failed",
-                "attempts": None,
-                "recovered": True,
-                "error": summary.get("error") if "failure" in outcome
-                else None,
-            }
+            return recovered_record(run_id, outcome)
         entry = self._read_json(self.root / "queue" / f"{run_id}.json")
         if entry is not None:
             return {
@@ -427,9 +411,7 @@ class FleetRouter:
         if outcome is not None:
             return outcome
         record = self.status(run_id)  # 404s unknown ids
-        raise ServerError(
-            409, f"run {run_id!r} is {record['status']}; no result yet"
-        )
+        raise result_pending(run_id, record["status"])
 
     def iter_events(self, run_id: str, from_step: int = 0,
                     ) -> Iterator[Dict[str, Any]]:
@@ -471,7 +453,7 @@ class FleetRouter:
                         except (TypeError, ValueError):
                             pass
                     yield event
-                    if event.get("event") in _FINISHED:
+                    if event.get("event") in FINISHED:
                         return
                 # The stream ended without a terminal event (member drained
                 # or died politely): fall through and re-locate.
@@ -560,212 +542,26 @@ class FleetRouter:
         return list(merged.values())
 
     # ------------------------------------------------------------------
-    # Lifecycle (mirrors ScenarioServer's)
+    # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "FleetRouter":
-        if self._httpd is not None:
-            raise RuntimeError("router is already started")
-        handler = _make_handler(self)
-        self._httpd = ThreadingHTTPServer((self.host, self.port), handler)
-        self._httpd.daemon_threads = True
-        self.port = int(self._httpd.server_address[1])
-        self._http_thread = threading.Thread(
-            target=self._httpd.serve_forever, name="repro-fleet-router",
-            kwargs={"poll_interval": 0.1}, daemon=True,
-        )
-        self._http_thread.start()
+        self.port = self._http.start(self.host, self.port)
         return self
 
     def stop(self) -> None:
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-            self._httpd = None
-        self._stopped.set()
+        self._http.close()
+
+    def shutdown(self, drain: bool = True,  # noqa: ARG002 - nothing to drain
+                 ) -> Tuple[Dict[str, Any], Callable[[], None]]:
+        """``POST /v1/shutdown``: the ack, and the stop to run once it is sent
+        — of the ROUTER only; daemons drain via their own ``/v1/shutdown``."""
+        return {"ok": True, "router": True}, self.stop
 
     def serve_forever(self) -> None:
-        if self._httpd is None:
-            self.start()
-
-        def _signal_stop(signum, frame):  # noqa: ARG001 - signal signature
-            threading.Thread(target=self.stop, daemon=True).start()
-
-        try:
-            signal.signal(signal.SIGTERM, _signal_stop)
-            signal.signal(signal.SIGINT, _signal_stop)
-        except ValueError:
-            pass  # not the main thread
-        self._stopped.wait()
+        self._http.serve_forever()
 
     def __enter__(self) -> "FleetRouter":
         return self.start()
 
     def __exit__(self, *exc_info) -> None:
-        if not self._stopped.is_set():
-            self.stop()
-
-
-# ----------------------------------------------------------------------
-# HTTP layer (same shape as the daemon's, same wire protocol)
-# ----------------------------------------------------------------------
-def _make_handler(router: FleetRouter):
-    class Handler(BaseHTTPRequestHandler):
-        server_version = "repro-fleet-router/1"
-        protocol_version = "HTTP/1.0"
-
-        def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-            pass
-
-        def _send_json(self, payload: Dict[str, Any],
-                       status: int = 200) -> None:
-            body = (json.dumps(payload) + "\n").encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def _send_error_json(self, status: int, message: str,
-                             retry_after: Optional[float] = None) -> None:
-            body = (json.dumps({"error": message}) + "\n").encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            if retry_after is not None:
-                self.send_header("Retry-After", str(int(retry_after + 0.999)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def _send_text(self, text: str, status: int = 200,
-                       content_type: str =
-                       "text/plain; version=0.0.4; charset=utf-8") -> None:
-            body = text.encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def _read_body(self) -> Dict[str, Any]:
-            length = int(self.headers.get("Content-Length") or 0)
-            raw = self.rfile.read(length) if length else b""
-            if not raw:
-                return {}
-            try:
-                payload = json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise ServerError(400, f"request body is not JSON: {exc}")
-            if not isinstance(payload, dict):
-                raise ServerError(400, "request body must be a JSON object")
-            return payload
-
-        def _route(self, method: str) -> None:
-            from urllib.parse import parse_qs, urlparse
-
-            parsed = urlparse(self.path)
-            parts = [p for p in parsed.path.split("/") if p]
-            if not parts or f"/{parts[0]}" != API_PREFIX:
-                raise ServerError(404, f"unknown path {parsed.path!r}")
-            parts = parts[1:]
-            query = parse_qs(parsed.query)
-            if method == "GET":
-                return self._route_get(parts, query)
-            if method == "POST":
-                return self._route_post(parts)
-            raise ServerError(405, f"method {method} not allowed")
-
-        def _route_get(self, parts: List[str], query) -> None:
-            if parts == ["health"]:
-                return self._send_json(router.health())
-            if parts == ["stats"]:
-                return self._send_json(router.stats())
-            if parts == ["metrics"]:
-                # The ROUTER's own registry (routed counts, span writes) —
-                # each member serves its own /v1/metrics.
-                return self._send_text(telemetry.render_prometheus())
-            if parts == ["fleet"]:
-                return self._send_json(router.fleet_overview())
-            if parts == ["scenarios"]:
-                return self._send_json(
-                    {"scenarios": default_registry().names()}
-                )
-            if parts == ["runs"]:
-                return self._send_json({"runs": router.list_runs()})
-            if len(parts) == 2 and parts[0] == "runs":
-                return self._send_json(router.status(parts[1]))
-            if len(parts) == 3 and parts[0] == "runs" \
-                    and parts[2] == "result":
-                return self._send_json(router.result(parts[1]))
-            if len(parts) == 3 and parts[0] == "runs" \
-                    and parts[2] == "trace":
-                return self._send_json(router.trace_payload(parts[1]))
-            if len(parts) == 3 and parts[0] == "runs" \
-                    and parts[2] == "events":
-                try:
-                    from_step = int(query.get("from", ["0"])[0])
-                except ValueError as exc:
-                    raise ServerError(
-                        400, f"'from' must be an integer: {exc}"
-                    ) from exc
-                return self._stream_events(parts[1], from_step)
-            raise ServerError(404, f"unknown path {self.path!r}")
-
-        def _route_post(self, parts: List[str]) -> None:
-            if parts == ["runs"]:
-                ack = router.submit(self._read_body())
-                return self._send_json(ack, status=202)
-            if parts == ["shutdown"]:
-                # Stops the ROUTER only: the daemons own their own
-                # lifecycles (drain them via their own /v1/shutdown).
-                self._read_body()
-                self._send_json({"ok": True, "router": True})
-                threading.Thread(target=router.stop, daemon=True).start()
-                return None
-            raise ServerError(404, f"unknown path {self.path!r}")
-
-        def _stream_events(self, run_id: str, from_step: int) -> None:
-            router.status(run_id)  # 404 before committing to a stream
-            self.send_response(200)
-            self.send_header("Content-Type", "application/x-ndjson")
-            self.end_headers()
-            try:
-                for event in router.iter_events(run_id, from_step=from_step):
-                    self.wfile.write(
-                        (json.dumps(event) + "\n").encode("utf-8")
-                    )
-                    self.wfile.flush()
-            except (BrokenPipeError, ConnectionResetError):
-                pass
-            except Exception as exc:  # noqa: BLE001 - headers already sent
-                try:
-                    self.wfile.write((json.dumps({
-                        "event": "error", "run_id": run_id,
-                        "error": f"{type(exc).__name__}: {exc}",
-                    }) + "\n").encode("utf-8"))
-                    self.wfile.flush()
-                except (BrokenPipeError, ConnectionResetError):
-                    pass
-
-        def _dispatch(self, method: str) -> None:
-            try:
-                self._route(method)
-            except ServerError as exc:
-                self._send_error_json(exc.status, str(exc),
-                                      retry_after=exc.retry_after)
-            except (BrokenPipeError, ConnectionResetError):
-                pass
-            except Exception as exc:  # noqa: BLE001 - must answer JSON
-                try:
-                    self._send_error_json(
-                        500, f"internal error: {type(exc).__name__}: {exc}"
-                    )
-                except Exception:
-                    pass
-
-        def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-            self._dispatch("GET")
-
-        def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-            self._dispatch("POST")
-
-    return Handler
+        self.stop()

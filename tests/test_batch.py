@@ -299,15 +299,29 @@ class TestDaemonCoalescing:
         specs = [smoke_spec("localmode-switch", num_steps=4, seed=s)
                  for s in range(4)]
         serial = BatchRunner().run([spec.copy() for spec in specs])
-        # A long plug run occupies the single (inline) worker slot while the
-        # four same-shape submissions pile up behind it, so the scheduler
-        # sees the whole group in the queue at once.
-        plug = smoke_spec("mlmd-photoswitch", num_steps=150)
+        # A gate, not a race: the scheduler thread parks inside its first
+        # dispatch (the plug's, on the single inline worker slot) until the
+        # four same-shape submissions are queued behind it, so it sees the
+        # whole group in the queue at once however slow the box is.
+        plug = smoke_spec("maxwell-vacuum", num_steps=2)
+        parked, release = threading.Event(), threading.Event()
         with ScenarioServer(tmp_path, port=0, workers=0,
                             batch_max=4) as server:
+            pool_submit = server.pool.submit
+
+            def gated_submit(payload):
+                parked.set()
+                assert release.wait(60.0)
+                return pool_submit(payload)
+
+            server.pool.submit = gated_submit
             client = ServeClient(port=server.port, timeout=60.0)
-            client.submit(plug, run_id="plug")
-            run_ids = [client.submit(spec)["run_id"] for spec in specs]
+            try:
+                client.submit(plug, run_id="plug")
+                assert parked.wait(60.0)
+                run_ids = [client.submit(spec)["run_id"] for spec in specs]
+            finally:
+                release.set()
             outcomes = [client.wait(run_id, timeout=120)
                         for run_id in run_ids]
             stats = server.stats()["daemon"]

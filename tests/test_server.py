@@ -346,7 +346,7 @@ class TestProtocol:
         daemon = ScenarioServer(tmp_path / "s2", port=0, workers=0)
         daemon.submit(smoke_spec("maxwell-vacuum").to_dict(), run_id="stuck")
         with pytest.raises(ServerError) as excinfo:
-            daemon.result_payload("stuck")
+            daemon.result("stuck")
         assert excinfo.value.status == 409
 
     def test_queue_bound_is_429(self, tmp_path):
@@ -546,7 +546,7 @@ class TestHousekeeping:
             assert daemon.list_runs() == []  # nothing was re-enqueued
             assert not (root / "queue" / "dead.json").exists()
             # ... but the finished result is still served from disk.
-            assert daemon.record_dict("dead")["status"] == "done"
+            assert daemon.status("dead")["status"] == "done"
 
     def test_results_retention_prunes_old_results_and_their_checkpoints(
             self, tmp_path):
