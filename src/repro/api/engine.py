@@ -20,7 +20,14 @@ validation (:func:`repro.utils.validation.validate_run_args`), identical
 recording semantics (record the initial state, then every ``record_every``-th
 step) and identical checkpointing semantics (emit a snapshot every
 ``checkpoint_every``-th step plus one at the final step whenever an
-``on_checkpoint`` sink is given).
+``on_checkpoint`` sink is given).  Those session semantics are stated once,
+in two methods every driver calls — :meth:`EngineAdapter.run`/``resume``
+here and the lockstep :class:`~repro.batch.engine.BatchedEngine` alike:
+
+    _open(ckpt=None)  start the session: restore ``ckpt``, or prepare, zero
+                      the series and record the initial sample
+    _close_step(...)  after each native step: count it, record and snapshot
+                      on cadence (always the final step); True at the horizon
 
 Checkpoints are *complete sessions*: besides the engine's mutable state they
 carry the spec, the step counter and the observable series recorded so far,
@@ -55,6 +62,25 @@ CHECKPOINT_FORMAT = 1
 
 #: Absolute tolerance when validating the restored clock against the snapshot.
 _TIME_ATOL = 1e-9
+
+
+def step_timed(advance: Callable[..., Any]) -> Callable[..., Any]:
+    """``advance``, observed into ``repro_engine_step_seconds`` per call.
+
+    Resolved once, before a step loop: with telemetry enabled the per-step
+    cost is two ``perf_counter`` reads and one bucket add; with it disabled
+    the loop gets ``advance`` itself back and pays nothing.
+    """
+    if not telemetry.enabled():
+        return advance
+    hist = telemetry.histogram(
+        "repro_engine_step_seconds", "one step-kernel call")
+
+    def timed(*args):
+        t0 = _perf_counter()
+        advance(*args)
+        hist.observe(_perf_counter() - t0)
+    return timed
 
 
 @runtime_checkable
@@ -268,41 +294,58 @@ class EngineAdapter(abc.ABC):
             int(checkpoint_every) if checkpoint_every is not None else None
         )
 
+    def _open(self, checkpoint: Optional[Dict[str, Any]] = None) -> None:
+        """Start a recording session: fresh, or continued from ``checkpoint``.
+
+        A fresh session drops previously recorded samples and timer
+        accumulations and records the initial state; a restored one carries
+        on from the snapshot's step counter and series.
+        """
+        self.timers.reset()
+        if checkpoint is not None:
+            self.restore(checkpoint)
+            return
+        self.prepare()
+        self._step = 0
+        self._times = []
+        self._records = {}
+        self.record()
+
+    def _close_step(self, num_steps: int, record_every: int,
+                    checkpoint_every: Optional[int],
+                    on_checkpoint: Optional[Callable[[Dict[str, Any]], Any]],
+                    ) -> bool:
+        """Account for the native step just advanced; ``True`` at the horizon.
+
+        Counts the step, records every ``record_every``-th one and emits a
+        snapshot to ``on_checkpoint`` every ``checkpoint_every``-th; when a
+        sink is given, the final step is always snapshotted so a completed
+        run's store ends on a resumable (and already-complete) checkpoint.
+        """
+        self._step += 1
+        if self._step % record_every == 0:
+            self.record()
+        if on_checkpoint is not None and (
+            self._step == num_steps
+            or (checkpoint_every is not None
+                and self._step % checkpoint_every == 0)
+        ):
+            with self.timers.measure("checkpoint"):
+                on_checkpoint(self.checkpoint())
+        return self._step >= num_steps
+
     def _drive(self, num_steps: int, record_every: int,
                checkpoint_every: Optional[int],
                on_checkpoint: Optional[Callable[[Dict[str, Any]], Any]]) -> RunResult:
-        """Advance from the current step counter to ``num_steps``.
-
-        Emits a snapshot to ``on_checkpoint`` every ``checkpoint_every``-th
-        step; when a sink is given, the final step is always snapshotted so a
-        completed run's store ends on a resumable (and already-complete)
-        checkpoint.
-        """
-        # Pre-resolve the histograms once so the per-step cost with
-        # telemetry enabled is two perf_counter reads and one bucket add;
-        # with it disabled the loop body is byte-for-byte the old one.
-        step_hist = telemetry.histogram(
-            "repro_engine_step_seconds", "one native engine step"
-        ) if telemetry.enabled() else None
+        """Advance from the current step counter to ``num_steps``."""
+        advance = step_timed(self._advance)
         steps_driven = 0
-        while self._step < num_steps:
-            if step_hist is not None:
-                t0 = _perf_counter()
-                self._advance(1)
-                step_hist.observe(_perf_counter() - t0)
-            else:
-                self._advance(1)
-            self._step += 1
+        done = self._step >= num_steps
+        while not done:
+            advance(1)
             steps_driven += 1
-            if self._step % record_every == 0:
-                self.record()
-            if on_checkpoint is not None and (
-                self._step == num_steps
-                or (checkpoint_every is not None
-                    and self._step % checkpoint_every == 0)
-            ):
-                with self.timers.measure("checkpoint"):
-                    on_checkpoint(self.checkpoint())
+            done = self._close_step(
+                num_steps, record_every, checkpoint_every, on_checkpoint)
         if steps_driven:
             telemetry.incr("repro_engine_steps_total", steps_driven,
                            "native engine steps driven")
@@ -327,16 +370,10 @@ class EngineAdapter(abc.ABC):
         default cadence comes from ``spec.runtime.checkpoint_every`` — plus
         one at the final step.
         """
-        num_steps, record_every, checkpoint_every = self._resolve_run_args(
-            num_steps, record_every, checkpoint_every
-        )
-        self.timers.reset()
-        self.prepare()
-        self._step = 0
-        self._times = []
-        self._records = {}
-        self.record()
-        return self._drive(num_steps, record_every, checkpoint_every, on_checkpoint)
+        cadence = self._resolve_run_args(
+            num_steps, record_every, checkpoint_every)
+        self._open()
+        return self._drive(*cadence, on_checkpoint)
 
     def resume(self, checkpoint: Dict[str, Any],
                num_steps: Optional[int] = None,
@@ -353,12 +390,10 @@ class EngineAdapter(abc.ABC):
         checkpoint that is already at (or past) ``num_steps`` returns the
         completed result without stepping.
         """
-        num_steps, record_every, checkpoint_every = self._resolve_run_args(
-            num_steps, record_every, checkpoint_every
-        )
-        self.timers.reset()
-        self.restore(checkpoint)
-        return self._drive(num_steps, record_every, checkpoint_every, on_checkpoint)
+        cadence = self._resolve_run_args(
+            num_steps, record_every, checkpoint_every)
+        self._open(checkpoint)
+        return self._drive(*cadence, on_checkpoint)
 
     def result(self) -> RunResult:
         observables = {

@@ -36,10 +36,16 @@ an uninterrupted run.
 
 ``workers=0`` executes the same code path inline (no subprocesses) — handy
 for debugging and for platforms without ``fork``.
+
+Inside a worker there is one run path: :func:`execute_payload` hands every
+payload — a coalesced ``{"batch": [...]}`` one or a single run, the batch of
+one — to :func:`_run_members`; :func:`worker_payload` writes the format.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import multiprocessing
 import os
 import threading
@@ -49,7 +55,6 @@ from concurrent.futures import (
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro import faults, telemetry
-from repro.api.adapters import build_engine
 from repro.api.result import RunFailure, RunResult
 from repro.api.spec import ScenarioSpec
 from repro.perf.workspace import KernelWorkspace
@@ -76,13 +81,22 @@ FAULT_SPAWN_PRE_SUBMIT = faults.register(
 #: every run a worker executes shares the same kernel caches.
 _WORKER_WORKSPACE: Optional[KernelWorkspace] = None
 
+#: Metrics snapshot as of this worker's previous report, so repeated reports
+#: ship deltas — the daemon folding them in never double-counts.
+_TELEMETRY_BASELINE: Optional[Dict[str, Any]] = None
+
 #: One batch slot: a completed run or the failure that exhausted its retries.
 BatchOutcome = Union[RunResult, RunFailure]
 
 
 def _worker_init() -> None:
-    global _WORKER_WORKSPACE
+    global _WORKER_WORKSPACE, _TELEMETRY_BASELINE
     _WORKER_WORKSPACE = KernelWorkspace()
+    if telemetry.enabled():
+        # A forked worker inherits the parent's registry: everything counted
+        # before the pool started is the parent's to report, not this
+        # worker's, so the first delta starts from here.
+        _TELEMETRY_BASELINE = telemetry.snapshot()
 
 
 def _ensure_worker_workspace() -> KernelWorkspace:
@@ -100,11 +114,6 @@ def _ensure_worker_workspace() -> KernelWorkspace:
     return _WORKER_WORKSPACE
 
 
-#: Metrics snapshot as of this worker's previous report, so repeated reports
-#: ship deltas — the daemon folding them in never double-counts.
-_TELEMETRY_BASELINE: Optional[Dict[str, Any]] = None
-
-
 def _telemetry_report() -> Optional[Dict[str, Any]]:
     """This process's metrics delta since the last report (or None when
     telemetry is disabled).  Stamped with the worker pid so the daemon can
@@ -120,128 +129,204 @@ def _telemetry_report() -> Optional[Dict[str, Any]]:
     return {"pid": os.getpid(), "metrics": delta}
 
 
-def _run_payload(spec: ScenarioSpec, payload: Dict[str, Any]) -> RunResult:
-    workspace = _WORKER_WORKSPACE if _WORKER_WORKSPACE is not None \
-        else KernelWorkspace()
-    engine = build_engine(spec, workspace=workspace)
-    run_id = str(payload.get("run_id", "default"))
-    checkpoint_every = payload.get("checkpoint_every")
-    store = None
-    on_checkpoint = None
-    if payload.get("checkpoint_dir"):
-        # The lease identity is the *service/daemon* that owns the batch,
-        # not this worker: every worker of one daemon shares it, so a retry
-        # landing on a different worker renews the same lease instead of
-        # colliding with it.  owner_pid is the daemon's pid — that is the
-        # process whose death should make the lease breakable.
-        store = RunStore(
-            payload["checkpoint_dir"],
-            keep=int(payload.get("keep", 0)),
-            retention=payload.get("retention") or None,
-            owner=payload.get("owner"),
-            owner_pid=payload.get("owner_pid"),
-            owner_host=payload.get("owner_host"),
-            lease_ttl=float(payload.get("lease_ttl") or DEFAULT_LEASE_TTL_S),
-        )
-        on_checkpoint = lambda ckpt: store.save(ckpt, run_id=run_id)  # noqa: E731
+def worker_payload(index: int, spec: Dict[str, Any], run_id: str, *,
+                   checkpoint_dir: Optional[str],
+                   checkpoint_every: Optional[int], keep: int,
+                   retention: Optional[str], resume: bool, attempt: int,
+                   owner: Optional[str] = None, owner_pid: Optional[int] = None,
+                   lease_ttl: Optional[float] = None,
+                   fault_plan: Optional[Dict[str, Any]] = None,
+                   trace: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+    """The JSON-able dict one run travels to a worker as: the format
+    :func:`_run_members` reads, written here and nowhere else.
 
-    # Trace context rides the payload (same vehicle as the lease identity):
-    # when present, this attempt appends its spans — one per attempt, one per
-    # checkpoint save — to the run's crash-tolerant span log, continuing the
-    # trace_id the submitter (or the previous owner) started.
-    trace_ctx = payload.get("trace")
-    writer = None
-    run_span = None
-    if isinstance(trace_ctx, dict) and trace_ctx.get("trace_id") \
-            and store is not None:
-        writer = telemetry.SpanWriter(
-            store.run_dir(spec.name, run_id) / telemetry.SPAN_LOG_NAME
-        )
-        run_span = telemetry.start_span(
-            "worker.run", trace_ctx, scenario=spec.name, run_id=run_id,
-            attrs={"pid": os.getpid(),
-                   "attempt": int(payload.get("attempt", 1)),
-                   "resume": bool(payload.get("resume"))},
-        )
-        save_ctx = telemetry.child_context(trace_ctx, run_span)
-        plain_save = on_checkpoint
-
-        def on_checkpoint(ckpt, _save=plain_save, _ctx=save_ctx):
-            with telemetry.span("store.save", _ctx, writer=writer,
-                                scenario=spec.name, run_id=run_id,
-                                attrs={"step": ckpt.get("step")}):
-                return _save(ckpt)
-
-    faults.point(FAULT_WORKER_PRE_RUN)
-
-    resumed_from = None
-    try:
-        if payload.get("resume") and store is not None:
-            snapshot = store.latest(spec.name, run_id)
-            if snapshot is not None:
-                resumed_from = int(snapshot.get("step", 0))
-                result = engine.resume(
-                    snapshot,
-                    checkpoint_every=checkpoint_every,
-                    on_checkpoint=on_checkpoint,
-                )
-            else:
-                result = engine.run(
-                    checkpoint_every=checkpoint_every,
-                    on_checkpoint=on_checkpoint,
-                )
-        else:
-            result = engine.run(
-                checkpoint_every=checkpoint_every, on_checkpoint=on_checkpoint
-            )
-    except BaseException:
-        if run_span is not None and writer is not None:
-            telemetry.finish_span(run_span, {"ok": False})
-            writer.write(run_span)
-        raise
-    if run_span is not None and writer is not None:
-        telemetry.finish_span(
-            run_span, {"ok": True, "resumed_from_step": resumed_from}
-        )
-        writer.write(run_span)
-    telemetry.incr("repro_worker_runs_total", 1, "payloads executed to a result")
-    result.metadata["executor"] = {
-        "worker_pid": os.getpid(),
+    ``owner``/``owner_pid``/``lease_ttl`` are the lease identity of the
+    *service/daemon* that owns the run, not of the worker: every worker of
+    one daemon shares it, so a retry landing on a different worker renews
+    the same lease instead of colliding with it, and ``owner_pid`` is the
+    process whose death should make the lease breakable.
+    """
+    payload = {
+        "index": index,
+        "spec": spec,
         "run_id": run_id,
-        "attempt": int(payload.get("attempt", 1)),
-        "resumed_from_step": resumed_from,
+        "checkpoint_dir": checkpoint_dir,
+        "checkpoint_every": checkpoint_every,
+        "keep": keep,
+        "retention": retention,
+        "resume": bool(resume),
+        "attempt": int(attempt),
     }
-    result.metadata["workspace_stats"] = dict(workspace.stats)
-    report = _telemetry_report()
-    if report is not None:
-        result.metadata["telemetry"] = report
-    if store is not None:
-        # The run is complete: drop the ownership lease so the run id is
-        # immediately claimable (best-effort — an unreleased lease merely
-        # ages out via TTL).
-        try:
-            store.release(spec.name, run_id)
-        except Exception:  # noqa: BLE001 - the result already exists
-            pass
-    return result
+    if owner is not None:
+        payload.update(owner=owner, owner_pid=owner_pid, lease_ttl=lease_ttl)
+    if fault_plan:
+        payload["faults"] = fault_plan
+    if trace:
+        payload["trace"] = trace
+    return payload
+
+
+def _failure_outcome(payload: Dict[str, Any],
+                     exc: BaseException) -> Dict[str, Any]:
+    """The ``{"index", "failure"}`` outcome of a payload that raised ``exc``."""
+    spec = payload.get("spec", {})
+    failure = RunFailure.from_exception(
+        str(spec.get("name", "?")), str(spec.get("engine", "?")), exc,
+        attempts=int(payload.get("attempt", 1)),
+    )
+    return {"index": int(payload["index"]), "failure": failure.to_dict()}
+
+
+def _save_snapshot(store: RunStore, scenario: str, run_id: str,
+                   traced: Optional[tuple], ckpt: Dict[str, Any]):
+    """One member's ``on_checkpoint`` sink: save under ``run_id``, inside a
+    ``store.save`` span when the attempt is ``traced`` (writer, context)."""
+    if traced is None:
+        return store.save(ckpt, run_id=run_id)
+    writer, context = traced
+    with telemetry.span("store.save", context, writer=writer,
+                        scenario=scenario, run_id=run_id,
+                        attrs={"step": ckpt.get("step")}):
+        return store.save(ckpt, run_id=run_id)
+
+
+def _run_members(members: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """Run 1..M same-shape member payloads in lockstep on this worker.
+
+    Every member keeps its own contracts — snapshot stream into the store,
+    resume-from-latest-snapshot, ``worker.run``/``store.save`` spans, the
+    pre-run fault point, executor metadata stamps and the best-effort lease
+    release — and settles as its own ``{"index", "ok" | "failure"}`` dict
+    (a member that fails mid-run is peeled off; the rest complete).
+    Raises only for trouble outside any one member's run.
+    """
+    # Imported lazily: repro.batch builds its engines through repro.api.
+    from repro.batch.engine import BatchedEngine
+
+    size = len(members)
+    specs = [ScenarioSpec.from_dict(p["spec"]) for p in members]
+    run_ids = [str(p.get("run_id", "default")) for p in members]
+    workspace = _ensure_worker_workspace()
+    engine = BatchedEngine(specs, workspace=workspace)
+    # Members of one batch come from one submitter, so they share its store
+    # config (checkpoint_dir/keep/retention/lease identity) and snapshot
+    # cadence: one store instance serves every member.
+    head = members[0]
+    store = None
+    if head.get("checkpoint_dir"):
+        store = RunStore(
+            head["checkpoint_dir"],
+            keep=int(head.get("keep", 0)),
+            retention=head.get("retention") or None,
+            owner=head.get("owner"),
+            owner_pid=head.get("owner_pid"),
+            owner_host=head.get("owner_host"),
+            lease_ttl=float(head.get("lease_ttl") or DEFAULT_LEASE_TTL_S),
+        )
+
+    sinks: List[Optional[Any]] = [None] * size
+    resumes: List[Optional[Dict[str, Any]]] = [None] * size
+    run_spans: List[Optional[Dict[str, Any]]] = [None] * size
+    # Every member's "worker.run" span closes (and is written) when this
+    # block exits — marked failed if it exits by exception.
+    with contextlib.ExitStack() as attempts:
+        for i, (payload, spec, run_id) in enumerate(
+                zip(members, specs, run_ids)):
+            # Trace context rides the payload (same vehicle as the lease
+            # identity): when present, this attempt appends its spans — one
+            # per attempt, one per checkpoint save — to the run's
+            # crash-tolerant span log, continuing the trace_id the submitter
+            # (or the previous owner) started.
+            trace_ctx = payload.get("trace")
+            traced = None
+            if isinstance(trace_ctx, dict) and trace_ctx.get("trace_id") \
+                    and store is not None:
+                attrs = {"pid": os.getpid(),
+                         "attempt": int(payload.get("attempt", 1)),
+                         "resume": bool(payload.get("resume"))}
+                if size > 1:
+                    attrs["batch_size"] = size
+                writer = telemetry.SpanWriter(
+                    store.run_dir(spec.name, run_id) / telemetry.SPAN_LOG_NAME)
+                run_spans[i] = attempts.enter_context(telemetry.span(
+                    "worker.run", trace_ctx, writer=writer,
+                    scenario=spec.name, run_id=run_id, attrs=attrs))
+                traced = (writer,
+                          telemetry.child_context(trace_ctx, run_spans[i]))
+            if store is not None:
+                sinks[i] = functools.partial(
+                    _save_snapshot, store, spec.name, run_id, traced)
+            faults.point(FAULT_WORKER_PRE_RUN)
+            if store is not None and payload.get("resume"):
+                resumes[i] = store.latest(spec.name, run_id)
+        outcomes = engine.run(
+            checkpoint_every=head.get("checkpoint_every"),
+            on_checkpoint=sinks, resume_from=resumes,
+        )
+        resumed_from = [None if snapshot is None
+                        else int(snapshot.get("step", 0))
+                        for snapshot in resumes]
+        for run_span, outcome, step in zip(run_spans, outcomes, resumed_from):
+            if run_span is not None:
+                run_span["attrs"].update(ok=outcome.ok, resumed_from_step=step)
+
+    results: List[Dict[str, Any]] = []
+    for i, (payload, outcome) in enumerate(zip(members, outcomes)):
+        index = int(payload["index"])
+        attempt = int(payload.get("attempt", 1))
+        if not outcome.ok:
+            outcome.attempts = attempt
+            results.append({"index": index, "failure": outcome.to_dict()})
+            continue
+        telemetry.incr("repro_worker_runs_total", 1,
+                       "payloads executed to a result")
+        outcome.metadata["executor"] = {
+            "worker_pid": os.getpid(),
+            "run_id": run_ids[i],
+            "attempt": attempt,
+            "resumed_from_step": resumed_from[i],
+        }
+        if size > 1:
+            outcome.metadata["executor"]["batch_size"] = size
+        outcome.metadata["workspace_stats"] = dict(workspace.stats)
+        report = _telemetry_report()
+        if report is not None:
+            outcome.metadata["telemetry"] = report
+        if store is not None:
+            # The run is complete: drop the ownership lease so the run id is
+            # immediately claimable (best-effort — an unreleased lease merely
+            # ages out via TTL).
+            try:
+                store.release(specs[i].name, run_ids[i])
+            except Exception:  # noqa: BLE001 - the result already exists
+                pass
+        results.append({"index": index, "ok": outcome.to_dict()})
+    return results
 
 
 def execute_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Worker entry point: run one payload, never raise.
 
-    Returns ``{"index", "ok": RunResult dict}`` on success and
-    ``{"index", "failure": RunFailure dict}`` when the run raises, so the
-    parent can do per-slot bookkeeping regardless of what went wrong.
-    Coalesced batch payloads (a ``"batch"`` key holding member payloads)
-    dispatch to :func:`repro.batch.executor.execute_batch_payload` and
-    return ``{"index", "batch": [per-member outcome dicts]}`` instead.
+    A single-run payload returns ``{"index", "ok": RunResult dict}`` on
+    success and ``{"index", "failure": RunFailure dict}`` when the run
+    raises, so the parent can do per-slot bookkeeping regardless of what
+    went wrong.  A coalesced payload (a ``"batch"`` key holding member
+    payloads, each shaped like a single-run one) returns ``{"index",
+    "batch": [per-member outcome dicts]}``.  Both run through
+    :func:`_run_members`; if a batch fails *as a batch* — anything outside
+    a member's own run: a grouping mismatch, store trouble, a stacking bug —
+    every member is re-run on its own, so a coalesced submission can never
+    fail where the uncoalesced ones would have succeeded.
     """
     if "batch" in payload:
-        # Imported lazily: repro.batch imports this module's machinery.
-        from repro.batch.executor import execute_batch_payload
-
-        return execute_batch_payload(payload)
-    index = int(payload["index"])
+        members = list(payload["batch"])
+        try:
+            results = _run_members(members)
+        except Exception:  # noqa: BLE001 - batch machinery failed, not a member
+            telemetry.incr("repro_worker_batch_fallbacks_total", 1,
+                           "coalesced payloads re-run member by member")
+            results = [execute_payload(dict(p)) for p in members]
+        return {"index": int(payload["index"]), "batch": results}
     # A per-payload fault plan (the daemon's per-submission "faults" field)
     # arms only around this one run and is disarmed afterwards, so a pool
     # worker that survives a "raise" action executes its next payload clean.
@@ -249,16 +334,9 @@ def execute_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     if plan:
         faults.configure(plan)
     try:
-        spec = ScenarioSpec.from_dict(payload["spec"])
-        result = _run_payload(spec, payload)
-        return {"index": index, "ok": result.to_dict()}
+        return _run_members([payload])[0]
     except Exception as exc:  # noqa: BLE001 - the slot records the failure
-        scenario = str(payload.get("spec", {}).get("name", "?"))
-        engine = str(payload.get("spec", {}).get("engine", "?"))
-        failure = RunFailure.from_exception(
-            scenario, engine, exc, attempts=int(payload.get("attempt", 1))
-        )
-        return {"index": index, "failure": failure.to_dict()}
+        return _failure_outcome(payload, exc)
     finally:
         if plan:
             faults.reset()
@@ -346,13 +424,11 @@ class WorkerPool:
         with self._lock:
             if self._executor is None:
                 if self.backend == "thread":
-                    # Threads share the process-local workspace; the
-                    # initializer only guarantees it exists (idempotent),
-                    # it must NOT replace a warm one per thread.
+                    # No initializer: threads share the process-local
+                    # workspace, which the run path creates on first use.
                     self._executor = ThreadPoolExecutor(
                         max_workers=self.workers,
                         thread_name_prefix="repro-worker",
-                        initializer=_ensure_worker_workspace,
                     )
                 else:
                     context = self._mp_context if self._mp_context is not None \
@@ -373,7 +449,6 @@ class WorkerPool:
         outcomes from :func:`execute_payload`.
         """
         if self.inline:
-            _ensure_worker_workspace()
             future: "Future[Dict[str, Any]]" = Future()
             try:
                 future.set_result(execute_payload(payload))
@@ -556,22 +631,15 @@ class ExecutionService:
     # ------------------------------------------------------------------
     def _payload(self, index: int, spec: ScenarioSpec, run_id: str,
                  resume: bool, attempt: int) -> Dict[str, Any]:
-        payload = {
-            "index": index,
-            "spec": spec.to_dict(),
-            "run_id": run_id,
-            "checkpoint_dir": self.checkpoint_dir,
-            "checkpoint_every": self.checkpoint_every,
-            "keep": self.keep,
-            "retention": self.retention,
-            "resume": bool(resume),
-            "attempt": int(attempt),
-        }
-        if self.owner is not None:
-            payload["owner"] = self.owner
-            payload["owner_pid"] = self.owner_pid
-            payload["lease_ttl"] = self.lease_ttl
-        return payload
+        return worker_payload(
+            index, spec.to_dict(), run_id,
+            checkpoint_dir=self.checkpoint_dir,
+            checkpoint_every=self.checkpoint_every,
+            keep=self.keep, retention=self.retention,
+            resume=resume, attempt=attempt,
+            owner=self.owner, owner_pid=self.owner_pid,
+            lease_ttl=self.lease_ttl,
+        )
 
     def _run_pool(self, pool: WorkerPool, payloads: List[Dict[str, Any]],
                   ) -> Dict[int, Dict[str, Any]]:
@@ -603,17 +671,8 @@ class ExecutionService:
                 outcomes[index] = future.result()
             except Exception as exc:  # worker died (BrokenProcessPool, ...)
                 broken = True
-                failure = RunFailure.from_exception(
-                    str(payload["spec"]["name"]),
-                    str(payload["spec"]["engine"]),
-                    exc,
-                    attempts=int(payload.get("attempt", 1)),
-                )
-                outcomes[index] = {
-                    "index": index,
-                    "failure": failure.to_dict(),
-                    "pool_broken": True,
-                }
+                outcomes[index] = {**_failure_outcome(payload, exc),
+                                   "pool_broken": True}
         if broken:
             pool.reset()
         return outcomes

@@ -279,22 +279,6 @@ class BatchRunner:
 
         slots: List[Optional[Union[RunResult, RunFailure]]] = [None] * len(specs)
         for group in group_specs(specs, max_batch=self.max_batch):
-            if len(group) == 1:
-                index = group[0]
-                try:
-                    result = run_scenario(
-                        specs[index], workspace=self.workspace
-                    )
-                except Exception as exc:  # noqa: BLE001 - recorded in slot
-                    if raise_on_error:
-                        raise
-                    slots[index] = RunFailure.from_exception(
-                        specs[index].name, specs[index].engine, exc
-                    )
-                    continue
-                result.metadata["workspace_stats"] = dict(self.workspace.stats)
-                slots[index] = result
-                continue
             engine = BatchedEngine(
                 [specs[index] for index in group], workspace=self.workspace
             )

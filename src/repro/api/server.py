@@ -52,7 +52,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 import repro
 from repro import faults, telemetry
-from repro.api.executor import WorkerPool
+from repro.api.executor import WorkerPool, worker_payload
 from repro.api.http import (  # noqa: F401 - API_PREFIX is re-exported
     API_PREFIX, FINISHED, HttpService, ServerError, recovered_record,
     result_pending,
@@ -1042,29 +1042,18 @@ class ScenarioServer:
             self._seq += 1
 
     def _payload(self, record: RunRecord) -> Dict[str, Any]:
-        payload = {
-            "index": record.seq,
-            "spec": record.spec,
-            "run_id": record.run_id,
-            "checkpoint_dir": str(self.store.root),
-            "checkpoint_every": record.checkpoint_every,
-            "keep": self.store.keep,
-            "retention": self.retention_spec,
-            "resume": bool(record.resume),
-            "attempt": record.attempts + 1,
-            # Lease identity: the worker claims/renews the run's manifest
-            # lease on the daemon's behalf — owner_pid is *this* daemon's
-            # pid, not the worker's, so retries on different pool workers
-            # renew the same lease instead of colliding with it.
-            "owner": self.owner,
-            "owner_pid": os.getpid(),
-            "lease_ttl": self.lease_ttl,
-        }
-        if record.faults:
-            payload["faults"] = record.faults
-        if record.trace:
-            payload["trace"] = record.trace
-        return payload
+        # The worker claims/renews the run's manifest lease on the daemon's
+        # behalf: owner_pid is *this* daemon's pid, not the worker's.
+        return worker_payload(
+            record.seq, record.spec, record.run_id,
+            checkpoint_dir=str(self.store.root),
+            checkpoint_every=record.checkpoint_every,
+            keep=self.store.keep, retention=self.retention_spec,
+            resume=record.resume, attempt=record.attempts + 1,
+            owner=self.owner, owner_pid=os.getpid(),
+            lease_ttl=self.lease_ttl,
+            fault_plan=record.faults, trace=record.trace,
+        )
 
     def _slots(self) -> int:
         return max(1, self.pool.workers)

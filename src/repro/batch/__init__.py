@@ -13,9 +13,11 @@ Layers:
 * :mod:`repro.batch.grouping` — which specs may share a batch
   (:func:`batch_key` / :func:`group_specs`);
 * :mod:`repro.batch.engine` — :class:`BatchedEngine`, the lockstep driver
-  with stacked stepping for the local-mode engines and per-run peel-off;
-* :mod:`repro.batch.executor` — the worker-side entry point the daemon's
-  coalesced ``{"batch": [...]}`` payloads execute through.
+  with stacked stepping for the local-mode engines and per-run peel-off.
+
+Workers have no batch-specific entry point: :func:`repro.api.executor.
+execute_payload` runs every payload — a coalesced ``{"batch": [...]}`` one
+or a single run, the batch of one — on a :class:`BatchedEngine`.
 """
 
 from repro.batch.engine import BatchedEngine

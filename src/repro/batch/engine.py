@@ -1,9 +1,11 @@
 """The lockstep batched engine: M same-shape runs, one kernel call per step.
 
 :class:`BatchedEngine` drives M member adapters (one per spec, built by the
-normal :func:`~repro.api.adapters.build_engine`) through the exact loop of
-:meth:`EngineAdapter.run`/:meth:`~repro.api.engine.EngineAdapter.resume`, but
-advances all members together, one native step per iteration:
+normal :func:`~repro.api.adapters.build_engine`) through the session
+:meth:`EngineAdapter.run`/:meth:`~repro.api.engine.EngineAdapter.resume`
+drive — it calls the same ``_open``/``_close_step`` pair, so recording and
+snapshot cadence are decided in one place — but advances all members
+together, one native step per iteration:
 
 * For the local-mode engines (``localmode`` and ``mlmd``, which share the
   :class:`~repro.md.localmode.LocalModeLattice` substrate) the member
@@ -35,8 +37,9 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
+from repro import telemetry
 from repro.api.adapters import build_engine
-from repro.api.engine import EngineAdapter
+from repro.api.engine import EngineAdapter, step_timed
 from repro.api.result import RunFailure, RunResult
 from repro.api.spec import ScenarioSpec
 from repro.batch.grouping import batch_key
@@ -209,85 +212,66 @@ class BatchedEngine:
         cadence: List[Optional[tuple]] = [None] * len(self.members)
         active: List[int] = []
 
-        # Session setup mirrors EngineAdapter.run()/resume() exactly:
-        # fresh members reset their recording session and record the initial
-        # state; resumed members restore and continue their session.
         for i, engine in enumerate(self.members):
             try:
                 cadence[i] = engine._resolve_run_args(
                     None, None, checkpoint_every)
-                engine.timers.reset()
-                if resumes[i] is not None:
-                    engine.restore(resumes[i])
+                engine._open(resumes[i])
+                if engine._step >= cadence[i][0]:
+                    # Restored at (or past) its horizon: complete already,
+                    # no stepping and no snapshot — as serial resume().
+                    outcomes[i] = engine.result()
                 else:
-                    engine.prepare()
-                    engine._step = 0
-                    engine._times = []
-                    engine._records = {}
-                    engine.record()
-                active.append(i)
+                    active.append(i)
             except Exception as exc:  # noqa: BLE001 - slot records it
                 if raise_on_error:
                     raise
                 outcomes[i] = RunFailure.from_exception(
                     self.specs[i].name, self.specs[i].engine, exc)
 
-        # A member restored at (or past) its horizon completes immediately,
-        # mirroring serial resume() semantics (no stepping, no snapshot).
-        for i in list(active):
-            num_steps = cadence[i][0]
-            if self.members[i]._step >= num_steps:
-                outcomes[i] = self.members[i].result()
-                active.remove(i)
-
+        # One native step per iteration for every active member: a single
+        # vectorized call when stacked (one step_seconds observation however
+        # many members it advances), per-member _advance(1) otherwise.
         stack = None
         if active and self.members[active[0]].kind in STACKED_KINDS:
             stack = _LatticeStack.try_build([self.members[i] for i in active])
-
+        stack_step = step_timed(stack.step) if stack is not None else None
+        advance = [step_timed(engine._advance) for engine in self.members]
+        steps_driven = 0
         while active:
-            # One native step for every active member: a single vectorized
-            # call when stacked, per-member _advance(1) otherwise.
             if stack is not None:
                 try:
-                    stack.step()
+                    stack_step()
                 except Exception as exc:  # noqa: BLE001 - whole-stack failure
                     if raise_on_error:
                         raise
                     # A stacked step cannot attribute its failure to one
                     # member; every active member settles with it.
-                    for i in list(active):
+                    for i in active:
                         outcomes[i] = RunFailure.from_exception(
                             self.specs[i].name, self.specs[i].engine, exc)
                     break
             for i in list(active):
                 engine = self.members[i]
-                num_steps, record_every, ckpt_every = cadence[i]
                 try:
                     if stack is None:
-                        engine._advance(1)
-                    engine._step += 1
-                    if engine._step % record_every == 0:
-                        engine.record()
-                    if sinks[i] is not None and (
-                        engine._step == num_steps
-                        or (ckpt_every is not None
-                            and engine._step % ckpt_every == 0)
-                    ):
-                        with engine.timers.measure("checkpoint"):
-                            sinks[i](engine.checkpoint())
-                    if engine._step >= num_steps:
-                        outcomes[i] = engine.result()
-                        active.remove(i)
-                        if stack is not None:
-                            stack.remove(engine)
+                        advance[i](1)
+                    steps_driven += 1
+                    if not engine._close_step(*cadence[i], sinks[i]):
+                        continue
+                    outcomes[i] = engine.result()
                 except Exception as exc:  # noqa: BLE001 - peel this member
                     if raise_on_error:
                         raise
                     outcomes[i] = RunFailure.from_exception(
                         self.specs[i].name, self.specs[i].engine, exc)
-                    active.remove(i)
-                    if stack is not None:
-                        stack.remove(engine)
+                # Settled either way: peel the member off.
+                active.remove(i)
+                if stack is not None:
+                    stack.remove(engine)
+        if steps_driven:
+            telemetry.incr("repro_engine_steps_total", steps_driven,
+                           "native engine steps driven")
 
         assert all(outcome is not None for outcome in outcomes)
         return outcomes  # type: ignore[return-value]

@@ -47,7 +47,7 @@ def group_specs(specs: Sequence[ScenarioSpec],
 
     Groups preserve first-occurrence order and each group preserves input
     order; ``max_batch`` splits oversized groups into chunks.  Singleton
-    groups are returned too — callers run those serially.
+    groups are returned too — a lone spec is a batch of one.
     """
     if max_batch is not None and int(max_batch) < 1:
         raise ValueError("max_batch must be >= 1 (or None)")

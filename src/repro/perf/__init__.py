@@ -13,7 +13,6 @@ from repro.perf.workspace import (
     KernelWorkspace,
     LRUCache,
     StencilPlan,
-    WorkspaceThreadError,
     get_workspace,
 )
 from repro.perf.metrics import (
@@ -36,7 +35,6 @@ __all__ = [
     "KernelWorkspace",
     "LRUCache",
     "StencilPlan",
-    "WorkspaceThreadError",
     "get_workspace",
     "flops_rate",
     "me_time_to_solution",

@@ -33,10 +33,6 @@ amortised across the whole pool):
   — two threads asking for the same ``(tag, shape, dtype)`` get distinct
   buffers, so concurrent kernels can no longer stomp on each other's
   temporaries.  Within one thread the old reuse guarantees hold unchanged.
-* Constructing with ``per_thread_scratch=False`` restores the single shared
-  scratch pool for callers that want strict buffer reuse; that pool is pinned
-  to the first thread that uses it and any cross-thread ``scratch()`` call
-  raises :class:`WorkspaceThreadError` instead of silently corrupting results.
 
 Hit/miss counters are maintained without locks and may undercount slightly
 under heavy contention; they are diagnostics, not ground truth.
@@ -57,10 +53,6 @@ import numpy as np
 from repro.telemetry import metrics as _telemetry
 from repro.units import SPEED_OF_LIGHT_AU
 from repro.utils.mathutils import finite_difference_coefficients
-
-
-class WorkspaceThreadError(RuntimeError):
-    """Cross-thread use of a scratch pool that is pinned to one thread."""
 
 
 class LRUCache:
@@ -164,24 +156,16 @@ class KernelWorkspace:
         ``(grid, dt, A)`` combination).
     max_scratch_entries:
         LRU capacity of each scratch-buffer pool (one entry per distinct
-        ``(tag, shape, dtype)``).
-    per_thread_scratch:
-        When true (the default) every thread gets its own scratch pool, making
-        the workspace safe to share between threads.  When false a single
-        shared pool is kept for strict buffer reuse; it is pinned to the first
-        thread that calls :meth:`scratch` and cross-thread access raises
-        :class:`WorkspaceThreadError`.
+        ``(tag, shape, dtype)``); every thread gets its own pool, which
+        is what makes the workspace safe to share between threads.
     """
 
     def __init__(self, max_phase_entries: int = 32,
-                 max_scratch_entries: int = 64,
-                 per_thread_scratch: bool = True) -> None:
+                 max_scratch_entries: int = 64) -> None:
         self._phases = LRUCache(max_phase_entries)
         self._max_scratch_entries = max_scratch_entries
-        self.per_thread_scratch = bool(per_thread_scratch)
         self._scratch_pools: Dict[int, LRUCache] = {}
         self._scratch_lock = threading.Lock()
-        self._scratch_owner: Optional[int] = None
         self._plans: dict = {}
         self._plan_lock = threading.Lock()
 
@@ -259,20 +243,6 @@ class KernelWorkspace:
     # ------------------------------------------------------------------
     def _scratch_pool(self) -> LRUCache:
         ident = threading.get_ident()
-        if not self.per_thread_scratch:
-            if self._scratch_owner is None:
-                with self._scratch_lock:
-                    if self._scratch_owner is None:
-                        self._scratch_owner = ident
-                        self._scratch_pools[0] = LRUCache(self._max_scratch_entries)
-            if self._scratch_owner != ident:
-                raise WorkspaceThreadError(
-                    "KernelWorkspace(per_thread_scratch=False) scratch pool is "
-                    f"pinned to thread {self._scratch_owner}; scratch() called "
-                    f"from thread {ident}. Use per_thread_scratch=True (the "
-                    "default) to share a workspace between threads."
-                )
-            return self._scratch_pools[0]
         pool = self._scratch_pools.get(ident)
         if pool is None:
             with self._scratch_lock:
@@ -286,8 +256,7 @@ class KernelWorkspace:
         The contents are undefined on entry; callers must fully overwrite the
         buffer before reading it.  Two call sites that could be live at the
         same time must use distinct tags.  Buffers are never shared between
-        threads: each thread draws from its own pool (or, with
-        ``per_thread_scratch=False``, only the owning thread may call this).
+        threads: each thread draws from its own pool.
         """
         dtype = np.dtype(dtype)
         key = (tag, tuple(int(n) for n in shape), dtype.str)
@@ -304,7 +273,6 @@ class KernelWorkspace:
         self._phases.clear()
         with self._scratch_lock:
             self._scratch_pools.clear()
-            self._scratch_owner = None
         with self._plan_lock:
             self._plans.clear()
 

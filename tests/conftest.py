@@ -5,8 +5,24 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.grid import Grid3D
 from repro.md.atoms import AtomsSystem
+
+
+@pytest.fixture
+def live_telemetry():
+    """Enabled telemetry on a clean registry; afterwards the registry is
+    clean again and telemetry is as the session had it (``REPRO_TELEMETRY``)."""
+    was_enabled = telemetry.enabled()
+    telemetry.reset()
+    telemetry.enable()
+    try:
+        yield
+    finally:
+        if not was_enabled:
+            telemetry.disable()
+        telemetry.reset()
 
 
 @pytest.fixture()

@@ -8,17 +8,20 @@ Four layers under test:
   :func:`~repro.batch.grouping.group_specs` partitions in first-occurrence
   order with ``max_batch`` chunking.
 * **the BatchedEngine** — for every registry scenario, a batch of seed
-  variants produces results bit-identical to running each spec serially;
-  peel-off (a member failing mid-batch) leaves the survivors bit-identical
+  variants produces results bit-identical to running each spec serially,
+  and so does the worker's one run path (a solo payload, a batch of one
+  and a member of a four-batch, with and without a store, fresh or
+  resumed); peel-off (a member failing mid-batch) leaves the survivors bit-identical
   and the peeled member resumable from its last snapshot; per-member
   ``resume_from`` matches serial resume exactly.
 * **thread-safe workspaces + pool backends** — one
   :class:`~repro.perf.workspace.KernelWorkspace` shared by concurrent
-  threads hands out per-thread scratch buffers (and the pinned
-  ``per_thread_scratch=False`` mode raises the typed
-  :class:`~repro.perf.workspace.WorkspaceThreadError` cross-thread);
+  threads hands out per-thread scratch buffers;
   ``backend="thread"``/``"serial"`` pools produce results bit-identical to
   the process pool's.
+* **the worker path** — every member of a payload, solo or coalesced,
+  gets its spans, counters and metadata stamps; a member failure stays its
+  own and a batch-level failure falls back to per-member runs.
 * **the daemon** — a ``batch_max > 1`` :class:`~repro.api.ScenarioServer`
   coalesces queued same-shape submissions into one worker dispatch, counts
   them in ``stats()``, and returns bit-identical results.
@@ -27,23 +30,50 @@ Four layers under test:
 from __future__ import annotations
 
 import threading
+from typing import Any, Dict
 
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.api import (
     BatchRunner, ScenarioServer, ServeClient, WorkerPool, default_registry,
+    run_scenario,
 )
 from repro.api.adapters import build_engine
-from repro.api.executor import POOL_BACKENDS, ExecutionService
-from repro.api.result import RunFailure
+from repro.api.executor import (
+    POOL_BACKENDS, ExecutionService, execute_payload, worker_payload,
+)
+from repro.api.result import RunFailure, RunResult
 from repro.batch import BatchedEngine, batch_key, group_specs
-from repro.perf import KernelWorkspace, WorkspaceThreadError
+from repro.batch.engine import STACKED_KINDS
+from repro.perf import KernelWorkspace
+from repro.store import RunStore
 
 from test_api import smoke_spec
 from test_checkpoint import assert_results_bit_identical, json_cycle
 
 ALL_NAMES = default_registry().names()
+
+
+def member_payload(index, spec, run_id, checkpoint_dir=None,
+                   **fields) -> Dict[str, Any]:
+    """One worker payload for ``spec`` (a daemon's, minus the lease)."""
+    fields = {"checkpoint_every": None, "keep": 0, "retention": None,
+              "resume": False, "attempt": 1, **fields}
+    return worker_payload(
+        index, spec.to_dict(), run_id,
+        checkpoint_dir=str(checkpoint_dir) if checkpoint_dir else None,
+        **fields)
+
+
+def batch_of(payloads) -> Dict[str, Any]:
+    return {"index": payloads[0]["index"], "batch": list(payloads)}
+
+
+def settled(outcome: Dict[str, Any]) -> RunResult:
+    assert "ok" in outcome, outcome.get("failure")
+    return RunResult.from_dict(outcome["ok"])
 
 
 # ----------------------------------------------------------------------
@@ -91,13 +121,52 @@ class TestGrouping:
 # ----------------------------------------------------------------------
 class TestBatchedParity:
     @pytest.mark.parametrize("name", ALL_NAMES)
-    def test_seed_pairs_match_serial_exactly(self, name):
-        specs = [smoke_spec(name, seed=101), smoke_spec(name, seed=202)]
-        serial = [build_engine(spec.copy()).run() for spec in specs]
-        batched = BatchedEngine(specs).run()
+    def test_seed_pairs_match_serial_exactly(self, name, tmp_path):
+        specs = [smoke_spec(name, seed=seed) for seed in (101, 202, 303, 404)]
+        serial = [run_scenario(spec.copy()) for spec in specs]
+        batched = BatchedEngine(specs[:2]).run()
         for expected, actual in zip(serial, batched):
             assert actual.ok, getattr(actual, "error", None)
             assert_results_bit_identical(expected, actual)
+
+        # The worker's run path: a solo payload, a batch of one and every
+        # member of a four-batch reproduce run_scenario, storeless and
+        # streaming snapshots into a store alike.
+        for root in (None, tmp_path):
+            def payloads(tag, count):
+                return [member_payload(i, spec, f"{tag}-{i}", root)
+                        for i, spec in enumerate(specs[:count])]
+
+            solo = settled(execute_payload(payloads("solo", 1)[0]))
+            one = settled(
+                execute_payload(batch_of(payloads("one", 1)))["batch"][0])
+            four, expected_four = payloads("four", 4), list(serial)
+            if root is not None:
+                # One member resumes a mid-run snapshot beside fresh ones.
+                # Its reference is the serial resume of that snapshot: the
+                # MD kinds do not yet resume bit-identically to the
+                # uninterrupted run on every seed (ROADMAP item 1).
+                interrupted = build_engine(specs[1].copy())
+                interrupted.run(num_steps=1)
+                snapshot = json_cycle(interrupted.checkpoint())
+                RunStore(root).save(snapshot, run_id=four[1]["run_id"])
+                four[1]["resume"] = True
+                expected_four[1] = run_scenario(
+                    specs[1].copy(), resume_from=snapshot)
+            members = [settled(outcome) for outcome
+                       in execute_payload(batch_of(four))["batch"]]
+            for expected, actual in zip([serial[0]] * 2 + expected_four,
+                                        [solo, one] + members):
+                assert_results_bit_identical(expected, actual)
+            # Only members of a batch > 1 carry batch_size: a solo result's
+            # JSON is what it was before coalescing existed.
+            assert "batch_size" not in solo.metadata["executor"]
+            assert "batch_size" not in one.metadata["executor"]
+            assert [m.metadata["executor"]["batch_size"] for m in members] \
+                == [4] * 4
+            assert [m.metadata["executor"]["resumed_from_step"]
+                    for m in members] \
+                == [None, None if root is None else 1, None, None]
 
     def test_mlmd_triple_exercises_the_stacked_kernel(self):
         # Three members through the decaying-weight path: the stack must
@@ -173,6 +242,96 @@ class TestPeelOff:
 
 
 # ----------------------------------------------------------------------
+# The worker's run path: per-member observability and failure isolation
+# ----------------------------------------------------------------------
+def _counter(name: str) -> float:
+    return telemetry.snapshot()["counters"].get(name, {}).get("value", 0.0)
+
+
+class TestWorkerRunPath:
+    # A stacked kind and an un-stacked one; solo and coalesced.
+    @pytest.mark.parametrize("name", ("localmode-switch", "maxwell-vacuum"))
+    @pytest.mark.parametrize("size", (1, 3))
+    def test_every_member_is_traced_and_counted(self, name, size, tmp_path,
+                                                live_telemetry):
+        num_steps = 4
+        payloads = [
+            member_payload(
+                i, smoke_spec(name, num_steps=num_steps, seed=i), f"r{i}",
+                tmp_path, checkpoint_every=2, trace=telemetry.new_context())
+            for i in range(size)
+        ]
+        if size == 1:
+            outcomes = [execute_payload(payloads[0])]
+        else:
+            outcomes = execute_payload(batch_of(payloads))["batch"]
+
+        for payload, outcome in zip(payloads, outcomes):
+            assert "telemetry" in settled(outcome).metadata
+            spans = telemetry.read_spans(telemetry.span_log_path(
+                tmp_path, name, payload["run_id"]))
+            (run_span,) = [s for s in spans if s["name"] == "worker.run"]
+            assert run_span["trace_id"] == payload["trace"]["trace_id"]
+            assert run_span["attrs"]["ok"] is True
+            assert run_span["attrs"].get("batch_size") \
+                == (size if size > 1 else None)
+            saves = [s for s in spans if s["name"] == "store.save"]
+            assert [s["attrs"]["step"] for s in saves] == [2, 4]
+            assert {s["parent"] for s in saves} == {run_span["span_id"]}
+        assert _counter("repro_worker_runs_total") == size
+        assert _counter("repro_engine_steps_total") == size * num_steps
+        # A stacked call advances every member in one timed observation.
+        stacked = size > 1 and payloads[0]["spec"]["engine"] in STACKED_KINDS
+        timed = telemetry.snapshot()["histograms"]["repro_engine_step_seconds"]
+        assert timed["count"] == (num_steps if stacked
+                                  else size * num_steps)
+
+    def test_a_failing_sink_fails_only_its_own_member(self, tmp_path,
+                                                      monkeypatch):
+        specs = [smoke_spec("localmode-switch", seed=s) for s in range(3)]
+        serial = [run_scenario(spec.copy()) for spec in specs]
+        payloads = [member_payload(i, spec, f"r{i}", tmp_path,
+                                   attempt=1 + 2 * (i == 1))
+                    for i, spec in enumerate(specs)]
+        save = RunStore.save
+
+        def flaky_save(self, checkpoint, run_id="default"):
+            if run_id == "r1":
+                raise OSError("store died")
+            return save(self, checkpoint, run_id=run_id)
+
+        monkeypatch.setattr(RunStore, "save", flaky_save)
+        outcomes = execute_payload(batch_of(payloads))["batch"]
+        assert [o["index"] for o in outcomes] == [0, 1, 2]
+        assert "store died" in outcomes[1]["failure"]["error"]
+        assert outcomes[1]["failure"]["attempts"] == 3
+        for i in (0, 2):
+            assert_results_bit_identical(serial[i], settled(outcomes[i]))
+
+    def test_batch_level_failure_falls_back_to_per_member_runs(
+            self, monkeypatch, live_telemetry):
+        specs = [smoke_spec("localmode-switch", seed=s) for s in range(3)]
+        serial = [run_scenario(spec.copy()) for spec in specs]
+        init = BatchedEngine.__init__
+
+        def no_real_batches(self, specs, workspace=None):
+            if len(specs) > 1:
+                raise RuntimeError("stacking bug")
+            init(self, specs, workspace=workspace)
+
+        monkeypatch.setattr(BatchedEngine, "__init__", no_real_batches)
+        outcomes = execute_payload(batch_of(
+            [member_payload(i, spec, f"r{i}")
+             for i, spec in enumerate(specs)]))["batch"]
+        for expected, outcome in zip(serial, outcomes):
+            actual = settled(outcome)
+            assert_results_bit_identical(expected, actual)
+            assert "batch_size" not in actual.metadata["executor"]
+        assert _counter("repro_worker_batch_fallbacks_total") == 1
+        assert _counter("repro_worker_runs_total") == 3
+
+
+# ----------------------------------------------------------------------
 # Thread-safe workspace
 # ----------------------------------------------------------------------
 class TestWorkspaceThreads:
@@ -203,23 +362,6 @@ class TestWorkspaceThreads:
         assert workspace.scratch("shared-tag", (32,), np.float64) \
             is grabbed["main"]
         assert workspace.stats["scratch_pools"] == 3
-
-    def test_pinned_mode_raises_typed_cross_thread(self):
-        workspace = KernelWorkspace(per_thread_scratch=False)
-        first = workspace.scratch("tag", (4,))
-        assert workspace.scratch("tag", (4,)) is first  # owner reuses
-        failures = []
-
-        def cross_thread():
-            try:
-                workspace.scratch("tag", (4,))
-            except WorkspaceThreadError as exc:
-                failures.append(exc)
-
-        thread = threading.Thread(target=cross_thread)
-        thread.start()
-        thread.join()
-        assert len(failures) == 1
 
     def test_concurrent_phase_reads_share_one_entry(self):
         from repro.grid import Grid3D

@@ -45,18 +45,6 @@ from test_server import SRC, _await_port, _kill_group, needs_fork
 chaos = pytest.mark.chaos
 
 
-@pytest.fixture
-def live_telemetry():
-    """Enabled telemetry on a clean registry, restored to off afterwards."""
-    telemetry.reset()
-    telemetry.enable()
-    try:
-        yield
-    finally:
-        telemetry.disable()
-        telemetry.reset()
-
-
 def _telemetry_env(plan: str = "") -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + (
@@ -211,6 +199,21 @@ class TestMetrics:
             == result.metadata["scf_iterations"]
         assert snap["counters"]["repro_scf_mixer_restarts_total"]["value"] \
             == result.metadata["scf_mixer_restarts"]
+
+    def test_forked_worker_does_not_reship_inherited_counts(
+            self, live_telemetry, monkeypatch):
+        # Under fork a fresh worker starts with the daemon's registry; its
+        # first report must be what *it* counted, not what it inherited.
+        from repro.api import executor
+
+        monkeypatch.setattr(executor, "_WORKER_WORKSPACE", None)
+        monkeypatch.setattr(executor, "_TELEMETRY_BASELINE", None)
+        telemetry.incr("repro_serve_submissions_total", 4)
+        executor._worker_init()
+        telemetry.incr("repro_worker_runs_total", 1)
+        counters = executor._telemetry_report()["metrics"]["counters"]
+        assert counters["repro_serve_submissions_total"]["value"] == 0.0
+        assert counters["repro_worker_runs_total"]["value"] == 1.0
 
     @pytest.mark.parametrize("spec,expected", [
         ("1", True), ("on", True), ("TRUE", True), ("yes", True),
