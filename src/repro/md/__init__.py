@@ -18,6 +18,7 @@ from repro.md.forcefields import (
     HarmonicWells,
     LennardJones,
     MorsePotential,
+    scatter_pair_forces,
 )
 from repro.md.integrators import VelocityVerlet, LangevinIntegrator, temperature
 from repro.md.lattice import (
@@ -37,6 +38,7 @@ __all__ = [
     "HarmonicWells",
     "LennardJones",
     "MorsePotential",
+    "scatter_pair_forces",
     "VelocityVerlet",
     "LangevinIntegrator",
     "temperature",

@@ -10,6 +10,11 @@ These serve three purposes in the reproduction:
 
 All force fields implement the small :class:`ForceField` protocol:
 ``compute(atoms, neighbor_list=None) -> (energy, forces)`` in eV and eV/A.
+
+The pair kernels are array-only: nothing runs per pair in Python.  Species
+parameters are looked up in an ``(S, S)`` table over the distinct species,
+and every pair force reaches the atoms through one scatter,
+:func:`scatter_pair_forces`, which the NN and Ehrenfest pair forces share.
 """
 
 from __future__ import annotations
@@ -33,6 +38,24 @@ class ForceField(Protocol):
     ) -> Tuple[float, np.ndarray]:
         """Return (potential energy [eV], forces [eV/A] of shape (n_atoms, 3))."""
         ...
+
+
+def scatter_pair_forces(
+    n_atoms: int, pairs: np.ndarray, pair_forces: np.ndarray
+) -> np.ndarray:
+    """Per-atom forces from pair forces: ``+f`` on ``pairs[:, 0]``, ``-f`` on
+    ``pairs[:, 1]``.
+
+    ``np.bincount`` adds its weights in input order, so the result is bit for
+    bit what an unbuffered ``add.at`` of ``+f`` onto ``i`` and then ``-f``
+    onto ``j`` gives.
+    """
+    index = np.concatenate((pairs[:, 0], pairs[:, 1]))
+    weights = np.concatenate((pair_forces, -pair_forces))
+    forces = np.empty((n_atoms, 3))
+    for c in range(3):
+        forces[:, c] = np.bincount(index, weights=weights[:, c], minlength=n_atoms)
+    return forces
 
 
 def _get_pairs(atoms: AtomsSystem, cutoff: float,
@@ -76,16 +99,18 @@ class LennardJones:
         self, atoms: AtomsSystem, neighbor_list: Optional[NeighborList] = None
     ) -> Tuple[float, np.ndarray]:
         pairs, vectors, distances = _get_pairs(atoms, self.cutoff, neighbor_list)
-        forces = np.zeros((atoms.n_atoms, 3))
-        energy = 0.0
         if pairs.shape[0] == 0:
-            return energy, forces
-        # Group pairs by species combination so the inner loops stay vectorised.
-        species = atoms.species
-        eps = np.empty(pairs.shape[0])
-        sig = np.empty(pairs.shape[0])
-        for k, (i, j) in enumerate(pairs):
-            eps[k], sig[k] = self._pair_parameters(species[i], species[j])
+            return 0.0, np.zeros((atoms.n_atoms, 3))
+        # (S, S) parameter tables over the distinct species, gathered per pair.
+        names, code = np.unique(atoms.species, return_inverse=True)
+        eps_table = np.empty((names.size, names.size))
+        sig_table = np.empty((names.size, names.size))
+        for a, name_a in enumerate(names):
+            for b, name_b in enumerate(names):
+                eps_table[a, b], sig_table[a, b] = self._pair_parameters(name_a, name_b)
+        code_i, code_j = code[pairs[:, 0]], code[pairs[:, 1]]
+        eps = eps_table[code_i, code_j]
+        sig = sig_table[code_i, code_j]
         inv_r = sig / distances
         inv_r6 = inv_r ** 6
         inv_r12 = inv_r6 ** 2
@@ -94,9 +119,7 @@ class LennardJones:
         # dE/dr = 4 eps (-12 r^-13 sig^12 + 6 r^-7 sig^6); force on i is along +vec
         magnitude = 4.0 * eps * (12.0 * inv_r12 - 6.0 * inv_r6) / distances
         pair_forces = magnitude[:, None] * vectors / distances[:, None]
-        np.add.at(forces, pairs[:, 0], pair_forces)
-        np.add.at(forces, pairs[:, 1], -pair_forces)
-        return energy, forces
+        return energy, scatter_pair_forces(atoms.n_atoms, pairs, pair_forces)
 
 
 @dataclass
@@ -115,18 +138,15 @@ class MorsePotential:
         self, atoms: AtomsSystem, neighbor_list: Optional[NeighborList] = None
     ) -> Tuple[float, np.ndarray]:
         pairs, vectors, distances = _get_pairs(atoms, self.cutoff, neighbor_list)
-        forces = np.zeros((atoms.n_atoms, 3))
         if pairs.shape[0] == 0:
-            return 0.0, forces
+            return 0.0, np.zeros((atoms.n_atoms, 3))
         exponent = np.exp(-self.a * (distances - self.r0))
         pair_energy = self.depth * (1.0 - exponent) ** 2 - self.depth
         energy = float(np.sum(pair_energy))
         # dE/dr = 2 D a exponent (1 - exponent)
         dE_dr = 2.0 * self.depth * self.a * exponent * (1.0 - exponent)
         pair_forces = -dE_dr[:, None] * vectors / distances[:, None]
-        np.add.at(forces, pairs[:, 0], pair_forces)
-        np.add.at(forces, pairs[:, 1], -pair_forces)
-        return energy, forces
+        return energy, scatter_pair_forces(atoms.n_atoms, pairs, pair_forces)
 
 
 @dataclass

@@ -72,11 +72,11 @@ class VelocityVerlet:
         return self._time
 
     def state_dict(self, atoms: AtomsSystem) -> dict:
-        """Mutable NVE state: the phase-space point and the clock."""
+        """Mutable NVE state: phase space, clock, cached forces, pair list."""
         return _md_state_dict(self, atoms)
 
     def load_state_dict(self, atoms: AtomsSystem, state: dict) -> None:
-        """Inverse of :meth:`state_dict`; forces are recomputed lazily."""
+        """Inverse of :meth:`state_dict`."""
         _md_load_state_dict(self, atoms, state)
 
     def _ensure_forces(self, atoms: AtomsSystem) -> np.ndarray:
@@ -214,11 +214,22 @@ class LangevinIntegrator:
 # Shared checkpoint plumbing for both integrators
 # ----------------------------------------------------------------------
 def _md_state_dict(integrator, atoms: AtomsSystem) -> dict:
-    return {
+    """Phase-space point, clock, and what a resume needs to stay bit-identical:
+    the cached forces and the neighbour list's pairs and build positions.
+
+    Forces recomputed from the restored positions are not guaranteed to be
+    the bits the uninterrupted run carries, so they are saved, not rebuilt.
+    """
+    state = {
         "time": float(integrator._time),
         "positions": atoms.positions.copy(),
         "velocities": atoms.velocities.copy(),
     }
+    if integrator._forces is not None:
+        state["forces"] = integrator._forces.copy()
+    if integrator.neighbor_list is not None:
+        state["neighbor_list"] = integrator.neighbor_list.state_dict()
+    return state
 
 
 def _md_load_state_dict(integrator, atoms: AtomsSystem, state: dict) -> None:
@@ -233,7 +244,12 @@ def _md_load_state_dict(integrator, atoms: AtomsSystem, state: dict) -> None:
         raise ValueError("checkpointed velocities do not match the atom count")
     atoms.positions[...] = positions
     atoms.velocities[...] = velocities
-    # Forces are a pure function of the restored positions; recompute lazily.
-    integrator._forces = None
+    # A checkpoint without cached forces recomputes them lazily.
+    integrator._forces = (
+        np.asarray(state["forces"], dtype=float).reshape(positions.shape)
+        if "forces" in state else None
+    )
+    if integrator.neighbor_list is not None and "neighbor_list" in state:
+        integrator.neighbor_list.load_state_dict(state["neighbor_list"])
     integrator._time = float(state["time"])
     integrator.history.clear()

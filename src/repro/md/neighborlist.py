@@ -162,8 +162,6 @@ class NeighborList:
         if self.skin < 0:
             raise ValueError("skin must be non-negative")
         self._pairs: np.ndarray | None = None
-        self._vectors: np.ndarray | None = None
-        self._distances: np.ndarray | None = None
         self._reference_positions: np.ndarray | None = None
 
     # ------------------------------------------------------------------
@@ -244,14 +242,14 @@ class NeighborList:
                 pairs[:, 0] * (n + 1) + pairs[:, 1], return_index=True
             )[1]
             self._pairs = pairs[unique_index]
-            self._vectors = delta[unique_index]
-            self._distances = np.sqrt(dist2[unique_index])
+            vectors = delta[unique_index]
+            distances = np.sqrt(dist2[unique_index])
         else:
             self._pairs = np.zeros((0, 2), dtype=int)
-            self._vectors = np.zeros((0, 3))
-            self._distances = np.zeros(0)
+            vectors = np.zeros((0, 3))
+            distances = np.zeros(0)
         self._reference_positions = positions.copy()
-        return self._pairs, self._vectors, self._distances
+        return self._pairs, vectors, distances
 
     # ------------------------------------------------------------------
     def current_geometry(self, atoms: AtomsSystem) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -264,8 +262,6 @@ class NeighborList:
         """
         if self._pairs is None:
             raise RuntimeError("neighbour list has not been built yet")
-        if self._pairs.shape[0] == 0:
-            return self._pairs, self._vectors, self._distances
         positions = atoms.positions % atoms.box
         delta = positions[self._pairs[:, 0]] - positions[self._pairs[:, 1]]
         delta -= atoms.box * np.round(delta / atoms.box)
@@ -289,17 +285,28 @@ class NeighborList:
             raise RuntimeError("neighbour list has not been built yet")
         return self._pairs
 
-    @property
-    def vectors(self) -> np.ndarray:
-        if self._vectors is None:
-            raise RuntimeError("neighbour list has not been built yet")
-        return self._vectors
+    def state_dict(self) -> dict:
+        """The pair list and the positions it was built at (empty if unbuilt).
 
-    @property
-    def distances(self) -> np.ndarray:
-        if self._distances is None:
-            raise RuntimeError("neighbour list has not been built yet")
-        return self._distances
+        Restoring both makes a resumed run evaluate the same pairs in the same
+        order and rebuild at the same step as the uninterrupted one.
+        """
+        if self._pairs is None:
+            return {}
+        return {
+            "pairs": self._pairs.copy(),
+            "reference_positions": self._reference_positions.copy(),
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        """Inverse of :meth:`state_dict`; an empty state leaves the list unbuilt."""
+        if not state:
+            self._pairs = self._reference_positions = None
+            return
+        self._pairs = np.asarray(state["pairs"], dtype=int).reshape(-1, 2)
+        self._reference_positions = np.asarray(
+            state["reference_positions"], dtype=float
+        ).reshape(-1, 3)
 
     def neighbor_counts(self, n_atoms: int) -> np.ndarray:
         """Number of neighbours per atom (full double-counted coordination)."""

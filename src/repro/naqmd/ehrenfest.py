@@ -22,6 +22,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from repro.grid.grid3d import Grid3D
+from repro.md import scatter_pair_forces
 from repro.qd.hamiltonian import gaussian_external_potential
 from repro.utils.mathutils import periodic_delta
 
@@ -157,7 +158,6 @@ class EhrenfestForces:
         """
         positions = np.asarray(positions, dtype=float).reshape(self.n_ions, 3)
         kappa = 1.0 / self.screening_length
-        forces = np.zeros((self.n_ions, 3))
         iu, ju, delta, r = self._pair_geometry(positions)
         close = r >= 1e-8
         iu, ju, delta, r = iu[close], ju[close], delta[close], r[close]
@@ -165,9 +165,7 @@ class EhrenfestForces:
         # d/dr [ q q exp(-kappa r)/r ] = -qq e^{-kr} (1 + kr) / r^2
         magnitude = qq * np.exp(-kappa * r) * (1.0 + kappa * r) / r ** 2
         pair_force = (magnitude / r)[:, None] * delta
-        np.add.at(forces, iu, pair_force)
-        np.add.at(forces, ju, -pair_force)
-        return forces
+        return scatter_pair_forces(self.n_ions, np.stack((iu, ju), axis=1), pair_force)
 
     def ion_ion_forces_reference(self, positions: np.ndarray) -> np.ndarray:
         """Double-loop Yukawa forces (cross-check reference)."""

@@ -17,8 +17,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.md.atoms import AtomsSystem
-from repro.md.neighborlist import NeighborList
+from repro.md import AtomsSystem, NeighborList, scatter_pair_forces
 from repro.nn.model import AllegroLiteModel
 
 
@@ -55,13 +54,14 @@ class BlockedInference:
         if neighbor_list.needs_rebuild(atoms):
             neighbor_list.build(atoms)
         pairs, vectors, distances = neighbor_list.current_geometry(atoms)
-        forces = np.zeros((atoms.n_atoms, 3))
         energy = self.model._reference_energy(atoms)
         if pairs.shape[0] == 0:
-            return energy, forces
+            return energy, np.zeros((atoms.n_atoms, 3))
         self.peak_pairs_per_block = 0
         # Assign each pair to the block of its first atom; every block then
-        # evaluates only its own slice of the pair list.
+        # evaluates only its own slice of the pair list, and one scatter in
+        # pair order then sums the forces in the monolithic model's order.
+        pair_forces = np.empty_like(vectors)
         block_of_pair = pairs[:, 0] // self.block_size
         n_blocks = int(block_of_pair.max()) + 1
         for block in range(n_blocks):
@@ -80,10 +80,8 @@ class BlockedInference:
             energy += float(np.sum(coefficients * basis_values))
             de_dr = np.sum(coefficients * basis_derivs, axis=1)
             unit = block_vectors / block_distances[:, None]
-            pair_forces = -de_dr[:, None] * unit
-            np.add.at(forces, block_pairs[:, 0], pair_forces)
-            np.add.at(forces, block_pairs[:, 1], -pair_forces)
-        return energy, forces
+            pair_forces[mask] = -de_dr[:, None] * unit
+        return energy, scatter_pair_forces(atoms.n_atoms, pairs, pair_forces)
 
     def memory_model_bytes(self, n_atoms: int, neighbors_per_atom: float) -> dict:
         """Rough peak-memory model of blocked vs monolithic inference.

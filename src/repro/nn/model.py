@@ -26,8 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.md.atoms import AtomsSystem
-from repro.md.neighborlist import NeighborList
+from repro.md import AtomsSystem, NeighborList, scatter_pair_forces
 from repro.nn.basis import RadialBasis
 from repro.nn.mlp import MLP
 
@@ -133,9 +132,9 @@ class AllegroLiteModel:
         if neighbor_list.needs_rebuild(atoms):
             neighbor_list.build(atoms)
         pairs, vectors, distances = neighbor_list.current_geometry(atoms)
-        forces = np.zeros((atoms.n_atoms, 3))
         reference = self._reference_energy(atoms)
         if pairs.shape[0] == 0:
+            forces = np.zeros((atoms.n_atoms, 3))
             if return_cache:
                 return reference, forces, None
             return reference, forces
@@ -150,8 +149,7 @@ class AllegroLiteModel:
         de_dr = np.sum(coefficients * basis_derivs, axis=1)
         unit = vectors / distances[:, None]
         pair_forces = -de_dr[:, None] * unit
-        np.add.at(forces, pairs[:, 0], pair_forces)
-        np.add.at(forces, pairs[:, 1], -pair_forces)
+        forces = scatter_pair_forces(atoms.n_atoms, pairs, pair_forces)
         if return_cache:
             cache = {
                 "pairs": pairs,

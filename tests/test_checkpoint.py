@@ -64,6 +64,20 @@ class TestInterruptResumeBitIdentity:
         assert_results_bit_identical(uninterrupted, resumed)
         assert resumed.metadata["spec"] == uninterrupted.metadata["spec"]
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("name", ["md-nve", "md-langevin"])
+    def test_md_resume_is_bit_identical_across_neighbour_rebuilds(self, name, seed):
+        # 600 steps cross several skin rebuilds: the resumed run must see the
+        # uninterrupted run's pair list, rebuild instants and cached forces.
+        spec = default_registry().get(name).with_overrides(
+            {"runtime.num_steps": 600, "seed": seed})
+        uninterrupted = build_engine(spec).run()
+        interrupted = build_engine(spec)
+        interrupted.run(num_steps=300)
+        checkpoint = json_cycle(interrupted.checkpoint())
+        assert_results_bit_identical(
+            uninterrupted, build_engine(spec).resume(checkpoint))
+
     def test_resume_preserves_record_cadence(self):
         # record_every=2 with an interruption at an odd step: the resumed
         # run must pick the cadence back up, not restart it.
@@ -96,6 +110,20 @@ class TestInterruptResumeBitIdentity:
         checkpoint = json_cycle(engine.checkpoint())
         replay = build_engine(spec).resume(checkpoint, num_steps=3)
         assert_results_bit_identical(full, replay)
+
+    @pytest.mark.parametrize("name", ["md-nve", "md-langevin"])
+    def test_md_checkpoint_without_forces_and_pairs_still_resumes(self, name):
+        # Older MD checkpoints carry only the phase-space point and the clock;
+        # they resume by recomputing forces and rebuilding the pair list.
+        spec = smoke_spec(name, num_steps=6)
+        interrupted = build_engine(spec)
+        interrupted.run(num_steps=3)
+        checkpoint = json_cycle(interrupted.checkpoint())
+        del checkpoint["state"]["forces"], checkpoint["state"]["neighbor_list"]
+        resumed = build_engine(spec).resume(checkpoint)
+        assert resumed.num_records == 7
+        for series in resumed.observables.values():
+            assert np.all(np.isfinite(series))
 
 
 # ----------------------------------------------------------------------

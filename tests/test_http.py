@@ -307,8 +307,15 @@ class TestShutdown:
         # Not from whenever the stop thread first runs: a client that holds
         # its shutdown ack must get a 503, never a 202 (no socket needed).
         daemon = ScenarioServer(tmp_path / "s", port=0, workers=0)
-        ack, _stop = daemon.shutdown(drain=True)
+        ack, stop = daemon.shutdown(drain=True)
         assert ack == {"ok": True, "draining": True}
+        with pytest.raises(ServerError) as refused:
+            daemon.submit(default_registry().get("maxwell-vacuum").to_dict())
+        assert refused.value.status == 503
+        # The stop handed back with the ack takes the daemon down, and it
+        # keeps refusing after that.
+        stop()
+        assert daemon._stopped.is_set()
         with pytest.raises(ServerError) as refused:
             daemon.submit(default_registry().get("maxwell-vacuum").to_dict())
         assert refused.value.status == 503

@@ -18,6 +18,51 @@ from repro.md import (
 from repro.md.forcefields import MixedForceField
 
 
+def _lj_reference(lj, atoms):
+    """The per-pair Python loop ``LennardJones.compute`` replaced: parameters
+    looked up pair by pair, forces scattered with two ``add.at``."""
+    pairs, vectors, distances = NeighborList(lj.cutoff).build(atoms)
+    forces = np.zeros((atoms.n_atoms, 3))
+    if pairs.shape[0] == 0:
+        return 0.0, forces
+    eps = np.empty(pairs.shape[0])
+    sig = np.empty(pairs.shape[0])
+    for k, (i, j) in enumerate(pairs):
+        eps[k], sig[k] = lj._pair_parameters(atoms.species[i], atoms.species[j])
+    inv_r6 = (sig / distances) ** 6
+    inv_r12 = inv_r6 ** 2
+    energy = float(np.sum(4.0 * eps * (inv_r12 - inv_r6)))
+    magnitude = 4.0 * eps * (12.0 * inv_r12 - 6.0 * inv_r6) / distances
+    pair_forces = magnitude[:, None] * vectors / distances[:, None]
+    np.add.at(forces, pairs[:, 0], pair_forces)
+    np.add.at(forces, pairs[:, 1], -pair_forces)
+    return energy, forces
+
+
+def _morse_reference(morse, atoms):
+    """Morse energy and forces with the ``add.at`` scatter."""
+    pairs, vectors, distances = NeighborList(morse.cutoff).build(atoms)
+    forces = np.zeros((atoms.n_atoms, 3))
+    if pairs.shape[0] == 0:
+        return 0.0, forces
+    exponent = np.exp(-morse.a * (distances - morse.r0))
+    energy = float(np.sum(morse.depth * (1.0 - exponent) ** 2 - morse.depth))
+    dE_dr = 2.0 * morse.depth * morse.a * exponent * (1.0 - exponent)
+    pair_forces = -dE_dr[:, None] * vectors / distances[:, None]
+    np.add.at(forces, pairs[:, 0], pair_forces)
+    np.add.at(forces, pairs[:, 1], -pair_forces)
+    return energy, forces
+
+
+def _random_system(seed: int, species, n_atoms: int = 40, box: float = 12.0):
+    rng = np.random.default_rng(seed)
+    return AtomsSystem(
+        rng.uniform(0.0, box, (n_atoms, 3)),
+        np.array(rng.choice(species, n_atoms), dtype=object),
+        np.array([box] * 3),
+    )
+
+
 class TestAtomsSystem:
     def test_basic_properties(self, argon_fcc):
         assert argon_fcc.n_atoms == 32
@@ -154,6 +199,47 @@ class TestForceFields:
         for ff in (LennardJones(), MorsePotential(cutoff=6.0)):
             _, forces = ff.compute(argon_fcc)
             assert np.allclose(forces.sum(axis=0), 0.0, atol=1e-10)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           case=st.sampled_from(["one", "three-partial"]))
+    def test_lj_matches_per_pair_reference_bitwise(self, seed, case):
+        if case == "one":
+            lj, species = LennardJones(cutoff=5.0), ["Ar"]
+        else:
+            # Only some species have entries, so the defaults fill the rest.
+            lj = LennardJones(cutoff=5.0, species_epsilon={"Ar": 0.0104, "Ti": 0.014},
+                              species_sigma={"Pb": 4.1})
+            species = ["Ar", "Ti", "Pb"]
+        atoms = _random_system(seed, species)
+        energy, forces = lj.compute(atoms)
+        ref_energy, ref_forces = _lj_reference(lj, atoms)
+        assert energy == ref_energy
+        assert np.array_equal(forces, ref_forces)
+
+    @pytest.mark.parametrize("ff, reference", [
+        (LennardJones(cutoff=3.0), _lj_reference),
+        (MorsePotential(cutoff=3.0), _morse_reference),
+    ])
+    def test_no_pairs_matches_reference(self, ff, reference):
+        atoms = AtomsSystem(
+            np.array([[0.0, 0.0, 0.0], [5.0, 5.0, 5.0]]),
+            np.array(["Ar", "Ti"], dtype=object),
+            np.array([10.0, 10.0, 10.0]),
+        )
+        energy, forces = ff.compute(atoms)
+        ref_energy, ref_forces = reference(ff, atoms)
+        assert energy == ref_energy == 0.0
+        assert np.array_equal(forces, ref_forces)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_morse_matches_add_at_reference_bitwise(self, seed):
+        morse = MorsePotential(cutoff=5.0)
+        atoms = _random_system(seed, ["O"])
+        energy, forces = morse.compute(atoms)
+        ref_energy, ref_forces = _morse_reference(morse, atoms)
+        assert energy == ref_energy
+        assert np.array_equal(forces, ref_forces)
 
     def test_harmonic_wells(self, argon_fcc):
         wells = HarmonicWells(argon_fcc.positions.copy(), spring_constant=2.0)
