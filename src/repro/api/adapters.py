@@ -35,26 +35,55 @@ from repro.api.spec import ENGINE_KINDS, ScenarioSpec
 from repro.perf.workspace import KernelWorkspace
 
 
-def _ground_state(spec: ScenarioSpec, grid, v_ext, metadata: Dict[str, Any]):
+def _ground_state(spec: ScenarioSpec, grid, v_ext, metadata: Dict[str, Any],
+                  workspace: KernelWorkspace):
     """Shared SCF preparation for the quantum-dynamics adapters; records how
-    the SCF went (``scf_*``) in the run's ``metadata``."""
+    the SCF went (``scf_*``) in the run's ``metadata``.
+
+    The converged ground state is cached in ``workspace``, keyed on what the
+    solve reads: the grid, ``v_ext`` (so MESH's force-field potential and the
+    Gaussian wells of TDDFT/DC-MESH need no per-engine canonical form) and
+    the solver settings.  ``seed`` and ``pulse`` are not read, so a sweep
+    over them solves once.  Hit and miss both hand out copies of the cached
+    entry, which makes them bit-identical by construction.
+    """
     from repro.qd import LocalHamiltonian
     from repro.scf import KohnShamSolver
 
     material = spec.material
     hamiltonian = LocalHamiltonian(grid, v_ext)
-    # Electrons pile up where the wells are deep: a density shaped like
-    # v_ext^2 starts the SCF 2-3 iterations closer than a uniform one.
-    # (A flat potential has no shape to offer; the solver then starts uniform.)
-    guess = v_ext ** 2
-    weight = grid.integrate(guess)
-    scf = KohnShamSolver(
+    solver = KohnShamSolver(
         hamiltonian,
         n_electrons=material.n_electrons,
         n_orbitals=material.n_orbitals,
         max_iterations=material.scf_max_iterations,
         tolerance=material.scf_tolerance,
-    ).run(guess * (material.n_electrons / weight) if weight > 0.0 else None)
+    )
+
+    def solve():
+        # Electrons pile up where the wells are deep: a density shaped like
+        # v_ext^2 starts the SCF 2-3 iterations closer than a uniform one.
+        # (A flat potential has no shape to offer; the solver then starts
+        # uniform.)  The LOBPCG path seeds its own RNG.
+        guess = v_ext ** 2
+        weight = grid.integrate(guess)
+        scf = solver.run(
+            guess * (material.n_electrons / weight) if weight > 0.0 else None)
+        potentials = hamiltonian.potentials_state()
+        for array in potentials.values():
+            array.setflags(write=False)
+        return scf.copy(writeable=False), potentials
+
+    key = (grid.shape, grid.lengths, hamiltonian.external_potential.tobytes(),
+           solver.n_electrons, solver.n_orbitals, solver.max_iterations,
+           solver.tolerance, solver.mixing, solver.eigensolver_method)
+    (cached, potentials), hit = workspace.ground_state(key, solve)
+    # load_potentials_state keeps what it is given: copy, or the engine's
+    # potential updates would write into the cache.
+    hamiltonian.load_potentials_state(
+        {name: array.copy() for name, array in potentials.items()})
+    scf = cached.copy()
+    metadata["scf_cache"] = "hit" if hit else "miss"
     metadata["scf_converged"] = bool(scf.converged)
     metadata["scf_iterations"] = int(scf.iterations)
     metadata["scf_residual"] = (
@@ -86,7 +115,8 @@ class TDDFTEngine(EngineAdapter):
         v_ext = gaussian_external_potential(
             grid, material.centers, material.depths, material.widths
         )
-        hamiltonian, scf = _ground_state(spec, grid, v_ext, self._metadata)
+        hamiltonian, scf = _ground_state(
+            spec, grid, v_ext, self._metadata, self.workspace)
         scissors = None
         if prop.scissors_shift > 0.0:
             scissors = NonlocalCorrection(
@@ -177,7 +207,8 @@ class DCMESHEngine(EngineAdapter):
         v_ext = gaussian_external_potential(
             grid, material.centers, material.depths, material.widths
         )
-        _, scf = _ground_state(spec, grid, v_ext, self._metadata)
+        _, scf = _ground_state(
+            spec, grid, v_ext, self._metadata, self.workspace)
         from repro.qd import LocalHamiltonian
 
         engines = []
@@ -253,7 +284,8 @@ class MESHEngine(EngineAdapter):
         )
         positions = np.asarray(material.centers, dtype=float)
         v_ext = forces.external_potential(positions)
-        hamiltonian, scf = _ground_state(spec, grid, v_ext, self._metadata)
+        hamiltonian, scf = _ground_state(
+            spec, grid, v_ext, self._metadata, self.workspace)
         tddft = RealTimeTDDFT(
             hamiltonian,
             scf.wavefunctions.copy(),

@@ -1,9 +1,10 @@
 """Divide-and-conquer domains: core + buffer decomposition of a global grid.
 
 Each domain owns a contiguous block of global grid points (its *core*); the
-*buffer* extends the domain by a configurable number of points in every
-direction (periodically wrapped) so the local Kohn-Sham problem sees enough of
-its surroundings for the quantum-nearsightedness truncation to be accurate.
+*buffer* extends the domain by a configurable number of points along every
+divided axis (periodically wrapped) so the local Kohn-Sham problem sees enough
+of its surroundings for the quantum-nearsightedness truncation to be accurate.
+An undivided axis gets no buffer: its core is already the global period.
 The paper uses a buffer equal to half the core length per direction, which
 makes each overlapping domain (1 + 2*(1/2))^3 = 8 times larger than its core —
 that factor shows up in the electron-count bookkeeping of Sec. VII.A and is
@@ -90,8 +91,8 @@ class DomainDecomposition:
     domains_per_axis:
         Number of domains along x, y, z (each axis length must be divisible).
     buffer_fraction:
-        Buffer thickness as a fraction of the core length per direction; the
-        paper's choice is 0.5.
+        Buffer thickness as a fraction of the core length per divided
+        direction; the paper's choice is 0.5.
     """
 
     grid: Grid3D
@@ -113,8 +114,12 @@ class DomainDecomposition:
         self._core_shape = tuple(
             n // d for n, d in zip(self.grid.shape, self.domains_per_axis)
         )
+        # An axis with one division is already the global period: a buffer
+        # there would only replicate the cell (a (2,1,1) split of 8^3 made
+        # every domain an (8,16,16) supercell, 4x the global problem).
         self._buffer = tuple(
-            int(round(self.buffer_fraction * c)) for c in self._core_shape
+            0 if d == 1 else int(round(self.buffer_fraction * c))
+            for c, d in zip(self._core_shape, self.domains_per_axis)
         )
         self._domains = self._build_domains()
 

@@ -1,4 +1,5 @@
-"""Reusable kernel workspaces: cached phases, scratch buffers, stencil plans.
+"""Reusable kernel workspaces: cached phases, scratch buffers, stencil plans
+and ground states.
 
 The paper's kin_prop optimisation ladder (Table III) and its neighbour-list
 memory analysis (Sec. V.B.9) both boil down to the same observation: the hot
@@ -15,6 +16,13 @@ re-allocating large temporaries.  This module centralises that state:
   structure-of-arrays reuse of Sec. V.B.2-3).
 * **Stencil plans** — precomputed finite-difference coefficient/axis schedules
   for the fused Laplacian engine in :mod:`repro.grid.stencil`.
+* **Ground states** — converged Kohn-Sham SCF solutions, keyed on everything
+  the solve reads (grid, external potential, electron/orbital counts, SCF
+  settings).  The paper's DC-MESH solves the ground state once and hands
+  every domain a copy; this cache extends that across runs, so a pulse or
+  seed sweep over one material pays for one SCF per workspace.  Entries are
+  opaque to the workspace: :func:`repro.api.adapters._ground_state` decides
+  what they hold and hands out copies.
 
 A process-wide default workspace is provided by :func:`get_workspace`; kernels
 accept an explicit workspace for callers that want isolated caches.
@@ -25,10 +33,11 @@ The workspace is safe to share between threads (the ``backend="thread"``
 worker pools hand every thread the same instance so phase/plan caches are
 amortised across the whole pool):
 
-* The phase and plan caches have a **lock-free read path** — lookups touch the
-  underlying dict with single (GIL-atomic) operations and never block; only
-  insertions take the cache lock.  Cached arrays are immutable (read-only
-  flags), so a value observed by any thread is always fully built.
+* The phase, plan and ground-state caches have a **lock-free read path** —
+  lookups touch the underlying dict with single (GIL-atomic) operations and
+  never block; only insertions take the cache lock.  Cached arrays are
+  immutable (read-only flags), so a value observed by any thread is always
+  fully built.
 * Scratch buffers come from **per-thread pools** keyed on ``threading.get_ident``
   — two threads asking for the same ``(tag, shape, dtype)`` get distinct
   buffers, so concurrent kernels can no longer stomp on each other's
@@ -44,7 +53,7 @@ import threading
 import time as _time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Callable, Dict, Hashable, Optional, Tuple
 
 import numpy as np
 
@@ -53,6 +62,11 @@ import numpy as np
 from repro.telemetry import metrics as _telemetry
 from repro.units import SPEED_OF_LIGHT_AU
 from repro.utils.mathutils import finite_difference_coefficients
+
+#: LRU capacity of the ground-state cache.  A registry-size entry (orbitals,
+#: density, three potentials) is well under 128 kB, so a full cache stays
+#: under 1 MB.
+GROUND_STATE_ENTRIES = 8
 
 
 class LRUCache:
@@ -168,6 +182,7 @@ class KernelWorkspace:
         self._scratch_lock = threading.Lock()
         self._plans: dict = {}
         self._plan_lock = threading.Lock()
+        self._ground_states = LRUCache(GROUND_STATE_ENTRIES)
 
     # ------------------------------------------------------------------
     # Kinetic phase cache
@@ -239,6 +254,28 @@ class KernelWorkspace:
         return plan
 
     # ------------------------------------------------------------------
+    # Ground states
+    # ------------------------------------------------------------------
+    def ground_state(self, key: Hashable, solve: Callable[[], object]):
+        """``(entry, hit)``: the ground state cached under ``key``, or the one
+        ``solve()`` returns (stored for the next caller).
+
+        The entry is shared with every later hit, so ``solve`` must return
+        something immutable (read-only arrays).  Two threads missing on the
+        same key both solve and both store an identical entry.
+        """
+        entry = self._ground_states.get(key)
+        if entry is not None:
+            _telemetry.incr("repro_workspace_ground_state_hits_total", 1,
+                            "ground-state cache hits (an SCF skipped)")
+            return entry, True
+        _telemetry.incr("repro_workspace_ground_state_misses_total", 1,
+                        "ground-state cache misses (an SCF solved)")
+        entry = solve()
+        self._ground_states.put(key, entry)
+        return entry, False
+
+    # ------------------------------------------------------------------
     # Scratch buffers
     # ------------------------------------------------------------------
     def _scratch_pool(self) -> LRUCache:
@@ -269,8 +306,9 @@ class KernelWorkspace:
 
     # ------------------------------------------------------------------
     def clear(self) -> None:
-        """Drop every cached phase, plan and scratch buffer."""
+        """Drop every cached phase, plan, ground state and scratch buffer."""
         self._phases.clear()
+        self._ground_states.clear()
         with self._scratch_lock:
             self._scratch_pools.clear()
         with self._plan_lock:
@@ -293,6 +331,9 @@ class KernelWorkspace:
             "scratch_misses": sum(pool.misses for pool in pools),
             "scratch_pools": len(pools),
             "plan_entries": len(self._plans),
+            "ground_state_entries": len(self._ground_states),
+            "ground_state_hits": self._ground_states.hits,
+            "ground_state_misses": self._ground_states.misses,
         }
 
 

@@ -14,7 +14,7 @@ orbitals/occupations of each DC domain) and the divide-and-conquer assembly
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import List, Optional
 
@@ -54,6 +54,25 @@ class SCFResult:
         if occupied.size == 0 or virtual.size == 0:
             return 0.0
         return float(self.eigenvalues[virtual[0]] - self.eigenvalues[occupied[-1]])
+
+    def copy(self, writeable: bool = True) -> "SCFResult":
+        """An independent copy; ``writeable=False`` marks its arrays read-only
+        (the form a shared ground-state cache entry takes)."""
+
+        def own(array: np.ndarray) -> np.ndarray:
+            array = np.array(array, copy=True)
+            array.setflags(write=writeable)
+            return array
+
+        return replace(
+            self,
+            wavefunctions=WaveFunctions(self.wavefunctions.grid,
+                                        own(self.wavefunctions.psi)),
+            occupations=self.occupations.copy(),
+            eigenvalues=own(self.eigenvalues),
+            density=own(self.density),
+            density_residuals=list(self.density_residuals),
+        )
 
 
 @dataclass

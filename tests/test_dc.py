@@ -17,7 +17,9 @@ class TestDomainDecomposition:
         assert decomposition.core_shape == (8, 8, 8)
         for domain in decomposition.domains:
             assert domain.core_shape == (8, 8, 8)
-            assert domain.local_shape == (16, 16, 16)
+            # No buffer along z: an undivided axis is already the global
+            # period.
+            assert domain.local_shape == (16, 16, 8)
 
     def test_paper_overlap_factor_of_eight(self):
         grid = Grid3D((16, 16, 16), (16.0, 16.0, 16.0))

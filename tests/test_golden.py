@@ -17,7 +17,9 @@ On a *different* environment the fixtures fall back to **numeric-tolerance
 tiers** instead of skipping: each fixture also freezes a per-series numeric
 summary (l2 norm, mean, absmax, final sample), and every series carries a
 tolerance tier (``exact`` / ``standard`` / ``loose``, see ``SERIES_TIERS``)
-chosen by how much legitimate cross-BLAS drift its physics can accumulate.
+chosen by how much legitimate cross-BLAS drift its physics can accumulate;
+per-orbital ``norms`` are summarised through their sum over orbitals, which
+does not depend on the gauge inside a degenerate subspace.
 A second BLAS build can therefore *run* the golden job and still catch real
 regressions; only fixtures predating the summaries skip.
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import platform
 import sys
 from pathlib import Path
@@ -37,6 +40,7 @@ from typing import Any, Dict
 
 import numpy as np
 import pytest
+import scipy
 
 from repro.api import RunResult, default_registry, run_scenario
 
@@ -47,15 +51,20 @@ def environment_fingerprint() -> Dict[str, str]:
     """What bit-identity across machines legitimately depends on.
 
     Python is fingerprinted at major.minor (patch releases don't change
-    float semantics); numpy exactly (its SIMD kernels do).  CI pins its
-    golden job to this fixture environment so the digests stay *binding*
-    there — the mismatch-skip below is for everyone else's machines, not an
-    escape hatch for CI.
+    float semantics); numpy exactly (its SIMD kernels do); scipy exactly (its
+    bundled LAPACK does the ground-state eigensolve); and the OpenBLAS thread
+    count (``"default"`` when unset), which changes how BLAS blocks its
+    reductions — the quantum digests differ between one thread and the
+    default.  CI pins its golden job to this fixture environment so the
+    digests stay *binding* there — the tolerance-tier fallback below is for
+    every other environment, not an escape hatch for CI.
     """
     return {
         "numpy": np.__version__,
+        "scipy": scipy.__version__,
         "python": ".".join(platform.python_version_tuple()[:2]),
         "machine": platform.machine(),
+        "openblas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "default"),
     }
 
 
@@ -119,6 +128,13 @@ def _array_summary(array: np.ndarray) -> Dict[str, Any]:
 def result_summary(result: RunResult) -> Dict[str, Any]:
     summary = {"times": _array_summary(result.times)}
     for name, series in sorted(result.observables.items()):
+        if name == "norms":
+            # Rotations inside a degenerate orbital subspace (the top pair of
+            # quickstart-tddft) are gauge-free, so per-orbital norms depend on
+            # the BLAS build and thread count (1.25e-6 apart between one
+            # thread and the default); their per-record sum over orbitals,
+            # a subspace invariant, does not (1.7e-12).
+            series = np.sum(series, axis=-1)
         summary[name] = _array_summary(series)
     return summary
 

@@ -189,9 +189,13 @@ class TestMetrics:
 
     def test_ground_state_is_visible_in_the_registry(self, live_telemetry):
         from repro.api import run_scenario
+        from repro.perf.workspace import KernelWorkspace
 
-        result = run_scenario(default_registry().get("dcmesh-pulse"),
-                              num_steps=1)
+        # A fresh workspace: the process-wide one may already hold this
+        # ground state from an earlier test, and then no SCF would run.
+        workspace = KernelWorkspace()
+        spec = default_registry().get("dcmesh-pulse")
+        result = run_scenario(spec, num_steps=1, workspace=workspace)
         snap = telemetry.snapshot()
         assert snap["histograms"]["repro_engine_prepare_seconds"]["count"] == 1
         assert snap["histograms"]["repro_scf_run_seconds"]["count"] == 1
@@ -199,6 +203,21 @@ class TestMetrics:
             == result.metadata["scf_iterations"]
         assert snap["counters"]["repro_scf_mixer_restarts_total"]["value"] \
             == result.metadata["scf_mixer_restarts"]
+        assert snap["counters"][
+            "repro_workspace_ground_state_misses_total"]["value"] == 1
+        assert "repro_workspace_ground_state_hits_total" not in snap["counters"]
+        assert result.metadata["scf_cache"] == "miss"
+
+        # The same material again: one cache hit, and no SCF observation.
+        again = run_scenario(spec, num_steps=1, workspace=workspace)
+        snap = telemetry.snapshot()
+        assert again.metadata["scf_cache"] == "hit"
+        assert snap["histograms"]["repro_engine_prepare_seconds"]["count"] == 2
+        assert snap["histograms"]["repro_scf_run_seconds"]["count"] == 1
+        assert snap["counters"][
+            "repro_workspace_ground_state_hits_total"]["value"] == 1
+        assert snap["counters"][
+            "repro_workspace_ground_state_misses_total"]["value"] == 1
 
     def test_forked_worker_does_not_reship_inherited_counts(
             self, live_telemetry, monkeypatch):
