@@ -39,7 +39,7 @@ from typing import Any, Dict, Iterator, List, Optional, Union
 
 from repro.api.http import API_PREFIX
 from repro.api.result import RunFailure, RunResult
-from repro.api.server import DEFAULT_PORT
+from repro.api.server import DEFAULT_PORT, KEEPALIVE_S
 from repro.api.spec import ScenarioSpec
 
 #: One finished run, as returned by :meth:`ServeClient.result`.
@@ -340,30 +340,40 @@ class ServeClient:
 
     def wait(self, run_id: str, timeout: Optional[float] = None,
              poll: float = 0.1, poll_cap: float = 2.0) -> ServeOutcome:
-        """Poll until the run finishes; returns the decoded outcome.
+        """Wait until the run finishes; returns the decoded outcome.
 
         ``timeout`` bounds the whole wait: when it expires while the run is
         still queued/running, a :class:`ServeTimeout` is raised carrying the
         run's last observed status — distinct from :class:`ServeUnavailable`
         (a dead daemon), so callers can tell "slow run" from "lost daemon".
 
-        The poll interval starts at ``poll`` and doubles up to ``poll_cap``
-        between status checks: long runs cost the daemon a handful of polls
-        instead of a fixed-rate hammering, which matters once fleet-scale
-        fan-out multiplies the waiting clients — while the first checks stay
-        quick so short runs return promptly.  Sleeps never overshoot a
+        Every status check asks the daemon to hold its answer until the run
+        settles (``GET /v1/runs/<id>?wait=S``, S at most half the socket
+        timeout and never past the ``timeout`` budget), so the outcome is
+        fetched as soon as the run is done, not at the next poll.  A hold
+        that ran its course is followed by the next one at once.
+
+        ``poll``/``poll_cap`` apply only when the daemon did not hold the
+        request (one that predates ``?wait`` answers at once): then the
+        poll interval starts at ``poll`` and doubles up to ``poll_cap``
+        between status checks, so long runs cost the daemon a handful of
+        polls instead of a fixed-rate hammering.  Sleeps never overshoot a
         remaining ``timeout`` budget.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         delay = max(0.001, float(poll))
         poll_cap = max(delay, float(poll_cap))
         while True:
+            hold = min(self.timeout / 2.0, KEEPALIVE_S)
+            if deadline is not None:
+                hold = min(hold, max(0.0, deadline - time.monotonic()))
+            asked = time.monotonic()
             # The deadline rides into the transport layer: a transient
             # refusal (429 burst, draining daemon) mid-wait retries with
             # sleeps clamped to the remaining budget instead of honouring a
             # Retry-After hint that outlives the wait itself.
             try:
-                record = self._request("GET", f"/runs/{run_id}",
+                record = self._request("GET", f"/runs/{run_id}?wait={hold}",
                                        deadline=deadline)
             except ServeError as exc:
                 if (exc.status in _TRANSIENT_STATUSES and deadline is not None
@@ -376,6 +386,8 @@ class ServeClient:
                 return self.decode_outcome(payload)
             if deadline is not None and time.monotonic() > deadline:
                 raise ServeTimeout(run_id, str(record["status"]), timeout)
+            if hold > 0.0 and time.monotonic() - asked >= hold:
+                continue  # the daemon held the full hold: ask again at once
             sleep = delay
             if deadline is not None:
                 sleep = min(sleep, max(0.0, deadline - time.monotonic()))

@@ -16,6 +16,10 @@ the table by ``tests/test_http.py``)::
                                   "checkpoint_every", "trace"]; answers 202
     GET  /v1/runs                 all run records
     GET  /v1/runs/<id>            one run record (status, attempts, pid, ...)
+                                  ("?wait=S" holds the answer until the run
+                                  is done/failed, S (clamped to 10 s)
+                                  expires or the daemon stops; a daemon
+                                  that predates it answers at once)
     GET  /v1/runs/<id>/result     final outcome JSON (409 while pending)
     GET  /v1/runs/<id>/events     NDJSON stream: status + checkpoint events,
                                   terminated by a "done"/"failed" event
@@ -37,6 +41,7 @@ verb 405, a malformed body or query 400, anything unmapped 500.
 from __future__ import annotations
 
 import json
+import math
 import signal
 import threading
 from functools import partial
@@ -271,6 +276,18 @@ class _Handler(BaseHTTPRequestHandler):
         # Stop from a helper thread, once answered: this thread must finish
         # its response, and closing the socket waits for the serve loop.
         threading.Thread(target=stop, daemon=True).start()
+
+    def _reply_status(self, run_id: str) -> None:
+        query = parse_qs(urlparse(self.path).query)
+        if "wait" not in query:  # plain call: applications may lack ``wait``
+            return self._send_json(self.app.status(run_id))
+        try:
+            wait = float(query["wait"][0])
+        except ValueError as exc:
+            raise ServerError(400, f"'wait' must be a number: {exc}") from exc
+        if not (math.isfinite(wait) and wait >= 0.0):
+            raise ServerError(400, "'wait' must be a finite number >= 0")
+        self._send_json(self.app.status(run_id, wait=wait))
 
     def _reply_iter_events(self, run_id: str) -> None:
         query = parse_qs(urlparse(self.path).query)

@@ -108,9 +108,10 @@ DEFAULT_PORT = 8642
 #: Poll cadence of the event stream and of drain waits, seconds.
 _POLL_S = 0.05
 
-#: Keepalive cadence of a quiet event stream, seconds — must stay well under
-#: any sane client socket timeout so silent runs don't look like dead daemons.
-_KEEPALIVE_S = 10.0
+#: Keepalive cadence of a quiet event stream, and the longest hold of a
+#: ``GET /v1/runs/<id>?wait=S``, seconds — must stay well under any sane
+#: client socket timeout so silent runs don't look like dead daemons.
+KEEPALIVE_S = 10.0
 
 #: How many times a run's pool may break (a worker death, possibly caused by
 #: a *different* run sharing the pool) before the breaks start counting
@@ -1340,11 +1341,32 @@ class ScenarioServer:
     # ------------------------------------------------------------------
     # Introspection (thread-safe snapshots)
     # ------------------------------------------------------------------
-    def status(self, run_id: str) -> Dict[str, Any]:
+    def status(self, run_id: str,
+               wait: Optional[float] = None) -> Dict[str, Any]:
+        """One run record; ``wait`` (``GET /v1/runs/<id>?wait=S``) holds the
+        answer until the run settles, the hold (clamped to
+        :data:`KEEPALIVE_S`) expires, or the daemon stops — so a waiting
+        client learns of the settle at once.  Unknown ids and runs known
+        only from disk answer at once."""
+        held_since = time.monotonic()
+        deadline = held_since + min(max(float(wait or 0.0), 0.0), KEEPALIVE_S)
         with self._wake:
-            record = self._records.get(run_id)
-            if record is not None:
-                return record.to_dict()
+            while True:
+                record = self._records.get(run_id)
+                remaining = deadline - time.monotonic()
+                if (record is None or record.status in FINISHED
+                        or self._stopping or remaining <= 0.0):
+                    break
+                # Every settle, requeue and stop() notifies this condition.
+                self._wake.wait(timeout=remaining)
+            snapshot = None if record is None else record.to_dict()
+        if snapshot is not None:
+            if wait is not None:
+                telemetry.observe("repro_serve_status_hold_seconds",
+                                  time.monotonic() - held_since,
+                                  "GET /v1/runs/<id>?wait: time the request "
+                                  "was held")
+            return snapshot
         # A run finished by a previous daemon incarnation: serve it from disk.
         outcome = self._load_outcome(run_id)
         if outcome is None:
@@ -1509,11 +1531,13 @@ class ScenarioServer:
         """Yield status + checkpoint events until the run finishes.
 
         Checkpoint events surface from the store (the workers write snapshots
-        straight to disk); the final event embeds the persisted outcome, so a
-        streaming client needs no second round-trip.  Quiet stretches (a run
-        queued behind others, or stepping between checkpoints) emit periodic
-        ``ping`` events so client socket timeouts don't mistake a silent
-        healthy stream for a dead daemon.
+        straight to disk) every ``poll`` seconds; status changes, and the
+        final event, land as soon as the run settles.  The final event
+        embeds the persisted outcome, so a streaming client needs no second
+        round-trip.  Quiet stretches (a run queued behind others, or
+        stepping between checkpoints) emit periodic ``ping`` events so
+        client socket timeouts don't mistake a silent healthy stream for a
+        dead daemon.
         """
         record = self.status(run_id)  # 404s early for unknown ids
         scenario = record["scenario"]
@@ -1538,10 +1562,15 @@ class ScenarioServer:
                 yield {"event": record["status"], "run_id": run_id,
                        "outcome": self.result(run_id)}
                 return
-            if time.monotonic() - last_emit > _KEEPALIVE_S:
+            if time.monotonic() - last_emit > KEEPALIVE_S:
                 last_emit = time.monotonic()
                 yield {"event": "ping", "run_id": run_id}
-            time.sleep(poll)
+            # Checkpoints surface at the poll cadence, a settle at once: the
+            # wait is skipped when the status moved since it was read.
+            with self._wake:
+                live = self._records.get(run_id)
+                if live is not None and live.status == last_status:
+                    self._wake.wait(timeout=poll)
 
     # ------------------------------------------------------------------
     # Lifecycle

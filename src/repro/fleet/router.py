@@ -326,15 +326,20 @@ class FleetRouter:
     # ------------------------------------------------------------------
     # Run routing: status / result / events
     # ------------------------------------------------------------------
-    def _locate(self, run_id: str,
+    def _locate(self, run_id: str, wait: Optional[float] = None,
                 ) -> Optional[Tuple[_MemberKey, Dict[str, Any]]]:
         """(member key, run record) of whichever member answers for the run.
 
         The cached owner is asked first; on a miss every live member is
         tried — after a steal the *new* owner answers, and the cache is
         rewritten.  None means no live member knows the run (dead owner,
-        not yet adopted — the shared-store fallbacks take over).
+        not yet adopted — the shared-store fallbacks take over).  ``wait``
+        rides along as the member's ``?wait=`` hold (members that do not
+        own the run 404 at once), kept under half the member socket timeout.
         """
+        path = f"/runs/{run_id}"
+        if wait is not None:
+            path += f"?wait={min(wait, self.member_timeout / 2.0)}"
         with self._lock:
             cached = self._owners.get(run_id)
         keys: List[_MemberKey] = []
@@ -346,9 +351,7 @@ class FleetRouter:
                 keys.append(key)
         for key in keys:
             try:
-                record = self._client(key).request(
-                    "GET", f"/runs/{run_id}"
-                )
+                record = self._client(key).request("GET", path)
             except ServeUnavailable:
                 self._quarantine(key)
                 continue
@@ -363,8 +366,9 @@ class FleetRouter:
             self._owners.pop(run_id, None)
         return None
 
-    def status(self, run_id: str) -> Dict[str, Any]:
-        located = self._locate(run_id)
+    def status(self, run_id: str,
+               wait: Optional[float] = None) -> Dict[str, Any]:
+        located = self._locate(run_id, wait)
         if located is not None:
             return located[1]
         # Shared-store fallbacks: the run may be finished (result persisted

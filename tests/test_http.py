@@ -369,3 +369,24 @@ def test_readme_route_table_is_the_route_table():
                             flags=re.MULTILINE)
     assert sorted(documented) == sorted(
         (API_PREFIX + pattern, method) for method, pattern, _ in ROUTES)
+
+
+# ----------------------------------------------------------------------
+# The status hold: GET /v1/runs/<id>?wait=S
+# ----------------------------------------------------------------------
+class TestStatusHold:
+    def test_wait_reaches_status_as_a_keyword(self, app):
+        status, reply = ask_json(app.port, "GET", "/v1/runs/r-1?wait=0.5")
+        assert (status, reply) == (200, {"called": "status"})
+        assert app.calls == [("status", ("r-1",), {"wait": 0.5})]
+
+    def test_no_query_leaves_the_plain_call(self, app):
+        status, reply = ask_json(app.port, "GET", "/v1/runs/r-1")
+        assert (status, reply) == (200, {"called": "status"})
+        assert app.calls == [("status", ("r-1",), {})]
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "nan", "inf"])
+    def test_bad_wait_is_400(self, app, value):
+        status, reply = ask_json(app.port, "GET", f"/v1/runs/r-1?wait={value}")
+        assert status == 400 and "'wait'" in reply["error"]
+        assert app.calls == []
