@@ -6,8 +6,8 @@ this benchmark times the retained references against the production paths for
 
 * the neighbour-list build (dict-of-cells Python loop vs the sorted-cell
   offset-array sweep),
-* repeated ``propagate_exact`` calls at fixed ``(dt, A)`` (per-call phase
-  rebuild vs the workspace phase cache), and
+* repeated ``propagate_exact`` calls at fixed ``(dt, A)`` (per-call 3-D
+  phase and two FFTs vs the cached per-axis operators), and
 * the stencil Laplacian (per-term ``np.roll`` copies vs the fused in-place
   engine),
 * the batched local-mode step (M serial ``LocalModeLattice.step`` loops vs
@@ -87,7 +87,7 @@ def _bench_propagate_exact() -> dict:
     wavefunctions = WaveFunctions.random(grid, N_ORBITALS, rng)
     propagator = KineticPropagator(grid, dt=DT, workspace=KernelWorkspace())
     a_vec = np.array([0.3, 0.0, 0.0])
-    propagator.propagate_exact(wavefunctions.psi, a_vec)  # prime the phase cache
+    propagator.propagate_exact(wavefunctions.psi, a_vec)  # prime the operator cache
     old = _best_of(lambda: propagator.propagate_exact_reference(wavefunctions.psi, a_vec), 5)
     new = _best_of(lambda: propagator.propagate_exact(wavefunctions.psi, a_vec), 5)
     return {

@@ -13,6 +13,14 @@ The electronic sub-cycling is organised exactly like Eq. (2): the Maxwell
 field and the atomic positions are frozen over N_QD electronic steps, then the
 field is advanced with the accumulated current and the surface-hopping /
 occupation bookkeeping runs at the boundary.
+
+The domains do not interact between exchanges, so they are advanced together:
+their orbitals live in one ``(D, n_orb, nx, ny, nz)`` array (each engine's
+``wavefunctions.psi`` is a view of its slice) and every exchange makes one
+:func:`~repro.qd.tddft.propagate_domains` call for all D domains — one set of
+kinetic matrix products with per-domain ``(D, 1, n, n)`` operators, one
+Hartree/xc FFT, one current evaluation.  The result is bit-identical to
+stepping the domains one by one.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ import numpy as np
 from repro.maxwell.coupling import MaxwellCoupler
 from repro.maxwell.pulses import LaserPulse
 from repro.perf.timers import TimerRegistry
-from repro.qd.tddft import RealTimeTDDFT
+from repro.qd.tddft import RealTimeTDDFT, propagate_domains
 from repro.utils.validation import validate_run_args
 
 
@@ -84,6 +92,16 @@ class DCMESHSimulation:
         if len(dts) != 1:
             raise ValueError("all domain engines must share the same QD time step")
         self._qd_dt = dts.pop()
+        first = self.domain_engines[0]
+        for engine in self.domain_engines[1:]:
+            if (engine.wavefunctions.grid != first.wavefunctions.grid
+                    or engine.wavefunctions.psi.shape != first.wavefunctions.psi.shape
+                    or engine.update_potentials_every
+                    != first.update_potentials_every):
+                raise ValueError(
+                    "all domain engines must share one grid, orbital count "
+                    "and update_potentials_every"
+                )
         # The Maxwell step spans one exchange period.
         expected_maxwell_dt = self._qd_dt * self.qd_steps_per_exchange
         if abs(self.coupler.solver.dt - expected_maxwell_dt) > 1e-9:
@@ -94,6 +112,8 @@ class DCMESHSimulation:
         self._source = self.coupler.solver.inject_pulse(self.pulse)
         self._polarization = np.asarray(self.pulse.polarization, dtype=float)
         self._sampled_a = np.zeros(self.coupler.num_domains)
+        self._stack: Optional[np.ndarray] = None
+        self._stack_views: tuple = ()
         # Wire each engine's field callback to its sampled macroscopic A value.
         for i, engine in enumerate(self.domain_engines):
             engine.field_callback = self._make_field_callback(i)
@@ -128,17 +148,33 @@ class DCMESHSimulation:
             [engine.occupations.excitation_number() for engine in self.domain_engines]
         )
 
+    def _orbital_stack(self) -> np.ndarray:
+        """The ``(D, n_orb, nx, ny, nz)`` array holding every domain's orbitals.
+
+        Built on first use and rebuilt whenever some engine's ``psi`` is no
+        longer its view (another simulation stacked the same engines, or a
+        caller rebound it); each engine's ``wavefunctions.psi`` is then
+        rebound to its slice.
+        """
+        engines = self.domain_engines
+        if len(self._stack_views) != len(engines) or any(
+                engine.wavefunctions.psi is not view
+                for engine, view in zip(engines, self._stack_views)):
+            self._stack = np.stack([engine.wavefunctions.psi for engine in engines])
+            self._stack_views = tuple(self._stack)
+            for engine, view in zip(engines, self._stack_views):
+                engine.wavefunctions.psi = view
+        return self._stack
+
     def _domain_currents(self) -> np.ndarray:
         """Scalar (polarisation-projected) cell-averaged currents per domain."""
-        currents = np.zeros(self.num_domains)
-        for i, engine in enumerate(self.domain_engines):
-            j_vec = engine.hamiltonian.current_density_average(
-                engine.wavefunctions.psi,
-                engine.occupations.electrons_per_orbital(),
-                self._sampled_a[i] * self._polarization,
-            )
-            currents[i] = float(np.dot(j_vec, self._polarization))
-        return currents
+        engines = self.domain_engines
+        j_vecs = engines[0].hamiltonian.current_density_average(
+            self._orbital_stack(),
+            np.stack([engine.occupations.electrons_per_orbital() for engine in engines]),
+            self._sampled_a[:, None] * self._polarization,
+        )
+        return np.array([np.dot(j_vec, self._polarization) for j_vec in j_vecs])
 
     # ------------------------------------------------------------------
     # Checkpoint support
@@ -177,8 +213,8 @@ class DCMESHSimulation:
         A(X_alpha) values.
         """
         with self.timers.measure("lfd"):
-            for engine in self.domain_engines:
-                engine.step(self.qd_steps_per_exchange)
+            propagate_domains(self.domain_engines, self._orbital_stack(),
+                              self.qd_steps_per_exchange)
         with self.timers.measure("maxwell"):
             currents = self._domain_currents()
             self._sampled_a = self.coupler.step(

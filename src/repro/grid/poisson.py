@@ -8,9 +8,25 @@ returned potential has zero average.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.grid.grid3d import Grid3D
+
+
+@lru_cache(maxsize=16)
+def _coulomb_green(grid: Grid3D) -> np.ndarray:
+    """``4 pi / k^2`` on the grid with the k = 0 term zeroed (read-only).
+
+    Built once per grid and shared by every Poisson solve on it.
+    """
+    k2 = grid.k_squared()
+    green = np.zeros_like(k2)
+    nonzero = k2 > 1e-12
+    green[nonzero] = 4.0 * np.pi / k2[nonzero]
+    green.setflags(write=False)
+    return green
 
 
 def solve_poisson_fft(density: np.ndarray, grid: Grid3D) -> np.ndarray:
@@ -21,25 +37,22 @@ def solve_poisson_fft(density: np.ndarray, grid: Grid3D) -> np.ndarray:
     density:
         Real charge density on the grid (electrons are positive density here;
         the sign convention is V_H(r) = \\int rho(r') / |r - r'| d^3r').
+        Leading axes, if any, stack independent densities: ``(..., nx, ny,
+        nz)`` is solved slice by slice in one FFT over the last three axes.
     grid:
         The grid the density lives on.
 
     Returns
     -------
     ndarray
-        Real Hartree potential with zero mean.
+        Real Hartree potential with zero mean, shaped like ``density``.
     """
     density = np.asarray(density, dtype=np.float64)
-    if density.shape != grid.shape:
+    if density.shape[-3:] != grid.shape:
         raise ValueError(f"density shape {density.shape} != grid shape {grid.shape}")
-    rho_k = np.fft.fftn(density)
-    k2 = grid.k_squared()
-    green = np.zeros_like(k2)
-    nonzero = k2 > 1e-12
-    green[nonzero] = 4.0 * np.pi / k2[nonzero]
-    v_k = rho_k * green
-    potential = np.real(np.fft.ifftn(v_k))
-    return potential
+    axes = (-3, -2, -1)
+    v_k = np.fft.fftn(density, axes=axes) * _coulomb_green(grid)
+    return np.real(np.fft.ifftn(v_k, axes=axes))
 
 
 def coulomb_energy(density: np.ndarray, grid: Grid3D) -> float:

@@ -1,16 +1,19 @@
-"""Reusable kernel workspaces: cached phases, scratch buffers, stencil plans
-and ground states.
+"""Reusable kernel workspaces: cached kinetic operators, scratch buffers,
+stencil plans and ground states.
 
 The paper's kin_prop optimisation ladder (Table III) and its neighbour-list
 memory analysis (Sec. V.B.9) both boil down to the same observation: the hot
 kernels spend a large share of their time re-computing step-invariant data and
 re-allocating large temporaries.  This module centralises that state:
 
-* **Kinetic phase cache** — ``exp(-i dt (k + A/c)^2 / 2)`` depends only on the
-  grid, the time step and the (uniform) vector potential.  Inside one DC
-  domain ``(dt, A)`` is fixed for a whole step (paper Eq. 3), so the phase is
-  computed once and replayed from an LRU cache on every subsequent
-  ``propagate_exact`` call.
+* **Kinetic operator cache** — ``exp(-i dt (k + A/c)^2 / 2)`` depends only on
+  the grid, the time step and the (uniform) vector potential, and because
+  ``(k + A/c)^2`` is a sum of per-axis terms it factors into three small
+  dense matrices ``U_x (x) U_y (x) U_z`` (one ``n_i x n_i`` unitary per
+  axis).  Inside one DC domain ``(dt, A)`` is fixed for a whole step (paper
+  Eq. 3), so the triple is built once and replayed from an LRU cache on every
+  subsequent ``propagate_exact`` call; the per-axis DFT matrices it is built
+  from are cached per ``(n_i, L_i)``, so even a miss is a few microseconds.
 * **Scratch buffers** — named, shape/dtype-keyed arrays that kernels reuse
   across calls instead of allocating fresh temporaries per sweep (the
   structure-of-arrays reuse of Sec. V.B.2-3).
@@ -30,11 +33,11 @@ accept an explicit workspace for callers that want isolated caches.
 Thread-safety contract
 ----------------------
 The workspace is safe to share between threads (the ``backend="thread"``
-worker pools hand every thread the same instance so phase/plan caches are
+worker pools hand every thread the same instance so operator/plan caches are
 amortised across the whole pool):
 
-* The phase, plan and ground-state caches have a **lock-free read path** —
-  lookups touch the underlying dict with single (GIL-atomic) operations and
+* The operator, plan and ground-state caches have a **lock-free read path**
+  — lookups touch the underlying dict with single (GIL-atomic) operations and
   never block; only insertions take the cache lock.  Cached arrays are
   immutable (read-only flags), so a value observed by any thread is always
   fully built.
@@ -166,8 +169,8 @@ class KernelWorkspace:
     Parameters
     ----------
     max_phase_entries:
-        LRU capacity of the kinetic-phase cache (one entry per distinct
-        ``(grid, dt, A)`` combination).
+        LRU capacity of the kinetic-operator cache (one ``(U_x, U_y, U_z)``
+        entry per distinct ``(grid, dt, A)`` combination).
     max_scratch_entries:
         LRU capacity of each scratch-buffer pool (one entry per distinct
         ``(tag, shape, dtype)``); every thread gets its own pool, which
@@ -182,61 +185,77 @@ class KernelWorkspace:
         self._scratch_lock = threading.Lock()
         self._plans: dict = {}
         self._plan_lock = threading.Lock()
+        self._dft: dict = {}
+        self._dft_lock = threading.Lock()
         self._ground_states = LRUCache(GROUND_STATE_ENTRIES)
 
     # ------------------------------------------------------------------
-    # Kinetic phase cache
+    # Kinetic operator cache
     # ------------------------------------------------------------------
-    @staticmethod
-    def kinetic_energy_grid(grid, vector_potential: Optional[np.ndarray] = None) -> np.ndarray:
-        """``(k + A/c)^2 / 2`` on the full grid (uncached helper)."""
-        kx, ky, kz = grid.kvectors()
-        if vector_potential is None:
-            a = np.zeros(3)
-        else:
-            a = np.asarray(vector_potential, dtype=float).reshape(3)
-        kin = (
-            (kx[:, None, None] + a[0] / SPEED_OF_LIGHT_AU) ** 2
-            + (ky[None, :, None] + a[1] / SPEED_OF_LIGHT_AU) ** 2
-            + (kz[None, None, :] + a[2] / SPEED_OF_LIGHT_AU) ** 2
-        )
-        return 0.5 * kin
+    def _dft_basis(self, n: int, length: float):
+        """``(k, F, F^-1)`` of one axis: its angular wave vectors, its DFT
+        matrix and the inverse DFT matrix."""
+        key = (int(n), float(length))
+        basis = self._dft.get(key)
+        if basis is None:
+            k = 2.0 * np.pi * np.fft.fftfreq(key[0], d=key[1] / key[0])
+            dft = np.fft.fft(np.eye(key[0]), axis=0)
+            inverse = dft.conj().T / key[0]
+            for array in (k, dft, inverse):
+                array.setflags(write=False)
+            with self._dft_lock:
+                basis = self._dft.setdefault(key, (k, dft, inverse))
+        return basis
 
-    def kinetic_phase(self, grid, dt: float,
-                      vector_potential: Optional[np.ndarray] = None) -> np.ndarray:
-        """Cached ``exp(-i dt (k + A/c)^2 / 2)`` for a uniform vector potential.
+    def _build_kinetic_operators(self, grid, dt: float, a: np.ndarray):
+        operators = []
+        for n, length, a_i in zip(grid.shape, grid.lengths, a):
+            k, dft, inverse = self._dft_basis(n, length)
+            phase = np.exp(-0.5j * dt * (k + a_i / SPEED_OF_LIGHT_AU) ** 2)
+            operator = (inverse * phase) @ dft
+            operator.setflags(write=False)
+            operators.append(operator)
+        return tuple(operators)
 
-        The returned array is marked read-only: it is shared between every
-        caller (and every thread) that hits the same ``(grid, dt, A)`` key.
+    def kinetic_operators(self, grid, dt: float,
+                          vector_potential: Optional[np.ndarray] = None,
+                          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cached per-axis factors ``(U_x, U_y, U_z)`` of ``exp(-i dt T(A))``.
+
+        ``(k + A/c)^2`` is a sum of per-axis terms, so for a uniform vector
+        potential the kinetic propagator is ``U_x (x) U_y (x) U_z`` with
+        ``U_i = F_i^-1 diag(exp(-i dt (k_i + A_i/c)^2 / 2)) F_i`` an
+        ``n_i x n_i`` unitary matrix.  The returned matrices are read-only:
+        they are shared between every caller (and every thread) that hits the
+        same ``(grid, dt, A)`` key.  A miss costs three length-``n_i``
+        exponentials and three small matrix products.
         """
         if vector_potential is None:
+            a = np.zeros(3)
             a_key = None
         else:
             a = np.asarray(vector_potential, dtype=float).reshape(3)
             a_key = (float(a[0]), float(a[1]), float(a[2]))
         key = (grid.shape, grid.lengths, float(dt), a_key)
-        phase = self._phases.get(key)
-        if phase is None:
+        operators = self._phases.get(key)
+        if operators is None:
             if _telemetry.enabled():
                 t0 = _time.perf_counter()
-                kinetic = self.kinetic_energy_grid(grid, vector_potential)
-                phase = np.exp(-1j * float(dt) * kinetic)
+                operators = self._build_kinetic_operators(grid, float(dt), a)
                 _telemetry.observe(
                     "repro_workspace_phase_build_seconds",
                     _time.perf_counter() - t0,
-                    "kinetic phase built on a cache miss",
+                    "kinetic operators built on a cache miss",
                 )
                 _telemetry.incr("repro_workspace_phase_misses_total", 1,
-                                "kinetic phase cache misses")
+                                "kinetic operator cache misses")
             else:
-                kinetic = self.kinetic_energy_grid(grid, vector_potential)
-                phase = np.exp(-1j * float(dt) * kinetic)
-            phase.setflags(write=False)
-            self._phases.put(key, phase)
+                operators = self._build_kinetic_operators(grid, float(dt), a)
+            self._phases.put(key, operators)
         else:
             _telemetry.incr("repro_workspace_phase_hits_total", 1,
-                            "kinetic phase cache hits")
-        return phase
+                            "kinetic operator cache hits")
+        return operators
 
     # ------------------------------------------------------------------
     # Stencil plans
@@ -306,13 +325,15 @@ class KernelWorkspace:
 
     # ------------------------------------------------------------------
     def clear(self) -> None:
-        """Drop every cached phase, plan, ground state and scratch buffer."""
+        """Drop every cached operator, plan, ground state and scratch buffer."""
         self._phases.clear()
         self._ground_states.clear()
         with self._scratch_lock:
             self._scratch_pools.clear()
         with self._plan_lock:
             self._plans.clear()
+        with self._dft_lock:
+            self._dft.clear()
 
     @property
     def stats(self) -> dict:

@@ -58,6 +58,11 @@ def gaussian_external_potential(
     return potential
 
 
+#: The fields v_loc is summed from: assigning any of them drops the cached
+#: half-step phase ``exp(-i dt/2 v_loc)``.
+_V_LOC_FIELDS = frozenset({"external_potential", "hartree", "xc_potential"})
+
+
 @dataclass
 class LocalHamiltonian:
     """The local Kohn-Sham potential plus kinetic/nonlocal application helpers.
@@ -93,6 +98,14 @@ class LocalHamiltonian:
         self._dsa = DSAHartreeSolver(self.grid) if self.use_dsa_hartree else None
         self._k2 = self.grid.k_squared()
         self._kvecs = self.grid.kvectors()
+        self._half_phase = None
+
+    def __setattr__(self, name: str, value) -> None:
+        # Every writer of v_loc (update_potentials, load_potentials_state, the
+        # MESH ions moving v_ext) assigns one of these fields.
+        if name in _V_LOC_FIELDS:
+            object.__setattr__(self, "_half_phase", None)
+        object.__setattr__(self, name, value)
 
     # ------------------------------------------------------------------
     # Potential updates
@@ -102,15 +115,24 @@ class LocalHamiltonian:
         density = np.asarray(density, dtype=float)
         if density.shape != self.grid.shape:
             raise ValueError("density must live on the grid")
-        if self._dsa is not None:
-            self.hartree = self._dsa.solve(density, initial_guess=self.hartree)
-        else:
-            self.hartree = hartree_potential(density, self.grid)
-        self._xc_energy_density, self.xc_potential = lda_exchange_correlation(density)
+        update_potentials_stacked([self], density[None])
 
     def local_potential(self) -> np.ndarray:
         """v_loc = v_ext + v_H + v_xc on the grid."""
         return self.external_potential + self.hartree + self.xc_potential
+
+    def half_step_phase(self, dt: float) -> np.ndarray:
+        """``exp(-i dt/2 v_loc)``, the split-operator local half step.
+
+        Built once per change of v_loc (and of ``dt``) and replayed between
+        changes; the returned array is read-only.
+        """
+        cached = self._half_phase
+        if cached is None or cached[0] != dt:
+            phase = np.exp(-0.5j * dt * self.local_potential())
+            phase.setflags(write=False)
+            cached = self._half_phase = (dt, phase)
+        return cached[1]
 
     # ------------------------------------------------------------------
     # Checkpoint support
@@ -241,23 +263,58 @@ class LocalHamiltonian:
         domain returns to the Maxwell solver (within TDCDFT the nonlocal
         correction to the current is handled by the same GEMMified machinery;
         here the dominant paramagnetic + diamagnetic terms are included).
+
+        A stack of D domains on this grid is evaluated in one call: ``psi``
+        ``(D, n_orb, nx, ny, nz)``, ``occupations`` ``(D, n_orb)`` and
+        ``vector_potential`` ``(D, 3)`` give a ``(D, 3)`` result whose rows
+        equal one call per domain.
         """
         psi = np.asarray(psi, dtype=np.complex128)
         if psi.ndim == 3:
             psi = psi[None]
         occupations = np.asarray(occupations, dtype=float)
         kx, ky, kz = self._kvecs
-        psi_k = np.fft.fftn(psi, axes=(1, 2, 3))
+        axes = (-3, -2, -1)
+        psi_k = np.fft.fftn(psi, axes=axes)
         weights = np.abs(psi_k) ** 2
         # Momentum expectation values per orbital; FFT normalisation cancels in
         # the ratio with the norm computed in k space.
-        norms = np.sum(weights, axis=(1, 2, 3))
-        px = np.sum(weights * kx[None, :, None, None], axis=(1, 2, 3)) / norms
-        py = np.sum(weights * ky[None, None, :, None], axis=(1, 2, 3)) / norms
-        pz = np.sum(weights * kz[None, None, None, :], axis=(1, 2, 3)) / norms
-        momentum = np.stack([px, py, pz], axis=1)
+        norms = np.sum(weights, axis=axes)
+        px = np.sum(weights * kx[:, None, None], axis=axes) / norms
+        py = np.sum(weights * ky[:, None], axis=axes) / norms
+        pz = np.sum(weights * kz, axis=axes) / norms
+        momentum = np.stack([px, py, pz], axis=-1)
         if vector_potential is not None:
-            a = np.asarray(vector_potential, dtype=float).reshape(3)
-            momentum = momentum + a[None, :] / SPEED_OF_LIGHT_AU
-        total = np.einsum("s,sk->k", occupations, momentum)
+            a = np.asarray(vector_potential, dtype=float).reshape(*psi.shape[:-4], 3)
+            momentum = momentum + a[..., None, :] / SPEED_OF_LIGHT_AU
+        total = np.einsum("...s,...sk->...k", occupations, momentum)
         return -total / self.grid.volume
+
+
+def update_potentials_stacked(hamiltonians: Sequence[LocalHamiltonian],
+                              densities: np.ndarray) -> None:
+    """Recompute Hartree and xc potentials of D Hamiltonians on one grid.
+
+    ``densities`` is ``(D, nx, ny, nz)``, one density per Hamiltonian.  The
+    FFT Hartree solve and the LDA run once over the whole stack; both act on
+    each slice independently, so slice ``d`` gets exactly the potentials a
+    solve of ``densities[d]`` alone would give.  Hamiltonians using the DSA
+    solver are warm-started one by one.
+    """
+    grid = hamiltonians[0].grid
+    densities = np.asarray(densities, dtype=float)
+    if densities.shape != (len(hamiltonians), *grid.shape):
+        raise ValueError("densities must stack one density per Hamiltonian")
+    if any(h.grid != grid for h in hamiltonians[1:]):
+        raise ValueError("stacked Hamiltonians must share one grid")
+    hartree = None
+    if any(h._dsa is None for h in hamiltonians):
+        hartree = hartree_potential(densities, grid)
+    energy_density, potential = lda_exchange_correlation(densities)
+    for d, h in enumerate(hamiltonians):
+        if h._dsa is not None:
+            h.hartree = h._dsa.solve(densities[d], initial_guess=h.hartree)
+        else:
+            h.hartree = hartree[d]
+        h._xc_energy_density = energy_density[d]
+        h.xc_potential = potential[d]

@@ -62,6 +62,7 @@ class NonlocalCorrection:
         # Psi(0) as an (N_grid, N_orb) matrix, kept contiguous: this is the
         # GPU-resident array of Sec. V.B.6 (allocated once, reused every step).
         self._psi0 = np.ascontiguousarray(self.reference.as_matrix())
+        self._psi0_adjoint = self._psi0.conj().T
         self._dv = self.reference.grid.dv
 
     @property
@@ -81,7 +82,7 @@ class NonlocalCorrection:
             raise ValueError(
                 f"psi_t must have shape {self._psi0.shape}, got {psi_t.shape}"
             )
-        return self._engine(self._psi0.conj().T, psi_t) * self._dv
+        return self._engine(self._psi0_adjoint, psi_t) * self._dv
 
     def apply_matrix(self, psi_t: np.ndarray) -> np.ndarray:
         """Apply the full correction to an (N_grid x N_orb) matrix, Eq. (5)."""
@@ -91,11 +92,15 @@ class NonlocalCorrection:
         return psi_t - self.delta * correction
 
     def apply(self, wavefunctions: WaveFunctions) -> WaveFunctions:
-        """Apply the correction to a :class:`WaveFunctions` block in place."""
+        """Apply the correction to a :class:`WaveFunctions` block in place.
+
+        The corrected orbitals are written into the existing ``psi`` array,
+        so views of it (a DC-MESH domain stack) see the update.
+        """
         psi_matrix = wavefunctions.as_matrix()
         corrected = self.apply_matrix(np.ascontiguousarray(psi_matrix))
-        wavefunctions.psi = np.ascontiguousarray(
-            corrected.T.reshape(wavefunctions.n_orbitals, *wavefunctions.grid.shape)
+        wavefunctions.psi[...] = corrected.T.reshape(
+            wavefunctions.n_orbitals, *wavefunctions.grid.shape
         )
         return wavefunctions
 

@@ -111,13 +111,19 @@ class OccupationState:
         self.occupations[target] += transferable
 
     def set_occupations(self, new_occupations: np.ndarray) -> None:
-        """Replace the occupation vector (keeping the reference filling)."""
-        occ = ensure_array(new_occupations, dtype=float, ndim=1, name="occupations")
+        """Replace the occupation vector (keeping the reference filling).
+
+        Entries may overshoot [0, 1] by 1e-9 (they are clipped back); the
+        distance to the clipped vector is the range check, and it also
+        rejects NaN and infinities.
+        """
+        occ = np.asarray(new_occupations, dtype=float)
         if occ.shape != self.occupations.shape:
             raise ValueError("occupation vector size cannot change")
-        if np.any(occ < -1e-9) or np.any(occ > 1.0 + 1e-9):
+        clipped = occ.clip(0.0, 1.0)
+        if not np.abs(occ - clipped).max(initial=0.0) <= 1e-9:
             raise ValueError("occupations must lie in [0, 1]")
-        self.occupations = np.clip(occ, 0.0, 1.0)
+        self.occupations = clipped
 
     def reset_reference(self) -> None:
         """Take the current occupations as the new ground-state reference."""

@@ -13,6 +13,13 @@ anchor X_alpha by the Maxwell coupler) and is refreshed every QD step, while
 the atomic positions — and hence v_ext — are refreshed only once per MD step
 by the QXMD side (the shadow-dynamics split of Sec. V.A.3-4).
 
+The step is one kernel over a leading domain axis
+(:func:`propagate_domains`): a lone :class:`RealTimeTDDFT` calls it with one
+domain, and DC-MESH calls it once per exchange for all of its domains, whose
+orbitals it holds as one ``(D, n_orb, nx, ny, nz)`` array.  The kinetic step
+applies cached per-axis operators (no FFT), and the local half-step phase is
+rebuilt only when v_loc changes.
+
 The driver records the time series of dipole moment, cell-averaged current,
 occupation-resolved excitation numbers, and total energy, which is everything
 the analysis module needs for absorption spectra and everything XS-NNQMD needs
@@ -21,15 +28,16 @@ for the excitation feedback.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.perf.timers import TimerRegistry
 from repro.perf.workspace import KernelWorkspace
-from repro.qd.hamiltonian import LocalHamiltonian
-from repro.qd.kin_prop import KineticPropagator
+from repro.qd.hamiltonian import LocalHamiltonian, update_potentials_stacked
+from repro.qd.kin_prop import KineticPropagator, apply_kinetic_operators
 from repro.qd.nlp_prop import NonlocalCorrection
 from repro.qd.occupations import OccupationState
 from repro.qd.wavefunctions import WaveFunctions
@@ -56,6 +64,82 @@ class TDDFTResult:
             "excitation": self.excitation,
             "norms": self.norms,
         }
+
+
+def _untimed(_name: str):
+    return nullcontext()
+
+
+def propagate_domains(engines: Sequence["RealTimeTDDFT"], psi: np.ndarray,
+                      steps: int, timers: Optional[TimerRegistry] = None) -> None:
+    """Advance D same-shape domains by ``steps`` QD steps as one kernel.
+
+    ``psi`` is the C-contiguous ``(D, n_orb, nx, ny, nz)`` orbital stack whose
+    slice ``d`` is ``engines[d].wavefunctions.psi``; it is updated in place.
+    The engines must share grid, orbital count, ``dt`` and
+    ``update_potentials_every``; their fields, potentials, occupations,
+    scissors and projectors stay their own.  Each step:
+
+    1. ``exp(-i dt/2 v_loc)`` per domain (rebuilt only when v_loc changed);
+    2. the kinetic step for the whole stack: three matrix products with the
+       per-axis operators of each domain's A (one ``(D, 1, n, n)`` stack
+       when the domains' A differ);
+    3. the second local half step, then each domain's scissors correction
+       and nonlocal projectors, applied slice by slice;
+    4. every ``update_potentials_every`` steps, the Hartree/xc update of all
+       domains in one FFT and one LDA sweep;
+    5. each domain's occupation relaxation.
+
+    Every stacked operation acts on each slice independently, so a stacked
+    call is bit-identical to one call per domain.  ``timers`` (optional)
+    receives the per-kernel timings.
+    """
+    dt = engines[0].dt
+    every = engines[0].update_potentials_every
+    hamiltonians = [engine.hamiltonian for engine in engines]
+    measure = timers.measure if timers is not None else _untimed
+    stacked_from = stacked = None
+    for n in range(steps):
+        operators = [
+            engine._kinetic.operators(engine.vector_potential()) for engine in engines
+        ]
+        if all(ops is operators[0] for ops in operators):
+            step_operators = operators[0]
+        else:
+            # Rebuilt only when some domain's A moved (once per DC-MESH exchange).
+            if stacked_from is None or any(
+                    a is not b for a, b in zip(operators, stacked_from)):
+                stacked = tuple(np.stack(axis)[:, None] for axis in zip(*operators))
+                stacked_from = operators
+            step_operators = stacked
+        phases = [h.half_step_phase(dt) for h in hamiltonians]
+        with measure("v_loc_prop"):
+            for block, phase in zip(psi, phases):
+                block *= phase
+        with measure("kin_prop"):
+            apply_kinetic_operators(psi, step_operators, psi)
+        with measure("v_loc_prop"):
+            for block, phase in zip(psi, phases):
+                block *= phase
+        for block, engine in zip(psi, engines):
+            if engine.scissors is not None:
+                with measure("nlp_prop"):
+                    engine.scissors.apply(engine.wavefunctions)
+            projectors = engine.hamiltonian.nonlocal_pseudopotential
+            if projectors is not None:
+                with measure("vnl_prop"):
+                    block[...] = projectors.propagate(block, dt)
+            engine._time += dt
+        if (n + 1) % every == 0:
+            with measure("hartree_xc"):
+                weights = np.stack([
+                    engine.occupations.electrons_per_orbital() for engine in engines
+                ])
+                density = np.einsum("ds,dsxyz->dxyz", weights, np.abs(psi) ** 2)
+                update_potentials_stacked(hamiltonians, density)
+        for engine in engines:
+            if engine.occupation_decoherence_rate > 0.0:
+                engine._update_occupations()
 
 
 @dataclass
@@ -91,8 +175,8 @@ class RealTimeTDDFT:
     workspace:
         Optional :class:`~repro.perf.workspace.KernelWorkspace` forwarded to
         the kinetic propagator, letting a batch of engines share one cache of
-        ``exp(-i dt (k + A/c)^2 / 2)`` phases; ``None`` uses the process-wide
-        default workspace.
+        per-axis kinetic operators; ``None`` uses the process-wide default
+        workspace.
     """
 
     hamiltonian: LocalHamiltonian
@@ -115,7 +199,8 @@ class RealTimeTDDFT:
         self._kinetic = KineticPropagator(
             self.wavefunctions.grid, self.dt, workspace=self.workspace
         )
-        self._reference = self.wavefunctions.copy()
+        # Conjugated once: the occupation update projects on it every step.
+        self._reference_conj = self.wavefunctions.as_matrix().conj()
         # Make sure the potentials are consistent with the initial density.
         self.hamiltonian.update_potentials(
             self.wavefunctions.density(self.occupations.electrons_per_orbital())
@@ -132,43 +217,10 @@ class RealTimeTDDFT:
             return None
         return np.asarray(self.field_callback(self._time), dtype=float).reshape(3)
 
-    def _half_local_phase(self) -> np.ndarray:
-        v_loc = self.hamiltonian.local_potential()
-        return np.exp(-0.5j * self.dt * v_loc)
-
     # ------------------------------------------------------------------
     def step(self, steps: int = 1) -> None:
         """Advance the electronic state by ``steps`` QD steps."""
-        for n in range(steps):
-            a_vec = self.vector_potential()
-            with self.timers.measure("v_loc_prop"):
-                phase = self._half_local_phase()
-                self.wavefunctions.psi *= phase[None]
-            with self.timers.measure("kin_prop"):
-                self.wavefunctions.psi = self._kinetic.propagate_exact(
-                    self.wavefunctions.psi, a_vec
-                )
-            with self.timers.measure("v_loc_prop"):
-                self.wavefunctions.psi *= phase[None]
-            if self.scissors is not None:
-                with self.timers.measure("nlp_prop"):
-                    self.scissors.apply(self.wavefunctions)
-            if self.hamiltonian.nonlocal_pseudopotential is not None:
-                with self.timers.measure("vnl_prop"):
-                    self.wavefunctions.psi = (
-                        self.hamiltonian.nonlocal_pseudopotential.propagate(
-                            self.wavefunctions.psi, self.dt
-                        )
-                    )
-            self._time += self.dt
-            if (n + 1) % self.update_potentials_every == 0:
-                with self.timers.measure("hartree_xc"):
-                    density = self.wavefunctions.density(
-                        self.occupations.electrons_per_orbital()
-                    )
-                    self.hamiltonian.update_potentials(density)
-            if self.occupation_decoherence_rate > 0.0:
-                self._update_occupations()
+        propagate_domains([self], self.wavefunctions.psi[None], steps, self.timers)
 
     # ------------------------------------------------------------------
     # Checkpoint support
@@ -214,14 +266,14 @@ class RealTimeTDDFT:
         update of Eq. (2) without the stochastic hop (the stochastic FSSH
         machinery lives in :mod:`repro.naqmd.surface_hopping`).
         """
-        ref_matrix = self._reference.as_matrix()
-        cur_matrix = self.wavefunctions.as_matrix()
-        overlap = ref_matrix.conj().T @ cur_matrix * self.wavefunctions.grid.dv
-        survival = np.clip(np.abs(np.diag(overlap)) ** 2, 0.0, 1.0)
+        overlap = np.einsum(
+            "gi,gi->i", self._reference_conj, self.wavefunctions.as_matrix()
+        ) * self.wavefunctions.grid.dv
+        survival = (np.abs(overlap) ** 2).clip(0.0, 1.0)
         target = self.occupations._initial * survival
         rate = min(1.0, self.occupation_decoherence_rate * self.dt)
         new_occ = (1.0 - rate) * self.occupations.occupations + rate * target
-        self.occupations.set_occupations(np.clip(new_occ, 0.0, 1.0))
+        self.occupations.set_occupations(new_occ.clip(0.0, 1.0))
 
     # ------------------------------------------------------------------
     def run(self, num_steps: int, record_every: int = 1) -> TDDFTResult:

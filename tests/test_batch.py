@@ -358,19 +358,19 @@ class TestWorkspaceThreads:
             is grabbed["main"]
         assert workspace.stats["scratch_pools"] == 3
 
-    def test_concurrent_phase_reads_share_one_entry(self):
+    def test_concurrent_operator_reads_share_one_entry(self):
         from repro.grid import Grid3D
 
         workspace = KernelWorkspace()
         grid = Grid3D((8, 8, 8), (4.0, 4.0, 4.0))
-        phases = []
+        seen = []
         lock = threading.Lock()
 
         def reader():
             for _ in range(20):
-                phase = workspace.kinetic_phase(grid, 0.05)
+                operators = workspace.kinetic_operators(grid, 0.05)
                 with lock:
-                    phases.append(phase)
+                    seen.append(operators)
 
         threads = [threading.Thread(target=reader) for _ in range(4)]
         for thread in threads:
@@ -378,10 +378,12 @@ class TestWorkspaceThreads:
         for thread in threads:
             thread.join()
         assert workspace.stats["phase_entries"] == 1
-        reference = workspace.kinetic_phase(grid, 0.05)
-        assert not reference.flags.writeable
-        for phase in phases:
-            np.testing.assert_array_equal(phase, reference)
+        reference = workspace.kinetic_operators(grid, 0.05)
+        for operator in reference:
+            assert not operator.flags.writeable
+        for operators in seen:
+            for operator, expected in zip(operators, reference):
+                np.testing.assert_array_equal(operator, expected)
 
 
 # ----------------------------------------------------------------------

@@ -115,15 +115,19 @@ class TestKernelWorkspace:
         assert ws.scratch("y", (4, 4), np.float64) is not a
         assert ws.scratch("x", (4, 5), np.float64).shape == (4, 5)
 
-    def test_kinetic_phase_cached_and_read_only(self):
+    def test_kinetic_operators_cached_and_read_only(self):
         ws = KernelWorkspace()
         grid = Grid3D((6, 6, 6), (6.0, 6.0, 6.0))
-        phase = ws.kinetic_phase(grid, 0.1)
-        assert ws.kinetic_phase(grid, 0.1) is phase
-        assert not phase.flags.writeable
-        assert phase[0, 0, 0] == pytest.approx(1.0)  # k = 0 mode
-        assert ws.kinetic_phase(grid, 0.2) is not phase
-        assert ws.kinetic_phase(grid, 0.1, np.array([0.5, 0.0, 0.0])) is not phase
+        operators = ws.kinetic_operators(grid, 0.1)
+        assert ws.kinetic_operators(grid, 0.1) is operators
+        assert len(operators) == 3
+        for operator in operators:
+            assert operator.shape == (6, 6)
+            assert not operator.flags.writeable
+            # The k = 0 mode (constant along the axis) keeps phase 1.
+            np.testing.assert_allclose(operator @ np.ones(6), np.ones(6), atol=1e-14)
+        assert ws.kinetic_operators(grid, 0.2) is not operators
+        assert ws.kinetic_operators(grid, 0.1, np.array([0.5, 0.0, 0.0])) is not operators
         stats = ws.stats
         assert stats["phase_hits"] == 1 and stats["phase_misses"] == 3
 
@@ -139,7 +143,7 @@ class TestKernelWorkspace:
     def test_clear_resets_everything(self):
         ws = KernelWorkspace()
         grid = Grid3D((4, 4, 4), (4.0, 4.0, 4.0))
-        ws.kinetic_phase(grid, 0.1)
+        ws.kinetic_operators(grid, 0.1)
         ws.scratch("x", (2, 2))
         ws.stencil_plan((1.0, 1.0, 1.0), 2)
         ws.clear()
