@@ -12,11 +12,15 @@ together, one native step per iteration:
   lattices are **stacked** along a leading axis and stepped by one call to
   :func:`repro.md.localmode.step_stacked` — each member's ``modes`` /
   ``velocities`` become views into the ``(M, nx, ny, nz, 3)`` stack, so
-  ``observe()`` / ``checkpoint()`` keep working unchanged.  Every stacked
-  operation is elementwise, an ``np.roll`` or a 3-component last-axis sum —
-  all value-identical under a leading batch axis — and per-member noise is
-  drawn member by member from each member's own generator, so the batched
-  trajectory is **bit-identical** to stepping the members serially.
+  ``observe()`` / ``checkpoint()`` keep working unchanged.  A single
+  lattice steps through the same kernel with a leading axis of one.  Every
+  stacked operation is elementwise, a periodic-neighbour gather or an
+  explicit sum of the 3 components — all value-identical under a leading
+  batch axis — and per-member noise is drawn member by member from each
+  member's own generator, so the batched trajectory is **bit-identical** to
+  stepping the members serially.  The kernel reuses the end-of-step force
+  as the next step's start force when it can prove, by value, that nothing
+  changed; a peel-off or restack simply misses that memo.
 * Every other engine kind falls back to per-member ``_advance(1)`` in
   lockstep — the identical code path serial execution takes, so parity is
   trivial; the batch still amortises at the scheduling layer.

@@ -38,11 +38,13 @@ photo-switching benchmark.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
+from repro.utils.mathutils import periodic_shift
 from repro.utils.validation import validate_run_args
 
 
@@ -165,13 +167,13 @@ class LocalModeLattice:
         """Total energy of the texture on the effective surface."""
         u = self.modes
         a_eff = self.model.effective_quadratic(excitation_weight)
-        u2 = np.sum(u ** 2, axis=-1)
+        u2 = _squared_norm(u)
         onsite = a_eff * u2 + self.model.quartic * u2 ** 2 + self.model.anisotropy * u[..., 2] ** 2
         energy = float(np.sum(onsite))
-        for axis in range(3):
-            if self.shape[axis] < 2:
+        for axis, n in enumerate(self.shape):
+            if n < 2:
                 continue
-            diff = u - np.roll(u, 1, axis=axis)
+            diff = u - u.take(periodic_shift(n, 1), axis=axis)
             energy += 0.5 * self.model.coupling * float(np.sum(diff ** 2))
         d_eff = self.model.effective_depolarization(excitation_weight)
         if d_eff != 0.0:
@@ -184,25 +186,36 @@ class LocalModeLattice:
     def forces(self, excitation_weight: float = 0.0,
                electric_field: np.ndarray | None = None) -> np.ndarray:
         """-dE/du for every local mode (same shape as ``modes``)."""
-        u = self.modes
-        a_eff = self.model.effective_quadratic(excitation_weight)
-        u2 = np.sum(u ** 2, axis=-1, keepdims=True)
-        force = -(2.0 * a_eff * u + 4.0 * self.model.quartic * u2 * u)
-        force[..., 2] -= 2.0 * self.model.anisotropy * u[..., 2]
-        for axis in range(3):
-            if self.shape[axis] < 2:
-                continue
-            laplacian = (
-                np.roll(u, 1, axis=axis) + np.roll(u, -1, axis=axis) - 2.0 * u
-            )
-            force += self.model.coupling * laplacian
+        force = self._force_of(excitation_weight, electric_field)(self.modes[None])[0]
+        return force if force.flags.writeable else force.copy()
+
+    def _force_of(self, excitation_weight: float,
+                  electric_field: np.ndarray | None):
+        """The force as a function of the ``(1, nx, ny, nz, 3)`` mode stack.
+
+        The short-range part comes from the shared :func:`stacked_forces`
+        kernel (and its memo); the depolarization and field terms, which
+        that kernel does not vectorize, are added here on a copy, in that
+        order.
+        """
+        quadratic_eff = np.full((1, 1, 1, 1, 1),
+                                self.model.effective_quadratic(excitation_weight))
         d_eff = self.model.effective_depolarization(excitation_weight)
-        if d_eff != 0.0:
-            force[..., 2] -= 2.0 * d_eff * self._dipolar_field(excitation_weight)
-        if electric_field is not None:
-            field = np.asarray(electric_field, dtype=float).reshape(3)
-            force = force + field
-        return force
+        field = (None if electric_field is None
+                 else np.asarray(electric_field, dtype=float).reshape(3))
+
+        def force_of(modes: np.ndarray) -> np.ndarray:
+            force = stacked_forces(modes, self.model, quadratic_eff)
+            if d_eff == 0.0 and field is None:
+                return force
+            force = force.copy()
+            if d_eff != 0.0:
+                force[..., 2] -= 2.0 * d_eff * self._dipolar_field(excitation_weight)
+            if field is not None:
+                force += field
+            return force
+
+        return force_of
 
     # ------------------------------------------------------------------
     def step(self, dt: float, excitation_weight: float = 0.0,
@@ -215,20 +228,16 @@ class LocalModeLattice:
         ``noise_amplitude`` adds Langevin-like random velocity kicks (per
         step, in mode units) modelling the finite lattice temperature of the
         pumped sample; without it an overdamped quench would preserve the
-        orientation pattern even after the amplitude has collapsed.
+        orientation pattern even after the amplitude has collapsed.  Noise
+        needs ``rng``: a fixed fallback generator would repeat one kick.
         """
         if dt <= 0:
             raise ValueError("dt must be positive")
-        force = self.forces(excitation_weight, electric_field)
-        self.velocities += 0.5 * dt * force / self.mode_mass
-        self.modes += dt * self.velocities
-        force = self.forces(excitation_weight, electric_field)
-        self.velocities += 0.5 * dt * force / self.mode_mass
-        if damping > 0.0:
-            self.velocities *= max(0.0, 1.0 - damping * dt)
-        if noise_amplitude > 0.0:
-            generator = rng if rng is not None else np.random.default_rng(0)
-            self.velocities += noise_amplitude * generator.standard_normal(self.velocities.shape)
+        _verlet_step(self.modes[None], self.velocities[None], dt,
+                     self.mode_mass,
+                     self._force_of(excitation_weight, electric_field),
+                     damping, noise_amplitude,
+                     None if rng is None else (rng,))
 
     def run(self, num_steps: int, dt: float, excitation_weight: float = 0.0,
             damping: float = 0.0,
@@ -248,10 +257,12 @@ class LocalModeLattice:
               excitation_weight: float = 0.0, damping: float = 0.2) -> None:
         """Damped relaxation toward the nearest local minimum of the texture.
 
-        ``num_steps=0`` is a no-op (the texture is used as prepared).
+        ``num_steps=0`` is a no-op (the texture is used as prepared).  It
+        steps directly rather than through :meth:`run`, whose per-step
+        energies it would discard.
         """
-        if num_steps > 0:
-            self.run(num_steps, dt, excitation_weight, damping)
+        for _ in range(num_steps):
+            self.step(dt, excitation_weight, damping)
         self.velocities[:] = 0.0
 
     def mean_polarization(self) -> np.ndarray:
@@ -260,40 +271,115 @@ class LocalModeLattice:
 
 
 # ----------------------------------------------------------------------
-# Stacked (batched) kernels: M lattices along a leading axis
+# The one step kernel: M lattices along a leading axis
 # ----------------------------------------------------------------------
-# These advance M same-shape lattices through ONE vectorized numpy call per
-# operation instead of M serial calls, amortising the per-call dispatch
+# The kernel advances M same-shape lattices through ONE vectorized numpy call
+# per operation instead of M serial calls, amortising the per-call dispatch
 # overhead that dominates small textures (the paper's kin_prop ladder logic
-# applied to the local-mode substrate).  Every arithmetic step is elementwise,
-# an np.roll, or a 3-component last-axis sum — all value-identical under a
-# leading batch axis — so the stacked trajectory is bit-identical to stepping
-# each member serially.  Long-range depolarisation (model.depolarization != 0)
-# and external fields are NOT supported here; callers must fall back to
-# per-member stepping for those (the registry scenarios all run with D = 0).
+# applied to the local-mode substrate).  A single LocalModeLattice is the
+# M = 1 case.  Every arithmetic step is elementwise, a periodic-neighbour
+# gather (``take`` with cached indices, value-identical to ``np.roll``) or an
+# explicit left-to-right sum of the 3 components — all value-identical under
+# a leading batch axis — so the stacked trajectory is bit-identical to
+# stepping each member serially.  Long-range depolarisation
+# (model.depolarization != 0) and external fields are added only by the
+# lattice wrapper; stacked callers fall back to per-member stepping for
+# those (the registry scenarios all run with D = 0).
+#
+# The force at the end of step n is the start force of step n + 1 whenever
+# the modes and A_eff are unchanged (damping and noise touch only
+# velocities), so the kernel keeps a one-entry memo per thread, validated by
+# value: a restore, a restack or an in-place edit of the modes simply misses.
+
+class _ForceMemo(threading.local):
+    """The last short-range force this thread computed, and its inputs
+    (shapes and dtypes as ``key``, the arrays as their raw bytes, so the
+    comparison is bitwise: it tells -0.0 from 0.0)."""
+
+    def __init__(self) -> None:
+        self.key: tuple | None = None
+        self.model: LocalModeModel | None = None
+        self.quadratic_eff: bytes = b""
+        self.modes: bytes = b""
+        self.force: np.ndarray | None = None
+        self.evaluations = 0
+
+
+_MEMO = _ForceMemo()
+
+
+def force_evaluations() -> int:
+    """Short-range force evaluations this thread has computed (memo misses)."""
+    return _MEMO.evaluations
+
+
+def _squared_norm(u: np.ndarray) -> np.ndarray:
+    """``|u|^2`` over the last axis as ``(u0^2 + u1^2) + u2^2``.
+
+    The same additions, in the same order, as numpy's 3-element last-axis
+    ``np.sum(u ** 2, axis=-1)``, without the reduction machinery.
+    """
+    sq = u ** 2
+    return (sq[..., 0] + sq[..., 1]) + sq[..., 2]
+
 
 def stacked_forces(modes: np.ndarray, model: LocalModeModel,
                    quadratic_eff: np.ndarray) -> np.ndarray:
-    """-dE/du for a stack of ``(M, nx, ny, nz, 3)`` mode fields.
+    """-dE/du (short-range terms) for a stack of ``(M, nx, ny, nz, 3)`` modes.
 
     ``quadratic_eff`` is the per-member ``A_eff`` broadcastable as
     ``(M, 1, 1, 1, 1)`` — members may sit at different excitation weights
     (the MLMD pipeline decays its weight over each member's own clock).
-    Mirrors :meth:`LocalModeLattice.forces` operation for operation.
+    The result is **read-only**: it may be the memoised force of an
+    earlier call with bit-identical inputs, returned to every such caller.
     """
+    memo = _MEMO
+    key = (modes.shape, modes.dtype, quadratic_eff.shape, quadratic_eff.dtype)
+    coefficients, state = quadratic_eff.tobytes(), modes.tobytes()
+    if (memo.key == key
+            and (memo.model is model or memo.model == model)
+            and memo.quadratic_eff == coefficients
+            and memo.modes == state):
+        return memo.force
     u = modes
-    u2 = np.sum(u ** 2, axis=-1, keepdims=True)
+    u2 = _squared_norm(u)[..., None]
     force = -(2.0 * quadratic_eff * u + 4.0 * model.quartic * u2 * u)
     force[..., 2] -= 2.0 * model.anisotropy * u[..., 2]
-    for axis in range(3):
-        if u.shape[1 + axis] < 2:
+    for axis in range(1, 4):
+        n = u.shape[axis]
+        if n < 2:
             continue
         laplacian = (
-            np.roll(u, 1, axis=1 + axis) + np.roll(u, -1, axis=1 + axis)
+            u.take(periodic_shift(n, 1), axis=axis)
+            + u.take(periodic_shift(n, -1), axis=axis)
             - 2.0 * u
         )
         force += model.coupling * laplacian
+    force.flags.writeable = False
+    memo.key, memo.model = key, model
+    memo.quadratic_eff, memo.modes, memo.force = coefficients, state, force
+    memo.evaluations += 1
     return force
+
+
+def _verlet_step(modes: np.ndarray, velocities: np.ndarray, dt: float,
+                 mode_mass: float, force_of, damping: float,
+                 noise_amplitude: float, rngs) -> None:
+    """Damped velocity Verlet on a mode stack, in place (see step_stacked)."""
+    if noise_amplitude > 0.0 and (rngs is None or len(rngs) != modes.shape[0]):
+        raise ValueError("need one rng per stacked member for noise")
+    force = force_of(modes)
+    velocities += 0.5 * dt * force / mode_mass
+    modes += dt * velocities
+    force = force_of(modes)
+    velocities += 0.5 * dt * force / mode_mass
+    if damping > 0.0:
+        velocities *= max(0.0, 1.0 - damping * dt)
+    if noise_amplitude > 0.0:
+        noise = np.empty_like(velocities)
+        for member_noise, rng in zip(noise, rngs):
+            rng.standard_normal(out=member_noise)
+        velocities += noise_amplitude * noise
 
 
 def step_stacked(modes: np.ndarray, velocities: np.ndarray,
@@ -318,16 +404,6 @@ def step_stacked(modes: np.ndarray, velocities: np.ndarray,
     ).reshape(-1, 1, 1, 1, 1)
     if quadratic_eff.shape[0] != modes.shape[0]:
         raise ValueError("need one excitation weight per stacked member")
-    force = stacked_forces(modes, model, quadratic_eff)
-    velocities += 0.5 * dt * force / mode_mass
-    modes += dt * velocities
-    force = stacked_forces(modes, model, quadratic_eff)
-    velocities += 0.5 * dt * force / mode_mass
-    if damping > 0.0:
-        velocities *= max(0.0, 1.0 - damping * dt)
-    if noise_amplitude > 0.0:
-        if rngs is None or len(rngs) != modes.shape[0]:
-            raise ValueError("need one rng per stacked member for noise")
-        for i, rng in enumerate(rngs):
-            velocities[i] += noise_amplitude * rng.standard_normal(
-                velocities[i].shape)
+    _verlet_step(modes, velocities, dt, mode_mass,
+                 lambda u: stacked_forces(u, model, quadratic_eff),
+                 damping, noise_amplitude, rngs)

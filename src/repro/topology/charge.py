@@ -17,6 +17,22 @@ from __future__ import annotations
 import numpy as np
 
 from repro.topology.polarization import normalize_texture
+from repro.utils.mathutils import periodic_shift
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross`` of 3-vectors on the last axis, written out.
+
+    The same products and differences ``np.cross`` performs, in the same
+    order, without its axis bookkeeping.
+    """
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    out = np.empty_like(a)
+    out[..., 0] = a1 * b2 - a2 * b1
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out
 
 
 def _solid_angle(n1: np.ndarray, n2: np.ndarray, n3: np.ndarray) -> np.ndarray:
@@ -25,7 +41,7 @@ def _solid_angle(n1: np.ndarray, n2: np.ndarray, n3: np.ndarray) -> np.ndarray:
     Uses the Oosterom-Strackee formula:
     tan(Omega/2) = n1.(n2 x n3) / (1 + n1.n2 + n2.n3 + n3.n1).
     """
-    numerator = np.einsum("...i,...i->...", n1, np.cross(n2, n3))
+    numerator = np.einsum("...i,...i->...", n1, _cross(n2, n3))
     denominator = (
         1.0
         + np.einsum("...i,...i->...", n1, n2)
@@ -47,9 +63,11 @@ def topological_charge_density(texture: np.ndarray) -> np.ndarray:
     if texture.ndim != 3 or texture.shape[-1] != 3:
         raise ValueError("texture must have shape (nx, ny, 3)")
     n = normalize_texture(texture)
-    n_right = np.roll(n, -1, axis=0)
-    n_up = np.roll(n, -1, axis=1)
-    n_diag = np.roll(np.roll(n, -1, axis=0), -1, axis=1)
+    right = periodic_shift(n.shape[0], -1)
+    up = periodic_shift(n.shape[1], -1)
+    n_right = n.take(right, axis=0)
+    n_up = n.take(up, axis=1)
+    n_diag = n_right.take(up, axis=1)
     omega1 = _solid_angle(n, n_right, n_diag)
     omega2 = _solid_angle(n, n_diag, n_up)
     return (omega1 + omega2) / (4.0 * np.pi)

@@ -2,9 +2,24 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
+
+
+@lru_cache(maxsize=None)
+def periodic_shift(length: int, shift: int) -> np.ndarray:
+    """Gather indices of a periodic shift along one axis (read-only).
+
+    ``a.take(periodic_shift(a.shape[axis], s), axis=axis)`` equals
+    ``np.roll(a, s, axis=axis)`` value for value; the gather skips
+    ``np.roll``'s per-call slicing overhead, which dominates on the small
+    lattices the local-mode and topology kernels see.
+    """
+    index = np.roll(np.arange(length), shift)
+    index.flags.writeable = False
+    return index
 
 
 def finite_difference_coefficients(order: int) -> np.ndarray:

@@ -1,5 +1,8 @@
 """Tests for the perovskite builders, skyrmion textures and local-mode model."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -11,9 +14,14 @@ from repro.md.lattice import (
     perovskite_unit_cell,
     skyrmion_displacement_field,
 )
-from repro.md.localmode import LocalModeLattice, LocalModeModel
+from repro.md import localmode
+from repro.md.localmode import (
+    LocalModeLattice, LocalModeModel, force_evaluations, stacked_forces,
+    step_stacked,
+)
 from repro.topology.charge import topological_charge
 from repro.topology.polarization import in_plane_slice
+from repro.utils.mathutils import periodic_shift
 
 
 class TestPerovskiteBuilders:
@@ -149,3 +157,269 @@ class TestLocalModeModel:
         modes[..., 2] = 0.7
         lattice = LocalModeLattice(modes, LocalModeModel())
         assert np.allclose(lattice.mean_polarization(), [0, 0, 0.7])
+
+
+# ----------------------------------------------------------------------
+# The one-force-per-step kernel against the two-force step it replaced
+# ----------------------------------------------------------------------
+class ReferenceLattice:
+    """The local-mode step as first written: two force evaluations per
+    step, ``np.roll`` neighbours and an ``np.sum`` for ``|u|^2``.  The
+    oracle the memoised, gather-based kernel must reproduce bit for bit."""
+
+    def __init__(self, modes, model, mode_mass=50.0):
+        self.modes = np.array(modes, dtype=float)
+        self.velocities = np.zeros_like(self.modes)
+        self.model = model
+        self.mode_mass = mode_mass
+        nx, ny = self.modes.shape[:2]
+        kx = 2.0 * np.pi * np.fft.fftfreq(nx)
+        ky = 2.0 * np.pi * np.fft.fftfreq(ny)
+        k2 = kx[:, None] ** 2 + ky[None, :] ** 2
+        self._dipolar_kernel = 1.0 / (1.0 + k2 * model.screening_cells ** 2)
+
+    def forces(self, excitation_weight, electric_field=None):
+        u = self.modes
+        a_eff = self.model.effective_quadratic(excitation_weight)
+        u2 = np.sum(u ** 2, axis=-1, keepdims=True)
+        force = -(2.0 * a_eff * u + 4.0 * self.model.quartic * u2 * u)
+        force[..., 2] -= 2.0 * self.model.anisotropy * u[..., 2]
+        for axis in range(3):
+            if u.shape[axis] < 2:
+                continue
+            laplacian = (
+                np.roll(u, 1, axis=axis) + np.roll(u, -1, axis=axis) - 2.0 * u
+            )
+            force += self.model.coupling * laplacian
+        d_eff = self.model.effective_depolarization(excitation_weight)
+        if d_eff != 0.0:
+            uz_k = np.fft.fft2(u[..., 2], axes=(0, 1))
+            dipolar = np.real(np.fft.ifft2(
+                self._dipolar_kernel[:, :, None] * uz_k, axes=(0, 1)))
+            force[..., 2] -= 2.0 * d_eff * dipolar
+        if electric_field is not None:
+            force = force + np.asarray(electric_field, dtype=float).reshape(3)
+        return force
+
+    def step(self, dt, excitation_weight, damping, electric_field,
+             noise_amplitude, rng):
+        force = self.forces(excitation_weight, electric_field)
+        self.velocities += 0.5 * dt * force / self.mode_mass
+        self.modes += dt * self.velocities
+        force = self.forces(excitation_weight, electric_field)
+        self.velocities += 0.5 * dt * force / self.mode_mass
+        if damping > 0.0:
+            self.velocities *= max(0.0, 1.0 - damping * dt)
+        if noise_amplitude > 0.0:
+            self.velocities += noise_amplitude * rng.standard_normal(
+                self.velocities.shape)
+
+
+def _texture(seed, shape=(8, 6, 2)):
+    return 0.8 * np.random.default_rng(seed).standard_normal(shape + (3,))
+
+
+def _same(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+CONSTANT = dict(model=LocalModeModel(), field=None, decay=None)
+REUSE_CASES = {
+    "constant-weight": CONSTANT,
+    "decaying-weight": dict(model=LocalModeModel(), field=None, decay=30.0),
+    "field": dict(model=LocalModeModel(), field=[0.01, -0.02, 0.03], decay=None),
+    "depolarization": dict(model=LocalModeModel(depolarization=0.3),
+                           field=None, decay=None),
+}
+
+
+def _weight(case, step):
+    if case["decay"] is None:
+        return 0.3
+    return 0.5 * float(np.exp(-step / case["decay"]))
+
+
+class TestOneForcePerStep:
+    @pytest.mark.parametrize("name", sorted(REUSE_CASES))
+    def test_reuse_is_exact_against_the_two_force_step(self, name):
+        case = REUSE_CASES[name]
+        modes = _texture(11)
+        lattice = LocalModeLattice(modes, case["model"])
+        reference = ReferenceLattice(modes, case["model"])
+        rng, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
+        for step in range(200):
+            w = _weight(case, step)
+            lattice.step(0.7, w, 0.05, case["field"], 0.002, rng)
+            reference.step(0.7, w, 0.05, case["field"], 0.002, rng_ref)
+        assert _same(lattice.modes, reference.modes)
+        assert _same(lattice.velocities, reference.velocities)
+        w = _weight(case, 200)
+        assert _same(lattice.forces(w, case["field"]),
+                     reference.forces(w, case["field"]))
+
+    @pytest.mark.parametrize("steps", (1, 7, 40))
+    def test_constant_weight_costs_one_evaluation_per_step(self, steps):
+        lattice = LocalModeLattice(_texture(20 + steps), LocalModeModel())
+        before = force_evaluations()
+        for _ in range(steps):
+            lattice.step(0.5, 0.2, damping=0.1)
+        assert force_evaluations() - before == steps + 1
+
+    def test_decaying_weight_recomputes_every_force(self):
+        case = REUSE_CASES["decaying-weight"]
+        lattice = LocalModeLattice(_texture(31), case["model"])
+        before = force_evaluations()
+        for step in range(25):
+            lattice.step(0.5, _weight(case, step), damping=0.1)
+        assert force_evaluations() - before == 50
+
+    def test_relax_steps_once_per_force(self):
+        lattice = LocalModeLattice(_texture(32), LocalModeModel())
+        before = force_evaluations()
+        lattice.relax(num_steps=30, dt=0.5)
+        assert force_evaluations() - before == 31
+
+    def test_writers_between_steps_force_a_recompute(self):
+        model = LocalModeModel()
+        modes = _texture(41)
+        lattice = LocalModeLattice(modes, model)
+        reference = ReferenceLattice(modes, model)
+
+        def both_step():
+            lattice.step(0.5, 0.3, 0.1, None, 0.0, None)
+            reference.step(0.5, 0.3, 0.1, None, 0.0, None)
+
+        for _ in range(5):
+            both_step()
+        snapshot = lattice.state_dict()
+        for _ in range(5):
+            both_step()
+
+        # An in-place write to the modes: the memoised force is stale.
+        lattice.modes[1, 2, 0, 2] += 0.25
+        reference.modes[1, 2, 0, 2] += 0.25
+        before = force_evaluations()
+        both_step()
+        assert force_evaluations() - before == 2
+        assert _same(lattice.modes, reference.modes)
+
+        # A restore from an earlier snapshot: stale again.
+        lattice.load_state_dict(snapshot)
+        reference.modes[...] = snapshot["modes"]
+        reference.velocities[...] = snapshot["velocities"]
+        before = force_evaluations()
+        both_step()
+        assert force_evaluations() - before == 2
+        for _ in range(10):
+            both_step()
+        assert _same(lattice.modes, reference.modes)
+        assert _same(lattice.velocities, reference.velocities)
+
+    def test_memoised_force_is_read_only_and_public_forces_are_not(self):
+        lattice = LocalModeLattice(_texture(51), LocalModeModel())
+        stacked = stacked_forces(lattice.modes[None], lattice.model,
+                                 np.full((1, 1, 1, 1, 1), -0.2))
+        assert not stacked.flags.writeable
+        force = lattice.forces()
+        force += 1.0  # a caller may scribble on its own copy...
+        assert _same(lattice.forces(), stacked[0])  # ...not on the memo
+
+    def test_threads_keep_their_own_memo(self):
+        # More threads than cores, switching often: lattices stepped at once
+        # in different threads must each get their own forces.
+        model = LocalModeModel()
+        textures = [_texture(60 + i) for i in range(6)]
+
+        def run(lattice, seed):
+            rng = np.random.default_rng(seed)
+            for _ in range(150):
+                lattice.step(0.5, 0.3, 0.05, None, 0.002, rng)
+
+        serial = [LocalModeLattice(t, model) for t in textures]
+        for i, lattice in enumerate(serial):
+            run(lattice, i)
+        threaded = [LocalModeLattice(t, model) for t in textures]
+        workers = [threading.Thread(target=run, args=(lattice, i))
+                   for i, lattice in enumerate(threaded)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        for a, b in zip(serial, threaded):
+            assert _same(a.modes, b.modes)
+
+    def test_noise_without_a_generator_is_refused(self):
+        lattice = LocalModeLattice(_texture(70), LocalModeModel())
+        before = lattice.modes.copy()
+        with pytest.raises(ValueError, match="rng"):
+            lattice.step(0.5, noise_amplitude=0.01)
+        with pytest.raises(ValueError, match="rng"):
+            lattice.run(3, 0.5, noise_amplitude=0.01)
+        assert _same(lattice.modes, before)  # refused before stepping
+
+
+class TestGatherForms:
+    @pytest.mark.parametrize("length", (1, 2, 3, 16))
+    @pytest.mark.parametrize("shift", (1, -1))
+    def test_periodic_shift_gather_equals_roll(self, length, shift):
+        rng = np.random.default_rng(length)
+        for axis in range(3):
+            shape = [2, 3, 2]
+            shape[axis] = length
+            a = rng.standard_normal(shape + [3])
+            gathered = a.take(periodic_shift(length, shift), axis=axis)
+            assert _same(gathered, np.roll(a, shift, axis=axis))
+
+    def test_squared_norm_equals_numpy_sum(self):
+        rng = np.random.default_rng(2)
+        magnitude = 10.0 ** rng.uniform(-3.0, 3.0, size=(20000, 3))
+        u = magnitude * rng.choice([-1.0, 1.0], size=magnitude.shape)
+        u[:5] = [[0.0, -0.0, 1e-3], [1e3, 1e3, 1e3], [-0.0, -0.0, -0.0],
+                 [1e-3, 1e3, 1e-3], [3.0, 4.0, 0.0]]
+        assert _same(localmode._squared_norm(u), np.sum(u ** 2, axis=-1))
+
+
+class TestStackedKernel:
+    def test_stack_with_mid_run_peel_off_equals_serial(self):
+        model = LocalModeModel()
+        textures = [_texture(80 + i, shape=(6, 5, 1)) for i in range(3)]
+        weights = [0.1, 0.3, 0.5]
+        serial = [ReferenceLattice(t, model) for t in textures]
+        for lattice, w, seed in zip(serial, weights, range(3)):
+            rng = np.random.default_rng(seed)
+            for _ in range(60):
+                lattice.step(0.8, w, 0.1, None, 0.003, rng)
+
+        rngs = [np.random.default_rng(seed) for seed in range(3)]
+        modes = np.stack(textures)
+        velocities = np.zeros_like(modes)
+        for _ in range(25):
+            step_stacked(modes, velocities, model, 0.8, weights, damping=0.1,
+                         noise_amplitude=0.003, rngs=rngs)
+        # Member 1 peels off and finishes alone; the others restack.
+        alone = LocalModeLattice(modes[1], model)
+        alone.velocities[...] = velocities[1]
+        keep = [0, 2]
+        modes, velocities = modes[keep].copy(), velocities[keep].copy()
+        for _ in range(35):
+            step_stacked(modes, velocities, model, 0.8,
+                         [weights[i] for i in keep], damping=0.1,
+                         noise_amplitude=0.003, rngs=[rngs[i] for i in keep])
+            alone.step(0.8, weights[1], 0.1, None, 0.003, rngs[1])
+        assert _same(modes[0], serial[0].modes)
+        assert _same(modes[1], serial[2].modes)
+        assert _same(alone.modes, serial[1].modes)
+        assert _same(alone.velocities, serial[1].velocities)
+
+    def test_stacked_noise_needs_one_rng_per_member(self):
+        modes = np.stack([_texture(90, shape=(4, 4, 1))] * 2)
+        with pytest.raises(ValueError, match="one rng per stacked member"):
+            step_stacked(modes, np.zeros_like(modes), LocalModeModel(), 0.5,
+                         [0.1, 0.2], noise_amplitude=0.01,
+                         rngs=[np.random.default_rng(0)])

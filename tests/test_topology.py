@@ -18,6 +18,29 @@ from repro.topology.charge import winding_number_1d
 from repro.topology.polarization import in_plane_slice, normalize_texture
 
 
+def reference_charge_density(texture):
+    """The charge density as first written: ``np.roll`` neighbours and
+    ``np.cross`` (the oracle for the gather form in the library)."""
+    n = normalize_texture(np.asarray(texture, dtype=float))
+    n_right = np.roll(n, -1, axis=0)
+    n_up = np.roll(n, -1, axis=1)
+    n_diag = np.roll(np.roll(n, -1, axis=0), -1, axis=1)
+
+    def solid_angle(n1, n2, n3):
+        numerator = np.einsum("...i,...i->...", n1, np.cross(n2, n3))
+        denominator = (
+            1.0
+            + np.einsum("...i,...i->...", n1, n2)
+            + np.einsum("...i,...i->...", n2, n3)
+            + np.einsum("...i,...i->...", n3, n1)
+        )
+        return 2.0 * np.arctan2(numerator, denominator)
+
+    omega1 = solid_angle(n, n_right, n_diag)
+    omega2 = solid_angle(n, n_diag, n_up)
+    return (omega1 + omega2) / (4.0 * np.pi)
+
+
 def _single_skyrmion(n=24, sign=-1.0):
     field = skyrmion_displacement_field((n, n, 1), (1, 1),
                                         core_polarization=sign,
@@ -72,6 +95,16 @@ class TestTopologicalCharge:
         q = topological_charge(perturbed)
         assert q == pytest.approx(round(q), abs=1e-6)
         assert round(q) == round(topological_charge(texture))
+
+    def test_density_matches_the_roll_and_cross_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        shapes = [(16, 16), (1, 1), (1, 5), (2, 2), (3, 7), (24, 10)]
+        for i in range(200):
+            nx, ny = shapes[i % len(shapes)]
+            texture = rng.standard_normal((nx, ny, 3))
+            texture[rng.random((nx, ny)) < 0.05] = 0.0  # zero vectors stay zero
+            expected = reference_charge_density(texture)
+            assert topological_charge_density(texture).tobytes() == expected.tobytes()
 
     def test_normalize_texture_handles_zeros(self):
         texture = np.zeros((4, 4, 3))
