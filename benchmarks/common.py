@@ -29,8 +29,8 @@ BENCH_SCHEMA = "repro-bench/1"
 
 #: Append-only invocation history: one timestamped schema document per
 #: :func:`finish` call.  ``results/<name>.json`` keeps only the latest run;
-#: the history is what lets ``repro analytics bench`` plot a metric's
-#: trajectory across invocations.
+#: ``repro analytics bench results/history.ndjson`` reads the history
+#: directly to show a metric's trajectory across invocations.
 HISTORY_PATH = RESULTS_DIR / "history.ndjson"
 
 
@@ -65,8 +65,8 @@ def finish(name: str, payload, argv: Optional[Sequence[str]] = None) -> Path:
     """Emit one benchmark's artefact in the common schema.
 
     Writes ``results/<name>.json`` always, appends one timestamped line to
-    ``results/history.ndjson`` (the cross-invocation trajectory the
-    analytics warehouse ingests), honours ``--json out.json`` from the
+    ``results/history.ndjson`` (the cross-invocation trajectory
+    ``repro analytics bench`` reads), honours ``--json out.json`` from the
     command line (``argv`` overrides ``sys.argv`` for tests), and returns
     the results-dir path.
     """

@@ -1,61 +1,32 @@
-"""Columnar results warehouse, cross-run regression queries, daemon stats.
+"""Cross-run regression checks and daemon stats, read from result files.
 
-The analytics subsystem turns finished runs into queryable history:
-
-* :mod:`repro.analytics.warehouse` — append-only partition-per-scenario
-  columnar storage (npz chunks + JSON manifests, the checkpoint store's
-  commit discipline), idempotent on (scenario, run id).
-* :mod:`repro.analytics.ingest` — backfill scanning of existing result
-  trees and ``repro-bench/1`` documents.
-* :mod:`repro.analytics.query` — filter/project/group-aggregate with
-  predicate pushdown on the partition manifests.
-* :mod:`repro.analytics.regress` — conservation/cohort drift queries with
-  the repo's tolerance-tier vocabulary (single source: golden tests import
-  it from here) and bench-metric trajectories.
+* :mod:`repro.analytics.regress` — conservation/cohort drift checks over
+  RunResult JSON with the repo's tolerance-tier vocabulary (single source:
+  golden tests import it from here), and bench-metric trajectories read
+  from ``benchmarks/results/history.ndjson``.
 * :mod:`repro.analytics.stats` — daemon/store observability snapshots and
   the text dashboard.
 
-Entry points: ``Warehouse(root)`` in Python, ``repro analytics ...`` on the
-command line, and the daemon's ``/v1/stats`` endpoint when ``repro serve``
-runs with ``--analytics``.
+Entry points: the functions below in Python, ``repro analytics
+regress|bench|dashboard`` on the command line, and the daemon's
+``/v1/stats`` endpoint.
 """
 
-from repro.analytics.columns import Table, flatten
-from repro.analytics.ingest import backfill, classify, derive_run_id
-from repro.analytics.query import AGGREGATES, Query, parse_predicate
 from repro.analytics.regress import (
     TOLERANCE_TIERS,
     bench_trajectory,
     cohort_violations,
     conservation_violations,
+    load_results,
 )
-from repro.analytics.stats import render_dashboard, store_stats, \
-    warehouse_stats
-from repro.analytics.warehouse import (
-    ANALYTICS_FORMAT,
-    BENCH_PARTITION,
-    AnalyticsError,
-    Warehouse,
-)
+from repro.analytics.stats import render_dashboard, store_stats
 
 __all__ = [
-    "AGGREGATES",
-    "ANALYTICS_FORMAT",
-    "AnalyticsError",
-    "BENCH_PARTITION",
-    "Query",
     "TOLERANCE_TIERS",
-    "Table",
-    "Warehouse",
-    "backfill",
     "bench_trajectory",
-    "classify",
     "cohort_violations",
     "conservation_violations",
-    "derive_run_id",
-    "flatten",
-    "parse_predicate",
+    "load_results",
     "render_dashboard",
     "store_stats",
-    "warehouse_stats",
 ]

@@ -5,160 +5,50 @@ behaviour lives here with the subsystem it operates on.
 
 Subcommands::
 
-    repro analytics ingest WAREHOUSE PATH...        backfill results/benches
-    repro analytics summary WAREHOUSE               per-partition inventory
-    repro analytics query WAREHOUSE PARTITION ...   filter/project/aggregate
-    repro analytics regress WAREHOUSE SCENARIO ...  the CI regression gate
-    repro analytics bench WAREHOUSE [--bench B]     repro-bench trajectories
-    repro analytics dashboard ROOT [--analytics W]  stats snapshot
+    repro analytics regress PATH... SCENARIO ...  the CI regression gate
+    repro analytics bench HISTORY [--bench B]     repro-bench trajectories
+    repro analytics dashboard [ROOT | --live]     stats snapshot
 
 Exit codes follow the repo convention (:mod:`repro.utils.cliutil`): 0 on
 success, **1 when ``regress`` finds violations** (the gate), 2 on usage or
 state errors.  ``dashboard`` reads a live daemon's ``/v1/stats`` when given
-``--url``, else scans the root offline.
+``--live``, else scans the root offline.
 """
 
 from __future__ import annotations
 
 import json
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
-from repro.analytics.ingest import backfill
-from repro.analytics.query import parse_predicate
 from repro.analytics.regress import bench_trajectory, cohort_violations, \
-    conservation_violations
-from repro.analytics.stats import render_dashboard, store_stats, \
-    warehouse_stats
-from repro.analytics.warehouse import AnalyticsError, Warehouse
+    conservation_violations, load_results
+from repro.analytics.stats import render_dashboard, store_stats
 from repro.utils.cliutil import subcommand_errors
 
 #: Analytics faults become one-line stderr diagnostics and exit 2 — the same
 #: error path the store CLI uses (repro.utils.cliutil).
-_analytics_errors = subcommand_errors(AnalyticsError, ValueError, KeyError)
+_analytics_errors = subcommand_errors(ValueError, KeyError)
 
 
 @_analytics_errors
-def cmd_ingest(warehouse_root, paths: Sequence[str],
-               sweep: bool = False, as_json: bool = False) -> int:
-    warehouse = Warehouse(warehouse_root)
-    report = backfill(warehouse, paths)
-    if sweep:
-        report["sweep"] = warehouse.sweep()
-    if as_json:
-        print(json.dumps(report, indent=2))
-        return 0
-    print(f"scanned {report['files']} file(s): "
-          f"{report['ingested']} ingested, {report['skipped']} skipped, "
-          f"{report['failures']} failed run(s), "
-          f"{report['unknown']} unrecognised document(s)")
-    for source_error in report["errors"]:
-        print(f"  error at {source_error['source']}: "
-              f"{source_error['error']}")
-    if sweep and report["sweep"]["removed"]:
-        print(f"  swept {len(report['sweep']['removed'])} orphan chunk(s)")
-    return 0
-
-
-@_analytics_errors
-def cmd_summary(warehouse_root, as_json: bool = False) -> int:
-    warehouse = Warehouse(warehouse_root)
-    rows = warehouse.describe()
-    if as_json:
-        print(json.dumps(rows, indent=2))
-        return 0
-    if not rows:
-        print(f"no partitions under {warehouse.root}")
-        return 0
-    width = max(len(r["partition"]) for r in rows)
-    print(f"{len(rows)} partition(s) under {warehouse.root}:")
-    for row in rows:
-        tables = ", ".join(f"{name}={count}"
-                           for name, count in sorted(row["rows"].items()))
-        print(f"  {row['partition']:<{width}}  {row['runs']:>5} runs  "
-              f"{row['chunks']:>4} chunks  rows: {tables}")
-    return 0
-
-
-@_analytics_errors
-def cmd_query(warehouse_root, partition: str, table: Optional[str] = None,
-              where: Sequence[str] = (), select: Sequence[str] = (),
-              group_by: Sequence[str] = (), aggregates: Sequence[str] = (),
-              limit: Optional[int] = None, as_json: bool = False) -> int:
-    warehouse = Warehouse(warehouse_root)
-    query = warehouse.query(partition, table=table)
-    for token in where:
-        query = query.where(*parse_predicate(token))
-    parsed_aggs: List[Tuple[str, str]] = []
-    for token in aggregates:
-        fn, _, column = token.partition(":")
-        if not column:
-            raise ValueError(
-                f"cannot parse aggregate {token!r}: expected fn:column "
-                "(e.g. mean:obs.energy.mean)"
-            )
-        parsed_aggs.append((fn.strip(), column.strip()))
-    if parsed_aggs:
-        if select:
-            raise ValueError("--select and --agg are mutually exclusive "
-                             "(aggregates name their own output columns)")
-        result = query.aggregate(list(group_by), parsed_aggs)
-    else:
-        if group_by:
-            raise ValueError("--group-by needs at least one --agg fn:column")
-        if select:
-            query = query.select(*select)
-        result = query.table()
-    if limit is not None and result.num_rows > limit:
-        import numpy as np
-
-        keep = np.zeros(result.num_rows, dtype=bool)
-        keep[:limit] = True
-        result = result.mask(keep)
-    if as_json:
-        print(result.to_json())
-        return 0
-    rows = result.to_rows()
-    if not rows:
-        print("0 rows")
-        return 0
-    names = result.column_names
-    widths = {
-        name: max(len(name), *(len(_cell(r[name])) for r in rows))
-        for name in names
-    }
-    print("  ".join(name.ljust(widths[name]) for name in names))
-    for row in rows:
-        print("  ".join(_cell(row[name]).ljust(widths[name])
-                        for name in names))
-    print(f"{len(rows)} row(s)")
-    return 0
-
-
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
-
-
-@_analytics_errors
-def cmd_regress(warehouse_root, scenario: str,
+def cmd_regress(paths: Sequence[str], scenario: str,
                 series: Sequence[str] = (), tier: str = "standard",
                 cohort: Sequence[str] = (), as_json: bool = False) -> int:
     """The CI gate: exit 1 when any conservation/cohort violation exists."""
-    warehouse = Warehouse(warehouse_root)
-    violations = []
-    for name in series:
-        violations.extend(
-            conservation_violations(warehouse, scenario, name, tier=tier)
-        )
-    for column in cohort:
-        violations.extend(
-            cohort_violations(warehouse, scenario, column, tier=tier)
-        )
     if not series and not cohort:
         raise ValueError(
             "regress needs at least one --series (conservation check) "
             "or --cohort (cohort-median check) column"
+        )
+    results = load_results(paths)
+    violations = []
+    for name in series:
+        violations.extend(
+            conservation_violations(results, scenario, name, tier=tier)
+        )
+    for column in cohort:
+        violations.extend(
+            cohort_violations(results, scenario, column, tier=tier)
         )
     if as_json:
         print(json.dumps({"scenario": scenario, "tier": tier,
@@ -189,16 +79,14 @@ def cmd_regress(warehouse_root, scenario: str,
 
 
 @_analytics_errors
-def cmd_bench(warehouse_root, bench: Optional[str] = None,
+def cmd_bench(history, bench: Optional[str] = None,
               metric: Optional[str] = None, as_json: bool = False) -> int:
-    warehouse = Warehouse(warehouse_root)
-    trajectories = bench_trajectory(warehouse, bench=bench, metric=metric)
+    trajectories = bench_trajectory(history, bench=bench, metric=metric)
     if as_json:
         print(json.dumps(trajectories, indent=2))
         return 0
     if not trajectories:
-        print("no bench documents ingested "
-              "(repro analytics ingest WAREHOUSE benchmarks/results)")
+        print(f"no repro-bench/1 documents in {history}")
         return 0
     for row in trajectories:
         print(f"{row['bench']} :: {row['metric']} "
@@ -211,10 +99,9 @@ def cmd_bench(warehouse_root, bench: Optional[str] = None,
 
 
 @_analytics_errors
-def cmd_dashboard(serve_root=None, warehouse_root=None,
-                  host: Optional[str] = None, port: Optional[int] = None,
-                  timeout: float = 10.0, as_json: bool = False) -> int:
-    stats = {}
+def cmd_dashboard(serve_root=None, host: Optional[str] = None,
+                  port: Optional[int] = None, timeout: float = 10.0,
+                  as_json: bool = False) -> int:
     if host is not None:
         from repro.api.client import ServeClient
 
@@ -225,12 +112,9 @@ def cmd_dashboard(serve_root=None, warehouse_root=None,
         stats = client.stats()
     elif serve_root is not None:
         stats = {"store": store_stats(serve_root)}
-    if warehouse_root is not None and "analytics" not in stats:
-        stats["analytics"] = warehouse_stats(Warehouse(warehouse_root))
-    if not stats:
+    else:
         raise ValueError(
-            "dashboard needs a serve root, --live (query a daemon), or "
-            "--warehouse"
+            "dashboard needs a serve root or --live (query a daemon)"
         )
     if as_json:
         print(json.dumps(stats, indent=2))

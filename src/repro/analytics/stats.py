@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.store.errors import StoreFormatError
 from repro.store.locks import lease_stale
@@ -94,19 +94,6 @@ def fleet_rollup(member_stats) -> Dict[str, Any]:
         **totals,
         "avg_run_s": (sum(avg_samples) / len(avg_samples)
                       if avg_samples else None),
-    }
-
-
-def warehouse_stats(warehouse) -> Dict[str, Any]:
-    """Partition counts/bytes of one warehouse, dashboard-shaped."""
-    partitions = warehouse.describe()
-    return {
-        "root": str(warehouse.root),
-        "partitions": len(partitions),
-        "runs": sum(p["runs"] for p in partitions),
-        "chunks": sum(p["chunks"] for p in partitions),
-        "bytes": sum(p["bytes"] for p in partitions),
-        "by_partition": partitions,
     }
 
 
@@ -250,25 +237,6 @@ def render_dashboard(stats: Dict[str, Any]) -> str:
         ):
             if value is not None:
                 lines.append(f"  {label:<32} {_fmt(value)}")
-
-    warehouse = stats.get("analytics")
-    if warehouse:
-        lines.append("analytics")
-        for label, value in (
-            ("root", warehouse.get("root")),
-            ("partitions", warehouse.get("partitions")),
-            ("ingested runs", warehouse.get("runs")),
-            ("chunks", warehouse.get("chunks")),
-            ("bytes", _human_bytes(warehouse.get("bytes", 0))),
-        ):
-            if value is not None:
-                lines.append(f"  {label:<32} {_fmt(value)}")
-        for part in warehouse.get("by_partition", []):
-            lines.append(
-                f"    {part['partition']:<28} {part['runs']:>5} runs  "
-                f"{part['chunks']:>4} chunks  "
-                f"{_human_bytes(part['bytes']):>10}"
-            )
 
     if not lines:
         lines.append("(no stats sections available)")

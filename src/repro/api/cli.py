@@ -41,13 +41,13 @@ Subcommands
     Maintain a checkpoint store root: list runs (format, snapshot counts,
     sizes), inspect one run's manifest, or compact (merge series segments,
     sweep unreferenced files, apply a ``--retention`` policy).
-``analytics ingest/summary/query/regress/bench/dashboard``
-    The columnar results warehouse (:mod:`repro.analytics`): backfill
-    existing result trees and ``repro-bench/1`` documents, inspect and
-    query partitions (filter / project / group-aggregate with predicate
-    pushdown), run conservation/cohort regression gates, track bench-metric
-    trajectories, and render a daemon/store stats dashboard (live via
-    ``/v1/stats`` or from an offline scan).
+``analytics regress/bench/dashboard``
+    Checks over the files runs and benchmarks write
+    (:mod:`repro.analytics`): conservation/cohort regression gates over
+    RunResult JSON (``run``/``batch --json`` output, a daemon's
+    ``results/``), bench-metric trajectories from
+    ``benchmarks/results/history.ndjson``, and a daemon/store stats
+    dashboard (live via ``/v1/stats`` or from an offline scan).
 
 Exit codes
 ----------
@@ -58,7 +58,7 @@ Every subcommand follows one convention (:mod:`repro.utils.cliutil`):
   (``run``/``batch``/``submit --wait``/``fetch``) or a tripped regression
   gate (``analytics regress``).
 * ``2`` — usage or state errors: bad arguments, unknown scenarios/runs,
-  corrupt stores or warehouses.
+  corrupt stores, missing result files.
 * ``3`` — a daemon was needed but unreachable, or a ``--wait``/``--timeout``
   deadline expired.
 
@@ -76,15 +76,12 @@ Examples
     python -m repro run mlmd-photoswitch --checkpoint-dir ckpts --checkpoint-every 25
     python -m repro run mlmd-photoswitch --checkpoint-dir ckpts --resume
     python -m repro batch --all --workers 4 --json batch.json
-    python -m repro serve --port 8642 --workers 4 --checkpoint-dir serve-state \
-        --analytics warehouse
+    python -m repro serve --port 8642 --workers 4 --checkpoint-dir serve-state
     python -m repro submit maxwell-vacuum --set runtime.num_steps=30 --wait
     python -m repro status && python -m repro fetch r000000 --json out.json
-    python -m repro analytics ingest warehouse serve-state/results benchmarks/results
-    python -m repro analytics query warehouse mlmd-photoswitch --table runs \
-        --group-by engine --agg mean:obs.energy.mean --agg count:run_id
-    python -m repro analytics regress warehouse mlmd-photoswitch \
-        --series energy --tier loose || echo "regression!"
+    python -m repro analytics regress batch.json serve-state/results md-nve \
+        --series total_energy --tier loose || echo "regression!"
+    python -m repro analytics bench benchmarks/results/history.ndjson
 """
 
 from __future__ import annotations
@@ -238,11 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "results (pruned on startup replay), e.g. "
                             "'keep=50,max-age=7d,max-bytes=1G'; every=K "
                             "terms apply to snapshot steps only")
-    serve.add_argument("--analytics", dest="analytics_dir", default=None,
-                       metavar="DIR",
-                       help="columnar-warehouse root: every finished run is "
-                            "ingested post-run (idempotently) and /v1/stats "
-                            "reports the warehouse footprint")
     serve.add_argument("--lease-ttl", type=float, default=None, metavar="S",
                        help="seconds a run's ownership lease outlives its "
                             "last checkpoint; governs how quickly another "
@@ -322,67 +314,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
     analytics = sub.add_parser(
         "analytics",
-        help="columnar results warehouse: ingest / summary / query / "
-             "regress / bench / dashboard",
+        help="checks over result files: regress / bench / dashboard",
     )
     an_sub = analytics.add_subparsers(dest="analytics_command", required=True)
-    an_ingest = an_sub.add_parser(
-        "ingest", help="backfill result trees and repro-bench/1 documents "
-                       "into a warehouse (idempotent on run id)")
-    an_ingest.add_argument("warehouse", help="warehouse root directory")
-    an_ingest.add_argument("paths", nargs="+", metavar="PATH",
-                           help="result files/dirs (serve results/, RunResult "
-                                "dumps, batch arrays, bench JSON/NDJSON)")
-    an_ingest.add_argument("--sweep", action="store_true",
-                           help="also remove orphan chunks left by crashed "
-                                "ingests")
-    an_ingest.add_argument("--json", dest="as_json", action="store_true",
-                           help="print the full ingest report as JSON")
-    an_summary = an_sub.add_parser(
-        "summary", help="per-partition inventory of a warehouse")
-    an_summary.add_argument("warehouse", help="warehouse root directory")
-    an_summary.add_argument("--json", dest="as_json", action="store_true",
-                            help="print machine-readable JSON")
-    an_query = an_sub.add_parser(
-        "query", help="filter / project / group-aggregate one partition "
-                      "table")
-    an_query.add_argument("warehouse", help="warehouse root directory")
-    an_query.add_argument("partition", help="partition (scenario name, or "
-                                            "_bench)")
-    an_query.add_argument("--table", default=None,
-                          help="table name (default: series, or bench for "
-                               "_bench)")
-    an_query.add_argument("--where", action="append", default=[],
-                          metavar="COL<OP>VALUE",
-                          help="row predicate, e.g. 'engine==reference' or "
-                               "'t>=1.0' (repeatable; all must hold)")
-    an_query.add_argument("--select", action="append", default=[],
-                          metavar="COL", help="project to these columns "
-                                              "(repeatable)")
-    an_query.add_argument("--group-by", action="append", default=[],
-                          metavar="COL", help="grouping keys for --agg "
-                                              "(repeatable)")
-    an_query.add_argument("--agg", dest="aggregates", action="append",
-                          default=[], metavar="FN:COL",
-                          help="aggregate, e.g. mean:obs.energy.mean "
-                               "(fns: count/sum/mean/min/max/std/first/last)")
-    an_query.add_argument("--limit", type=int, default=None, metavar="N",
-                          help="print at most N rows")
-    an_query.add_argument("--json", dest="as_json", action="store_true",
-                          help="print the result table as JSON")
     an_regress = an_sub.add_parser(
         "regress", help="cross-run regression gate: exits 1 when any "
                         "conservation/cohort violation exists (CI-friendly)")
-    an_regress.add_argument("warehouse", help="warehouse root directory")
-    an_regress.add_argument("scenario", help="scenario partition to check")
+    an_regress.add_argument("paths", nargs="+", metavar="PATH",
+                            help="RunResult JSON files (a bare result, a "
+                                 "batch array, a serve outcome) or "
+                                 "directories of them")
+    an_regress.add_argument("scenario", help="scenario whose runs to check")
     an_regress.add_argument("--series", action="append", default=[],
                             metavar="NAME",
-                            help="conservation check: this series column "
+                            help="conservation check: this observable "
+                                 "(or its per-record <name>.l2/.mean/.absmax) "
                                  "must stay flat within the tier "
                                  "(repeatable)")
     an_regress.add_argument("--cohort", action="append", default=[],
                             metavar="COL",
-                            help="cohort check: this runs-table column must "
+                            help="cohort check: this run summary "
+                                 "(obs.<name>.mean/absmax/l2/final) must "
                                  "stay within the tier band of the cohort "
                                  "median (repeatable)")
     an_regress.add_argument("--tier", default="standard",
@@ -391,9 +343,10 @@ def _build_parser() -> argparse.ArgumentParser:
     an_regress.add_argument("--json", dest="as_json", action="store_true",
                             help="print violations as JSON")
     an_bench = an_sub.add_parser(
-        "bench", help="repro-bench/1 metric trajectories over ingested "
+        "bench", help="repro-bench/1 metric trajectories over a bench "
                       "history")
-    an_bench.add_argument("warehouse", help="warehouse root directory")
+    an_bench.add_argument("history", help="history.ndjson file (one "
+                                          "repro-bench/1 document per line)")
     an_bench.add_argument("--bench", default=None,
                           help="restrict to one bench name")
     an_bench.add_argument("--metric", default=None,
@@ -405,9 +358,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           "an offline scan of a serve root")
     an_dash.add_argument("root", nargs="?", default=None,
                          help="serve state root to scan offline")
-    an_dash.add_argument("--warehouse", dest="warehouse", default=None,
-                         metavar="DIR", help="also report this warehouse's "
-                                             "footprint")
     an_dash.add_argument("--live", action="store_true",
                          help="query a running daemon's /v1/stats instead "
                               "of scanning disk")
@@ -609,7 +559,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_retries=args.max_retries,
         keep=args.keep,
         retention=args.retention,
-        analytics_dir=args.analytics_dir,
         steal_interval=args.steal_interval,
         batch_max=args.batch_max,
         backend=args.backend,
@@ -719,37 +668,18 @@ def _cmd_store(args: argparse.Namespace) -> int:
 def _cmd_analytics(args: argparse.Namespace) -> int:
     from repro.analytics import cli as analytics_cli
 
-    if args.analytics_command == "ingest":
-        return analytics_cli.cmd_ingest(args.warehouse, args.paths,
-                                        sweep=args.sweep,
-                                        as_json=args.as_json)
-    if args.analytics_command == "summary":
-        return analytics_cli.cmd_summary(args.warehouse,
-                                         as_json=args.as_json)
-    if args.analytics_command == "query":
-        return analytics_cli.cmd_query(
-            args.warehouse, args.partition, table=args.table,
-            where=args.where, select=args.select, group_by=args.group_by,
-            aggregates=args.aggregates, limit=args.limit,
-            as_json=args.as_json,
-        )
     if args.analytics_command == "regress":
         return analytics_cli.cmd_regress(
-            args.warehouse, args.scenario, series=args.series,
+            args.paths, args.scenario, series=args.series,
             tier=args.tier, cohort=args.cohort, as_json=args.as_json,
         )
     if args.analytics_command == "bench":
-        return analytics_cli.cmd_bench(args.warehouse, bench=args.bench,
+        return analytics_cli.cmd_bench(args.history, bench=args.bench,
                                        metric=args.metric,
                                        as_json=args.as_json)
     assert args.analytics_command == "dashboard"
-    if not args.live and args.root is None and args.warehouse is None:
-        raise ValueError(
-            "dashboard needs a serve root to scan, --live (query a daemon), "
-            "or --warehouse"
-        )
     return analytics_cli.cmd_dashboard(
-        serve_root=args.root, warehouse_root=args.warehouse,
+        serve_root=args.root,
         host=args.host if args.live else None,
         port=args.port if args.live else None,
         as_json=args.as_json,

@@ -199,8 +199,7 @@ class RunResult:
         """The executor-stamped run id (``metadata.executor.run_id``).
 
         ``None`` for results produced outside the executor/daemon path —
-        analytics ingestion then requires an explicit id (or hashes the
-        content).
+        ``repro analytics regress`` then names the run by a content hash.
         """
         executor = self.metadata.get("executor") or {}
         value = executor.get("run_id")

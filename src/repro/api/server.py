@@ -221,13 +221,6 @@ class ScenarioServer:
         governs the daemon's own housekeeping: on startup replay, persisted
         results that fall outside the policy are pruned together with their
         checkpoint runs, so the state directory stops growing without bound.
-    analytics_dir:
-        Optional columnar-warehouse root
-        (:class:`~repro.analytics.warehouse.Warehouse`).  When set, every
-        successfully finished run is ingested as a post-run hook —
-        idempotently on (scenario, run id), so journal-replay re-executions
-        never double-count — and ``/v1/stats`` reports the warehouse
-        footprint alongside the daemon counters.
     owner:
         This daemon's run-ownership identity (defaults to
         ``serve:<hostname>:<pid>``).  Stamped into journal entries and into
@@ -260,7 +253,6 @@ class ScenarioServer:
                  checkpoint_every: Optional[int] = None,
                  max_retries: int = 1, keep: int = 0,
                  retention=None,
-                 analytics_dir=None,
                  mp_context=None,
                  owner: Optional[str] = None,
                  lease_ttl: float = DEFAULT_LEASE_TTL_S,
@@ -314,16 +306,6 @@ class ScenarioServer:
         #: EWMA of finished-run wall time, the basis of Retry-After hints.
         self._avg_run_s: Optional[float] = None
 
-        #: Optional columnar warehouse every finished run is ingested into
-        #: (the post-run hook).  Ingestion is idempotent on (scenario,
-        #: run id), so journal-replay re-executions never double-count.
-        self.analytics = None
-        if analytics_dir is not None:
-            from repro.analytics.warehouse import Warehouse
-
-            self.analytics = Warehouse(analytics_dir)
-        #: Post-run ingest outcomes, surfaced by /v1/stats.
-        self._analytics_counts = {"ingested": 0, "skipped": 0, "errors": 0}
         #: Warm-pool accounting: a submission into an already-started pool
         #: is a warm hit; a cold one pays worker spawn + import cost.
         self._pool_submissions = 0
@@ -1236,9 +1218,6 @@ class ScenarioServer:
             self._persist_outcome(record, {"ok": outcome["ok"]})
             self._merge_worker_telemetry(outcome["ok"].get("metadata", {}))
             self._observe_settled(record, "done")
-            # Ingest after the serve.run span lands so the warehouse sees
-            # the complete span log for this run.
-            self._ingest_analytics(record, outcome["ok"])
             with self._wake:
                 record.status = "done"
                 record.error = None
@@ -1306,37 +1285,6 @@ class ScenarioServer:
             self._avg_run_s = elapsed
         else:
             self._avg_run_s = 0.7 * self._avg_run_s + 0.3 * elapsed
-
-    def _ingest_analytics(self, record: RunRecord, result: Dict[str, Any],
-                          ) -> None:
-        """Post-run hook: ingest one finished result into the warehouse.
-
-        Runs outside _wake (ingestion writes chunk files) and never raises —
-        a warehouse hiccup must not turn a successful run into a failed one.
-        Idempotency lives in the warehouse itself: a retried/replayed run id
-        is skipped, not double-counted.
-        """
-        if self.analytics is None:
-            return
-        try:
-            report = self.analytics.ingest_result(result, run_id=record.run_id)
-            bucket = "ingested" if report["ingested"] else "skipped"
-        except Exception:  # noqa: BLE001 - observability must stay best-effort
-            bucket = "errors"
-        if isinstance(record.trace, dict) and record.trace.get("trace_id"):
-            # The run's span log rides along into the warehouse; span
-            # ingestion dedups on run_id just like results do.
-            try:
-                scenario = validate_key(
-                    str(record.spec.get("name", "")), "scenario")
-                spans = telemetry.read_spans(telemetry.span_log_path(
-                    self.store.root, scenario, record.run_id))
-                if spans:
-                    self.analytics.ingest_spans(spans, run_id=record.run_id)
-            except Exception:  # noqa: BLE001 - telemetry is best-effort
-                pass
-        with self._wake:
-            self._analytics_counts[bucket] += 1
 
     # ------------------------------------------------------------------
     # Introspection (thread-safe snapshots)
@@ -1433,11 +1381,10 @@ class ScenarioServer:
         ``health()`` answers "is the daemon up"; this answers "how is it
         doing": queue depth, EWMA run time, warm-pool hit rate, the state
         root's on-disk footprint (journal, results, checkpoint bytes, lease
-        states) and the analytics warehouse's ingest counters.  The disk
-        scan runs outside _wake — it is I/O, and health polls must not
-        queue behind it.
+        states).  The disk scan runs outside _wake — it is I/O, and health
+        polls must not queue behind it.
         """
-        from repro.analytics.stats import store_stats, warehouse_stats
+        from repro.analytics.stats import store_stats
 
         with self._wake:
             statuses = [record.status for record in self._records.values()]
@@ -1474,7 +1421,6 @@ class ScenarioServer:
                     "cold": self._pool_cold,
                     "warm_hit_rate": hit_rate,
                 },
-                "analytics_counts": dict(self._analytics_counts),
             }
         snapshot: Dict[str, Any] = {
             "daemon": daemon,
@@ -1489,8 +1435,6 @@ class ScenarioServer:
             "metrics": tsnap,
             "spans": {"written": written},
         }
-        if self.analytics is not None:
-            snapshot["analytics"] = warehouse_stats(self.analytics)
         return snapshot
 
     def trace_payload(self, run_id: str) -> Dict[str, Any]:

@@ -1,7 +1,7 @@
 """Shared helpers for CLI subcommand implementations.
 
 Every ``repro <subsystem> <verb>`` implementation (``repro store ls``,
-``repro analytics query``, ...) reports operator-facing faults the same way:
+``repro analytics regress``, ...) reports operator-facing faults the same way:
 one ``error: <message>`` line on stderr and a documented non-zero exit code,
 never a traceback.  :func:`subcommand_errors` is that one error path, shared
 so the wording and exit codes cannot drift between subsystems.
@@ -12,7 +12,7 @@ Exit-code conventions (documented in :mod:`repro.api.cli`):
 * ``1`` — the operation ran but found what it was looking for (a failed run,
   a tripped regression gate);
 * ``2`` — usage or state errors: bad arguments, corrupt/missing stores,
-  unknown partitions or columns;
+  missing result files or unknown columns;
 * ``3`` — a serve daemon was unreachable or timed out.
 """
 

@@ -230,63 +230,35 @@ def test_client_commands_without_daemon_fail_cleanly():
 # ----------------------------------------------------------------------
 # repro analytics: argparse wiring (the engine itself is test_analytics.py)
 # ----------------------------------------------------------------------
-def test_analytics_ingest_query_regress_wiring(tmp_path):
-    results = tmp_path / "results"
-    results.mkdir()
-    out = results / "run.json"
-    seeded = run_cli("run", "maxwell-vacuum", "--steps", "3", "--quiet",
-                     "--run-id", "cli-a", "--json", str(out))
-    assert seeded.returncode == 0, seeded.stderr
-    warehouse = tmp_path / "wh"
-
-    ingest = run_cli("analytics", "ingest", str(warehouse), str(results))
-    assert ingest.returncode == 0, ingest.stderr
-    assert "1 ingested" in ingest.stdout
-    again = run_cli("analytics", "ingest", str(warehouse), str(results))
-    assert again.returncode == 0 and "1 skipped" in again.stdout
-
-    summary = run_cli("analytics", "summary", str(warehouse))
-    assert summary.returncode == 0, summary.stderr
-    assert "maxwell-vacuum" in summary.stdout
-
-    query = run_cli("analytics", "query", str(warehouse), "maxwell-vacuum",
-                    "--table", "runs", "--select", "run_id",
-                    "--select", "engine", "--json")
-    assert query.returncode == 0, query.stderr
-    payload = json.loads(query.stdout)
-    assert payload["rows"] == 1
-    assert payload["columns"]["run_id"] == ["cli-a"]
-
-    # field_energy is NOT conserved in maxwell-vacuum (the pulse injects
-    # energy): the conservation gate must trip with the documented exit 1.
-    gate = run_cli("analytics", "regress", str(warehouse), "maxwell-vacuum",
-                   "--series", "field_energy", "--tier", "loose")
-    assert gate.returncode == 1, (gate.stdout, gate.stderr)
-    assert "REGRESSION" in gate.stdout
-
-    # A cohort check over a single run has nothing to compare: exit 0.
-    ok = run_cli("analytics", "regress", str(warehouse), "maxwell-vacuum",
-                 "--cohort", "final_time")
+def test_analytics_regress_wiring(tmp_path):
+    # One batch-style file: a conserved and a drifting series of one run.
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps([{
+        "scenario": "demo", "engine": "reference",
+        "times": [0.0, 1.0, 2.0],
+        "observables": {"flat": [1.0, 1.0, 1.0], "drift": [1.0, 1.5, 2.0]},
+        "metadata": {"executor": {"run_id": "cli-a"}},
+    }]))
+    ok = run_cli("analytics", "regress", str(path), "demo",
+                 "--series", "flat", "--tier", "standard")
     assert ok.returncode == 0, ok.stderr
     assert "ok:" in ok.stdout
 
+    gate = run_cli("analytics", "regress", str(path), "demo",
+                   "--series", "drift", "--tier", "loose")
+    assert gate.returncode == 1, (gate.stdout, gate.stderr)
+    assert "run cli-a: drift drifted" in gate.stdout
 
-def test_analytics_usage_errors_exit_2(tmp_path):
-    # Unknown warehouse/partition and missing-mode regress: exit 2 with one
-    # error: line via the shared subcommand_errors helper, never a traceback.
-    missing = run_cli("analytics", "query", str(tmp_path / "nope"), "demo")
+    # Usage errors: one error: line via the shared subcommand_errors helper,
+    # exit 2, never a traceback.
+    missing = run_cli("analytics", "regress", str(tmp_path / "nope.json"),
+                      "demo", "--series", "flat")
     assert missing.returncode == 2
     assert missing.stderr.startswith("error:")
     assert "Traceback" not in missing.stderr
-
-    no_mode = run_cli("analytics", "regress", str(tmp_path / "wh2"), "demo")
+    no_mode = run_cli("analytics", "regress", str(path), "demo")
     assert no_mode.returncode == 2
-    assert "error:" in no_mode.stderr
-
-    bad_pred = run_cli("analytics", "query", str(tmp_path / "wh2"), "demo",
-                       "--where", "energy~~5")
-    assert bad_pred.returncode == 2
-    assert "cannot parse predicate" in bad_pred.stderr
+    assert "--series" in no_mode.stderr
 
 
 # ----------------------------------------------------------------------

@@ -37,7 +37,6 @@ from repro.api.executor import ExecutionService
 from repro.api.result import RunFailure, RunResult
 from repro.api.server import FAULT_SERVE_RETRY_PRE_REQUEUE
 from repro.store import RunStore
-import repro.analytics  # noqa: F401 - registers the analytics fault points
 import repro.fleet.membership  # noqa: F401 - registers the fleet fault points
 import repro.fleet.router  # noqa: F401 - registers the router fault point
 import repro.telemetry  # noqa: F401 - registers the telemetry fault points
@@ -70,10 +69,6 @@ DRIVERS = {
     "executor.worker.pre_run": "TestExecutorFaults",
     "executor.retry.pre_requeue": "TestExecutorFaults",
     "executor.spawn.pre_submit": "TestExecutorFaults",
-    "analytics.chunk.pre_write": "TestAnalyticsCrashMatrix",
-    "analytics.manifest.pre_write": "TestAnalyticsCrashMatrix",
-    "analytics.manifest.pre_rename": "TestAnalyticsCrashMatrix",
-    "analytics.manifest.post_commit": "TestAnalyticsCrashMatrix",
     # Fleet drivers live in test_fleet.py (same chaos marker, same CI job).
     "fleet.member.pre_join": "TestFleetFaults",
     "fleet.steal.pre_claim": "TestFleetFaults",
@@ -191,107 +186,6 @@ class TestStoreCrashMatrix:
         for step in pristine.steps("chaos", "r"):
             assert json.dumps(recovered.load("chaos", "r", step), sort_keys=True) \
                 == json.dumps(pristine.load("chaos", "r", step), sort_keys=True)
-
-
-# ----------------------------------------------------------------------
-# Analytics warehouse: crash around the chunk-write / manifest-commit window
-# ----------------------------------------------------------------------
-#: Deterministic ingest sequence driven in a subprocess: three runs into one
-#: scenario partition (each a separate chunk + manifest commit).
-_ANALYTICS_DRIVER = """
-import sys
-sys.path.insert(0, sys.argv[2])
-from repro.analytics.warehouse import Warehouse
-
-def result(i):
-    times = [0.0, 0.5, 1.0]
-    return {"scenario": "chaos", "engine": "md", "times": times,
-            "observables": {"e": [1.0 + i, 1.0 + i, 1.0 + i],
-                            "x": [[0.0, float(i)]] * 3},
-            "metadata": {"spec": {"name": "chaos", "engine": "md",
-                                  "runtime": {"num_steps": 3}}}}
-
-warehouse = Warehouse(sys.argv[1])
-for i in range(3):
-    warehouse.ingest_result(result(i), run_id=f"r{i}", ingested_at=0.0)
-print("COMPLETED", flush=True)
-"""
-
-
-def _drive_analytics(root: Path, plan: str = "") -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, "-c", _ANALYTICS_DRIVER, str(root), SRC],
-        env=_env_with(plan), capture_output=True, text=True, timeout=120,
-    )
-
-
-@chaos
-class TestAnalyticsCrashMatrix:
-    MATRIX = [
-        "analytics.chunk.pre_write",
-        "analytics.manifest.pre_write",
-        "analytics.manifest.pre_rename",
-        "analytics.manifest.post_commit",
-        # Crash mid-sequence too: committed chunks on disk, not clean-or-empty.
-        "analytics.manifest.pre_rename@2",
-        "analytics.chunk.pre_write@3",
-    ]
-
-    @pytest.mark.parametrize("spec", MATRIX)
-    def test_crash_then_reingest_converges(self, tmp_path, spec):
-        from repro.analytics.warehouse import Warehouse
-
-        point = spec.split("@")[0]
-        suffix = spec[len(point):]
-
-        clean = _drive_analytics(tmp_path / "clean")
-        assert clean.returncode == 0, clean.stderr
-        assert "COMPLETED" in clean.stdout
-
-        crashed_root = tmp_path / "crashed"
-        crashed = _drive_analytics(crashed_root,
-                                   plan=f"{point}=crash{suffix}")
-        assert crashed.returncode == faults.CRASH_EXIT_CODE, (
-            f"{spec}: expected injected crash, got rc={crashed.returncode} "
-            f"stdout={crashed.stdout!r} stderr={crashed.stderr!r}"
-        )
-        assert "COMPLETED" not in crashed.stdout
-
-        # Recovery property 1: the crashed warehouse is READABLE as it
-        # stands — every committed chunk loads, no manifest names a missing
-        # file (the manifest rewrite is the commit point).
-        survivor = Warehouse(crashed_root)
-        for partition in survivor.partitions():
-            for table in survivor.tables(partition):
-                survivor.load_table(partition, table)
-
-        # Recovery property 2: re-running the same ingest sequence
-        # completes (idempotent skips for committed runs, fresh ingests for
-        # lost ones) and converges to the clean warehouse's queryable state.
-        rerun = _drive_analytics(crashed_root)
-        assert rerun.returncode == 0, rerun.stderr
-        recovered = Warehouse(crashed_root)
-        pristine = Warehouse(tmp_path / "clean")
-        assert recovered.run_ids("chaos") == pristine.run_ids("chaos")
-        for table in ("runs", "series"):
-            got = recovered.load_table("chaos", table)
-            want = pristine.load_table("chaos", table)
-            assert got.num_rows == want.num_rows
-            assert sorted(got.column_names) == sorted(want.column_names)
-            got_rows = sorted(json.dumps(r, sort_keys=True)
-                              for r in got.to_rows())
-            want_rows = sorted(json.dumps(r, sort_keys=True)
-                               for r in want.to_rows())
-            assert got_rows == want_rows
-
-        # Recovery property 3: sweeping removes any orphan chunk the crash
-        # left, and removes nothing a manifest references.
-        swept = recovered.sweep()
-        for partition in recovered.partitions():
-            for table in recovered.tables(partition):
-                recovered.load_table(partition, table)
-        assert recovered.run_ids("chaos") == pristine.run_ids("chaos")
-        assert swept["reclaimed_bytes"] >= 0
 
 
 # ----------------------------------------------------------------------

@@ -32,6 +32,7 @@ from repro.api import (
     ServeError,
     default_registry,
 )
+from repro.analytics import conservation_violations, load_results
 from repro.api.server import ServerError
 
 from test_api import smoke_spec
@@ -435,14 +436,9 @@ class TestStatsEndpoint:
         pool = daemon["pool"]
         assert pool["workers"] == 0
         assert pool["submissions"] == 0 and pool["warm_hit_rate"] is None
-        assert daemon["analytics_counts"] == {
-            "ingested": 0, "skipped": 0, "errors": 0,
-        }
         for key in ("journal", "results", "checkpoints", "leases"):
             assert key in store, key
         assert store["leases"] == {"live": 0, "stale": 0, "none": 0}
-        # No --analytics flag on this daemon: no analytics section at all.
-        assert "analytics" not in stats
 
     def test_stats_track_runs_and_store_growth(self, client):
         before = client.stats()
@@ -457,29 +453,20 @@ class TestStatsEndpoint:
         assert after["store"]["checkpoints"]["runs"] >= 1
         assert after["store"]["checkpoints"]["bytes"] > 0
 
-    def test_stats_report_analytics_ingestion(self, tmp_path):
-        from repro.analytics import Warehouse
-
-        root = tmp_path / "state"
-        daemon = ScenarioServer(root, port=0, workers=0,
-                                analytics_dir=root / "warehouse")
-        daemon.start()
-        try:
-            client = ServeClient(port=daemon.port, timeout=30.0)
-            spec = smoke_spec("maxwell-vacuum", num_steps=4)
-            assert client.wait(client.submit(spec)["run_id"], timeout=60).ok
-            stats = client.stats()
-            assert stats["daemon"]["analytics_counts"]["ingested"] == 1
-            assert stats["daemon"]["analytics_counts"]["errors"] == 0
-            analytics = stats["analytics"]
-            assert analytics["partitions"] == 1 and analytics["runs"] == 1
-            assert analytics["by_partition"][0]["partition"] == spec.name
-            # The warehouse on disk really holds the run the counter claims.
-            wh = Warehouse(root / "warehouse")
-            assert len(wh.run_ids(spec.name)) == 1
-            assert wh.query(spec.name, table="runs").count() == 1
-        finally:
-            daemon.stop(drain=True)
+    def test_results_dir_feeds_the_regression_gate(self, server, client):
+        # A daemon's results/ directory is what `repro analytics regress`
+        # reads: each finished run loads under its serve run id.
+        spec = smoke_spec("maxwell-vacuum", num_steps=4)
+        run_id = client.submit(spec)["run_id"]
+        outcome = client.wait(run_id, timeout=60)
+        assert outcome.ok
+        results = load_results([server.root / "results"])
+        assert list(results) == [run_id]
+        assert results[run_id]["times"] == outcome.times.tolist()
+        # The pulse injects field energy: not conserved, the gate trips.
+        [violation] = conservation_violations(results, spec.name,
+                                              "field_energy", tier="loose")
+        assert violation["run_id"] == run_id
 
 
 class TestServerValidation:

@@ -34,9 +34,7 @@ import pytest
 from repro import faults, telemetry
 from repro.api import ScenarioServer, ServeClient, ServeError, default_registry
 from repro.api.cli import main
-from repro.analytics.ingest import KIND_SPAN, backfill, classify
 from repro.analytics.stats import render_dashboard
-from repro.analytics.warehouse import SPANS_PARTITION, Warehouse
 from repro.fleet import FleetRouter
 
 from test_api import smoke_spec
@@ -457,79 +455,6 @@ class TestDaemonTelemetry:
             "metrics": {"counters": {}, "gauges": {}, "histograms": {},
                         "bounds": list(telemetry.BUCKET_BOUNDS)}}})
         assert "enabled" in text and "p50" not in text
-
-
-# ----------------------------------------------------------------------
-# Analytics: spans partition + backfill classification
-# ----------------------------------------------------------------------
-class TestAnalyticsSpans:
-    def _spans(self, run_id: str, count: int = 3):
-        ctx = telemetry.new_context()
-        return [telemetry.completed_span(
-                    f"op{index}", ctx, ts=float(index), dur=0.25,
-                    scenario="scn", run_id=run_id, attrs={"step": index})
-                for index in range(count)]
-
-    def test_ingest_spans_is_idempotent_per_run(self, tmp_path):
-        warehouse = Warehouse(tmp_path / "wh")
-        spans = self._spans("run-a")
-        first = warehouse.ingest_spans(spans, run_id="run-a")
-        assert first["ingested"] == ["run-a"] and first["rows"] == 3
-        again = warehouse.ingest_spans(spans, run_id="run-a")
-        assert again["ingested"] == [] and again["skipped"] == ["run-a"]
-        warehouse.ingest_spans(self._spans("run-b", 2), run_id="run-b")
-        query = warehouse.query(SPANS_PARTITION)
-        assert query.count() == 5
-        rows = warehouse.query(SPANS_PARTITION) \
-            .where("run_id", "==", "run-a").rows()
-        assert len(rows) == 3
-        assert {row["name"] for row in rows} == {"op0", "op1", "op2"}
-        assert json.loads(rows[0]["attrs"])["step"] == 0
-
-    def test_empty_span_batch_is_a_noop(self, tmp_path):
-        warehouse = Warehouse(tmp_path / "wh")
-        report = warehouse.ingest_spans([], run_id="run-a")
-        assert report["ingested"] == [] and report["rows"] == 0
-
-    def test_classify_recognises_span_records(self):
-        record = telemetry.completed_span(
-            "op", telemetry.new_context(), ts=0.0, dur=0.0)
-        assert classify(record) == KIND_SPAN
-        assert classify({"trace_id": "t"}) != KIND_SPAN
-
-    def test_backfill_ingests_span_logs_idempotently(self, tmp_path):
-        log_dir = tmp_path / "checkpoints" / "scn" / "run-a"
-        writer = telemetry.SpanWriter(log_dir / telemetry.SPAN_LOG_NAME)
-        for record in self._spans("run-a"):
-            writer.write(record)
-        warehouse = Warehouse(tmp_path / "wh")
-        report = backfill(warehouse, [tmp_path / "checkpoints"])
-        assert report["spans"] == 3
-        assert report["ingested"] == 1
-        assert [SPANS_PARTITION, "run-a"] in report["runs"]
-        again = backfill(warehouse, [tmp_path / "checkpoints"])
-        assert again["ingested"] == 0 and again["skipped"] == 1
-        assert warehouse.query(SPANS_PARTITION).count() == 3
-
-    def test_daemon_auto_ingests_spans_when_analytics_enabled(
-            self, tmp_path, live_telemetry):
-        spec = smoke_spec("maxwell-vacuum", num_steps=2)
-        with ScenarioServer(tmp_path, port=0, workers=0,
-                            analytics_dir=tmp_path / "wh") as server:
-            client = ServeClient(port=server.port, timeout=60.0)
-            run_id = client.submit(spec)["run_id"]
-            assert client.wait(run_id, timeout=120).ok
-            deadline = time.monotonic() + 30
-            warehouse = Warehouse(tmp_path / "wh")
-            while time.monotonic() < deadline:
-                if warehouse.query(SPANS_PARTITION) \
-                        .where("run_id", "==", run_id).count():
-                    break
-                time.sleep(0.05)
-            rows = warehouse.query(SPANS_PARTITION) \
-                .where("run_id", "==", run_id).rows()
-            assert {row["name"] for row in rows} >= {"serve.run",
-                                                     "worker.run"}
 
 
 # ----------------------------------------------------------------------
