@@ -443,10 +443,9 @@ def _batch_spec(seed: int):
 
 def _comparable(outcome) -> dict:
     """The result document minus fields that legitimately differ between
-    serial and batched execution (wall-clock timers, executor stamps)."""
+    serial and batched execution (executor stamps)."""
     doc = outcome.to_dict()
     doc.pop("metadata", None)
-    doc.pop("timers", None)
     return doc
 
 

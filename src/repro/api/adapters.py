@@ -131,7 +131,6 @@ class TDDFTEngine(EngineAdapter):
             field_callback=_field_callback(spec.pulse.build()),
             update_potentials_every=prop.update_potentials_every,
             occupation_decoherence_rate=prop.occupation_decoherence_rate,
-            timers=self.timers,
             workspace=self.workspace,
         )
         self._metadata["homo_lumo_gap"] = float(scf.homo_lumo_gap)
@@ -229,7 +228,6 @@ class DCMESHEngine(EngineAdapter):
         self.simulation = DCMESHSimulation(
             engines, coupler, pulse,
             qd_steps_per_exchange=prop.qd_steps_per_exchange,
-            timers=self.timers,
         )
         self._metadata["num_domains"] = prop.num_domains
         self._metadata["maxwell_dt"] = float(maxwell_dt)
@@ -294,7 +292,6 @@ class MESHEngine(EngineAdapter):
             field_callback=_field_callback(spec.pulse.build()),
             update_potentials_every=prop.update_potentials_every,
             occupation_decoherence_rate=prop.occupation_decoherence_rate,
-            timers=self.timers,
             workspace=self.workspace,
         )
         hopping = None
@@ -386,8 +383,7 @@ class MDEngine(EngineAdapter):
         self._metadata["thermostat"] = prop.thermostat
 
     def _advance(self, num_steps: int) -> None:
-        with self.timers.measure("md_step"):
-            self.integrator.step(self.atoms, num_steps)
+        self.integrator.step(self.atoms, num_steps)
         # The adapter keeps its own time series; cap the integrator-side
         # history at the latest snapshot (observe() reads it below).
         del self.integrator.history[:-1]
@@ -421,7 +417,35 @@ class MDEngine(EngineAdapter):
         self.integrator.load_state_dict(self.atoms, state)
 
 
-class LocalModeEngine(EngineAdapter):
+class _LatticeAdapter(EngineAdapter):
+    """Stepping shared by the two :class:`~repro.md.localmode.LocalModeLattice`
+    adapters (time in femtoseconds).  ``_build`` sets ``lattice``, ``_rng``,
+    ``_time_fs`` and ``_weight``, the next step's excitation weight; the
+    lockstep batch steps the lattices stacked and calls the same
+    :meth:`_tick`, so batched and serial bookkeeping are one code."""
+
+    def _advance(self, num_steps: int) -> None:
+        prop = self.spec.propagator
+        for _ in range(num_steps):
+            self.lattice.step(
+                prop.dt,
+                excitation_weight=self._weight,
+                damping=prop.damping,
+                noise_amplitude=prop.noise_amplitude,
+                rng=self._rng,
+            )
+            self._tick()
+
+    def _tick(self) -> None:
+        """Bookkeeping after one lattice step: advance the clock."""
+        self._time_fs += self.spec.propagator.dt
+
+    @property
+    def time(self) -> float:
+        return self._time_fs
+
+
+class LocalModeEngine(_LatticeAdapter):
     """Ferroelectric local-mode lattice dynamics
     (:class:`repro.md.localmode.LocalModeLattice`) on a skyrmion texture;
     ``propagator.excitation_fraction`` applies a constant excitation
@@ -445,26 +469,9 @@ class LocalModeEngine(EngineAdapter):
         texture = texture + 0.01 * rng_init.standard_normal(texture.shape)
         self.lattice = LocalModeLattice(texture, model)
         if prop.relax_steps > 0:
-            with self.timers.measure("relax"):
-                self.lattice.relax(num_steps=prop.relax_steps, dt=0.5 * prop.dt)
+            self.lattice.relax(num_steps=prop.relax_steps, dt=0.5 * prop.dt)
         self._time_fs = 0.0
-
-    def _advance(self, num_steps: int) -> None:
-        prop = self.spec.propagator
-        with self.timers.measure("localmode_step"):
-            for _ in range(num_steps):
-                self.lattice.step(
-                    prop.dt,
-                    excitation_weight=prop.excitation_fraction,
-                    damping=prop.damping,
-                    noise_amplitude=prop.noise_amplitude,
-                    rng=self._rng,
-                )
-                self._time_fs += prop.dt
-
-    @property
-    def time(self) -> float:
-        return self._time_fs
+        self._weight = prop.excitation_fraction
 
     def observe(self) -> Dict[str, Any]:
         from repro.topology.charge import topological_charge
@@ -510,9 +517,8 @@ class MaxwellEngine(EngineAdapter):
         self._source = self.solver.inject_pulse(pulse) if pulse is not None else None
 
     def _advance(self, num_steps: int) -> None:
-        with self.timers.measure("maxwell_step"):
-            for _ in range(num_steps):
-                self.solver.step(None, boundary_source=self._source)
+        for _ in range(num_steps):
+            self.solver.step(None, boundary_source=self._source)
 
     @property
     def time(self) -> float:
@@ -532,13 +538,13 @@ class MaxwellEngine(EngineAdapter):
         self.solver.load_state_dict(state)
 
 
-class MLMDEngine(EngineAdapter):
+class MLMDEngine(_LatticeAdapter):
     """The end-to-end photo-switching pipeline (:class:`repro.core.mlmd.MLMDPipeline`).
 
     ``prepare()`` relaxes the skyrmion superlattice on the ground-state
     surface; each protocol step advances the excited-state local-mode
     dynamics with the exponentially decaying excitation weight of the
-    pipeline's stage 3.  Time is in femtoseconds.
+    pipeline's stage 3.
     """
 
     kind = "mlmd"
@@ -562,10 +568,9 @@ class MLMDEngine(EngineAdapter):
             thermal_noise_amplitude=prop.noise_amplitude,
             rng=rng_init,
         )
-        with self.timers.measure("prepare_ground_state"):
-            self.lattice = self.pipeline.prepare_ground_state(
-                relax_steps=prop.relax_steps
-            )
+        self.lattice = self.pipeline.prepare_ground_state(
+            relax_steps=prop.relax_steps
+        )
         self._time_fs = 0.0
         self._weight = prop.excitation_fraction
         self._metadata["initial_label"] = classify_texture(self.lattice.modes).label
@@ -573,25 +578,13 @@ class MLMDEngine(EngineAdapter):
             self.pipeline.initial_topological_charge
         )
 
-    def _advance(self, num_steps: int) -> None:
+    def _tick(self) -> None:
+        """Advance the clock and decay the excitation weight."""
+        super()._tick()
         prop = self.spec.propagator
-        with self.timers.measure("xs_dynamics"):
-            for _ in range(num_steps):
-                self.lattice.step(
-                    prop.dt,
-                    excitation_weight=self._weight,
-                    damping=prop.damping,
-                    noise_amplitude=prop.noise_amplitude,
-                    rng=self._rng,
-                )
-                self._time_fs += prop.dt
-                self._weight = prop.excitation_fraction * float(
-                    np.exp(-self._time_fs / prop.excitation_lifetime_fs)
-                )
-
-    @property
-    def time(self) -> float:
-        return self._time_fs
+        self._weight = prop.excitation_fraction * float(
+            np.exp(-self._time_fs / prop.excitation_lifetime_fs)
+        )
 
     def observe(self) -> Dict[str, Any]:
         from repro.topology.charge import topological_charge

@@ -450,9 +450,6 @@ def _print_run_summary(result: RunResult) -> None:
         if key in ("scenario", "engine", "final_time"):
             continue
         print(f"  {key:<24} {value:.6g}")
-    for name, stats in result.timers.items():
-        print(f"  [timer] {name:<15} {stats['elapsed']:.3f} s "
-              f"over {int(stats['calls'])} calls")
 
 
 def _write_json(text: str, path: str, quiet: bool) -> None:

@@ -50,7 +50,6 @@ import numpy as np
 from repro import telemetry
 from repro.api.result import RunResult, _plain, revive
 from repro.api.spec import ScenarioSpec
-from repro.perf.timers import TimerRegistry
 from repro.perf.workspace import KernelWorkspace, get_workspace
 # CheckpointError is defined with the storage subsystem (which must raise it
 # without importing the API layer) and re-exported here, its historical home.
@@ -122,7 +121,6 @@ class EngineAdapter(abc.ABC):
             )
         self.spec = spec.copy()
         self.workspace = workspace if workspace is not None else get_workspace()
-        self.timers = TimerRegistry()
         self._prepared = False
         self._step = 0
         self._times: List[float] = []
@@ -163,10 +161,10 @@ class EngineAdapter(abc.ABC):
     def prepare(self) -> None:
         """Build the wrapped engine once; later calls are no-ops."""
         if not self._prepared:
-            with self.timers.measure("prepare") as timer:
-                self._build()
+            t0 = _perf_counter()
+            self._build()
             telemetry.observe(
-                "repro_engine_prepare_seconds", timer.elapsed,
+                "repro_engine_prepare_seconds", _perf_counter() - t0,
                 "building one engine (the SCF ground state on quantum kinds)",
             )
             self._prepared = True
@@ -297,11 +295,10 @@ class EngineAdapter(abc.ABC):
     def _open(self, checkpoint: Optional[Dict[str, Any]] = None) -> None:
         """Start a recording session: fresh, or continued from ``checkpoint``.
 
-        A fresh session drops previously recorded samples and timer
-        accumulations and records the initial state; a restored one carries
-        on from the snapshot's step counter and series.
+        A fresh session drops previously recorded samples and records the
+        initial state; a restored one carries on from the snapshot's step
+        counter and series.
         """
-        self.timers.reset()
         if checkpoint is not None:
             self.restore(checkpoint)
             return
@@ -330,8 +327,7 @@ class EngineAdapter(abc.ABC):
             or (checkpoint_every is not None
                 and self._step % checkpoint_every == 0)
         ):
-            with self.timers.measure("checkpoint"):
-                on_checkpoint(self.checkpoint())
+            on_checkpoint(self.checkpoint())
         return self._step >= num_steps
 
     def _drive(self, num_steps: int, record_every: int,
@@ -359,10 +355,9 @@ class EngineAdapter(abc.ABC):
         """Drive the engine through the standard record/step loop.
 
         Each call starts a fresh recording session (previously recorded
-        samples and timer accumulations are dropped), so the returned
-        :class:`RunResult` always describes exactly this run even when the
-        engine was stepped or run before.  The one-time ``prepare`` timer is
-        only part of the first run's report (preparation is lazy).
+        samples are dropped), so the returned :class:`RunResult` always
+        describes exactly this run even when the engine was stepped or run
+        before.
 
         ``on_checkpoint`` (for example
         :meth:`repro.store.RunStore.save` bound to a run id)
@@ -407,5 +402,4 @@ class EngineAdapter(abc.ABC):
             times=np.asarray(self._times, dtype=float),
             observables=observables,
             metadata=metadata,
-            timers=self.timers.report(),
         )

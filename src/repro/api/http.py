@@ -51,6 +51,7 @@ from urllib.parse import parse_qs, urlparse
 
 from repro import telemetry
 from repro.api.registry import default_registry
+from repro.store import validate_key
 
 #: Wire-protocol version prefix of every route.
 API_PREFIX = "/v1"
@@ -111,6 +112,22 @@ def recovered_record(run_id: str, outcome: Dict[str, Any]) -> Dict[str, Any]:
         "recovered": True,
         "error": summary.get("error") if "failure" in outcome else None,
     }
+
+
+def run_trace(store_root, run_id: str, scenario: str) -> Dict[str, Any]:
+    """The ``/v1/runs/<id>/trace`` answer: the run's span log under the
+    checkpoint store at ``store_root`` (none for an unnamed scenario, ``""``
+    or ``"?"``); 400 when ``run_id`` or ``scenario`` is not a store key."""
+    known = bool(scenario) and scenario != "?"
+    try:
+        validate_key(run_id, "run_id")
+        if known:
+            validate_key(scenario, "scenario")
+    except ValueError as exc:
+        raise ServerError(400, str(exc)) from exc
+    spans = telemetry.read_spans(
+        telemetry.span_log_path(store_root, scenario, run_id)) if known else []
+    return {"run_id": run_id, "scenario": scenario, "spans": spans}
 
 
 def result_pending(run_id: str, status: str) -> ServerError:

@@ -1,4 +1,4 @@
-"""The unified run result: times, observables, metadata and kernel timers.
+"""The unified run result: times, observables and metadata.
 
 Every engine adapter returns the same :class:`RunResult` container regardless
 of which simulation subsystem produced it, so downstream consumers (the CLI,
@@ -160,8 +160,9 @@ class RunResult:
         JSON-able provenance: the full scenario spec dict, engine-specific
         summary values (SCF convergence, switching times, ...) and anything a
         batch runner attaches (workspace cache statistics).
-    timers:
-        ``TimerRegistry.report()``-style kernel timing breakdown.
+
+    Timing is not part of a result: engines time themselves through
+    :mod:`repro.telemetry`.
     """
 
     scenario: str
@@ -169,7 +170,6 @@ class RunResult:
     times: np.ndarray
     observables: Dict[str, np.ndarray]
     metadata: Dict[str, Any] = field(default_factory=dict)
-    timers: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
     #: Discriminator shared with RunFailure for mixed batch slots.
     ok = True
@@ -229,12 +229,14 @@ class RunResult:
             "times": self.times.tolist(),
             "observables": {k: v.tolist() for k, v in self.observables.items()},
             "metadata": _plain(self.metadata),
-            "timers": _plain(self.timers),
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunResult":
-        known = {"scenario", "engine", "times", "observables", "metadata", "timers"}
+        # Results written before timing moved to telemetry carry a
+        # ``timers`` breakdown; it is accepted and dropped.
+        known = {"scenario", "engine", "times", "observables", "metadata",
+                 "timers"}
         unknown = sorted(set(data) - known)
         if unknown:
             raise ValueError(f"unknown RunResult keys: {unknown}")
@@ -250,7 +252,6 @@ class RunResult:
                 for k, v in dict(data["observables"]).items()
             },
             metadata=dict(data.get("metadata", {})),
-            timers={k: dict(v) for k, v in dict(data.get("timers", {})).items()},
         )
 
     def to_json(self, indent: int = 2) -> str:

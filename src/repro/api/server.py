@@ -55,7 +55,7 @@ from repro import faults, telemetry
 from repro.api.executor import WorkerPool, worker_payload
 from repro.api.http import (  # noqa: F401 - API_PREFIX is re-exported
     API_PREFIX, FINISHED, HttpService, ServerError, recovered_record,
-    result_pending,
+    result_pending, run_trace,
 )
 from repro.api.spec import ScenarioSpec
 from repro.fleet.membership import (
@@ -1461,14 +1461,7 @@ class ScenarioServer:
                     scenario = (entry.get("spec") or {}).get("name")
         if not scenario:
             raise ServerError(404, f"unknown run id {run_id!r}")
-        try:
-            validate_key(run_id, "run_id")
-            validate_key(str(scenario), "scenario")
-        except ValueError as exc:
-            raise ServerError(400, str(exc)) from exc
-        path = telemetry.span_log_path(self.store.root, str(scenario), run_id)
-        return {"run_id": run_id, "scenario": str(scenario),
-                "spans": telemetry.read_spans(path)}
+        return run_trace(self.store.root, run_id, str(scenario))
 
     def iter_events(self, run_id: str, from_step: int = 0,
                     poll: float = _POLL_S) -> Iterator[Dict[str, Any]]:

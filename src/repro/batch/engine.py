@@ -60,23 +60,6 @@ MemberOutcome = Union[RunResult, RunFailure]
 STACKED_KINDS = ("localmode", "mlmd")
 
 
-def _member_weight(engine: EngineAdapter) -> float:
-    """The excitation weight this member's next step uses (pre-step value)."""
-    if engine.kind == "mlmd":
-        return engine._weight
-    return engine.spec.propagator.excitation_fraction
-
-
-def _member_tick(engine: EngineAdapter) -> None:
-    """Post-step clock/weight bookkeeping, mirroring the serial ``_advance``."""
-    prop = engine.spec.propagator
-    engine._time_fs += prop.dt
-    if engine.kind == "mlmd":
-        engine._weight = prop.excitation_fraction * float(
-            np.exp(-engine._time_fs / prop.excitation_lifetime_fs)
-        )
-
-
 class _LatticeStack:
     """M member lattices stacked along a leading axis, stepped as one.
 
@@ -136,9 +119,13 @@ class _LatticeStack:
             self._restack()
 
     def step(self) -> None:
-        """Advance every stacked member by one native step (one kernel call)."""
+        """Advance every stacked member by one native step (one kernel call).
+
+        Each member's excitation weight and post-step ``_tick`` are its
+        adapter's own, the ones its serial ``_advance`` uses.
+        """
         prop = self.engines[0].spec.propagator
-        weights = [_member_weight(e) for e in self.engines]
+        weights = [e._weight for e in self.engines]
         rngs = [e._rng for e in self.engines]
         step_stacked(
             self.modes, self.velocities, self.model, prop.dt,
@@ -147,7 +134,7 @@ class _LatticeStack:
             mode_mass=self.mode_mass,
         )
         for engine in self.engines:
-            _member_tick(engine)
+            engine._tick()
 
 
 class BatchedEngine:

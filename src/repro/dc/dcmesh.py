@@ -25,14 +25,13 @@ stepping the domains one by one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.maxwell.coupling import MaxwellCoupler
 from repro.maxwell.pulses import LaserPulse
-from repro.perf.timers import TimerRegistry
 from repro.qd.tddft import RealTimeTDDFT, propagate_domains
 from repro.utils.validation import validate_run_args
 
@@ -77,7 +76,6 @@ class DCMESHSimulation:
     coupler: MaxwellCoupler
     pulse: LaserPulse
     qd_steps_per_exchange: int = 10
-    timers: TimerRegistry = field(default_factory=TimerRegistry)
 
     def __post_init__(self) -> None:
         if not self.domain_engines:
@@ -212,14 +210,11 @@ class DCMESHSimulation:
         vector potential at the domain anchors.  Returns the new per-domain
         A(X_alpha) values.
         """
-        with self.timers.measure("lfd"):
-            propagate_domains(self.domain_engines, self._orbital_stack(),
-                              self.qd_steps_per_exchange)
-        with self.timers.measure("maxwell"):
-            currents = self._domain_currents()
-            self._sampled_a = self.coupler.step(
-                currents, boundary_source=self._source
-            )
+        propagate_domains(self.domain_engines, self._orbital_stack(),
+                          self.qd_steps_per_exchange)
+        self._sampled_a = self.coupler.step(
+            self._domain_currents(), boundary_source=self._source
+        )
         return self._sampled_a
 
     # ------------------------------------------------------------------

@@ -40,9 +40,9 @@ from repro import faults, telemetry
 from repro.api.client import ServeClient, ServeError, ServeUnavailable
 from repro.api.http import (
     FINISHED, HttpService, ServerError, recovered_record, result_pending,
+    run_trace,
 )
 from repro.api.server import DEFAULT_PORT
-from repro.store import validate_key
 from repro.fleet.membership import DEFAULT_MEMBER_TTL_S, FleetRegistry
 
 FAULT_ROUTER_PRE_PROXY = faults.register(
@@ -394,19 +394,8 @@ class FleetRouter:
         works whichever member(s) executed the run, and after all of them
         are gone (the same durability argument as :meth:`result`)."""
         record = self.status(run_id)  # 404s unknown ids
-        scenario = str(record.get("scenario") or "")
-        try:
-            validate_key(run_id, "run_id")
-            if scenario and scenario != "?":
-                validate_key(scenario, "scenario")
-        except ValueError as exc:
-            raise ServerError(400, str(exc)) from exc
-        spans: List[Dict[str, Any]] = []
-        if scenario and scenario != "?":
-            spans = telemetry.read_spans(telemetry.span_log_path(
-                self.root / "checkpoints", scenario, run_id
-            ))
-        return {"run_id": run_id, "scenario": scenario, "spans": spans}
+        return run_trace(self.root / "checkpoints", run_id,
+                         str(record.get("scenario") or ""))
 
     def result(self, run_id: str) -> Dict[str, Any]:
         # The shared store is authoritative for finished runs — no proxy

@@ -1,13 +1,14 @@
-"""Performance measurement: timers, FLOP accounting, time-to-solution metrics.
+"""Performance measurement: FLOP accounting, kernel workspaces, time-to-solution.
 
 The paper's headline numbers are all derived quantities — time-to-solution per
 electron (Table I), per atom-weight (Table II), FLOP/s and percent-of-peak
 (Tables IV/V), and weak/strong scaling efficiencies (Figs. 4/5).  This
 subpackage implements those metric definitions exactly as the paper states
-them so benchmark harnesses can print comparable rows.
+them so benchmark harnesses can print comparable rows.  Wall-clock timing
+is not kept here: kernels and engines time themselves through
+:mod:`repro.telemetry`, which costs nothing while it is switched off.
 """
 
-from repro.perf.timers import Timer, TimerRegistry, timed
 from repro.perf.flops import FlopCounter, stencil_flops, fft_flops
 from repro.perf.workspace import (
     KernelWorkspace,
@@ -26,9 +27,6 @@ from repro.perf.metrics import (
 )
 
 __all__ = [
-    "Timer",
-    "TimerRegistry",
-    "timed",
     "FlopCounter",
     "stencil_flops",
     "fft_flops",

@@ -18,7 +18,8 @@ The step is one kernel over a leading domain axis
 domain, and DC-MESH calls it once per exchange for all of its domains, whose
 orbitals it holds as one ``(D, n_orb, nx, ny, nz)`` array.  The kinetic step
 applies cached per-axis operators (no FFT), and the local half-step phase is
-rebuilt only when v_loc changes.
+rebuilt only when v_loc changes.  While telemetry is on, each call splits
+its time by kernel into the ``repro_qd_<kernel>_seconds`` histograms.
 
 The driver records the time series of dipole moment, cell-averaged current,
 occupation-resolved excitation numbers, and total energy, which is everything
@@ -29,19 +30,24 @@ for the excitation feedback.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from time import perf_counter
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.perf.timers import TimerRegistry
 from repro.perf.workspace import KernelWorkspace
 from repro.qd.hamiltonian import LocalHamiltonian, update_potentials_stacked
 from repro.qd.kin_prop import KineticPropagator, apply_kinetic_operators
 from repro.qd.nlp_prop import NonlocalCorrection
 from repro.qd.occupations import OccupationState
 from repro.qd.wavefunctions import WaveFunctions
+from repro.telemetry import metrics as _telemetry
 from repro.utils.validation import validate_run_args
+
+#: The kernels a QD step is split into, each timed into
+#: ``repro_qd_<kernel>_seconds`` while telemetry is on.
+QD_KERNELS = ("v_loc_prop", "kin_prop", "nlp_prop", "vnl_prop", "hartree_xc")
 
 
 @dataclass
@@ -70,8 +76,32 @@ def _untimed(_name: str):
     return nullcontext()
 
 
+class _KernelTimer:
+    """``with timer(kernel):`` observes the block's wall time into
+    ``repro_qd_<kernel>_seconds``; blocks must not nest."""
+
+    __slots__ = ("_histograms", "_current", "_t0")
+
+    def __init__(self) -> None:
+        self._histograms = {
+            kernel: _telemetry.histogram(f"repro_qd_{kernel}_seconds",
+                                         f"one {kernel} block of a QD step")
+            for kernel in QD_KERNELS
+        }
+
+    def __call__(self, kernel: str) -> "_KernelTimer":
+        self._current = self._histograms[kernel]
+        return self
+
+    def __enter__(self) -> None:
+        self._t0 = perf_counter()
+
+    def __exit__(self, *exc) -> None:
+        self._current.observe(perf_counter() - self._t0)
+
+
 def propagate_domains(engines: Sequence["RealTimeTDDFT"], psi: np.ndarray,
-                      steps: int, timers: Optional[TimerRegistry] = None) -> None:
+                      steps: int) -> None:
     """Advance D same-shape domains by ``steps`` QD steps as one kernel.
 
     ``psi`` is the C-contiguous ``(D, n_orb, nx, ny, nz)`` orbital stack whose
@@ -91,13 +121,14 @@ def propagate_domains(engines: Sequence["RealTimeTDDFT"], psi: np.ndarray,
     5. each domain's occupation relaxation.
 
     Every stacked operation acts on each slice independently, so a stacked
-    call is bit-identical to one call per domain.  ``timers`` (optional)
-    receives the per-kernel timings.
+    call is bit-identical to one call per domain.  Whether the
+    :data:`QD_KERNELS` are timed is decided once per call, by
+    :func:`repro.telemetry.enabled`; timing never touches the orbitals.
     """
     dt = engines[0].dt
     every = engines[0].update_potentials_every
     hamiltonians = [engine.hamiltonian for engine in engines]
-    measure = timers.measure if timers is not None else _untimed
+    measure = _KernelTimer() if _telemetry.enabled() else _untimed
     stacked_from = stacked = None
     for n in range(steps):
         operators = [
@@ -187,7 +218,6 @@ class RealTimeTDDFT:
     field_callback: Optional[Callable[[float], np.ndarray]] = None
     update_potentials_every: int = 1
     occupation_decoherence_rate: float = 0.0
-    timers: TimerRegistry = field(default_factory=TimerRegistry)
     workspace: Optional[KernelWorkspace] = None
 
     def __post_init__(self) -> None:
@@ -220,7 +250,7 @@ class RealTimeTDDFT:
     # ------------------------------------------------------------------
     def step(self, steps: int = 1) -> None:
         """Advance the electronic state by ``steps`` QD steps."""
-        propagate_domains([self], self.wavefunctions.psi[None], steps, self.timers)
+        propagate_domains([self], self.wavefunctions.psi[None], steps)
 
     # ------------------------------------------------------------------
     # Checkpoint support

@@ -13,6 +13,7 @@ from repro.api import (
     RunResult,
     ScenarioRegistry,
     ScenarioSpec,
+    ServeClient,
     build_engine,
     default_registry,
     parse_assignments,
@@ -251,6 +252,47 @@ class TestRunArgumentValidation:
 # ----------------------------------------------------------------------
 # RunResult round-tripping
 # ----------------------------------------------------------------------
+#: A two-step ``localmode-switch`` result as written before run timing moved
+#: to telemetry: it still carries the ``timers`` breakdown.
+TIMED_RESULT_JSON = (
+    '{"scenario": "localmode-switch", "engine": "localmode", '
+    '"times": [0.0, 2.0, 4.0], '
+    '"observables": {"energy": [49.07837993233384, 45.70832423880655, '
+    '40.34900425533252], "topological_charge": [-4.0, -4.0, -4.0], '
+    '"mean_polarization": [[0.0010148159939058505, 0.0006250281976005095, '
+    '0.5167544559900686], [0.00099100909307588, 0.0006100855390343393, '
+    '0.5048037760445274], [0.0011570530101617927, 0.0004898294408350156, '
+    '0.4842125513367645]]}, '
+    '"metadata": {"spec": {"name": "localmode-switch", '
+    '"engine": "localmode", '
+    '"description": "Skyrmion texture on the local-mode lattice under a '
+    'prescribed excitation (idealised pump)", '
+    '"seed": 3, "grid": {"shape": [8, 8, 8], "lengths": [8.0, 8.0, 8.0]}, '
+    '"material": {"centers": [[4.0, 4.0, 4.0]], "depths": [3.0], '
+    '"widths": [1.2], "charges": null, "masses": null, "n_electrons": 2.0, '
+    '"n_orbitals": 3, "scf_max_iterations": 30, "scf_tolerance": 1e-05, '
+    '"species": "Ar", "lattice_constant": 5.26, "repeats": [16, 16, 1], '
+    '"skyrmions_per_axis": [2, 2]}, "pulse": {"kind": "none", "e0": 0.03, '
+    '"omega": 0.35, "t0": 8.0, "sigma": 3.0, "ramp": 2.0, "plateau": 4.0, '
+    '"polarization": [0.0, 0.0, 1.0]}, "propagator": {"dt": 2.0, '
+    '"update_potentials_every": 1, "occupation_decoherence_rate": 0.0, '
+    '"scissors_shift": 0.0, "qd_steps_per_exchange": 5, "num_domains": 2, '
+    '"maxwell_points": 60, "maxwell_courant": 0.95, "qd_substeps": 10, '
+    '"surface_hopping": false, "thermostat": "none", '
+    '"temperature_k": 30.0, "friction": 0.02, "damping": 0.3, '
+    '"noise_amplitude": 0.001, "excitation_fraction": 0.6, '
+    '"excitation_lifetime_fs": 600.0, "relax_steps": 60}, '
+    '"runtime": {"num_steps": 2, "record_every": 1, '
+    '"checkpoint_every": null}}}, '
+    '"timers": {"prepare": {"elapsed": 0.05369882400009374, "calls": 1.0, '
+    '"mean": 0.05369882400009374}, '
+    '"relax": {"elapsed": 0.005782665000083398, "calls": 1.0, '
+    '"mean": 0.005782665000083398}, '
+    '"localmode_step": {"elapsed": 0.0004601570000204447, "calls": 2.0, '
+    '"mean": 0.00023007850001022234}}}'
+)
+
+
 class TestRunResult:
     def test_json_round_trip_from_live_run(self):
         result = run_scenario(smoke_spec("maxwell-vacuum"))
@@ -260,6 +302,13 @@ class TestRunResult:
         assert rebuilt.to_dict() == result.to_dict()
         for name, series in result.observables.items():
             np.testing.assert_array_equal(rebuilt.observables[name], series)
+
+    def test_result_written_with_timers_still_loads(self):
+        document = json.loads(TIMED_RESULT_JSON)
+        untimed = {k: v for k, v in document.items() if k != "timers"}
+        for result in (RunResult.from_dict(document),
+                       ServeClient.decode_outcome({"ok": document})):
+            assert result.to_dict() == untimed
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="leading shape"):

@@ -21,8 +21,11 @@ from pathlib import Path
 
 import pytest
 
+from repro import telemetry
 from repro.api import ScenarioServer, default_registry
-from repro.api.http import API_PREFIX, ROUTES, HttpService, ServerError
+from repro.api.http import (
+    API_PREFIX, ROUTES, HttpService, ServerError, run_trace,
+)
 from repro.fleet import FleetRouter
 
 
@@ -390,3 +393,27 @@ class TestStatusHold:
         status, reply = ask_json(app.port, "GET", f"/v1/runs/r-1?wait={value}")
         assert status == 400 and "'wait'" in reply["error"]
         assert app.calls == []
+
+
+# ----------------------------------------------------------------------
+# The trace tail both front ends answer /v1/runs/<id>/trace with
+# ----------------------------------------------------------------------
+class TestRunTrace:
+    def test_reads_the_run_span_log_under_the_store(self, tmp_path):
+        span = {"name": "worker.run", "span_id": "s1", "trace_id": "t1"}
+        telemetry.SpanWriter(
+            telemetry.span_log_path(tmp_path, "md-nve", "r-1")).write(span)
+        assert run_trace(tmp_path, "r-1", "md-nve") == {
+            "run_id": "r-1", "scenario": "md-nve", "spans": [span]}
+
+    @pytest.mark.parametrize("scenario", ["", "?"])
+    def test_an_unnamed_scenario_has_no_spans(self, tmp_path, scenario):
+        assert run_trace(tmp_path, "r-1", scenario)["spans"] == []
+
+    @pytest.mark.parametrize("run_id, scenario", [
+        ("../r-1", "md-nve"), ("r-1", "../md-nve"), ("../r-1", "?"),
+    ])
+    def test_a_bad_key_is_400(self, tmp_path, run_id, scenario):
+        with pytest.raises(ServerError) as refused:
+            run_trace(tmp_path, run_id, scenario)
+        assert refused.value.status == 400

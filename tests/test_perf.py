@@ -1,6 +1,4 @@
-"""Tests for timers, FLOP accounting and the paper's derived metrics."""
-
-import time
+"""Tests for FLOP accounting, kernel workspaces and the paper's derived metrics."""
 
 import numpy as np
 import pytest
@@ -10,8 +8,6 @@ from repro.perf import (
     FlopCounter,
     KernelWorkspace,
     LRUCache,
-    Timer,
-    TimerRegistry,
     fft_flops,
     get_workspace,
     flops_rate,
@@ -22,44 +18,7 @@ from repro.perf import (
     percent_of_peak,
     speedup,
     stencil_flops,
-    timed,
 )
-
-
-class TestTimers:
-    def test_timer_accumulates(self):
-        timer = Timer("t")
-        timer.start()
-        time.sleep(0.01)
-        delta = timer.stop()
-        assert delta > 0 and timer.elapsed >= delta and timer.calls == 1
-        assert timer.mean == pytest.approx(timer.elapsed)
-
-    def test_timer_double_start_raises(self):
-        timer = Timer("t")
-        timer.start()
-        with pytest.raises(RuntimeError):
-            timer.start()
-        timer.stop()
-        with pytest.raises(RuntimeError):
-            timer.stop()
-
-    def test_registry_measure_and_report(self):
-        registry = TimerRegistry()
-        with registry.measure("kin_prop"):
-            time.sleep(0.005)
-        with registry.measure("kin_prop"):
-            pass
-        report = registry.report()
-        assert report["kin_prop"]["calls"] == 2
-        assert "kin_prop" in registry
-        registry.reset()
-        assert registry["kin_prop"].calls == 0
-
-    def test_timed_contextmanager(self):
-        with timed() as t:
-            time.sleep(0.001)
-        assert t.elapsed > 0
 
 
 class TestFlopCounter:

@@ -4,20 +4,23 @@
 * Unitarity of the driven split-operator step.
 * The stacked DC-MESH step against the per-domain loop, bit for bit.
 * The cached local half-step phase against every writer of v_loc.
+* Kernel timing (telemetry on) against the untimed step, bit for bit.
 """
 
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.dc import DCMESHSimulation
 from repro.grid import Grid3D
 from repro.maxwell import GaussianPulse, Maxwell1D, MaxwellCoupler
 from repro.perf.workspace import KernelWorkspace
 from repro.qd import (
-    KineticPropagator, LocalHamiltonian, NonlocalCorrection, OccupationState,
-    RealTimeTDDFT, WaveFunctions,
+    GaussianProjector, KineticPropagator, LocalHamiltonian, NonlocalCorrection,
+    NonlocalPseudopotential, OccupationState, RealTimeTDDFT, WaveFunctions,
 )
 from repro.qd.hamiltonian import gaussian_external_potential
+from repro.qd.tddft import QD_KERNELS
 from repro.scf import KohnShamSolver
 from repro.units import SPEED_OF_LIGHT_AU
 
@@ -160,6 +163,51 @@ def test_stacked_exchange_is_bit_identical_to_domain_loop(ground_state, num_doma
         a = result.vector_potential_at_domains
         differing = np.any(a != a[:, :1], axis=1)
         assert differing.sum() >= EXCHANGES // 2
+
+
+def test_kernel_timing_leaves_the_step_bit_identical(ground_state,
+                                                     live_telemetry):
+    """The same two-domain exchanges untimed, then timed: identical bits,
+    and one observation per kernel block.  Domain 0 carries nonlocal
+    projectors and domain 1 a scissors correction, so all five kernels
+    run."""
+    exchanges = 4
+    runs = {}
+    for timed in (False, True):  # ends enabled, as the fixture expects
+        (telemetry.enable if timed else telemetry.disable)()
+        engines, coupler, pulse = _domains(ground_state, 2)
+        grid = engines[0].wavefunctions.grid
+        engines[0].hamiltonian.nonlocal_pseudopotential = NonlocalPseudopotential(
+            grid, [GaussianProjector((4.0, 4.0, 4.0), 0.8, 0.5)])
+        simulation = DCMESHSimulation(
+            engines, coupler, pulse, qd_steps_per_exchange=QD_STEPS_PER_EXCHANGE)
+        runs[timed] = (simulation.run(exchanges), engines)
+        if not timed:
+            assert not any(name.startswith("repro_qd_")
+                           for name in telemetry.snapshot()["histograms"])
+
+    (untimed, plain), (timed, engines) = runs[False], runs[True]
+    for name in ("vector_potential_at_domains", "domain_currents",
+                 "domain_excitations", "dipoles"):
+        np.testing.assert_array_equal(getattr(timed, name), getattr(untimed, name))
+    for engine, ref in zip(engines, plain):
+        np.testing.assert_array_equal(engine.wavefunctions.psi, ref.wavefunctions.psi)
+        np.testing.assert_array_equal(engine.hamiltonian.hartree,
+                                      ref.hamiltonian.hartree)
+
+    steps = exchanges * QD_STEPS_PER_EXCHANGE
+    counts = {
+        kernel: telemetry.snapshot()["histograms"][
+            f"repro_qd_{kernel}_seconds"]["count"]
+        for kernel in QD_KERNELS
+    }
+    assert counts == {
+        "v_loc_prop": 2 * steps,  # two half steps, all domains in one block
+        "kin_prop": steps,
+        "nlp_prop": steps,        # domain 1 only
+        "vnl_prop": steps,        # domain 0 only
+        "hartree_xc": exchanges,  # update_potentials_every == steps/exchange
+    }
 
 
 def test_stack_is_rebuilt_when_another_simulation_takes_the_engines(ground_state):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.grid import Grid3D
 from repro.maxwell import GaussianPulse
 from repro.qd import (
@@ -189,11 +190,11 @@ class TestRealTimeTDDFT:
         out_scissors = with_scissors.run(10)
         assert not np.allclose(out_plain.dipole, out_scissors.dipole)
 
-    def test_timers_populated(self, scf_result):
+    def test_kernel_split_reaches_telemetry(self, scf_result, live_telemetry):
         engine = self._make_engine(scf_result)
         engine.run(3)
-        report = engine.timers.report()
-        assert "kin_prop" in report and report["kin_prop"]["calls"] == 3
+        histograms = telemetry.snapshot()["histograms"]
+        assert histograms["repro_qd_kin_prop_seconds"]["count"] == 3
 
     def test_invalid_arguments(self, scf_result):
         engine = self._make_engine(scf_result)

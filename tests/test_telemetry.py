@@ -217,6 +217,21 @@ class TestMetrics:
         assert snap["counters"][
             "repro_workspace_ground_state_misses_total"]["value"] == 1
 
+    @pytest.mark.parametrize("name", ["quickstart-tddft", "dcmesh-pulse"])
+    def test_quantum_steps_are_split_by_qd_kernel(self, live_telemetry, name):
+        from repro.api import run_scenario
+
+        spec = smoke_spec(name, num_steps=2)
+        run_scenario(spec)
+        # One kinetic block per QD step, all DC-MESH domains in one block.
+        qd_steps = 2 * (spec.propagator.qd_steps_per_exchange
+                        if spec.engine == "dcmesh" else 1)
+        histograms = telemetry.snapshot()["histograms"]
+        assert histograms["repro_qd_kin_prop_seconds"]["count"] == qd_steps
+        assert histograms["repro_qd_v_loc_prop_seconds"]["count"] \
+            == 2 * qd_steps
+        assert histograms["repro_engine_step_seconds"]["count"] == 2
+
     def test_forked_worker_does_not_reship_inherited_counts(
             self, live_telemetry, monkeypatch):
         # Under fork a fresh worker starts with the daemon's registry; its
