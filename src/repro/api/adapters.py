@@ -26,7 +26,8 @@ perturbs the streams of existing ones.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Type
+import abc
+from typing import Any, Dict, List, Optional, Sequence, Type
 
 import numpy as np
 
@@ -418,11 +419,35 @@ class MDEngine(EngineAdapter):
 
 
 class _LatticeAdapter(EngineAdapter):
-    """Stepping shared by the two :class:`~repro.md.localmode.LocalModeLattice`
-    adapters (time in femtoseconds).  ``_build`` sets ``lattice``, ``_rng``,
-    ``_time_fs`` and ``_weight``, the next step's excitation weight; the
-    lockstep batch steps the lattices stacked and calls the same
-    :meth:`_tick`, so batched and serial bookkeeping are one code."""
+    """What the two :class:`~repro.md.localmode.LocalModeLattice` adapters
+    share (time in femtoseconds): preparation, stepping and observation.
+
+    ``_build`` is :meth:`_build_texture` (sets ``lattice`` and ``_rng``), the
+    ground-state relax and :meth:`_finish_build` (sets ``_time_fs`` and
+    ``_weight``, the next step's excitation weight).  The lockstep batch
+    runs the same pieces with the relax stacked, steps the lattices stacked
+    calling the same :meth:`_tick`, and observes them through the same
+    :meth:`observe_stacked` — so batched and serial runs are one code.
+    """
+
+    def _build(self) -> None:
+        self._build_texture()
+        self.lattice.relax(**self.relaxation())
+        self._finish_build()
+
+    @abc.abstractmethod
+    def _build_texture(self) -> None:
+        """Build the unrelaxed texture: set ``lattice`` and ``_rng``."""
+
+    def _finish_build(self) -> None:
+        """Bookkeeping once the texture is relaxed: start the clock."""
+        self._time_fs = 0.0
+        self._weight = self.spec.propagator.excitation_fraction
+
+    def relaxation(self) -> Dict[str, Any]:
+        """The ground-state relax of ``prepare``: its steps and time step."""
+        prop = self.spec.propagator
+        return {"num_steps": prop.relax_steps, "dt": 0.5 * prop.dt}
 
     def _advance(self, num_steps: int) -> None:
         prop = self.spec.propagator
@@ -444,6 +469,30 @@ class _LatticeAdapter(EngineAdapter):
     def time(self) -> float:
         return self._time_fs
 
+    def observe(self) -> Dict[str, Any]:
+        self.prepare()
+        return self.observe_stacked([self])[0]
+
+    @classmethod
+    @abc.abstractmethod
+    def observe_stacked(cls, engines: Sequence["_LatticeAdapter"],
+                        ) -> List[Dict[str, Any]]:
+        """The observation of each of ``engines`` — prepared adapters of this
+        kind whose lattices share one model and shape — with every
+        observable computed in one stacked call.  A single run's
+        :meth:`observe` is the stack of one."""
+
+    @staticmethod
+    def _texture_observables(engines: Sequence["_LatticeAdapter"]):
+        """The ``(M, nx, ny, nz, 3)`` stack of the engines' modes, and each
+        lattice's topological charge (middle z layer) and mean polarization."""
+        from repro.topology.charge import topological_charge
+
+        modes = np.stack([engine.lattice.modes for engine in engines])
+        charges = topological_charge(modes[:, :, :, modes.shape[3] // 2])
+        polarizations = modes.reshape(modes.shape[0], -1, 3).mean(axis=1)
+        return modes, charges, polarizations
+
 
 class LocalModeEngine(_LatticeAdapter):
     """Ferroelectric local-mode lattice dynamics
@@ -453,13 +502,12 @@ class LocalModeEngine(_LatticeAdapter):
 
     kind = "localmode"
 
-    def _build(self) -> None:
+    def _build_texture(self) -> None:
         from repro.md.lattice import skyrmion_displacement_field
         from repro.md.localmode import LocalModeLattice, LocalModeModel
 
         spec = self.spec
         material = spec.material
-        prop = spec.propagator
         rng_init, rng_dyn, _, _ = spec.rngs(4)
         self._rng = rng_dyn
         model = LocalModeModel()
@@ -468,24 +516,29 @@ class LocalModeEngine(_LatticeAdapter):
         ) * model.well_minimum(0.0)
         texture = texture + 0.01 * rng_init.standard_normal(texture.shape)
         self.lattice = LocalModeLattice(texture, model)
-        if prop.relax_steps > 0:
-            self.lattice.relax(num_steps=prop.relax_steps, dt=0.5 * prop.dt)
-        self._time_fs = 0.0
-        self._weight = prop.excitation_fraction
 
-    def observe(self) -> Dict[str, Any]:
-        from repro.topology.charge import topological_charge
-        from repro.topology.polarization import in_plane_slice
+    @classmethod
+    def observe_stacked(cls, engines):
+        from repro.md.localmode import stacked_energy
 
-        self.prepare()
-        mid = self.lattice.shape[2] // 2
-        return {
-            "energy": self.lattice.energy(self.spec.propagator.excitation_fraction),
-            "topological_charge": topological_charge(
-                in_plane_slice(self.lattice.modes, mid)
-            ),
-            "mean_polarization": self.lattice.mean_polarization(),
-        }
+        modes, charges, polarizations = cls._texture_observables(engines)
+        weights = [engine.spec.propagator.excitation_fraction
+                   for engine in engines]
+        model = engines[0].lattice.model
+        if model.depolarization == 0.0:
+            quadratic_eff = np.array(
+                [model.effective_quadratic(w) for w in weights],
+            ).reshape(-1, 1, 1, 1, 1)
+            energies = stacked_energy(modes, model, quadratic_eff)
+        else:  # the dipolar term is not vectorized: member by member
+            energies = [engine.lattice.energy(w)
+                        for engine, w in zip(engines, weights)]
+        return [
+            {"energy": float(energy), "topological_charge": float(charge),
+             "mean_polarization": polarization}
+            for energy, charge, polarization
+            in zip(energies, charges, polarizations)
+        ]
 
     def _state(self) -> Dict[str, Any]:
         return {
@@ -549,9 +602,8 @@ class MLMDEngine(_LatticeAdapter):
 
     kind = "mlmd"
 
-    def _build(self) -> None:
+    def _build_texture(self) -> None:
         from repro.core import MLMDPipeline
-        from repro.topology.analysis import classify_texture
 
         spec = self.spec
         prop = spec.propagator
@@ -568,11 +620,13 @@ class MLMDEngine(_LatticeAdapter):
             thermal_noise_amplitude=prop.noise_amplitude,
             rng=rng_init,
         )
-        self.lattice = self.pipeline.prepare_ground_state(
-            relax_steps=prop.relax_steps
-        )
-        self._time_fs = 0.0
-        self._weight = prop.excitation_fraction
+        self.lattice = self.pipeline.ground_state_texture()
+
+    def _finish_build(self) -> None:
+        from repro.topology.analysis import classify_texture
+
+        self.pipeline.adopt_ground_state(self.lattice)
+        super()._finish_build()
         self._metadata["initial_label"] = classify_texture(self.lattice.modes).label
         self._metadata["initial_topological_charge"] = float(
             self.pipeline.initial_topological_charge
@@ -586,19 +640,16 @@ class MLMDEngine(_LatticeAdapter):
             np.exp(-self._time_fs / prop.excitation_lifetime_fs)
         )
 
-    def observe(self) -> Dict[str, Any]:
-        from repro.topology.charge import topological_charge
-        from repro.topology.polarization import in_plane_slice
-
-        self.prepare()
-        mid = self.lattice.shape[2] // 2
-        return {
-            "topological_charge": topological_charge(
-                in_plane_slice(self.lattice.modes, mid)
-            ),
-            "mean_polarization": self.lattice.mean_polarization(),
-            "excitation_fraction": self._weight,
-        }
+    @classmethod
+    def observe_stacked(cls, engines):
+        _, charges, polarizations = cls._texture_observables(engines)
+        return [
+            {"topological_charge": float(charge),
+             "mean_polarization": polarization,
+             "excitation_fraction": engine._weight}
+            for engine, charge, polarization
+            in zip(engines, charges, polarizations)
+        ]
 
     def result(self):
         from repro.topology.analysis import classify_texture, switching_time

@@ -29,6 +29,9 @@ here and the lockstep :class:`~repro.batch.engine.BatchedEngine` alike:
     _close_step(...)  after each native step: count it, record and snapshot
                       on cadence (always the final step); True at the horizon
 
+Both take an optional ``observe`` callable through which a batch supplies
+each record's observation from one stacked call; the cadence stays theirs.
+
 Checkpoints are *complete sessions*: besides the engine's mutable state they
 carry the spec, the step counter and the observable series recorded so far,
 so :meth:`EngineAdapter.resume` on a freshly built adapter finishes an
@@ -62,24 +65,39 @@ CHECKPOINT_FORMAT = 1
 #: Absolute tolerance when validating the restored clock against the snapshot.
 _TIME_ATOL = 1e-9
 
+#: Supplies an adapter's observation for one record (see ``_close_step``).
+Observer = Callable[["EngineAdapter"], Dict[str, Any]]
 
-def step_timed(advance: Callable[..., Any]) -> Callable[..., Any]:
-    """``advance``, observed into ``repro_engine_step_seconds`` per call.
 
-    Resolved once, before a step loop: with telemetry enabled the per-step
-    cost is two ``perf_counter`` reads and one bucket add; with it disabled
-    the loop gets ``advance`` itself back and pays nothing.
+#: The engine layers timed into ``repro_engine_<layer>_seconds`` histograms.
+TIMED_LAYERS = {
+    "prepare": "building one engine (the SCF ground state on quantum kinds), "
+               "or one stacked prepare of a lattice batch",
+    "step": "one step-kernel call",
+    "record": "observing one record's state, or one stacked call observing "
+              "a lattice batch",
+}
+
+
+def timed(layer: str, fn: Callable[..., Any]) -> Callable[..., Any]:
+    """``fn``, observed into ``repro_engine_<layer>_seconds`` per call.
+
+    Resolved once, before a loop: with telemetry enabled each call costs two
+    ``perf_counter`` reads and one bucket add; with it disabled the caller
+    gets ``fn`` itself back and pays nothing.  A stacked call is one
+    observation however many members it covers.
     """
     if not telemetry.enabled():
-        return advance
-    hist = telemetry.histogram(
-        "repro_engine_step_seconds", "one step-kernel call")
+        return fn
+    hist = telemetry.histogram(f"repro_engine_{layer}_seconds",
+                               TIMED_LAYERS[layer])
 
-    def timed(*args):
+    def timed_fn(*args):
         t0 = _perf_counter()
-        advance(*args)
+        out = fn(*args)
         hist.observe(_perf_counter() - t0)
-    return timed
+        return out
+    return timed_fn
 
 
 @runtime_checkable
@@ -161,12 +179,7 @@ class EngineAdapter(abc.ABC):
     def prepare(self) -> None:
         """Build the wrapped engine once; later calls are no-ops."""
         if not self._prepared:
-            t0 = _perf_counter()
-            self._build()
-            telemetry.observe(
-                "repro_engine_prepare_seconds", _perf_counter() - t0,
-                "building one engine (the SCF ground state on quantum kinds)",
-            )
+            timed("prepare", self._build)()
             self._prepared = True
 
     def step(self, num_steps: int = 1) -> None:
@@ -263,15 +276,19 @@ class EngineAdapter(abc.ABC):
             for name, series in revive(checkpoint.get("records", {})).items()
         }
 
-    def record(self) -> None:
+    def record(self, observation: Optional[Dict[str, Any]] = None) -> None:
         """Append the current observables to the recorded time series.
 
-        Values are *copied*: engines that mutate their state arrays in place
-        (for example the MESH integrator's ion positions) would otherwise
-        leave every recorded sample aliasing the final state.
+        ``observation`` is one already computed for the current state (a
+        batch observes the members due together in one stacked call); by
+        default the adapter observes itself.  Values are *copied*: engines
+        that mutate their state arrays in place (for example the MESH
+        integrator's ion positions) would otherwise leave every recorded
+        sample aliasing the final state.
         """
         self.prepare()
-        observation = self.observe()
+        if observation is None:
+            observation = timed("record", self.observe)()
         self._times.append(float(self.time))
         for name, value in observation.items():
             self._records.setdefault(name, []).append(
@@ -292,12 +309,14 @@ class EngineAdapter(abc.ABC):
             int(checkpoint_every) if checkpoint_every is not None else None
         )
 
-    def _open(self, checkpoint: Optional[Dict[str, Any]] = None) -> None:
+    def _open(self, checkpoint: Optional[Dict[str, Any]] = None,
+              observe: Optional[Observer] = None) -> None:
         """Start a recording session: fresh, or continued from ``checkpoint``.
 
         A fresh session drops previously recorded samples and records the
         initial state; a restored one carries on from the snapshot's step
-        counter and series.
+        counter and series.  ``observe``, when given, supplies this
+        adapter's observation for a record (see :meth:`_close_step`).
         """
         if checkpoint is not None:
             self.restore(checkpoint)
@@ -306,22 +325,25 @@ class EngineAdapter(abc.ABC):
         self._step = 0
         self._times = []
         self._records = {}
-        self.record()
+        self.record(None if observe is None else observe(self))
 
     def _close_step(self, num_steps: int, record_every: int,
                     checkpoint_every: Optional[int],
                     on_checkpoint: Optional[Callable[[Dict[str, Any]], Any]],
-                    ) -> bool:
+                    observe: Optional[Observer] = None) -> bool:
         """Account for the native step just advanced; ``True`` at the horizon.
 
         Counts the step, records every ``record_every``-th one and emits a
         snapshot to ``on_checkpoint`` every ``checkpoint_every``-th; when a
         sink is given, the final step is always snapshotted so a completed
         run's store ends on a resumable (and already-complete) checkpoint.
+        ``observe(self)``, when given, supplies the observation a record
+        appends — a batch hands every member one shared stacked observer,
+        which only the members recording here ever call.
         """
         self._step += 1
         if self._step % record_every == 0:
-            self.record()
+            self.record(None if observe is None else observe(self))
         if on_checkpoint is not None and (
             self._step == num_steps
             or (checkpoint_every is not None
@@ -334,7 +356,7 @@ class EngineAdapter(abc.ABC):
                checkpoint_every: Optional[int],
                on_checkpoint: Optional[Callable[[Dict[str, Any]], Any]]) -> RunResult:
         """Advance from the current step counter to ``num_steps``."""
-        advance = step_timed(self._advance)
+        advance = timed("step", self._advance)
         steps_driven = 0
         done = self._step >= num_steps
         while not done:

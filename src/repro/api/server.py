@@ -145,6 +145,10 @@ def _journalled_trace(entry: Dict[str, Any]) -> Optional[Dict[str, Any]]:
     return None
 
 
+#: ``RunRecord.batch_signature`` before the scheduler has computed it.
+_UNSIGNED = object()
+
+
 @dataclass
 class RunRecord:
     """In-memory bookkeeping of one submitted run."""
@@ -171,6 +175,10 @@ class RunRecord:
     worker_pid: Optional[int] = None
     resumed_from_step: Optional[int] = None
     error: Optional[str] = None
+    #: Batch signature (see ``ScenarioServer._batch_signature``), computed
+    #: once, when the scheduler first needs it.
+    batch_signature: Any = field(default=_UNSIGNED, init=False, repr=False,
+                                 compare=False)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -1049,16 +1057,21 @@ class ScenarioServer:
         ``checkpoint_every``).  ``None`` marks a record that must run solo:
         an unparseable spec, or a per-submission fault plan (fault arming is
         per-payload in the worker and must not leak onto batch neighbours).
+        Computed once per record and kept on it: every dispatch rescans
+        the queue under ``_wake``.
         """
-        if record.faults:
-            return None
-        from repro.batch.grouping import batch_key
+        if record.batch_signature is _UNSIGNED:
+            from repro.batch.grouping import batch_key
 
-        try:
-            key = batch_key(ScenarioSpec.from_dict(record.spec))
-        except Exception:  # noqa: BLE001 - let the worker report the error
-            return None
-        return (key, record.checkpoint_every)
+            record.batch_signature = None
+            if not record.faults:
+                try:
+                    record.batch_signature = (
+                        batch_key(ScenarioSpec.from_dict(record.spec)),
+                        record.checkpoint_every)
+                except Exception:  # noqa: BLE001 - the worker reports it
+                    pass
+        return record.batch_signature
 
     def _coalesce(self, record: RunRecord) -> List[RunRecord]:
         """Queued records to run alongside ``record`` (caller holds _wake).

@@ -9,18 +9,25 @@ together, one native step per iteration:
 
 * For the local-mode engines (``localmode`` and ``mlmd``, which share the
   :class:`~repro.md.localmode.LocalModeLattice` substrate) the member
-  lattices are **stacked** along a leading axis and stepped by one call to
-  :func:`repro.md.localmode.step_stacked` — each member's ``modes`` /
-  ``velocities`` become views into the ``(M, nx, ny, nz, 3)`` stack, so
-  ``observe()`` / ``checkpoint()`` keep working unchanged.  A single
-  lattice steps through the same kernel with a leading axis of one.  Every
-  stacked operation is elementwise, a periodic-neighbour gather or an
-  explicit sum of the 3 components — all value-identical under a leading
-  batch axis — and per-member noise is drawn member by member from each
-  member's own generator, so the batched trajectory is **bit-identical** to
-  stepping the members serially.  The kernel reuses the end-of-step force
-  as the next step's start force when it can prove, by value, that nothing
-  changed; a peel-off or restack simply misses that memo.
+  lattices are **stacked** along a leading axis and run through the same
+  stacked kernels a single lattice uses with a leading axis of one: the
+  fresh members' ground-state relax of ``prepare`` is one
+  :func:`repro.md.localmode.relax_stacked` call, every step one
+  :func:`repro.md.localmode.step_stacked` call, and the members recording
+  on an iteration are observed by one
+  :meth:`~repro.api.adapters._LatticeAdapter.observe_stacked` call (energy,
+  topological charge, polarization), whose rows each member's
+  ``_close_step`` appends.  Each member's ``modes`` / ``velocities`` become
+  views into the ``(M, nx, ny, nz, 3)`` stack, so ``checkpoint()`` keeps
+  working unchanged.  Every stacked operation is elementwise, a
+  periodic-neighbour gather, an explicit sum of the 3 components or a
+  per-member row sum — all value-identical under a leading batch axis —
+  and per-member noise is drawn member by member from each member's own
+  generator, so the batched trajectory and records are **bit-identical**
+  to running the members serially.  The kernel reuses the end-of-step
+  force as the next step's start force when it can prove, by value, that
+  nothing changed; a peel-off or restack simply misses that memo.  Members
+  resumed from a snapshot prepare on their own, as serially.
 * Every other engine kind falls back to per-member ``_advance(1)`` in
   lockstep — the identical code path serial execution takes, so parity is
   trivial; the batch still amortises at the scheduling layer.
@@ -43,11 +50,11 @@ import numpy as np
 
 from repro import telemetry
 from repro.api.adapters import build_engine
-from repro.api.engine import EngineAdapter, step_timed
+from repro.api.engine import EngineAdapter, timed
 from repro.api.result import RunFailure, RunResult
 from repro.api.spec import ScenarioSpec
 from repro.batch.grouping import batch_key
-from repro.md.localmode import step_stacked
+from repro.md.localmode import relax_stacked, step_stacked
 from repro.perf.workspace import KernelWorkspace
 
 __all__ = ["BatchedEngine"]
@@ -61,7 +68,8 @@ STACKED_KINDS = ("localmode", "mlmd")
 
 
 class _LatticeStack:
-    """M member lattices stacked along a leading axis, stepped as one.
+    """M member lattices stacked along a leading axis, relaxed and stepped
+    as one.
 
     Each member's ``lattice.modes`` / ``lattice.velocities`` are rebound to
     views into the stack, so member-level reads (observe, checkpoint) see
@@ -118,6 +126,12 @@ class _LatticeStack:
         if self.engines:
             self._restack()
 
+    def relax(self) -> None:
+        """Every member's ground-state relax of ``prepare``, as one call."""
+        relax_stacked(self.modes, self.velocities, self.model,
+                      mode_mass=self.mode_mass,
+                      **self.engines[0].relaxation())
+
     def step(self) -> None:
         """Advance every stacked member by one native step (one kernel call).
 
@@ -137,19 +151,41 @@ class _LatticeStack:
             engine._tick()
 
 
+class _StackedObservation:
+    """The observation of every member of one stack state, made by one
+    :meth:`~repro.api.adapters._LatticeAdapter.observe_stacked` call on the
+    first request and handed out member by member.
+
+    Members' ``_close_step`` decide, as serially, whether they record; the
+    first that does pays for the whole stack.  Members of a lockstep batch
+    record on the same iterations, so no row is wasted; members resumed at
+    staggered steps may leave rows unread.
+    """
+
+    def __init__(self, engines: Sequence[EngineAdapter]) -> None:
+        self.engines = list(engines)
+        self._rows: Optional[Dict[EngineAdapter, Dict[str, Any]]] = None
+
+    def __call__(self, engine: EngineAdapter) -> Dict[str, Any]:
+        if self._rows is None:
+            observe = timed("record", type(engine).observe_stacked)
+            self._rows = dict(zip(self.engines, observe(self.engines)))
+        return self._rows[engine]
+
+
 class BatchedEngine:
     """Drive M same-shape scenario specs in lockstep, results bit-identical
     to running each spec serially through
     :meth:`~repro.api.engine.EngineAdapter.run`.
 
     All specs must share one :func:`~repro.batch.grouping.batch_key`.  Each
-    member gets its own adapter (own RNG streams, own recording session);
-    only the *stepping* is fused.
+    member gets its own adapter (own copy of its spec, own RNG streams, own
+    recording session); for the local-mode kinds the relax of ``prepare``,
+    the steps and the records run stacked.
     """
 
     def __init__(self, specs: Sequence[ScenarioSpec],
                  workspace: Optional[KernelWorkspace] = None) -> None:
-        specs = [spec.copy() for spec in specs]
         if not specs:
             raise ValueError("a batch needs at least one spec")
         keys = {batch_key(spec) for spec in specs}
@@ -159,7 +195,6 @@ class BatchedEngine:
                 "batch keys); group with repro.batch.group_specs first"
             )
         self.workspace = workspace if workspace is not None else KernelWorkspace()
-        self.specs = specs
         self.members = [
             build_engine(spec, workspace=self.workspace) for spec in specs
         ]
@@ -182,6 +217,42 @@ class BatchedEngine:
             )
         return value
 
+    @staticmethod
+    def _prepare_stacked(engines: List[EngineAdapter],
+                         fail) -> Optional[_StackedObservation]:
+        """Prepare fresh lattice members as one: each builds its texture,
+        then one stacked relax (one by one when the lattices cannot stack).
+        Returns the observer of their initial state, ``None`` if unstacked.
+
+        ``fail(engines, exc)`` settles members whose preparation raised; a
+        stacked relax cannot attribute its failure, so it settles them all.
+        """
+        built = []
+        for engine in engines:
+            try:
+                engine._build_texture()
+                built.append(engine)
+            except Exception as exc:  # noqa: BLE001 - slot records it
+                fail([engine], exc)
+        stack = _LatticeStack.try_build(built)
+        if stack is not None:
+            try:
+                stack.relax()
+            except Exception as exc:  # noqa: BLE001 - whole-stack failure
+                fail(built, exc)
+                return None
+        prepared = []
+        for engine in built:
+            try:
+                if stack is None:
+                    engine.lattice.relax(**engine.relaxation())
+                engine._finish_build()
+                engine._prepared = True
+                prepared.append(engine)
+            except Exception as exc:  # noqa: BLE001 - slot records it
+                fail([engine], exc)
+        return _StackedObservation(prepared) if stack is not None else None
+
     def run(self, checkpoint_every: Optional[int] = None,
             on_checkpoint=None,
             resume_from: Optional[Sequence[Optional[Dict[str, Any]]]] = None,
@@ -199,15 +270,41 @@ class BatchedEngine:
         """
         sinks = self._normalize_per_member(on_checkpoint, "on_checkpoint")
         resumes = self._normalize_per_member(resume_from, "resume_from")
+        index = {engine: i for i, engine in enumerate(self.members)}
         outcomes: List[Optional[MemberOutcome]] = [None] * len(self.members)
         cadence: List[Optional[tuple]] = [None] * len(self.members)
-        active: List[int] = []
 
+        def fail(engines: Sequence[EngineAdapter], exc: Exception) -> None:
+            if raise_on_error:
+                raise exc
+            for engine in engines:
+                outcomes[index[engine]] = RunFailure.from_exception(
+                    engine.spec.name, engine.spec.engine, exc)
+
+        pending: List[int] = []
         for i, engine in enumerate(self.members):
             try:
                 cadence[i] = engine._resolve_run_args(
                     None, None, checkpoint_every)
-                engine._open(resumes[i])
+                pending.append(i)
+            except Exception as exc:  # noqa: BLE001 - slot records it
+                fail([engine], exc)
+
+        # Fresh stackable members prepare as one (one stacked relax, one
+        # prepare_seconds observation) and record their initial state
+        # through one stacked observation; resumed members restore alone.
+        observe = None
+        stacked = self.members[0].kind in STACKED_KINDS
+        fresh = [self.members[i] for i in pending if resumes[i] is None]
+        if stacked and len(fresh) > 1:
+            observe = timed("prepare", self._prepare_stacked)(fresh, fail)
+        active: List[int] = []
+        for i in pending:
+            if outcomes[i] is not None:
+                continue
+            engine = self.members[i]
+            try:
+                engine._open(resumes[i], observe)
                 if engine._step >= cadence[i][0]:
                     # Restored at (or past) its horizon: complete already,
                     # no stepping and no snapshot — as serial resume().
@@ -215,47 +312,40 @@ class BatchedEngine:
                 else:
                     active.append(i)
             except Exception as exc:  # noqa: BLE001 - slot records it
-                if raise_on_error:
-                    raise
-                outcomes[i] = RunFailure.from_exception(
-                    self.specs[i].name, self.specs[i].engine, exc)
+                fail([engine], exc)
 
         # One native step per iteration for every active member: a single
         # vectorized call when stacked (one step_seconds observation however
-        # many members it advances), per-member _advance(1) otherwise.
+        # many members it advances, and one stacked observation for the
+        # members that record), per-member _advance(1) otherwise.
         stack = None
-        if active and self.members[active[0]].kind in STACKED_KINDS:
+        if active and stacked:
             stack = _LatticeStack.try_build([self.members[i] for i in active])
-        stack_step = step_timed(stack.step) if stack is not None else None
-        advance = [step_timed(engine._advance) for engine in self.members]
+        stack_step = timed("step", stack.step) if stack is not None else None
+        advance = [timed("step", engine._advance) for engine in self.members]
         steps_driven = 0
         while active:
+            observe = None
             if stack is not None:
                 try:
                     stack_step()
                 except Exception as exc:  # noqa: BLE001 - whole-stack failure
-                    if raise_on_error:
-                        raise
                     # A stacked step cannot attribute its failure to one
                     # member; every active member settles with it.
-                    for i in active:
-                        outcomes[i] = RunFailure.from_exception(
-                            self.specs[i].name, self.specs[i].engine, exc)
+                    fail([self.members[i] for i in active], exc)
                     break
+                observe = _StackedObservation(stack.engines)
             for i in list(active):
                 engine = self.members[i]
                 try:
                     if stack is None:
                         advance[i](1)
                     steps_driven += 1
-                    if not engine._close_step(*cadence[i], sinks[i]):
+                    if not engine._close_step(*cadence[i], sinks[i], observe):
                         continue
                     outcomes[i] = engine.result()
                 except Exception as exc:  # noqa: BLE001 - peel this member
-                    if raise_on_error:
-                        raise
-                    outcomes[i] = RunFailure.from_exception(
-                        self.specs[i].name, self.specs[i].engine, exc)
+                    fail([engine], exc)
                 # Settled either way: peel the member off.
                 active.remove(i)
                 if stack is not None:

@@ -93,14 +93,23 @@ class MLMDPipeline:
     def prepare_ground_state(self, relax_steps: int = 200,
                              thermal_noise: float = 0.01) -> LocalModeLattice:
         """Build and relax the skyrmion superlattice on the GS surface."""
+        lattice = self.ground_state_texture(thermal_noise)
+        lattice.relax(num_steps=relax_steps, dt=0.5 * self.md_timestep_fs)
+        return self.adopt_ground_state(lattice)
+
+    def ground_state_texture(self, thermal_noise: float = 0.01) -> LocalModeLattice:
+        """The skyrmion superlattice before its relax (noise from ``rng``)."""
         texture = skyrmion_displacement_field(
             self.supercell_repeats, self.skyrmions_per_axis
         )
         texture = texture * self.model.well_minimum(0.0)
         if thermal_noise > 0:
             texture = texture + thermal_noise * self.rng.standard_normal(texture.shape)
-        lattice = LocalModeLattice(texture, self.model)
-        lattice.relax(num_steps=relax_steps, dt=0.5 * self.md_timestep_fs)
+        return LocalModeLattice(texture, self.model)
+
+    def adopt_ground_state(self, lattice: LocalModeLattice) -> LocalModeLattice:
+        """Take a relaxed ``lattice`` as the ground state the dynamics start
+        from (a batch relaxes many pipelines' textures in one call)."""
         self._lattice = lattice
         self._initial_charge = topological_charge(
             in_plane_slice(lattice.modes, lattice.shape[2] // 2)

@@ -164,17 +164,18 @@ class LocalModeLattice:
     # ------------------------------------------------------------------
     def energy(self, excitation_weight: float = 0.0,
                electric_field: np.ndarray | None = None) -> float:
-        """Total energy of the texture on the effective surface."""
+        """Total energy of the texture on the effective surface.
+
+        The short-range part comes from the shared :func:`stacked_energy`
+        kernel with a leading axis of one; the depolarization and field
+        terms, which that kernel does not vectorize, are added here, in that
+        order (as :meth:`_force_of` does for the force).
+        """
+        quadratic_eff = np.full((1, 1, 1, 1, 1),
+                                self.model.effective_quadratic(excitation_weight))
+        energy = float(stacked_energy(self.modes[None], self.model,
+                                      quadratic_eff)[0])
         u = self.modes
-        a_eff = self.model.effective_quadratic(excitation_weight)
-        u2 = _squared_norm(u)
-        onsite = a_eff * u2 + self.model.quartic * u2 ** 2 + self.model.anisotropy * u[..., 2] ** 2
-        energy = float(np.sum(onsite))
-        for axis, n in enumerate(self.shape):
-            if n < 2:
-                continue
-            diff = u - u.take(periodic_shift(n, 1), axis=axis)
-            energy += 0.5 * self.model.coupling * float(np.sum(diff ** 2))
         d_eff = self.model.effective_depolarization(excitation_weight)
         if d_eff != 0.0:
             energy += d_eff * float(np.sum(u[..., 2] * self._dipolar_field(excitation_weight)))
@@ -257,13 +258,13 @@ class LocalModeLattice:
               excitation_weight: float = 0.0, damping: float = 0.2) -> None:
         """Damped relaxation toward the nearest local minimum of the texture.
 
-        ``num_steps=0`` is a no-op (the texture is used as prepared).  It
-        steps directly rather than through :meth:`run`, whose per-step
-        energies it would discard.
+        ``num_steps=0`` is a no-op (the texture is used as prepared).  The
+        same relax loop as :func:`relax_stacked`, on a stack of one, with
+        this lattice's force (depolarization included).
         """
-        for _ in range(num_steps):
-            self.step(dt, excitation_weight, damping)
-        self.velocities[:] = 0.0
+        _relax(self.modes[None], self.velocities[None], num_steps, dt,
+               self.mode_mass,
+               self._force_of(excitation_weight, None), damping)
 
     def mean_polarization(self) -> np.ndarray:
         """Average local mode (proportional to the net polarisation)."""
@@ -271,20 +272,21 @@ class LocalModeLattice:
 
 
 # ----------------------------------------------------------------------
-# The one step kernel: M lattices along a leading axis
+# The stacked kernels: M lattices along a leading axis
 # ----------------------------------------------------------------------
-# The kernel advances M same-shape lattices through ONE vectorized numpy call
-# per operation instead of M serial calls, amortising the per-call dispatch
-# overhead that dominates small textures (the paper's kin_prop ladder logic
-# applied to the local-mode substrate).  A single LocalModeLattice is the
-# M = 1 case.  Every arithmetic step is elementwise, a periodic-neighbour
-# gather (``take`` with cached indices, value-identical to ``np.roll``) or an
-# explicit left-to-right sum of the 3 components — all value-identical under
-# a leading batch axis — so the stacked trajectory is bit-identical to
-# stepping each member serially.  Long-range depolarisation
-# (model.depolarization != 0) and external fields are added only by the
-# lattice wrapper; stacked callers fall back to per-member stepping for
-# those (the registry scenarios all run with D = 0).
+# The step, relax and energy kernels treat M same-shape lattices through ONE
+# vectorized numpy call per operation instead of M serial calls, amortising
+# the per-call dispatch overhead that dominates small textures (the paper's
+# kin_prop ladder logic applied to the local-mode substrate).  A single
+# LocalModeLattice is the M = 1 case.  Every arithmetic step is elementwise,
+# a periodic-neighbour gather (``take`` with cached indices, value-identical
+# to ``np.roll``), an explicit left-to-right sum of the 3 components or a
+# per-member row sum — all value-identical under a leading batch axis — so
+# the stacked trajectory and energies are bit-identical to treating each
+# member serially.  Long-range depolarisation (model.depolarization != 0)
+# and external fields are added only by the lattice wrapper; stacked callers
+# fall back to per-member stepping and relaxing for those (the registry
+# scenarios all run with D = 0).
 #
 # The force at the end of step n is the start force of step n + 1 whenever
 # the modes and A_eff are unchanged (damping and noise touch only
@@ -362,6 +364,30 @@ def stacked_forces(modes: np.ndarray, model: LocalModeModel,
     return force
 
 
+def stacked_energy(modes: np.ndarray, model: LocalModeModel,
+                   quadratic_eff: np.ndarray) -> np.ndarray:
+    """Short-range energy of each lattice in a ``(M, nx, ny, nz, 3)`` stack.
+
+    ``quadratic_eff`` is the per-member ``A_eff`` shaped as for
+    :func:`stacked_forces`.  Every sum is a per-member row sum, the same
+    pairwise additions ``np.sum`` makes over one member, so each entry is
+    bit-identical to the energy of that member alone.
+    """
+    u = modes
+    rows = u.shape[0]
+    u2 = _squared_norm(u)
+    onsite = (quadratic_eff[..., 0] * u2 + model.quartic * u2 ** 2
+              + model.anisotropy * u[..., 2] ** 2)
+    energy = onsite.reshape(rows, -1).sum(axis=1)
+    for axis in range(1, 4):
+        n = u.shape[axis]
+        if n < 2:
+            continue
+        diff = u - u.take(periodic_shift(n, 1), axis=axis)
+        energy += 0.5 * model.coupling * (diff ** 2).reshape(rows, -1).sum(axis=1)
+    return energy
+
+
 def _verlet_step(modes: np.ndarray, velocities: np.ndarray, dt: float,
                  mode_mass: float, force_of, damping: float,
                  noise_amplitude: float, rngs) -> None:
@@ -407,3 +433,33 @@ def step_stacked(modes: np.ndarray, velocities: np.ndarray,
     _verlet_step(modes, velocities, dt, mode_mass,
                  lambda u: stacked_forces(u, model, quadratic_eff),
                  damping, noise_amplitude, rngs)
+
+
+def _relax(modes: np.ndarray, velocities: np.ndarray, num_steps: int,
+           dt: float, mode_mass: float, force_of, damping: float) -> None:
+    """Damped, noiseless Verlet steps on a mode stack, then zero velocities."""
+    if num_steps > 0 and dt <= 0:
+        raise ValueError("dt must be positive")
+    for _ in range(num_steps):
+        _verlet_step(modes, velocities, dt, mode_mass, force_of, damping,
+                     0.0, None)
+    velocities[...] = 0.0
+
+
+def relax_stacked(modes: np.ndarray, velocities: np.ndarray,
+                  model: LocalModeModel, num_steps: int = 200,
+                  dt: float = 0.5, damping: float = 0.2,
+                  mode_mass: float = 50.0) -> None:
+    """Relax M stacked lattices toward their nearest local minima, in place.
+
+    :meth:`LocalModeLattice.relax` on the ground-state surface for every
+    member at once: ``num_steps`` damped, noiseless steps at zero excitation
+    weight (one short-range force evaluation per step, as
+    :func:`step_stacked`), after which the velocities are zeroed.
+    Short-range terms only, like :func:`step_stacked`; each member ends
+    bit-identical to relaxing it alone.
+    """
+    quadratic_eff = np.full((modes.shape[0], 1, 1, 1, 1),
+                            model.effective_quadratic(0.0))
+    _relax(modes, velocities, num_steps, dt, mode_mass,
+           lambda u: stacked_forces(u, model, quadratic_eff), damping)

@@ -52,30 +52,42 @@ def _solid_angle(n1: np.ndarray, n2: np.ndarray, n3: np.ndarray) -> np.ndarray:
 
 
 def topological_charge_density(texture: np.ndarray) -> np.ndarray:
-    """Per-plaquette topological charge of a 2-D texture of shape (nx, ny, 3).
+    """Per-plaquette topological charge of 2-D textures of shape (..., nx, ny, 3).
 
     Each plaquette (i, j) is split into two triangles; the charge density is
     the sum of their solid angles divided by 4 pi.  Periodic boundaries are
     assumed (the texture wraps), matching the periodic superlattices studied
-    in the paper.
+    in the paper.  Leading axes index a stack of textures; every operation
+    acts per plaquette, so each texture's density is bit-identical to
+    computing it alone.
     """
     texture = np.asarray(texture, dtype=float)
-    if texture.ndim != 3 or texture.shape[-1] != 3:
-        raise ValueError("texture must have shape (nx, ny, 3)")
+    if texture.ndim < 3 or texture.shape[-1] != 3:
+        raise ValueError("texture must have shape (..., nx, ny, 3)")
     n = normalize_texture(texture)
-    right = periodic_shift(n.shape[0], -1)
-    up = periodic_shift(n.shape[1], -1)
-    n_right = n.take(right, axis=0)
-    n_up = n.take(up, axis=1)
-    n_diag = n_right.take(up, axis=1)
+    right = periodic_shift(n.shape[-3], -1)
+    up = periodic_shift(n.shape[-2], -1)
+    n_right = n.take(right, axis=-3)
+    n_up = n.take(up, axis=-2)
+    n_diag = n_right.take(up, axis=-2)
     omega1 = _solid_angle(n, n_right, n_diag)
     omega2 = _solid_angle(n, n_diag, n_up)
     return (omega1 + omega2) / (4.0 * np.pi)
 
 
-def topological_charge(texture: np.ndarray) -> float:
-    """Total topological charge Q of a periodic 2-D texture."""
-    return float(np.sum(topological_charge_density(texture)))
+def topological_charge(texture: np.ndarray):
+    """Total topological charge Q of a periodic 2-D texture.
+
+    A single ``(nx, ny, 3)`` texture gives a float; a stack
+    ``(..., nx, ny, 3)`` gives one charge per texture, each summed over its
+    own plaquettes exactly as a lone texture is.
+    """
+    density = topological_charge_density(texture)
+    plaquettes = density.shape[-2] * density.shape[-1]
+    charges = density.reshape(-1, plaquettes).sum(axis=1)
+    if density.ndim == 2:
+        return float(charges[0])
+    return charges.reshape(density.shape[:-2])
 
 
 def skyrmion_count(texture: np.ndarray, charge_threshold: float = 0.5) -> int:

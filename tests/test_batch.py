@@ -470,3 +470,167 @@ class TestDaemonCoalescing:
             assert actual.ok, getattr(actual, "error", None)
             assert_results_bit_identical(expected, actual)
             assert actual.metadata["executor"]["batch_size"] == 4
+
+
+# ----------------------------------------------------------------------
+# Stacked relax and record for coalesced lattice members
+# ----------------------------------------------------------------------
+def _staggered(name, cuts, num_steps=10, record_every=3):
+    """Specs plus per-member checkpoints cut at ``cuts`` (``None`` fresh):
+    resumed at different steps, the members record on different
+    iterations of one batch."""
+    specs = [smoke_spec(name, num_steps=num_steps, seed=31 + i,
+                        **{"runtime.record_every": record_every})
+             for i in range(len(cuts))]
+    checkpoints = []
+    for spec, cut in zip(specs, cuts):
+        if cut is None:
+            checkpoints.append(None)
+            continue
+        engine = build_engine(spec.copy())
+        engine.run(num_steps=cut)
+        checkpoints.append(json_cycle(engine.checkpoint()))
+    return specs, checkpoints
+
+
+class TestStackedRelaxAndRecord:
+    @pytest.mark.parametrize("name, cuts", (
+        ("localmode-switch", (None, 1, 2, None, 4, 5, None, 7)),
+        ("mlmd-photoswitch", (None, 1, None, 5)),
+    ))
+    def test_staggered_members_match_serial_exactly(self, name, cuts):
+        specs, checkpoints = _staggered(name, cuts)
+        serial = [build_engine(spec.copy()).run() for spec in specs]
+        outcomes = BatchedEngine([spec.copy() for spec in specs]).run(
+            resume_from=checkpoints, raise_on_error=True)
+        for expected, actual in zip(serial, outcomes):
+            assert_results_bit_identical(expected, actual)
+            assert expected.metadata == actual.metadata
+
+    def test_fresh_members_relax_as_one_stack(self):
+        # One stacked relax for the batch: relax_steps + 1 short-range force
+        # evaluations, where M serial relaxes make M x (relax_steps + 1).
+        from repro.md.localmode import force_evaluations
+
+        specs = [smoke_spec("localmode-switch", seed=s) for s in range(4)]
+        relax_steps = specs[0].propagator.relax_steps
+        batch = BatchedEngine(specs)
+        before = force_evaluations()
+        batch._prepare_stacked(batch.members, None)
+        assert force_evaluations() - before == relax_steps + 1
+        for member, spec in zip(batch.members, specs):
+            alone = build_engine(spec.copy())
+            alone.prepare()
+            assert member._prepared
+            assert member.lattice.modes.tobytes() \
+                == alone.lattice.modes.tobytes()
+            assert not member.lattice.velocities.any()
+
+    def test_depolarization_falls_back_to_per_member_kernels(
+            self, monkeypatch):
+        import functools
+
+        from repro.api.adapters import LocalModeEngine
+        from repro.batch import engine as batch_engine
+        from repro.md import localmode
+
+        specs = [smoke_spec("localmode-switch", num_steps=6, seed=s,
+                            **{"runtime.record_every": 2})
+                 for s in range(3)]
+        plain = [build_engine(spec.copy()).run() for spec in specs]
+        monkeypatch.setattr(localmode, "LocalModeModel", functools.partial(
+            localmode.LocalModeModel, depolarization=0.2))
+        serial = [build_engine(spec.copy()).run() for spec in specs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a stacked kernel ran with D != 0")
+
+        monkeypatch.setattr(batch_engine, "relax_stacked", refuse)
+        monkeypatch.setattr(batch_engine, "step_stacked", refuse)
+        outcomes = BatchedEngine([spec.copy() for spec in specs]).run(
+            raise_on_error=True)
+        for before, expected, actual in zip(plain, serial, outcomes):
+            assert_results_bit_identical(expected, actual)
+            assert not np.array_equal(before.observables["energy"],
+                                      actual.observables["energy"])
+
+        # The stacked observation keeps the dipolar energy per member.
+        engines = [build_engine(spec.copy()) for spec in specs]
+        for engine in engines:
+            engine.prepare()
+        for engine, row in zip(engines,
+                               LocalModeEngine.observe_stacked(engines)):
+            alone = engine.observe()
+            assert set(row) == set(alone)
+            for key in row:
+                assert np.asarray(row[key]).tobytes() \
+                    == np.asarray(alone[key]).tobytes()
+
+    def test_stacked_calls_are_one_observation_each(self, live_telemetry):
+        size, num_steps, every = 4, 6, 2
+        specs = [smoke_spec("localmode-switch", num_steps=num_steps, seed=s,
+                            **{"runtime.record_every": every})
+                 for s in range(size)]
+        outcomes = BatchedEngine(specs).run(raise_on_error=True)
+        records = 1 + num_steps // every
+        assert all(o.times.size == records for o in outcomes)
+        histograms = telemetry.snapshot()["histograms"]
+        assert histograms["repro_engine_record_seconds"]["count"] == records
+        assert histograms["repro_engine_prepare_seconds"]["count"] == 1
+        assert histograms["repro_engine_step_seconds"]["count"] == num_steps
+
+        # Serially every run observes each of its own records.
+        telemetry.reset()
+        for spec in specs:
+            build_engine(spec.copy()).run()
+        histograms = telemetry.snapshot()["histograms"]
+        assert histograms["repro_engine_record_seconds"]["count"] \
+            == size * records
+        assert histograms["repro_engine_prepare_seconds"]["count"] == size
+
+    def test_disabled_telemetry_records_nothing(self):
+        was_enabled = telemetry.enabled()
+        telemetry.disable()
+        telemetry.reset()
+        try:
+            specs = [smoke_spec("mlmd-photoswitch", seed=s) for s in (1, 2)]
+            BatchedEngine(specs).run(raise_on_error=True)
+            build_engine(specs[0].copy()).run()
+            assert not telemetry.snapshot()["histograms"]
+        finally:
+            if was_enabled:
+                telemetry.enable()
+            telemetry.reset()
+
+
+class TestBatchSignature:
+    def test_each_record_is_signed_once(self, tmp_path, monkeypatch):
+        from repro.api.server import RunRecord
+        from repro.batch import grouping
+
+        calls = []
+
+        def counting_key(spec):
+            calls.append(spec.name)
+            return batch_key(spec)
+
+        monkeypatch.setattr(grouping, "batch_key", counting_key)
+        server = ScenarioServer(tmp_path, port=0, workers=0, batch_max=2)
+        specs = [smoke_spec("localmode-switch", seed=s) for s in range(5)]
+        for i, spec in enumerate(specs):
+            run_id = f"r{i}"
+            server._records[run_id] = RunRecord(run_id, i, spec.to_dict())
+            server._queue.append(run_id)
+        solo = RunRecord("solo", 9, specs[0].to_dict(), faults="crash")
+        server._records["solo"] = solo
+        server._queue.append("solo")
+        groups = []
+        with server._wake:
+            while server._queue:
+                head = server._records[server._queue.popleft()]
+                groups.append([r.run_id for r in server._coalesce(head)])
+        assert groups == [["r0", "r1"], ["r2", "r3"], ["r4"], ["solo"]]
+        # Five parseable records, each parsed once however often the
+        # queue was rescanned; the fault-armed one is never parsed.
+        assert len(calls) == 5
+        assert solo.batch_signature is None

@@ -16,8 +16,8 @@ from repro.md.lattice import (
 )
 from repro.md import localmode
 from repro.md.localmode import (
-    LocalModeLattice, LocalModeModel, force_evaluations, stacked_forces,
-    step_stacked,
+    LocalModeLattice, LocalModeModel, force_evaluations, relax_stacked,
+    stacked_energy, stacked_forces, step_stacked,
 )
 from repro.topology.charge import topological_charge
 from repro.topology.polarization import in_plane_slice
@@ -423,3 +423,129 @@ class TestStackedKernel:
             step_stacked(modes, np.zeros_like(modes), LocalModeModel(), 0.5,
                          [0.1, 0.2], noise_amplitude=0.01,
                          rngs=[np.random.default_rng(0)])
+
+
+# ----------------------------------------------------------------------
+# The stacked energy and relax kernels against the serial code
+# ----------------------------------------------------------------------
+def reference_energy(modes, model, excitation_weight, electric_field=None):
+    """The lattice energy as written before the stacked kernel: whole-array
+    ``np.sum`` calls, ``np.roll`` neighbours, the long-range terms after."""
+    u = np.asarray(modes, dtype=float)
+    a_eff = model.effective_quadratic(excitation_weight)
+    u2 = np.sum(u ** 2, axis=-1)
+    onsite = a_eff * u2 + model.quartic * u2 ** 2 + model.anisotropy * u[..., 2] ** 2
+    energy = float(np.sum(onsite))
+    for axis in range(3):
+        if u.shape[axis] < 2:
+            continue
+        diff = u - np.roll(u, 1, axis=axis)
+        energy += 0.5 * model.coupling * float(np.sum(diff ** 2))
+    d_eff = model.effective_depolarization(excitation_weight)
+    if d_eff != 0.0:
+        dipolar = ReferenceLattice(u, model)
+        uz_k = np.fft.fft2(u[..., 2], axes=(0, 1))
+        field_z = np.real(np.fft.ifft2(
+            dipolar._dipolar_kernel[:, :, None] * uz_k, axes=(0, 1)))
+        energy += d_eff * float(np.sum(u[..., 2] * field_z))
+    if electric_field is not None:
+        energy -= float(np.sum(u @ np.asarray(electric_field, dtype=float)))
+    return energy
+
+
+def _relaxed_reference(modes, model, steps, dt, damping=0.2, velocity=0.0):
+    reference = ReferenceLattice(modes, model)
+    reference.velocities[...] = velocity
+    for _ in range(steps):
+        reference.step(dt, 0.0, damping, None, 0.0, None)
+    reference.velocities[...] = 0.0
+    return reference
+
+
+ENERGY_CASES = {
+    "short-range": dict(model=LocalModeModel(), field=None),
+    "field": dict(model=LocalModeModel(), field=[0.01, -0.02, 0.03]),
+    "depolarization": dict(model=LocalModeModel(depolarization=0.3),
+                           field=None),
+    "both": dict(model=LocalModeModel(depolarization=0.3),
+                 field=[-0.05, 0.0, 0.02]),
+}
+
+
+class TestStackedEnergyAndRelax:
+    @pytest.mark.parametrize("name", sorted(ENERGY_CASES))
+    @pytest.mark.parametrize("shape", ((8, 6, 2), (16, 16, 1), (5, 1, 3)))
+    def test_lattice_energy_equals_the_serial_energy_bitwise(self, name,
+                                                             shape):
+        case = ENERGY_CASES[name]
+        for seed, weight in ((1, 0.0), (2, 0.25), (3, 0.9)):
+            modes = _texture(seed, shape=shape)
+            energy = LocalModeLattice(modes, case["model"]).energy(
+                weight, case["field"])
+            assert isinstance(energy, float)
+            assert _same(energy, reference_energy(
+                modes, case["model"], weight, case["field"]))
+
+    @pytest.mark.parametrize("members", (1, 3, 8))
+    def test_stacked_energy_rows_equal_each_member_alone(self, members):
+        model = LocalModeModel()
+        modes = np.stack([_texture(200 + i, shape=(7, 9, 2))
+                          for i in range(members)])
+        weights = np.linspace(0.0, 0.6, members)
+        quadratic_eff = np.array(
+            [model.effective_quadratic(w) for w in weights],
+        ).reshape(-1, 1, 1, 1, 1)
+        energies = stacked_energy(modes, model, quadratic_eff)
+        assert energies.shape == (members,)
+        for member, weight, energy in zip(modes, weights, energies):
+            assert _same(energy, reference_energy(member, model, weight))
+            assert _same(energy, LocalModeLattice(member, model).energy(weight))
+
+    @pytest.mark.parametrize("name", ("constant-weight", "depolarization"))
+    def test_lattice_relax_equals_the_serial_relax(self, name):
+        model = REUSE_CASES[name]["model"]
+        modes = _texture(210)
+        lattice = LocalModeLattice(modes, model)
+        lattice.velocities[...] = 0.3  # a relax starts from these, ends at 0
+        reference = _relaxed_reference(modes, model, 40, 0.5, velocity=0.3)
+        lattice.relax(num_steps=40, dt=0.5)
+        assert _same(lattice.modes, reference.modes)
+        assert _same(lattice.velocities, np.zeros_like(lattice.velocities))
+
+    def test_stacked_relax_equals_relaxing_each_member(self):
+        model = LocalModeModel()
+        textures = [_texture(220 + i, shape=(6, 5, 2)) for i in range(5)]
+        serial = []
+        for texture in textures:
+            lattice = LocalModeLattice(texture, model)
+            lattice.velocities[...] = 1.0
+            lattice.relax(num_steps=30, dt=0.4, damping=0.15)
+            serial.append(lattice)
+        modes = np.stack(textures)
+        velocities = np.ones_like(modes)
+        relax_stacked(modes, velocities, model, num_steps=30, dt=0.4,
+                      damping=0.15)
+        assert not velocities.any()
+        for stacked, lattice, texture in zip(modes, serial, textures):
+            assert _same(stacked, lattice.modes)
+            assert _same(stacked, _relaxed_reference(
+                texture, model, 30, 0.4, damping=0.15, velocity=1.0).modes)
+
+    @pytest.mark.parametrize("members", (1, 4, 8))
+    def test_one_stacked_relax_is_one_force_per_step(self, members):
+        modes = np.stack([_texture(230 + i) for i in range(members)])
+        velocities = np.zeros_like(modes)
+        before = force_evaluations()
+        relax_stacked(modes, velocities, LocalModeModel(), num_steps=25,
+                      dt=0.5)
+        assert force_evaluations() - before == 25 + 1
+
+    def test_zero_steps_only_zeroes_velocities_and_bad_dt_is_refused(self):
+        modes = np.stack([_texture(240)] * 2)
+        velocities = np.ones_like(modes)
+        relax_stacked(modes, velocities, LocalModeModel(), num_steps=0)
+        assert _same(modes, np.stack([_texture(240)] * 2))
+        assert not velocities.any()
+        with pytest.raises(ValueError, match="dt must be positive"):
+            relax_stacked(modes, velocities, LocalModeModel(), num_steps=3,
+                          dt=0.0)

@@ -158,3 +158,48 @@ class TestTextureAnalysis:
         charges = charge_trajectory(fields)
         assert abs(charges[0]) == pytest.approx(1.0, abs=1e-6)
         assert charges[1] == pytest.approx(0.0)
+
+
+class TestStackedCharge:
+    """Leading batch axes: one charge per texture, each bit-identical to the
+    texture's own charge and to the per-texture sum of its density."""
+
+    @pytest.mark.parametrize("members", (1, 3, 8))
+    def test_stacked_charges_equal_per_texture_charges_bitwise(self, members):
+        rng = np.random.default_rng(100 + members)
+        shapes = [(16, 16), (2, 2), (3, 7), (24, 10), (1, 5)]
+        textures = 0
+        while textures < 200:
+            nx, ny = shapes[textures % len(shapes)]
+            stack = rng.standard_normal((members, nx, ny, 3))
+            stack[rng.random((members, nx, ny)) < 0.05] = 0.0
+            charges = topological_charge(stack)
+            density = topological_charge_density(stack)
+            assert charges.shape == (members,)
+            for texture, charge, rows in zip(stack, charges, density):
+                alone = topological_charge(texture)
+                assert isinstance(alone, float)
+                assert np.float64(alone).tobytes() == charge.tobytes()
+                assert charge.tobytes() == np.float64(
+                    np.sum(reference_charge_density(texture))).tobytes()
+                assert rows.tobytes() == \
+                    reference_charge_density(texture).tobytes()
+            textures += members
+
+    def test_extra_leading_axes_and_strided_slices(self):
+        # The adapters hand in the middle z layer of a (M, nx, ny, nz, 3)
+        # mode stack: a strided view, not a contiguous texture.
+        rng = np.random.default_rng(9)
+        modes = rng.standard_normal((2, 3, 6, 5, 4, 3))
+        layer = modes[..., 2, :]
+        charges = topological_charge(layer)
+        assert charges.shape == (2, 3)
+        for index in np.ndindex(2, 3):
+            assert np.float64(topological_charge(layer[index])).tobytes() \
+                == charges[index].tobytes()
+
+    def test_a_texture_needs_three_components(self):
+        with pytest.raises(ValueError, match="nx, ny, 3"):
+            topological_charge(np.zeros((4, 4, 2)))
+        with pytest.raises(ValueError, match="nx, ny, 3"):
+            topological_charge(np.zeros((4, 3)))
