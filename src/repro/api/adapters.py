@@ -314,11 +314,10 @@ class MESHEngine(EngineAdapter):
         self._metadata["surface_hopping"] = bool(prop.surface_hopping)
 
     def _advance(self, num_steps: int) -> None:
+        # The adapter records its own series: advance without the
+        # integrator's per-step record.
         for _ in range(num_steps):
-            self.integrator.step()
-        # The adapter records its own series; don't let the integrator-side
-        # per-step history grow unboundedly.
-        del self.integrator.history[:-1]
+            self.integrator.advance()
 
     @property
     def time(self) -> float:
@@ -443,6 +442,9 @@ class _LatticeAdapter(EngineAdapter):
         """Bookkeeping once the texture is relaxed: start the clock."""
         self._time_fs = 0.0
         self._weight = self.spec.propagator.excitation_fraction
+        # The current texture's middle-layer topological charge once some
+        # caller has computed it; every step and every restore forget it.
+        self._charge = None
 
     def relaxation(self) -> Dict[str, Any]:
         """The ground-state relax of ``prepare``: its steps and time step."""
@@ -464,6 +466,7 @@ class _LatticeAdapter(EngineAdapter):
     def _tick(self) -> None:
         """Bookkeeping after one lattice step: advance the clock."""
         self._time_fs += self.spec.propagator.dt
+        self._charge = None
 
     @property
     def time(self) -> float:
@@ -485,11 +488,22 @@ class _LatticeAdapter(EngineAdapter):
     @staticmethod
     def _texture_observables(engines: Sequence["_LatticeAdapter"]):
         """The ``(M, nx, ny, nz, 3)`` stack of the engines' modes, and each
-        lattice's topological charge (middle z layer) and mean polarization."""
+        lattice's topological charge (middle z layer) and mean polarization.
+
+        Only charges not yet known for the current textures are computed
+        (in one stacked call), and they are remembered until the next step.
+        """
         from repro.topology.charge import topological_charge
 
         modes = np.stack([engine.lattice.modes for engine in engines])
-        charges = topological_charge(modes[:, :, :, modes.shape[3] // 2])
+        pending = [i for i, engine in enumerate(engines) if engine._charge is None]
+        if pending:
+            layers = modes[:, :, :, modes.shape[3] // 2]
+            if len(pending) < len(engines):
+                layers = layers[pending]
+            for i, charge in zip(pending, topological_charge(layers)):
+                engines[i]._charge = float(charge)
+        charges = [engine._charge for engine in engines]
         polarizations = modes.reshape(modes.shape[0], -1, 3).mean(axis=1)
         return modes, charges, polarizations
 
@@ -551,6 +565,7 @@ class LocalModeEngine(_LatticeAdapter):
         self.lattice.load_state_dict(state["lattice"])
         self._rng.bit_generator.state = state["rng_state"]
         self._time_fs = float(state["time"])
+        self._charge = None
 
 
 class MaxwellEngine(EngineAdapter):
@@ -625,9 +640,12 @@ class MLMDEngine(_LatticeAdapter):
     def _finish_build(self) -> None:
         from repro.topology.analysis import classify_texture
 
-        self.pipeline.adopt_ground_state(self.lattice)
+        initial = classify_texture(self.lattice.modes)
+        self.pipeline.adopt_ground_state(
+            self.lattice, charge=initial.topological_charge)
         super()._finish_build()
-        self._metadata["initial_label"] = classify_texture(self.lattice.modes).label
+        self._charge = initial.topological_charge
+        self._metadata["initial_label"] = initial.label
         self._metadata["initial_topological_charge"] = float(
             self.pipeline.initial_topological_charge
         )
@@ -655,7 +673,8 @@ class MLMDEngine(_LatticeAdapter):
         from repro.topology.analysis import classify_texture, switching_time
 
         run_result = super().result()
-        run_result.metadata["final_label"] = classify_texture(self.lattice.modes).label
+        run_result.metadata["final_label"] = classify_texture(
+            self.lattice.modes, charge=self._charge).label
         charges = run_result.observables.get("topological_charge")
         if charges is not None and run_result.times.size:
             t_switch = switching_time(run_result.times, charges)
@@ -677,6 +696,7 @@ class MLMDEngine(_LatticeAdapter):
         self._rng.bit_generator.state = state["rng_state"]
         self._weight = float(state["excitation_weight"])
         self._time_fs = float(state["time"])
+        self._charge = None
 
 
 #: Engine kind -> adapter class.

@@ -107,13 +107,20 @@ class MLMDPipeline:
             texture = texture + thermal_noise * self.rng.standard_normal(texture.shape)
         return LocalModeLattice(texture, self.model)
 
-    def adopt_ground_state(self, lattice: LocalModeLattice) -> LocalModeLattice:
+    def adopt_ground_state(self, lattice: LocalModeLattice,
+                           charge: Optional[float] = None) -> LocalModeLattice:
         """Take a relaxed ``lattice`` as the ground state the dynamics start
-        from (a batch relaxes many pipelines' textures in one call)."""
+        from (a batch relaxes many pipelines' textures in one call).
+
+        ``charge`` is the texture's middle-layer topological charge when the
+        caller has already computed it; otherwise it is computed here.
+        """
         self._lattice = lattice
-        self._initial_charge = topological_charge(
-            in_plane_slice(lattice.modes, lattice.shape[2] // 2)
-        )
+        if charge is None:
+            charge = topological_charge(
+                in_plane_slice(lattice.modes, lattice.shape[2] // 2)
+            )
+        self._initial_charge = charge
         return lattice
 
     # ------------------------------------------------------------------

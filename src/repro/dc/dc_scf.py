@@ -5,7 +5,7 @@ QXMD lineage):
 
 1. Start from a global density guess.
 2. Compute the *global* Hartree + xc potential on the global grid (this is the
-   globally-sparse part handled by the multigrid/FFT solver).
+   globally-sparse part handled by the multigrid/spectral solver).
 3. For each domain, restrict the global effective potential to the domain's
    core+buffer region, add the domain's external potential, and solve the
    local Kohn-Sham eigenproblem ("locally dense" work).
@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.dc.domains import DomainDecomposition
 from repro.grid.grid3d import Grid3D
-from repro.grid.poisson import solve_poisson_fft
+from repro.grid.poisson import solve_poisson
 from repro.qd.hamiltonian import LocalHamiltonian
 from repro.qd.occupations import OccupationState
 from repro.qd.wavefunctions import WaveFunctions
@@ -107,7 +107,7 @@ class DCKohnShamSolver:
     # ------------------------------------------------------------------
     def _global_effective_potential(self, density: np.ndarray) -> np.ndarray:
         grid = self.decomposition.grid
-        hartree = solve_poisson_fft(density, grid)
+        hartree = solve_poisson(density, grid)
         _, v_xc = lda_exchange_correlation(density)
         return self.external_potential + hartree + v_xc
 

@@ -19,8 +19,9 @@ their orbitals live in one ``(D, n_orb, nx, ny, nz)`` array (each engine's
 ``wavefunctions.psi`` is a view of its slice) and every exchange makes one
 :func:`~repro.qd.tddft.propagate_domains` call for all D domains — one set of
 kinetic matrix products with per-domain ``(D, 1, n, n)`` operators, one
-Hartree/xc FFT, one current evaluation.  The result is bit-identical to
-stepping the domains one by one.
+spectral Hartree/xc solve, one occupation update per QD step, and one current
+evaluation per exchange, none of them with an FFT.  The result is
+bit-identical to stepping the domains one by one.
 """
 
 from __future__ import annotations

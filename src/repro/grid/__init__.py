@@ -9,11 +9,13 @@ per-domain dense work.  This subpackage provides those building blocks:
 * :mod:`repro.grid.stencil` — 2nd/4th/6th-order Laplacian and gradient stencils
   in both "naive loop" and vectorised formulations (used by the Table III
   optimisation-ladder benchmark).
-* :mod:`repro.grid.poisson` — FFT Poisson solver for periodic domains.
+* :mod:`repro.grid.poisson` — spectral Poisson solver for periodic domains.
+* :func:`apply_separable` — a per-axis operator ``U_x (x) U_y (x) U_z``
+  applied as three matrix products (the kinetic step, the Poisson solve).
 * :mod:`repro.grid.multigrid` — geometric multigrid V-cycle Poisson solver.
 """
 
-from repro.grid.grid3d import Grid3D
+from repro.grid.grid3d import Grid3D, apply_separable
 from repro.grid.stencil import (
     gradient,
     laplacian,
@@ -22,18 +24,19 @@ from repro.grid.stencil import (
     laplacian_stencil_width,
     shift_difference,
 )
-from repro.grid.poisson import solve_poisson_fft, coulomb_energy
+from repro.grid.poisson import solve_poisson, coulomb_energy
 from repro.grid.multigrid import MultigridPoisson
 
 __all__ = [
     "Grid3D",
+    "apply_separable",
     "gradient",
     "laplacian",
     "laplacian_naive",
     "laplacian_reference",
     "laplacian_stencil_width",
     "shift_difference",
-    "solve_poisson_fft",
+    "solve_poisson",
     "coulomb_energy",
     "MultigridPoisson",
 ]

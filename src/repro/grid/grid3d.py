@@ -8,7 +8,7 @@ dynamics modules work in Hartree atomic units throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -85,7 +85,7 @@ class Grid3D:
         )
 
     def k_squared(self) -> np.ndarray:
-        """|k|^2 on the full grid, used by the FFT Poisson / kinetic operators."""
+        """|k|^2 on the full grid, used by the spectral Poisson solver."""
         kx, ky, kz = self.kvectors()
         return (
             kx[:, None, None] ** 2
@@ -164,3 +164,32 @@ class Grid3D:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Grid3D(shape={self.shape}, lengths={self.lengths})"
+
+
+def apply_separable(array: np.ndarray, operators,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``(U_x (x) U_y (x) U_z) array`` over the last three axes, as three
+    matrix products; the result is written into ``out`` when given.
+
+    ``array`` has shape ``(..., nx, ny, nz)``; ``out``, if given, must be
+    C-contiguous with the result's shape (it may be ``array`` itself).  Each
+    operator is either one ``(n_i, n_i)`` matrix shared by the whole batch or
+    a ``(D, 1, n_i, n_i)`` stack for a ``(D, n_orb, nx, ny, nz)`` batch, one
+    operator per leading slice.  Every slice goes through the same matrix
+    products whatever the batch size, so a stacked call is bit-identical to
+    per-slice calls.
+    """
+    u_x, u_y, u_z = operators
+    *lead, nx, ny, nz = array.shape
+    if u_y.ndim > 2:
+        u_y = u_y[..., None, :, :]
+    work = np.matmul(u_x, array.reshape(*lead, nx, ny * nz))
+    work = np.matmul(u_y, work.reshape(work.shape[:-2] + (nx, ny, nz)))
+    work = work.reshape(work.shape[:-3] + (nx * ny, nz))
+    u_z = np.swapaxes(u_z, -1, -2)
+    if out is None:
+        return np.matmul(work, u_z).reshape(work.shape[:-2] + (nx, ny, nz))
+    if not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    np.matmul(work, u_z, out=out.reshape(*out.shape[:-3], nx * ny, nz))
+    return out

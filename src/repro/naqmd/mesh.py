@@ -19,7 +19,7 @@ runs one of these per DC domain and adds the Maxwell coupling across domains.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -181,8 +181,9 @@ class MESHIntegrator:
         self.history.clear()
 
     # ------------------------------------------------------------------
-    def step(self) -> MESHStepResult:
-        """Advance the coupled system by one MD step."""
+    def advance(self) -> Tuple[float, List[tuple]]:
+        """Advance the coupled system by one MD step and return the step's
+        ``(coupling_norm, hops)``; :meth:`step` also records the step."""
         dt = self.md_dt
         # Velocity Verlet half kick + drift (QXMD side, FP64 chemistry).
         self.velocities += 0.5 * dt * self._current_forces / self.masses[:, None]
@@ -217,7 +218,12 @@ class MESHIntegrator:
         self._current_forces = self._compute_forces()
         self.velocities += 0.5 * dt * self._current_forces / self.masses[:, None]
         self._time += dt
+        return coupling_norm, hops
 
+    def step(self) -> MESHStepResult:
+        """Advance the coupled system by one MD step and record its
+        observables (total energy included) in :attr:`history`."""
+        coupling_norm, hops = self.advance()
         result = MESHStepResult(
             time=self._time,
             positions=self.positions.copy(),

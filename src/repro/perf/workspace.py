@@ -11,9 +11,13 @@ re-allocating large temporaries.  This module centralises that state:
   ``(k + A/c)^2`` is a sum of per-axis terms it factors into three small
   dense matrices ``U_x (x) U_y (x) U_z`` (one ``n_i x n_i`` unitary per
   axis).  Inside one DC domain ``(dt, A)`` is fixed for a whole step (paper
-  Eq. 3), so the triple is built once and replayed from an LRU cache on every
-  subsequent ``propagate_exact`` call; the per-axis DFT matrices it is built
-  from are cached per ``(n_i, L_i)``, so even a miss is a few microseconds.
+  Eq. 3), so each factor is built once and replayed from an LRU cache keyed
+  per axis; the per-axis DFT matrices it is built from are cached per
+  ``(n_i, L_i)``, so even a miss is a few microseconds.
+* **Spectral matrices** — per ``(n_i, L_i)`` the DFT matrix, its inverse and
+  the spectral momentum and kinetic matrices (:class:`DFTBasis`), which the
+  current and the kinetic energy apply as matrix products and from which the
+  Poisson solve builds its real Hartley matrices.
 * **Scratch buffers** — named, shape/dtype-keyed arrays that kernels reuse
   across calls instead of allocating fresh temporaries per sweep (the
   structure-of-arrays reuse of Sec. V.B.2-3).
@@ -56,7 +60,7 @@ import threading
 import time as _time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Optional, Tuple
+from typing import Callable, Dict, Hashable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -163,14 +167,31 @@ class StencilPlan:
         )
 
 
+class DFTBasis(NamedTuple):
+    """The spectral matrices of one periodic grid axis (all read-only).
+
+    ``k`` holds the axis' angular wave vectors, ``dft`` and ``inverse`` the
+    DFT matrix ``F`` and its inverse, and ``momentum`` and ``kinetic`` the
+    spectral ``p = -i d/dx`` and ``p^2 / 2`` (``F^-1 diag(k) F`` and
+    ``F^-1 diag(k^2/2) F``).  Applied along their axis by matrix products
+    they replace the FFTs of the step: no kernel of a QD step transforms.
+    """
+
+    k: np.ndarray
+    dft: np.ndarray
+    inverse: np.ndarray
+    momentum: np.ndarray
+    kinetic: np.ndarray
+
+
 class KernelWorkspace:
     """Shared cache/scratch state for the simulation hot kernels.
 
     Parameters
     ----------
     max_phase_entries:
-        LRU capacity of the kinetic-operator cache (one ``(U_x, U_y, U_z)``
-        entry per distinct ``(grid, dt, A)`` combination).
+        LRU capacity of the kinetic-operator cache (one ``U_i`` entry per
+        distinct axis key ``(n_i, L_i, dt, A_i)``).
     max_scratch_entries:
         LRU capacity of each scratch-buffer pool (one entry per distinct
         ``(tag, shape, dtype)``); every thread gets its own pool, which
@@ -190,32 +211,60 @@ class KernelWorkspace:
         self._ground_states = LRUCache(GROUND_STATE_ENTRIES)
 
     # ------------------------------------------------------------------
-    # Kinetic operator cache
+    # Per-axis spectral matrices and the kinetic operator cache
     # ------------------------------------------------------------------
-    def _dft_basis(self, n: int, length: float):
-        """``(k, F, F^-1)`` of one axis: its angular wave vectors, its DFT
-        matrix and the inverse DFT matrix."""
+    def dft_basis(self, n: int, length: float) -> DFTBasis:
+        """The :class:`DFTBasis` of one grid axis (``n`` points over
+        ``length``), built once and shared by every caller."""
         key = (int(n), float(length))
         basis = self._dft.get(key)
         if basis is None:
-            k = 2.0 * np.pi * np.fft.fftfreq(key[0], d=key[1] / key[0])
-            dft = np.fft.fft(np.eye(key[0]), axis=0)
-            inverse = dft.conj().T / key[0]
-            for array in (k, dft, inverse):
+            n = key[0]
+            k = 2.0 * np.pi * np.fft.fftfreq(n, d=key[1] / n)
+            # F[j, m] = exp(-2 pi i jm / n); jm is reduced mod n first, so
+            # every angle lies in [0, 2 pi) and is rounded once.
+            index = np.arange(n)
+            dft = np.exp(-2j * np.pi * (np.outer(index, index) % n) / n)
+            inverse = dft.conj().T / n
+            momentum = (inverse * k) @ dft
+            kinetic = (inverse * (0.5 * k ** 2)) @ dft
+            for array in (k, dft, inverse, momentum, kinetic):
                 array.setflags(write=False)
             with self._dft_lock:
-                basis = self._dft.setdefault(key, (k, dft, inverse))
+                basis = self._dft.setdefault(
+                    key, DFTBasis(k, dft, inverse, momentum, kinetic))
         return basis
 
-    def _build_kinetic_operators(self, grid, dt: float, a: np.ndarray):
-        operators = []
-        for n, length, a_i in zip(grid.shape, grid.lengths, a):
-            k, dft, inverse = self._dft_basis(n, length)
-            phase = np.exp(-0.5j * dt * (k + a_i / SPEED_OF_LIGHT_AU) ** 2)
-            operator = (inverse * phase) @ dft
-            operator.setflags(write=False)
-            operators.append(operator)
-        return tuple(operators)
+    def _build_axis_operator(self, n: int, length: float, dt: float,
+                             a_i: float) -> np.ndarray:
+        k, dft, inverse = self.dft_basis(n, length)[:3]
+        phase = np.exp(-0.5j * dt * (k + a_i / SPEED_OF_LIGHT_AU) ** 2)
+        operator = (inverse * phase) @ dft
+        operator.setflags(write=False)
+        return operator
+
+    def _axis_operator(self, n: int, length: float, dt: float,
+                       a_i: float) -> np.ndarray:
+        key = (n, length, dt, a_i)
+        operator = self._phases.get(key)
+        if operator is None:
+            if _telemetry.enabled():
+                t0 = _time.perf_counter()
+                operator = self._build_axis_operator(n, length, dt, a_i)
+                _telemetry.observe(
+                    "repro_workspace_phase_build_seconds",
+                    _time.perf_counter() - t0,
+                    "one axis' kinetic operator built on a cache miss",
+                )
+                _telemetry.incr("repro_workspace_phase_misses_total", 1,
+                                "kinetic operator cache misses (per axis)")
+            else:
+                operator = self._build_axis_operator(n, length, dt, a_i)
+            self._phases.put(key, operator)
+        else:
+            _telemetry.incr("repro_workspace_phase_hits_total", 1,
+                            "kinetic operator cache hits (per axis)")
+        return operator
 
     def kinetic_operators(self, grid, dt: float,
                           vector_potential: Optional[np.ndarray] = None,
@@ -225,37 +274,22 @@ class KernelWorkspace:
         ``(k + A/c)^2`` is a sum of per-axis terms, so for a uniform vector
         potential the kinetic propagator is ``U_x (x) U_y (x) U_z`` with
         ``U_i = F_i^-1 diag(exp(-i dt (k_i + A_i/c)^2 / 2)) F_i`` an
-        ``n_i x n_i`` unitary matrix.  The returned matrices are read-only:
-        they are shared between every caller (and every thread) that hits the
-        same ``(grid, dt, A)`` key.  A miss costs three length-``n_i``
-        exponentials and three small matrix products.
+        ``n_i x n_i`` unitary matrix.  Each factor is cached on its own axis
+        key ``(n_i, L_i, dt, A_i)``: a z-polarised A that moves rebuilds
+        ``U_z`` alone, and the axes of a cubic grid share one matrix.  The
+        returned matrices are read-only: they are shared between every
+        caller (and every thread) that hits the same key.  A miss costs one
+        length-``n_i`` exponential and one small matrix product.
         """
         if vector_potential is None:
-            a = np.zeros(3)
-            a_key = None
+            a = (0.0, 0.0, 0.0)
         else:
-            a = np.asarray(vector_potential, dtype=float).reshape(3)
-            a_key = (float(a[0]), float(a[1]), float(a[2]))
-        key = (grid.shape, grid.lengths, float(dt), a_key)
-        operators = self._phases.get(key)
-        if operators is None:
-            if _telemetry.enabled():
-                t0 = _time.perf_counter()
-                operators = self._build_kinetic_operators(grid, float(dt), a)
-                _telemetry.observe(
-                    "repro_workspace_phase_build_seconds",
-                    _time.perf_counter() - t0,
-                    "kinetic operators built on a cache miss",
-                )
-                _telemetry.incr("repro_workspace_phase_misses_total", 1,
-                                "kinetic operator cache misses")
-            else:
-                operators = self._build_kinetic_operators(grid, float(dt), a)
-            self._phases.put(key, operators)
-        else:
-            _telemetry.incr("repro_workspace_phase_hits_total", 1,
-                            "kinetic operator cache hits")
-        return operators
+            a = np.asarray(vector_potential, dtype=float).reshape(3).tolist()
+        dt = float(dt)
+        return tuple(
+            self._axis_operator(n, float(length), dt, float(a_i))
+            for n, length, a_i in zip(grid.shape, grid.lengths, a)
+        )
 
     # ------------------------------------------------------------------
     # Stencil plans

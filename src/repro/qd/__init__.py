@@ -13,7 +13,7 @@ on the GPU side of each divide-and-conquer domain:
 * :mod:`repro.qd.pseudopotential` — separable (Kleinman-Bylander-like) nonlocal
   ionic projectors applied as dense GEMMs.
 * :mod:`repro.qd.hartree`         — iterative dynamical-simulated-annealing
-  Hartree solver plus the FFT reference.
+  Hartree solver plus the exact spectral reference.
 * :mod:`repro.qd.xc`              — LDA exchange-correlation.
 * :mod:`repro.qd.hamiltonian`     — assembly of the local KS potential and the
   velocity-gauge light coupling.

@@ -8,6 +8,12 @@ with the local potential v_loc = v_ext(r; R) + v_Hartree[n] + v_xc[n].  This
 module builds v_loc, applies the full Hamiltonian to orbital blocks (needed by
 the ground-state solver and by energy evaluation), and computes the
 macroscopic current density that feeds back into Maxwell's equations.
+
+The kinetic energy and the momentum act through the cached per-axis
+spectral matrices of :meth:`~repro.perf.workspace.KernelWorkspace.dft_basis`,
+applied along each axis as matrix products, and the Hartree solve of
+:mod:`repro.grid.poisson` through real matrices built from them: nothing
+here runs an FFT.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.grid.grid3d import Grid3D
+from repro.perf.workspace import get_workspace
 from repro.qd.hartree import DSAHartreeSolver, hartree_potential
 from repro.qd.pseudopotential import NonlocalPseudopotential
 from repro.qd.xc import lda_exchange_correlation
@@ -77,7 +84,8 @@ class LocalHamiltonian:
         Optional separable projector term (applied via GEMMs).
     use_dsa_hartree:
         If ``True`` the Hartree potential is solved with the DSA iterative
-        solver (warm-started from the previous call); otherwise FFT is used.
+        solver (warm-started from the previous call); otherwise the spectral
+        solver of :mod:`repro.grid.poisson` is used.
     """
 
     grid: Grid3D
@@ -96,8 +104,10 @@ class LocalHamiltonian:
         self.xc_potential = np.zeros(self.grid.shape)
         self._xc_energy_density = np.zeros(self.grid.shape)
         self._dsa = DSAHartreeSolver(self.grid) if self.use_dsa_hartree else None
-        self._k2 = self.grid.k_squared()
-        self._kvecs = self.grid.kvectors()
+        self._axes = tuple(
+            get_workspace().dft_basis(n, length)
+            for n, length in zip(self.grid.shape, self.grid.lengths)
+        )
         self._half_phase = None
 
     def __setattr__(self, name: str, value) -> None:
@@ -171,23 +181,29 @@ class LocalHamiltonian:
     # ------------------------------------------------------------------
     def apply_kinetic(self, psi: np.ndarray,
                       vector_potential: Optional[np.ndarray] = None) -> np.ndarray:
-        """(1/2)(p + A/c)^2 psi via FFT for a stacked orbital array."""
+        """(1/2)(p + A/c)^2 psi for a stacked orbital array.
+
+        The kinetic energy is a sum of per-axis terms
+        ``(1/2)(p_i + a_i)^2 = p_i^2/2 + a_i p_i + a_i^2/2`` (``a = A/c``), each
+        applied along its axis with the cached spectral matrices.
+        """
         psi = np.asarray(psi, dtype=np.complex128)
         single = psi.ndim == 3
         if single:
             psi = psi[None]
-        kx, ky, kz = self._kvecs
         if vector_potential is None:
-            kinetic = 0.5 * self._k2
+            matrices = [basis.kinetic for basis in self._axes]
+            shift = 0.0
         else:
-            a = np.asarray(vector_potential, dtype=float).reshape(3)
-            kinetic = 0.5 * (
-                (kx[:, None, None] + a[0] / SPEED_OF_LIGHT_AU) ** 2
-                + (ky[None, :, None] + a[1] / SPEED_OF_LIGHT_AU) ** 2
-                + (kz[None, None, :] + a[2] / SPEED_OF_LIGHT_AU) ** 2
-            )
-        psi_k = np.fft.fftn(psi, axes=(1, 2, 3))
-        out = np.fft.ifftn(kinetic[None] * psi_k, axes=(1, 2, 3))
+            a = np.asarray(vector_potential, dtype=float).reshape(3) / SPEED_OF_LIGHT_AU
+            matrices = [basis.kinetic + a_i * basis.momentum
+                        for basis, a_i in zip(self._axes, a)]
+            shift = 0.5 * float(a @ a)
+        along_x, along_y, along_z = _along_axes(psi, matrices)
+        out = along_x + along_y
+        out += along_z
+        if shift:
+            out += shift * psi
         return out[0] if single else out
 
     def apply(self, psi: np.ndarray,
@@ -273,17 +289,13 @@ class LocalHamiltonian:
         if psi.ndim == 3:
             psi = psi[None]
         occupations = np.asarray(occupations, dtype=float)
-        kx, ky, kz = self._kvecs
-        axes = (-3, -2, -1)
-        psi_k = np.fft.fftn(psi, axes=axes)
-        weights = np.abs(psi_k) ** 2
-        # Momentum expectation values per orbital; FFT normalisation cancels in
-        # the ratio with the norm computed in k space.
-        norms = np.sum(weights, axis=axes)
-        px = np.sum(weights * kx[:, None, None], axis=axes) / norms
-        py = np.sum(weights * ky[:, None], axis=axes) / norms
-        pz = np.sum(weights * kz, axis=axes) / norms
-        momentum = np.stack([px, py, pz], axis=-1)
+        conj = psi.conj()
+        # Momentum expectation values per orbital, <p_i> = <psi|p_i psi> /
+        # <psi|psi>, with p_i the spectral momentum along axis i.
+        norms = np.einsum("...xyz,...xyz->...", conj, psi).real
+        terms = np.stack(
+            _along_axes(psi, [basis.momentum for basis in self._axes]), axis=-4)
+        momentum = np.einsum("...xyz,...kxyz->...k", conj, terms).real / norms[..., None]
         if vector_potential is not None:
             a = np.asarray(vector_potential, dtype=float).reshape(*psi.shape[:-4], 3)
             momentum = momentum + a[..., None, :] / SPEED_OF_LIGHT_AU
@@ -291,15 +303,27 @@ class LocalHamiltonian:
         return -total / self.grid.volume
 
 
+def _along_axes(psi: np.ndarray, matrices):
+    """Each of the three ``(n_i, n_i)`` ``matrices`` applied to ``psi``
+    (``(..., nx, ny, nz)``) along its own axis alone, as three arrays."""
+    m_x, m_y, m_z = matrices
+    *lead, nx, ny, nz = psi.shape
+    along_x = np.matmul(m_x, psi.reshape(*lead, nx, ny * nz)).reshape(psi.shape)
+    along_y = np.matmul(m_y, psi)
+    along_z = np.matmul(psi, m_z.T)
+    return along_x, along_y, along_z
+
+
 def update_potentials_stacked(hamiltonians: Sequence[LocalHamiltonian],
                               densities: np.ndarray) -> None:
     """Recompute Hartree and xc potentials of D Hamiltonians on one grid.
 
     ``densities`` is ``(D, nx, ny, nz)``, one density per Hamiltonian.  The
-    FFT Hartree solve and the LDA run once over the whole stack; both act on
-    each slice independently, so slice ``d`` gets exactly the potentials a
-    solve of ``densities[d]`` alone would give.  Hamiltonians using the DSA
-    solver are warm-started one by one.
+    spectral Hartree solve (matrix products, no FFT) and the LDA run once
+    over the whole stack; both act on each slice independently, so slice
+    ``d`` gets exactly the potentials a solve of ``densities[d]`` alone
+    would give.  Hamiltonians using the DSA solver are warm-started one by
+    one.
     """
     grid = hamiltonians[0].grid
     densities = np.asarray(densities, dtype=float)

@@ -6,7 +6,7 @@ the potential is treated as a fictitious dynamical variable evolving under
 damped second-order dynamics whose fixed point is the Poisson solution.  The
 appeal on real hardware is that each iteration is a local stencil sweep
 (GPU-friendly) and an excellent initial guess is available from the previous
-QD step, so a handful of iterations suffice.  The FFT solver from
+QD step, so a handful of iterations suffice.  The spectral solver from
 :mod:`repro.grid.poisson` is the exact reference.
 """
 
@@ -17,14 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.grid.grid3d import Grid3D
-from repro.grid.poisson import solve_poisson_fft
+from repro.grid.poisson import solve_poisson
 from repro.grid.stencil import laplacian
 from repro.perf.flops import FlopCounter, stencil_flops
 
 
 def hartree_potential(density: np.ndarray, grid: Grid3D) -> np.ndarray:
-    """Exact (FFT) Hartree potential; thin convenience wrapper."""
-    return solve_poisson_fft(density, grid)
+    """Exact (spectral) Hartree potential; thin convenience wrapper."""
+    return solve_poisson(density, grid)
 
 
 @dataclass

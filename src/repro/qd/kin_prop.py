@@ -47,7 +47,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.grid.grid3d import Grid3D
+from repro.grid.grid3d import Grid3D, apply_separable
 from repro.grid.stencil import laplacian, laplacian_naive
 from repro.perf.flops import FlopCounter, stencil_flops
 from repro.perf.workspace import KernelWorkspace, get_workspace
@@ -129,7 +129,7 @@ class KineticPropagator:
         if psi.shape[1:] != self.grid.shape:
             raise ValueError("psi grid shape does not match the propagator grid")
         out = np.empty(psi.shape, dtype=np.complex128)
-        apply_kinetic_operators(psi, self.operators(vector_potential), out)
+        apply_separable(psi, self.operators(vector_potential), out)
         # One complex multiply-add (8 real flops) per point and axis entry.
         self.flops.add(
             "kin_prop_gemm",
@@ -240,28 +240,6 @@ class KineticPropagator:
             stop = min(start + self.block_size, n_orb)
             out[start:stop] = self._taylor_apply(psi[start:stop], use_naive=False)
         return out
-
-
-def apply_kinetic_operators(psi: np.ndarray, operators, out: np.ndarray) -> None:
-    """Write ``(U_x (x) U_y (x) U_z) psi`` into ``out`` with three matmuls.
-
-    ``psi`` and ``out`` have shape ``(..., nx, ny, nz)`` and ``out`` must be
-    C-contiguous (it may be ``psi`` itself).  Each operator is either one
-    ``(n_i, n_i)`` matrix shared by the whole batch or a ``(D, 1, n_i, n_i)``
-    stack for a ``(D, n_orb, nx, ny, nz)`` batch, one operator per leading
-    slice.  Every slice goes through the same matrix products whatever the
-    batch size, so a stacked call is bit-identical to per-slice calls.
-    """
-    if not out.flags.c_contiguous:
-        raise ValueError("out must be C-contiguous")
-    u_x, u_y, u_z = operators
-    *lead, nx, ny, nz = psi.shape
-    if u_y.ndim > 2:
-        u_y = u_y[..., None, :, :]
-    work = np.matmul(u_x, psi.reshape(*lead, nx, ny * nz))
-    work = np.matmul(u_y, work.reshape(psi.shape))
-    np.matmul(work.reshape(*lead, nx * ny, nz), np.swapaxes(u_z, -1, -2),
-              out=out.reshape(*lead, nx * ny, nz))
 
 
 def kin_prop(psi: np.ndarray, grid: Grid3D, dt: float,

@@ -16,10 +16,13 @@ by the QXMD side (the shadow-dynamics split of Sec. V.A.3-4).
 The step is one kernel over a leading domain axis
 (:func:`propagate_domains`): a lone :class:`RealTimeTDDFT` calls it with one
 domain, and DC-MESH calls it once per exchange for all of its domains, whose
-orbitals it holds as one ``(D, n_orb, nx, ny, nz)`` array.  The kinetic step
-applies cached per-axis operators (no FFT), and the local half-step phase is
-rebuilt only when v_loc changes.  While telemetry is on, each call splits
-its time by kernel into the ``repro_qd_<kernel>_seconds`` histograms.
+orbitals it holds as one ``(D, n_orb, nx, ny, nz)`` array.  No kernel of the
+step runs an FFT or loops over domains unless a domain carries its own
+correction: the kinetic step applies cached per-axis operators, the Hartree
+solve per-axis Hartley matrices, the local half-step phase is rebuilt only
+when v_loc changes, and the occupations of all domains relax in one update.
+While telemetry is on, each call splits its time by kernel into the
+``repro_qd_<kernel>_seconds`` histograms.
 
 The driver records the time series of dipole moment, cell-averaged current,
 occupation-resolved excitation numbers, and total energy, which is everything
@@ -36,9 +39,10 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
+from repro.grid.grid3d import apply_separable
 from repro.perf.workspace import KernelWorkspace
 from repro.qd.hamiltonian import LocalHamiltonian, update_potentials_stacked
-from repro.qd.kin_prop import KineticPropagator, apply_kinetic_operators
+from repro.qd.kin_prop import KineticPropagator
 from repro.qd.nlp_prop import NonlocalCorrection
 from repro.qd.occupations import OccupationState
 from repro.qd.wavefunctions import WaveFunctions
@@ -47,7 +51,8 @@ from repro.utils.validation import validate_run_args
 
 #: The kernels a QD step is split into, each timed into
 #: ``repro_qd_<kernel>_seconds`` while telemetry is on.
-QD_KERNELS = ("v_loc_prop", "kin_prop", "nlp_prop", "vnl_prop", "hartree_xc")
+QD_KERNELS = ("v_loc_prop", "kin_prop", "nlp_prop", "vnl_prop", "hartree_xc",
+              "occupations")
 
 
 @dataclass
@@ -100,6 +105,40 @@ class _KernelTimer:
         self._current.observe(perf_counter() - self._t0)
 
 
+def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """One array shared by every domain as is, else their ``(D, 1, ...)``
+    stack (one slice per domain, broadcast over its orbitals)."""
+    first = arrays[0]
+    if all(array is first for array in arrays):
+        return first
+    return np.stack(arrays)[:, None]
+
+
+def relax_occupations(occupations: np.ndarray, reference: np.ndarray,
+                      orbitals: np.ndarray, initial: np.ndarray,
+                      rates: np.ndarray, dv: float) -> np.ndarray:
+    """One perturbative occupation update of D domains, as one kernel.
+
+    The population that has left the initially occupied reference subspace
+    is photo-excited charge: each domain's ``(n_orb,)`` occupations relax
+    toward ``initial * |<reference_s|psi_s>|^2`` at its rate (the U_SH
+    update of Eq. 2 without the stochastic hop, which lives in
+    :mod:`repro.naqmd.surface_hopping`).  ``occupations`` and ``initial``
+    are ``(D, n_orb)``, ``reference`` (conjugated) and ``orbitals`` are
+    ``(D, n_orb, n_grid)`` and ``rates`` is ``(D, 1)``.  Returns the new
+    occupations, clipped to [0, 1]; an update that leaves that range by more
+    than 1e-9 (or is not finite) raises ``ValueError``.  Every operation acts
+    per row, so each domain's update is bit-identical to its update alone.
+    """
+    survival = np.abs(np.einsum("dsg,dsg->ds", reference, orbitals) * dv)
+    survival *= survival
+    np.minimum(survival, 1.0, out=survival)  # a squared modulus: never < 0
+    relaxed = (1.0 - rates) * occupations + rates * (initial * survival)
+    if not (relaxed.min() >= -1e-9 and relaxed.max() <= 1.0 + 1e-9):
+        raise ValueError("occupations must lie in [0, 1]")
+    return relaxed.clip(0.0, 1.0)
+
+
 def propagate_domains(engines: Sequence["RealTimeTDDFT"], psi: np.ndarray,
                       steps: int) -> None:
     """Advance D same-shape domains by ``steps`` QD steps as one kernel.
@@ -110,15 +149,19 @@ def propagate_domains(engines: Sequence["RealTimeTDDFT"], psi: np.ndarray,
     ``update_potentials_every``; their fields, potentials, occupations,
     scissors and projectors stay their own.  Each step:
 
-    1. ``exp(-i dt/2 v_loc)`` per domain (rebuilt only when v_loc changed);
+    1. ``exp(-i dt/2 v_loc)`` for the whole stack: one multiply by the
+       ``(D, 1, nx, ny, nz)`` stack of the domains' cached phases, restacked
+       only after v_loc changed;
     2. the kinetic step for the whole stack: three matrix products with the
-       per-axis operators of each domain's A (one ``(D, 1, n, n)`` stack
-       when the domains' A differ);
+       per-axis operators of each domain's A (a ``(D, 1, n, n)`` stack on the
+       axes where the domains' A differ), looked up only when some domain's
+       A moved;
     3. the second local half step, then each domain's scissors correction
        and nonlocal projectors, applied slice by slice;
     4. every ``update_potentials_every`` steps, the Hartree/xc update of all
-       domains in one FFT and one LDA sweep;
-    5. each domain's occupation relaxation.
+       domains in one spectral solve and one LDA sweep;
+    5. the occupation relaxation of all domains: one overlap with the
+       reference orbitals and one clip over the ``(D, n_orb)`` occupations.
 
     Every stacked operation acts on each slice independently, so a stacked
     call is bit-identical to one call per domain.  Whether the
@@ -129,30 +172,40 @@ def propagate_domains(engines: Sequence["RealTimeTDDFT"], psi: np.ndarray,
     every = engines[0].update_potentials_every
     hamiltonians = [engine.hamiltonian for engine in engines]
     measure = _KernelTimer() if _telemetry.enabled() else _untimed
-    stacked_from = stacked = None
+    sliced = [
+        (block, engine) for block, engine in zip(psi, engines)
+        if engine.scissors is not None
+        or engine.hamiltonian.nonlocal_pseudopotential is not None
+    ]
+    states = [engine.occupations for engine in engines]
+    occupations = np.stack([state.occupations for state in states])
+    spin = np.array([state.spin_degeneracy for state in states])[:, None]
+    relaxing = [d for d, engine in enumerate(engines)
+                if engine.occupation_decoherence_rate > 0.0]
+    if relaxing:
+        reference = np.stack([engine._reference_conj for engine in engines])
+        initial = np.stack([state._initial for state in states])
+        rates = np.array([
+            min(1.0, engine.occupation_decoherence_rate * dt) for engine in engines
+        ])[:, None]
+        orbitals = psi.reshape(*reference.shape)
+        dv = engines[0].wavefunctions.grid.dv
+    operators_from = step_operators = phase = None
     for n in range(steps):
-        operators = [
-            engine._kinetic.operators(engine.vector_potential()) for engine in engines
-        ]
-        if all(ops is operators[0] for ops in operators):
-            step_operators = operators[0]
-        else:
-            # Rebuilt only when some domain's A moved (once per DC-MESH exchange).
-            if stacked_from is None or any(
-                    a is not b for a, b in zip(operators, stacked_from)):
-                stacked = tuple(np.stack(axis)[:, None] for axis in zip(*operators))
-                stacked_from = operators
-            step_operators = stacked
-        phases = [h.half_step_phase(dt) for h in hamiltonians]
+        operators = [engine._kinetic_operators() for engine in engines]
+        if operators_from is None or any(
+                a is not b for a, b in zip(operators, operators_from)):
+            step_operators = tuple(_stack(axis) for axis in zip(*operators))
+            operators_from = operators
+        if phase is None:
+            phase = _stack([h.half_step_phase(dt) for h in hamiltonians])
         with measure("v_loc_prop"):
-            for block, phase in zip(psi, phases):
-                block *= phase
+            psi *= phase
         with measure("kin_prop"):
-            apply_kinetic_operators(psi, step_operators, psi)
+            apply_separable(psi, step_operators, psi)
         with measure("v_loc_prop"):
-            for block, phase in zip(psi, phases):
-                block *= phase
-        for block, engine in zip(psi, engines):
+            psi *= phase
+        for block, engine in sliced:
             if engine.scissors is not None:
                 with measure("nlp_prop"):
                     engine.scissors.apply(engine.wavefunctions)
@@ -160,17 +213,20 @@ def propagate_domains(engines: Sequence["RealTimeTDDFT"], psi: np.ndarray,
             if projectors is not None:
                 with measure("vnl_prop"):
                     block[...] = projectors.propagate(block, dt)
+        for engine in engines:
             engine._time += dt
         if (n + 1) % every == 0:
             with measure("hartree_xc"):
-                weights = np.stack([
-                    engine.occupations.electrons_per_orbital() for engine in engines
-                ])
-                density = np.einsum("ds,dsxyz->dxyz", weights, np.abs(psi) ** 2)
+                density = np.einsum("ds,dsxyz->dxyz", spin * occupations,
+                                    np.abs(psi) ** 2)
                 update_potentials_stacked(hamiltonians, density)
-        for engine in engines:
-            if engine.occupation_decoherence_rate > 0.0:
-                engine._update_occupations()
+            phase = None
+        if relaxing:
+            with measure("occupations"):
+                occupations = relax_occupations(
+                    occupations, reference, orbitals, initial, rates, dv)
+    for d in relaxing:
+        states[d].occupations = occupations[d]
 
 
 @dataclass
@@ -229,8 +285,11 @@ class RealTimeTDDFT:
         self._kinetic = KineticPropagator(
             self.wavefunctions.grid, self.dt, workspace=self.workspace
         )
-        # Conjugated once: the occupation update projects on it every step.
-        self._reference_conj = self.wavefunctions.as_matrix().conj()
+        # Conjugated once, as ``(n_orb, n_grid)``: the occupation update
+        # projects on it every step.
+        self._reference_conj = self.wavefunctions.psi.reshape(
+            self.wavefunctions.n_orbitals, -1).conj()
+        self._operators = self._operators_field = None
         # Make sure the potentials are consistent with the initial density.
         self.hamiltonian.update_potentials(
             self.wavefunctions.density(self.occupations.electrons_per_orbital())
@@ -246,6 +305,17 @@ class RealTimeTDDFT:
         if self.field_callback is None:
             return None
         return np.asarray(self.field_callback(self._time), dtype=float).reshape(3)
+
+    def _kinetic_operators(self):
+        """The per-axis kinetic operators of the current A; the workspace is
+        asked only when A moved since the last call, and the same tuple is
+        returned while it has not."""
+        a_vec = self.vector_potential()
+        field = None if a_vec is None else tuple(a_vec.tolist())
+        if self._operators is None or field != self._operators_field:
+            self._operators = self._kinetic.operators(a_vec)
+            self._operators_field = field
+        return self._operators
 
     # ------------------------------------------------------------------
     def step(self, steps: int = 1) -> None:
@@ -286,24 +356,6 @@ class RealTimeTDDFT:
         )
         self.hamiltonian.load_potentials_state(state["potentials"])
         self._time = float(state["time"])
-
-    def _update_occupations(self) -> None:
-        """Perturbative occupation update from projections on the reference.
-
-        The population that has left the initially-occupied reference subspace
-        is interpreted as photo-excited charge; occupations relax toward those
-        projections at the configured rate, mimicking the U_SH occupation
-        update of Eq. (2) without the stochastic hop (the stochastic FSSH
-        machinery lives in :mod:`repro.naqmd.surface_hopping`).
-        """
-        overlap = np.einsum(
-            "gi,gi->i", self._reference_conj, self.wavefunctions.as_matrix()
-        ) * self.wavefunctions.grid.dv
-        survival = (np.abs(overlap) ** 2).clip(0.0, 1.0)
-        target = self.occupations._initial * survival
-        rate = min(1.0, self.occupation_decoherence_rate * self.dt)
-        new_occ = (1.0 - rate) * self.occupations.occupations + rate * target
-        self.occupations.set_occupations(new_occ.clip(0.0, 1.0))
 
     # ------------------------------------------------------------------
     def run(self, num_steps: int, record_every: int = 1) -> TDDFTResult:

@@ -33,7 +33,7 @@ from repro.qd.hamiltonian import LocalHamiltonian
 
 # Cache of dense real kinetic matrices keyed by the grid geometry.  Inside an
 # SCF loop only the local potential changes between iterations, so rebuilding
-# the (expensive, FFT-synthesised) kinetic matrix every iteration would
+# the (expensive, column-by-column synthesised) kinetic matrix every iteration would
 # dominate the cost of small-cell ground-state solves.  Entries are shared
 # between threads (``backend=thread``) and never written after insertion.
 _KINETIC_CACHE: Dict[tuple, np.ndarray] = {}
@@ -46,8 +46,9 @@ def _dense_kinetic(hamiltonian: LocalHamiltonian) -> np.ndarray:
     kinetic = _KINETIC_CACHE.get(key)
     if kinetic is None:
         n = grid.num_points
-        # The FFT leaves a round-off (1e-16) imaginary part on a matrix that
-        # is real analytically; keep the real part, symmetrised once here.
+        # The spectral matrices leave a round-off (1e-16) imaginary part on a
+        # matrix that is real analytically; keep the real part, symmetrised
+        # once here.
         columns = hamiltonian.apply_kinetic(
             np.eye(n).reshape(n, *grid.shape)
         ).reshape(n, n).real

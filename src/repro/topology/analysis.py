@@ -10,7 +10,7 @@ compact per-snapshot summary that can be tabulated by the benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -32,8 +32,13 @@ def classify_texture(
     field: np.ndarray,
     charge_threshold: float = 0.5,
     polarization_threshold: float = 0.1,
+    charge: Optional[float] = None,
 ) -> TextureAnalysis:
     """Classify a texture of shape ``(nx, ny, nz, 3)`` (or ``(nx, ny, 3)``).
+
+    ``charge``, when given, is the already computed topological charge of
+    the texture's middle layer (the slice classified); it is used instead
+    of recomputing it.
 
     Labels:
 
@@ -48,7 +53,8 @@ def classify_texture(
         slice_2d = field
     else:
         raise ValueError("field must have shape (nx, ny, 3) or (nx, ny, nz, 3)")
-    charge = topological_charge(slice_2d)
+    if charge is None:
+        charge = topological_charge(slice_2d)
     mean_p = field.reshape(-1, 3).mean(axis=0)
     rms = float(np.sqrt(np.mean(np.sum(field.reshape(-1, 3) ** 2, axis=1))))
     if abs(charge) >= charge_threshold:

@@ -24,7 +24,6 @@ import multiprocessing
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -218,11 +217,10 @@ class TestServerCrashMatrix:
                               run_id="victim")
             except Exception:
                 pass  # the daemon may die mid-request; the exit code decides
-            deadline = time.monotonic() + 60
-            while proc.poll() is None and time.monotonic() < deadline:
-                time.sleep(0.05)
-            assert proc.poll() is not None, "daemon survived its crash plan"
-            return proc.returncode
+            try:
+                return proc.wait(timeout=60)
+            except subprocess.TimeoutExpired:
+                raise AssertionError("daemon survived its crash plan") from None
         finally:
             _kill_group(proc)
 

@@ -10,7 +10,7 @@ from repro.grid import (
     gradient,
     laplacian,
     laplacian_naive,
-    solve_poisson_fft,
+    solve_poisson,
 )
 from repro.grid.poisson import poisson_residual
 from repro.grid.stencil import divergence
@@ -116,7 +116,7 @@ class TestPoissonSolvers:
     def test_fft_poisson_residual(self):
         grid = Grid3D((16, 16, 16), (10.0, 10.0, 10.0))
         rho = self._gaussian_density(grid)
-        potential = solve_poisson_fft(rho, grid)
+        potential = solve_poisson(rho, grid)
         assert potential.mean() == pytest.approx(0.0, abs=1e-10)
         assert poisson_residual(potential, rho, grid, order=6) < 0.05
 
@@ -126,7 +126,7 @@ class TestPoissonSolvers:
         x, _, _ = grid.meshgrid()
         k = 2 * np.pi / 8.0
         rho = np.sin(k * x)
-        v = solve_poisson_fft(rho, grid)
+        v = solve_poisson(rho, grid)
         assert np.allclose(v, 4 * np.pi * np.sin(k * x) / k ** 2, atol=1e-10)
 
     def test_coulomb_energy_positive(self):
@@ -155,4 +155,4 @@ class TestPoissonSolvers:
 
     def test_shape_validation(self, small_grid):
         with pytest.raises(ValueError):
-            solve_poisson_fft(np.zeros((4, 4, 4)), small_grid)
+            solve_poisson(np.zeros((4, 4, 4)), small_grid)

@@ -78,17 +78,25 @@ class TestKernelWorkspace:
         ws = KernelWorkspace()
         grid = Grid3D((6, 6, 6), (6.0, 6.0, 6.0))
         operators = ws.kinetic_operators(grid, 0.1)
-        assert ws.kinetic_operators(grid, 0.1) is operators
+        assert all(again is operator for again, operator
+                   in zip(ws.kinetic_operators(grid, 0.1), operators))
         assert len(operators) == 3
+        # Cached per axis: the three axes of a cubic grid share one matrix.
+        assert operators[0] is operators[1] is operators[2]
         for operator in operators:
             assert operator.shape == (6, 6)
             assert not operator.flags.writeable
             # The k = 0 mode (constant along the axis) keeps phase 1.
             np.testing.assert_allclose(operator @ np.ones(6), np.ones(6), atol=1e-14)
-        assert ws.kinetic_operators(grid, 0.2) is not operators
-        assert ws.kinetic_operators(grid, 0.1, np.array([0.5, 0.0, 0.0])) is not operators
+        assert ws.kinetic_operators(grid, 0.2)[0] is not operators[0]
+        # An x-polarised A rebuilds U_x alone.
+        moved = ws.kinetic_operators(grid, 0.1, np.array([0.5, 0.0, 0.0]))
+        assert moved[0] is not operators[0]
+        assert moved[1] is operators[1] and moved[2] is operators[2]
         stats = ws.stats
-        assert stats["phase_hits"] == 1 and stats["phase_misses"] == 3
+        # One lookup per axis: three new keys (one miss, two hits each)
+        # and one full replay (three hits).
+        assert stats["phase_hits"] == 9 and stats["phase_misses"] == 3
 
     def test_stencil_plan_cached_and_consistent(self):
         ws = KernelWorkspace()

@@ -1,18 +1,25 @@
 """Oracles for the QD step kernel.
 
 * The per-axis kinetic operators against the FFT propagator they replace.
+* The matrix forms of the current, the kinetic energy and the Hartree solve
+  against their FFT forms (kept here, as oracles).
 * Unitarity of the driven split-operator step.
-* The stacked DC-MESH step against the per-domain loop, bit for bit.
+* The stacked DC-MESH step against the per-domain loop, bit for bit, and the
+  stacked occupation update against a per-domain loop, bit for bit.
 * The cached local half-step phase against every writer of v_loc.
 * Kernel timing (telemetry on) against the untimed step, bit for bit.
+* Exact counts: no FFT in a DC-MESH exchange or a MESH step, at most D
+  kinetic-operator builds per exchange; MESH ``advance`` == ``step``.
 """
 
 import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.api import build_engine, default_registry
 from repro.dc import DCMESHSimulation
 from repro.grid import Grid3D
+from repro.grid.poisson import solve_poisson
 from repro.maxwell import GaussianPulse, Maxwell1D, MaxwellCoupler
 from repro.perf.workspace import KernelWorkspace
 from repro.qd import (
@@ -20,7 +27,7 @@ from repro.qd import (
     NonlocalPseudopotential, OccupationState, RealTimeTDDFT, WaveFunctions,
 )
 from repro.qd.hamiltonian import gaussian_external_potential
-from repro.qd.tddft import QD_KERNELS
+from repro.qd.tddft import QD_KERNELS, relax_occupations
 from repro.scf import KohnShamSolver
 from repro.units import SPEED_OF_LIGHT_AU
 
@@ -29,14 +36,18 @@ QD_STEPS_PER_EXCHANGE = 5
 EXCHANGES = 40
 
 
-# ----------------------------------------------------------------------
-# Per-axis kinetic operators vs the FFT reference
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("shape, lengths", [
+#: Two cubic grids of different spacing and an anisotropic one with an odd axis.
+GRID_SHAPES = [
     ((6, 6, 6), (8.0, 8.0, 8.0)),
     ((8, 8, 8), (6.0, 6.0, 6.0)),
     ((5, 6, 8), (7.0, 8.0, 9.5)),
-])
+]
+
+
+# ----------------------------------------------------------------------
+# Per-axis kinetic operators vs the FFT reference
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("shape, lengths", GRID_SHAPES)
 @pytest.mark.parametrize("a_vec", [None, (0.8, -0.3, 0.5)])
 def test_per_axis_operators_match_fft_reference(shape, lengths, a_vec):
     grid = Grid3D(shape, lengths)
@@ -46,6 +57,85 @@ def test_per_axis_operators_match_fft_reference(shape, lengths, a_vec):
     out = prop.propagate_exact(wf.psi, a)
     reference = prop.propagate_exact_reference(wf.psi, a)
     assert np.max(np.abs(out - reference)) <= 1e-12
+
+
+# ----------------------------------------------------------------------
+# Current, kinetic energy and Hartree: matrix forms vs FFT forms
+# ----------------------------------------------------------------------
+def _kinetic_symbol(grid, a_vec):
+    """(1/2)(k + A/c)^2 on the full k grid."""
+    a = np.zeros(3) if a_vec is None else np.asarray(a_vec) / SPEED_OF_LIGHT_AU
+    kx, ky, kz = grid.kvectors()
+    return 0.5 * ((kx[:, None, None] + a[0]) ** 2
+                  + (ky[None, :, None] + a[1]) ** 2
+                  + (kz[None, None, :] + a[2]) ** 2)
+
+
+def apply_kinetic_fft(grid, psi, a_vec):
+    """(1/2)(p + A/c)^2 psi between two FFTs."""
+    axes = (-3, -2, -1)
+    psi_k = np.fft.fftn(psi, axes=axes)
+    return np.fft.ifftn(_kinetic_symbol(grid, a_vec) * psi_k, axes=axes)
+
+
+def current_fft(grid, psi, occupations, a_vec):
+    """-(1/V) sum_s f_s <p + A/c>_s from |psi_s(k)|^2."""
+    axes = (-3, -2, -1)
+    kx, ky, kz = grid.kvectors()
+    weights = np.abs(np.fft.fftn(psi, axes=axes)) ** 2
+    norms = np.sum(weights, axis=axes)
+    momentum = np.stack([
+        np.sum(weights * kx[:, None, None], axis=axes) / norms,
+        np.sum(weights * ky[:, None], axis=axes) / norms,
+        np.sum(weights * kz, axis=axes) / norms,
+    ], axis=-1)
+    if a_vec is not None:
+        momentum = momentum + np.asarray(a_vec) / SPEED_OF_LIGHT_AU
+    return -np.einsum("s,sk->k", occupations, momentum) / grid.volume
+
+
+def hartree_fft(grid, density):
+    """V_H = IFFT(4 pi / k^2 FFT(rho)) with the k = 0 term dropped."""
+    k2 = grid.k_squared()
+    green = np.where(k2 > 1e-12, 4.0 * np.pi / np.where(k2 > 1e-12, k2, 1.0), 0.0)
+    axes = (-3, -2, -1)
+    return np.real(np.fft.ifftn(np.fft.fftn(density, axes=axes) * green, axes=axes))
+
+
+@pytest.mark.parametrize("shape, lengths", GRID_SHAPES)
+@pytest.mark.parametrize("a_vec", [None, (40.0, -15.0, 25.0)])
+def test_current_and_kinetic_energy_match_fft_forms(shape, lengths, a_vec):
+    grid = Grid3D(shape, lengths)
+    wf = WaveFunctions.random(grid, 3, np.random.default_rng(7))
+    occupations = np.array([2.0, 1.5, 0.5])
+    ham = LocalHamiltonian(grid, np.zeros(shape))
+    a = None if a_vec is None else np.array(a_vec)
+
+    current = ham.current_density_average(wf.psi, occupations, a)
+    assert np.max(np.abs(current - current_fft(grid, wf.psi, occupations, a))) <= 1e-12
+
+    kinetic = ham.apply_kinetic(wf.psi, a)
+    reference = apply_kinetic_fft(grid, wf.psi, a)
+    assert np.max(np.abs(kinetic - reference)) <= 1e-12
+
+    def energy(t_psi):
+        return float(np.real(np.sum(
+            occupations[:, None, None, None] * wf.psi.conj() * t_psi)) * grid.dv)
+
+    # total_energy is its kinetic term alone here (v_ext, v_H and v_xc are 0).
+    e_kin = ham.total_energy(wf.psi, occupations, a)
+    assert abs(e_kin - energy(reference)) <= 1e-12 * max(1.0, abs(e_kin))
+
+
+@pytest.mark.parametrize("shape, lengths", GRID_SHAPES)
+def test_hartree_matches_fft_form(shape, lengths):
+    grid = Grid3D(shape, lengths)
+    rng = np.random.default_rng(3)
+    densities = rng.random((2, *shape))
+    potential = solve_poisson(densities, grid)
+    assert potential.shape == densities.shape
+    for density, solved in zip(densities, potential):
+        assert np.max(np.abs(solved - hartree_fft(grid, density))) <= 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -169,7 +259,7 @@ def test_kernel_timing_leaves_the_step_bit_identical(ground_state,
                                                      live_telemetry):
     """The same two-domain exchanges untimed, then timed: identical bits,
     and one observation per kernel block.  Domain 0 carries nonlocal
-    projectors and domain 1 a scissors correction, so all five kernels
+    projectors and domain 1 a scissors correction, so all six kernels
     run."""
     exchanges = 4
     runs = {}
@@ -207,6 +297,7 @@ def test_kernel_timing_leaves_the_step_bit_identical(ground_state,
         "nlp_prop": steps,        # domain 1 only
         "vnl_prop": steps,        # domain 0 only
         "hartree_xc": exchanges,  # update_potentials_every == steps/exchange
+        "occupations": steps,     # all domains in one block
     }
 
 
@@ -273,3 +364,128 @@ def test_half_step_phase_is_rebuilt_on_every_v_loc_writer(ground_state):
     assert not np.array_equal(ham.half_step_phase(QD_DT), phase)
     np.testing.assert_array_equal(ham.half_step_phase(0.2 * QD_DT),
                                   np.exp(-0.5j * (0.2 * QD_DT) * ham.local_potential()))
+
+
+# ----------------------------------------------------------------------
+# The stacked occupation update == a per-domain loop
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("num_domains", [1, 2, 4])
+def test_stacked_occupation_update_is_bit_identical_to_domain_loop(num_domains):
+    grid = Grid3D((6, 6, 6), (8.0, 8.0, 8.0))
+    rng = np.random.default_rng(num_domains)
+    n_orb = 3
+    reference = np.stack([
+        WaveFunctions.random(grid, n_orb, rng).psi.reshape(n_orb, -1).conj()
+        for _ in range(num_domains)])
+    orbitals = np.stack([
+        WaveFunctions.random(grid, n_orb, rng).psi.reshape(n_orb, -1)
+        for _ in range(num_domains)])
+    occupations = rng.random((num_domains, n_orb))
+    initial = rng.random((num_domains, n_orb))
+    rates = rng.random((num_domains, 1))
+
+    stacked = relax_occupations(occupations, reference, orbitals, initial,
+                                rates, grid.dv)
+    for d in range(num_domains):
+        overlap = np.einsum("sg,sg->s", reference[d], orbitals[d]) * grid.dv
+        survival = (np.abs(overlap) ** 2).clip(0.0, 1.0)
+        target = initial[d] * survival
+        alone = ((1.0 - rates[d]) * occupations[d] + rates[d] * target).clip(0.0, 1.0)
+        np.testing.assert_array_equal(stacked[d], alone)
+    assert np.all((stacked >= 0.0) & (stacked <= 1.0))
+
+
+def test_occupation_update_keeps_the_range_check():
+    grid = Grid3D((6, 6, 6), (8.0, 8.0, 8.0))
+    wf = WaveFunctions.random(grid, 2, np.random.default_rng(0))
+    psi = wf.psi.reshape(1, 2, -1)
+    args = (np.full((1, 2), 0.5), psi.conj(), psi)
+    # The reference itself: survival 1, so a target of 2 overshoots [0, 1].
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        relax_occupations(*args, np.full((1, 2), 2.0), np.ones((1, 1)), grid.dv)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        relax_occupations(*args, np.full((1, 2), np.nan), np.ones((1, 1)), grid.dv)
+
+
+# ----------------------------------------------------------------------
+# Exact counts: transforms and kinetic-operator builds per step
+# ----------------------------------------------------------------------
+#: Every transform numpy.fft offers (the frequency and shift helpers do no
+#: transform).
+FFT_TRANSFORMS = [name for name in np.fft.__all__
+                  if not name.endswith(("freq", "shift"))]
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """The names of the numpy.fft transforms called while the test runs."""
+    calls = []
+    for name in FFT_TRANSFORMS:
+        def counting(*args, _name=name, _transform=getattr(np.fft, name),
+                     **kwargs):
+            calls.append(_name)
+            return _transform(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("num_domains", [2, 4])
+def test_dcmesh_exchange_runs_no_fft_and_at_most_d_operator_builds(
+        fft_calls, num_domains):
+    workspace = KernelWorkspace()
+    spec = default_registry().get("dcmesh-pulse").with_overrides(
+        {"propagator.num_domains": num_domains})
+    engine = build_engine(spec, workspace=workspace)
+    engine.prepare()
+    simulation = engine.simulation
+    builds = []
+    for _ in range(spec.runtime.num_steps):
+        before = workspace.stats
+        fft_calls.clear()
+        simulation.step_exchange()
+        after = workspace.stats
+        assert fft_calls == []
+        misses = after["phase_misses"] - before["phase_misses"]
+        lookups = misses + after["phase_hits"] - before["phase_hits"]
+        # A is frozen over an exchange: one lookup of each axis per domain
+        # at most, and a z-polarised A rebuilds U_z alone.
+        assert lookups <= 3 * num_domains
+        assert misses <= num_domains
+        builds.append(misses)
+    # The pulse reaches the domains: their A moves and operators are built.
+    assert sum(builds) >= num_domains
+
+
+def test_mesh_step_runs_no_fft(fft_calls):
+    engine = build_engine(default_registry().get("mesh-hopping"),
+                          workspace=KernelWorkspace())
+    engine.prepare()
+    fft_calls.clear()
+    engine.step(3)
+    engine.integrator.step()  # the recording step, total energy included
+    assert fft_calls == []
+
+
+def test_mesh_advance_and_step_leave_identical_state():
+    spec = default_registry().get("mesh-hopping")
+    advanced, stepped = (build_engine(spec, workspace=KernelWorkspace())
+                         for _ in range(2))
+    for engine in (advanced, stepped):
+        engine.prepare()
+    for _ in range(spec.runtime.num_steps):
+        advanced.integrator.advance()
+        result = stepped.integrator.step()
+        assert np.isfinite(result.total_energy)
+    a, b = advanced.integrator, stepped.integrator
+    assert advanced.integrator.history == []
+    assert len(b.history) == spec.runtime.num_steps
+    assert a.time == b.time
+    for name in ("positions", "velocities", "_current_forces"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    np.testing.assert_array_equal(a.tddft.wavefunctions.psi,
+                                  b.tddft.wavefunctions.psi)
+    np.testing.assert_array_equal(a.tddft.occupations.occupations,
+                                  b.tddft.occupations.occupations)
+    np.testing.assert_array_equal(a.surface_hopping.amplitudes,
+                                  b.surface_hopping.amplitudes)
+    assert a.surface_hopping.active_state == b.surface_hopping.active_state

@@ -17,7 +17,7 @@ from repro.qd import (
 )
 from repro.qd.kin_prop import IMPLEMENTATIONS, kin_prop
 from repro.qd.xc import lda_correlation, lda_exchange
-from repro.grid.poisson import solve_poisson_fft
+from repro.grid.poisson import solve_poisson
 
 
 class TestKineticPropagator:
@@ -172,7 +172,7 @@ class TestHartreeAndXC:
         solver = DSAHartreeSolver(grid, max_iterations=3000, tolerance=1e-6)
         potential = solver.solve(rho)
         assert solver.last_residual < 1e-5
-        reference = solve_poisson_fft(rho, grid)
+        reference = solve_poisson(rho, grid)
         # Both solve Poisson; they differ only by FD-vs-spectral discretisation.
         rel = np.linalg.norm(potential - reference) / np.linalg.norm(reference)
         assert rel < 0.1

@@ -26,7 +26,6 @@ import os
 import signal
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -64,6 +63,17 @@ def _spawn_traced_daemon(root: Path, workers: int = 1, *extra: str,
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         env=_telemetry_env(plan), start_new_session=True,
     )
+
+
+def _await_checkpoint(client: ServeClient, run_id: str) -> int:
+    """Block on the run's event stream until its first checkpoint is on
+    disk, and return that checkpoint's step."""
+    for event in client.events(run_id):
+        if event["event"] == "checkpoint":
+            return int(event["step"])
+        assert event["event"] in ("status", "ping"), \
+            f"{run_id} settled ({event['event']}) without a checkpoint"
+    raise AssertionError(f"the event stream of {run_id} ended early")
 
 
 # ----------------------------------------------------------------------
@@ -570,11 +580,7 @@ class TestTraceContinuity:
         try:
             client = ServeClient(port=_await_port(victim), timeout=60.0)
             client.submit(spec, run_id="traced", checkpoint_every=20)
-            deadline = time.monotonic() + 120
-            while not [r for r in telemetry.read_spans(log)
-                       if r["name"] == "store.save"]:
-                assert time.monotonic() < deadline, "no save span in time"
-                time.sleep(0.05)
+            _await_checkpoint(client, "traced")
         finally:
             _kill_group(victim, signal.SIGKILL)
 
@@ -607,22 +613,17 @@ class TestTraceContinuity:
         root = tmp_path / "shared"
         spec = default_registry().get("quickstart-tddft").with_overrides(
             {"runtime.num_steps": 400, "runtime.record_every": 4})
-        log = telemetry.span_log_path(
-            root / "checkpoints", spec.name, "stolen")
 
         victim = _spawn_traced_daemon(root, 1, "--lease-ttl", "2")
         router = None
         thief = None
         try:
-            _await_port(victim)
+            victim_port = _await_port(victim)
             router = FleetRouter(root, port=0, stats_ttl=0.2).start()
             front = ServeClient(port=router.port, timeout=60.0)
             front.submit(spec, run_id="stolen", checkpoint_every=20)
-            deadline = time.monotonic() + 120
-            while not [r for r in telemetry.read_spans(log)
-                       if r["name"] == "store.save"]:
-                assert time.monotonic() < deadline, "no save span in time"
-                time.sleep(0.05)
+            _await_checkpoint(ServeClient(port=victim_port, timeout=60.0),
+                              "stolen")
             # The thief is LIVE before the victim dies: its startup replay
             # sees a healthy foreign owner, so only the steal loop can
             # adopt the run once the victim is gone.
@@ -634,16 +635,13 @@ class TestTraceContinuity:
             _kill_group(victim, signal.SIGKILL)
 
         try:
+            # Adoption registers the run and notifies the thief's condition.
+            with thief._wake:
+                assert thief._wake.wait_for(
+                    lambda: "stolen" in thief._records, timeout=300), \
+                    "never stolen"
             client = ServeClient(port=thief.port, timeout=60.0)
-            deadline = time.monotonic() + 300
-            while True:
-                try:
-                    outcome = client.wait("stolen", timeout=300)
-                    break
-                except ServeError as exc:
-                    assert exc.status == 404
-                    assert time.monotonic() < deadline, "never stolen"
-                    time.sleep(0.1)
+            outcome = client.wait("stolen", timeout=300)
             assert outcome.ok, outcome.error
             spans = client.trace("stolen")["spans"]
             assert thief.stats()["daemon"]["stolen"] == 1
