@@ -105,7 +105,7 @@ def _bench_stencil_laplacian() -> dict:
         rng.standard_normal((STENCIL_BATCH,) + grid.shape)
         + 1j * rng.standard_normal((STENCIL_BATCH,) + grid.shape)
     )
-    laplacian(batch, grid, order=STENCIL_ORDER)  # warm the plan + scratch pool
+    laplacian(batch, grid, order=STENCIL_ORDER)  # one untimed warm-up sweep
     old = _best_of(lambda: laplacian_reference(batch, grid, order=STENCIL_ORDER), 3)
     new = _best_of(lambda: laplacian(batch, grid, order=STENCIL_ORDER), 5)
     return {

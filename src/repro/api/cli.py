@@ -185,10 +185,9 @@ def _build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--workers", type=int, default=0, metavar="N",
                        help="worker process count (0 = inline, default)")
     batch.add_argument("--backend", default="process",
-                       choices=["process", "thread", "serial"],
+                       choices=["process", "thread"],
                        help="worker pool backend (default process; thread "
-                            "shares one thread-safe kernel workspace, serial "
-                            "runs inline)")
+                            "shares one thread-safe kernel workspace)")
     batch.add_argument("--max-retries", type=int, default=1, metavar="N",
                        help="retries per failed run before giving up (default 1)")
     _add_override_args(batch)
@@ -211,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="persistent worker process count (0 = inline, "
                             "default 1)")
     serve.add_argument("--backend", default="process",
-                       choices=["process", "thread", "serial"],
+                       choices=["process", "thread"],
                        help="worker pool backend (default process)")
     serve.add_argument("--batch-max", type=int, default=1, metavar="M",
                        help="coalesce up to M queued same-shape submissions "

@@ -118,7 +118,7 @@ def _telemetry_report() -> Optional[Dict[str, Any]]:
     """This process's metrics delta since the last report (or None when
     telemetry is disabled).  Stamped with the worker pid so the daemon can
     tell a foreign (process-backend) snapshot — which it must merge — from
-    its own registry reported back by a thread/serial worker (already
+    its own registry reported back by a thread or inline worker (already
     counted, must be skipped)."""
     global _TELEMETRY_BASELINE
     if not telemetry.enabled():
@@ -352,7 +352,7 @@ def _default_mp_context():
 
 
 #: Valid WorkerPool execution backends.
-POOL_BACKENDS = ("process", "thread", "serial")
+POOL_BACKENDS = ("process", "thread")
 
 
 class WorkerPool:
@@ -362,21 +362,21 @@ class WorkerPool:
     whose workers outlive individual submissions: each worker initialises one
     :class:`~repro.perf.workspace.KernelWorkspace` (via :func:`_worker_init`)
     and keeps it warm for every payload it ever executes, so repeated
-    submissions of similar scenarios skip phase-cache/stencil-plan rebuilds.
+    submissions of similar scenarios skip kinetic-operator and ground-state
+    rebuilds.
 
     ``backend="thread"`` runs the same payloads on a ``ThreadPoolExecutor``
     instead: every thread shares this process's single (thread-safe)
-    workspace, so the phase/stencil caches are amortised across *all*
+    workspace, so its caches are amortised across *all*
     workers, and there is no process spawn/fork cost — the right trade for
     small numpy-bound runs whose kernels release the GIL, and the only
     parallel option on platforms without usable ``fork``.  A dying thread
     cannot break the pool the way a dying process can, but neither does it
     isolate a crashing native extension.
 
-    ``backend="serial"`` forces inline execution regardless of ``workers``
-    (as does ``workers=0`` on any backend): payloads execute synchronously
-    in the calling process and ``submit`` returns an already-completed
-    future.
+    ``workers=0`` (on either backend) executes inline: payloads run
+    synchronously in the calling process and ``submit`` returns an
+    already-completed future.
 
     Lifecycle:
 
@@ -408,7 +408,7 @@ class WorkerPool:
     # ------------------------------------------------------------------
     @property
     def inline(self) -> bool:
-        return self.workers == 0 or self.backend == "serial"
+        return self.workers == 0
 
     @property
     def started(self) -> bool:
@@ -519,9 +519,9 @@ class ExecutionService:
         Optional ``multiprocessing`` context; defaults to ``fork`` where
         available.
     backend:
-        Worker backend: ``"process"`` (default, isolated worker processes),
-        ``"thread"`` (threads sharing one thread-safe in-process workspace)
-        or ``"serial"`` (forced inline execution).  A borrowed pool's
+        Worker backend: ``"process"`` (default, isolated worker processes)
+        or ``"thread"`` (threads sharing one thread-safe in-process
+        workspace); ``workers=0`` runs inline on either.  A borrowed pool's
         backend wins; passing a conflicting value is an error.
     pool:
         Optional *borrowed* :class:`WorkerPool` to execute on.  When given,

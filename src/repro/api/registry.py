@@ -223,7 +223,7 @@ class BatchRunner:
 
     The point of batching is amortisation: every engine built by the runner
     shares the same workspace, so step-invariant data (the cached kinetic
-    phases, scratch pools, stencil plans) computed by the first run is
+    operators, spectral matrices, ground states) computed by the first run is
     replayed by every later run that touches the same grid/time step.  Each
     result's metadata records the cumulative workspace statistics at the time
     the run finished, so tests and benchmarks can verify cross-run cache hits.

@@ -6,8 +6,8 @@ accepts :class:`~repro.api.spec.ScenarioSpec` submissions over HTTP, assigns
 run ids, keeps a bounded FIFO queue, and executes on one **persistent**
 :class:`~repro.api.executor.WorkerPool` that survives across requests — each
 worker process initialises its :class:`~repro.perf.workspace.KernelWorkspace`
-once, so repeated submissions skip the phase-cache/stencil-plan rebuilds that
-a pool-per-request executor pays every time.
+once, so repeated submissions skip the kinetic-operator and ground-state
+rebuilds that a pool-per-request executor pays every time.
 
 Durability is filesystem-first, sharing the existing checkpoint machinery:
 
@@ -251,8 +251,8 @@ class ScenarioServer:
         bit-identical to serial execution, throughput goes up by the
         vectorization factor.  ``1`` (default) disables coalescing.
     backend:
-        Worker backend of the persistent pool: ``"process"`` (default),
-        ``"thread"`` or ``"serial"`` — see
+        Worker backend of the persistent pool: ``"process"`` (default) or
+        ``"thread"`` — see
         :class:`~repro.api.executor.WorkerPool`.
     """
 
@@ -622,7 +622,7 @@ class ScenarioServer:
     def _merge_worker_telemetry(self, metadata: Dict[str, Any]) -> None:
         """Fold a process-pool worker's metrics delta into this registry.
 
-        Thread/serial workers share the daemon's registry (same pid), so
+        Thread and inline workers share the daemon's registry (same pid), so
         their reports are skipped — merging them would double-count.
         """
         report = metadata.get("telemetry")

@@ -4,8 +4,9 @@ The algorithm (Yang's divide-and-conquer DFT as implemented in the paper's
 QXMD lineage):
 
 1. Start from a global density guess.
-2. Compute the *global* Hartree + xc potential on the global grid (this is the
-   globally-sparse part handled by the multigrid/spectral solver).
+2. Compute the *global* Hartree + xc potential on the global grid (the
+   globally-sparse part, which the paper solves with multigrid and this
+   periodic cell solves spectrally with :func:`~repro.grid.poisson.solve_poisson`).
 3. For each domain, restrict the global effective potential to the domain's
    core+buffer region, add the domain's external potential, and solve the
    local Kohn-Sham eigenproblem ("locally dense" work).

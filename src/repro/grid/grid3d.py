@@ -8,6 +8,7 @@ dynamics modules work in Hartree atomic units throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -73,9 +74,12 @@ class Grid3D:
         )
 
     def meshgrid(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Full 3-D coordinate arrays with ``indexing='ij'``."""
-        x, y, z = self.axes()
-        return np.meshgrid(x, y, z, indexing="ij")
+        """Full 3-D coordinate arrays with ``indexing='ij'``.
+
+        Built once per grid and shared by every caller, so the arrays are
+        read-only: writing into one raises.
+        """
+        return _coordinates(self)
 
     def kvectors(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Angular wave-vector arrays (2*pi*FFT frequencies) along each axis."""
@@ -153,17 +157,16 @@ class Grid3D:
         norm = self.norm(blob)
         return blob / norm
 
-    def coarsen(self) -> "Grid3D":
-        """Return the next-coarser grid (every dimension halved).
-
-        Used by the multigrid hierarchy; dimensions must be even.
-        """
-        if any(n % 2 for n in self.shape):
-            raise ValueError(f"cannot coarsen odd-sized grid {self.shape}")
-        return Grid3D(tuple(n // 2 for n in self.shape), self.lengths)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Grid3D(shape={self.shape}, lengths={self.lengths})"
+
+
+@lru_cache(maxsize=16)
+def _coordinates(grid: Grid3D) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    x, y, z = np.meshgrid(*grid.axes(), indexing="ij")
+    for array in (x, y, z):
+        array.setflags(write=False)
+    return x, y, z
 
 
 def apply_separable(array: np.ndarray, operators,

@@ -84,8 +84,7 @@ def poisson_residual(potential: np.ndarray, density: np.ndarray, grid: Grid3D,
                      order: int = 4) -> float:
     """Relative residual || nabla^2 V + 4 pi rho || / || 4 pi rho ||.
 
-    Used by tests and by the iterative Hartree (DSA) solver to verify
-    convergence against the FD Laplacian actually used in the dynamics.
+    Used by tests to check a solve against the FD Laplacian.
     """
     from repro.grid.stencil import laplacian
 

@@ -9,16 +9,14 @@ paper's Table III kin_prop() optimisation ladder:
   fresh shifted copy plus one scaled temporary per stencil term).  This was
   the production kernel before the fused engine and is retained as the
   machine-precision cross-check and the "old" rung of the speedup benchmark.
-* :func:`laplacian` — the fused engine: a precomputed
-  :class:`~repro.perf.workspace.StencilPlan` drives in-place ``np.add``
-  accumulation over shifted *views*, so one sweep performs a single scaled
-  multiply per symmetric coefficient and two slice-adds per shift, with zero
-  per-term allocations.  All variants operate on an arbitrary leading batch
-  axis so a whole block of orbitals reuses the same sweep (the
+* :func:`laplacian` — the fused engine: in-place ``np.add`` accumulation
+  over shifted *views*, so one sweep performs a single scaled multiply per
+  symmetric coefficient and two slice-adds per shift into one temporary,
+  with no per-term allocations.  All variants operate on an arbitrary
+  leading batch axis so a whole block of orbitals reuses the same sweep (the
   structure-of-arrays optimisation of Sec. V.B.2-3).
 
-The same engine is reused by the multigrid smoother
-(:mod:`repro.grid.multigrid`) and, through :func:`shift_difference`, by the
+The view-based shifting is shared, through :func:`shift_difference`, by the
 Yee-lattice curls in :mod:`repro.maxwell.fdtd3d`.
 """
 
@@ -29,13 +27,7 @@ from typing import Optional
 import numpy as np
 
 from repro.grid.grid3d import Grid3D
-from repro.perf.workspace import KernelWorkspace, get_workspace
 from repro.utils.mathutils import finite_difference_coefficients
-
-
-def laplacian_stencil_width(order: int) -> int:
-    """Number of points touched per axis by the stencil of the given order."""
-    return order + 1
 
 
 def _accumulate_shifted(out: np.ndarray, src: np.ndarray, axis: int, offset: int) -> None:
@@ -62,56 +54,40 @@ def _accumulate_shifted(out: np.ndarray, src: np.ndarray, axis: int, offset: int
     out[tuple(head)] += src[tuple(tail)]
 
 
-def apply_stencil_plan(field: np.ndarray, plan, out: Optional[np.ndarray] = None,
-                       scratch: Optional[np.ndarray] = None) -> np.ndarray:
-    """Apply a :class:`~repro.perf.workspace.StencilPlan` to ``field``.
-
-    ``out`` and ``scratch`` are full-shape work arrays; both must be distinct
-    from ``field`` and from each other.  Fresh arrays are allocated when they
-    are omitted, so the fully-fused path needs the caller (or a workspace) to
-    supply them.
-    """
-    if out is None:
-        out = np.empty_like(field)
-    if out is field or scratch is field or (scratch is not None and scratch is out):
-        raise ValueError("out/scratch must not alias the input field or each other")
-    np.multiply(field, plan.center, out=out)
-    if plan.terms and scratch is None:
-        scratch = np.empty_like(field)
-    for axis, offset, scale in plan.terms:
-        ax = field.ndim - 3 + axis
-        np.multiply(field, scale, out=scratch)
-        _accumulate_shifted(out, scratch, ax, offset)
-        _accumulate_shifted(out, scratch, ax, -offset)
-    return out
-
-
 def laplacian(field: np.ndarray, grid: Grid3D, order: int = 4,
-              out: Optional[np.ndarray] = None,
-              workspace: Optional[KernelWorkspace] = None) -> np.ndarray:
+              out: Optional[np.ndarray] = None) -> np.ndarray:
     """Periodic Laplacian of ``field`` (last three axes are the grid axes).
 
     ``field`` may have an arbitrary leading batch dimension, e.g. a stack of
     Kohn-Sham orbitals of shape ``(n_orb, nx, ny, nz)``.  When ``out`` is
     given the result is written there (it must have the field's shape and must
-    not alias it); the internal scaled-shift temporary always comes from the
-    workspace scratch pool, so repeated sweeps allocate nothing.
+    not alias it).  Each symmetric coefficient pair costs one scaled multiply
+    into a single temporary and four slice-adds of its wrapped halves.
     """
     field = np.asarray(field)
     if field.shape[-3:] != grid.shape:
         raise ValueError(
             f"field grid shape {field.shape[-3:]} does not match grid {grid.shape}"
         )
-    if out is not None and out.shape != field.shape:
+    if out is None:
+        out = np.empty_like(field)
+    elif out.shape != field.shape:
         raise ValueError("out must have the same shape as field")
-    ws = workspace if workspace is not None else get_workspace()
-    plan = ws.stencil_plan(grid.spacing, order)
-    scratch = ws.scratch("stencil_mul", field.shape, field.dtype)
-    if scratch is field or scratch is out:
-        # A caller handed us a buffer that happens to be the pooled scratch;
-        # fall back to a private temporary rather than corrupting the sweep.
-        scratch = np.empty_like(field)
-    return apply_stencil_plan(field, plan, out=out, scratch=scratch)
+    elif out is field:
+        raise ValueError("out must not alias the input field")
+    coeffs = finite_difference_coefficients(order)
+    half = len(coeffs) // 2
+    inv_h2 = [1.0 / h ** 2 for h in grid.spacing]
+    np.multiply(field, float(coeffs[half]) * sum(inv_h2), out=out)
+    scaled = np.empty_like(field)
+    for axis in range(3):
+        ax = field.ndim - 3 + axis
+        for offset in range(1, half + 1):
+            np.multiply(field, float(coeffs[half + offset]) * inv_h2[axis],
+                        out=scaled)
+            _accumulate_shifted(out, scaled, ax, offset)
+            _accumulate_shifted(out, scaled, ax, -offset)
+    return out
 
 
 def laplacian_reference(field: np.ndarray, grid: Grid3D, order: int = 4) -> np.ndarray:
@@ -210,45 +186,3 @@ def shift_difference(arr: np.ndarray, axis: int, h: float, forward: bool,
         np.subtract(arr, out, out=out)
     out *= 1.0 / h
     return out
-
-
-def gradient(field: np.ndarray, grid: Grid3D, order: int = 4) -> np.ndarray:
-    """Periodic central-difference gradient; returns shape ``(3,) + field.shape``.
-
-    Supports an arbitrary leading batch dimension like :func:`laplacian`.
-    """
-    field = np.asarray(field)
-    if field.shape[-3:] != grid.shape:
-        raise ValueError(
-            f"field grid shape {field.shape[-3:]} does not match grid {grid.shape}"
-        )
-    if order == 2:
-        coeffs = {1: 0.5}
-    elif order == 4:
-        coeffs = {1: 2.0 / 3.0, 2: -1.0 / 12.0}
-    elif order == 6:
-        coeffs = {1: 3.0 / 4.0, 2: -3.0 / 20.0, 3: 1.0 / 60.0}
-    else:
-        raise ValueError("order must be 2, 4 or 6")
-    spacing = grid.spacing
-    out = np.zeros((3,) + field.shape, dtype=field.dtype)
-    for axis in range(3):
-        ax = field.ndim - 3 + axis
-        h = spacing[axis]
-        for shift, c in coeffs.items():
-            out[axis] += (c / h) * (
-                np.roll(field, -shift, axis=ax) - np.roll(field, shift, axis=ax)
-            )
-    return out
-
-
-def divergence(vector_field: np.ndarray, grid: Grid3D, order: int = 4) -> np.ndarray:
-    """Divergence of a vector field of shape ``(3, nx, ny, nz)``."""
-    vector_field = np.asarray(vector_field)
-    if vector_field.shape[0] != 3 or vector_field.shape[-3:] != grid.shape:
-        raise ValueError("vector_field must have shape (3, nx, ny, nz)")
-    total = np.zeros(grid.shape, dtype=vector_field.dtype)
-    for axis in range(3):
-        component_gradient = gradient(vector_field[axis], grid, order=order)
-        total += component_gradient[axis]
-    return total

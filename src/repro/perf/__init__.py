@@ -13,7 +13,6 @@ from repro.perf.flops import FlopCounter, stencil_flops, fft_flops
 from repro.perf.workspace import (
     KernelWorkspace,
     LRUCache,
-    StencilPlan,
     get_workspace,
 )
 from repro.perf.metrics import (
@@ -32,7 +31,6 @@ __all__ = [
     "fft_flops",
     "KernelWorkspace",
     "LRUCache",
-    "StencilPlan",
     "get_workspace",
     "flops_rate",
     "me_time_to_solution",

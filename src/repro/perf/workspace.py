@@ -1,10 +1,9 @@
-"""Reusable kernel workspaces: cached kinetic operators, scratch buffers,
-stencil plans and ground states.
+"""Reusable kernel workspaces: cached kinetic operators, per-axis spectral
+matrices and ground states.
 
-The paper's kin_prop optimisation ladder (Table III) and its neighbour-list
-memory analysis (Sec. V.B.9) both boil down to the same observation: the hot
-kernels spend a large share of their time re-computing step-invariant data and
-re-allocating large temporaries.  This module centralises that state:
+The paper's kin_prop optimisation ladder (Table III) boils down to one
+observation: the hot kernels spend a large share of their time re-computing
+step-invariant data.  This module centralises that state:
 
 * **Kinetic operator cache** — ``exp(-i dt (k + A/c)^2 / 2)`` depends only on
   the grid, the time step and the (uniform) vector potential, and because
@@ -18,11 +17,6 @@ re-allocating large temporaries.  This module centralises that state:
   the spectral momentum and kinetic matrices (:class:`DFTBasis`), which the
   current and the kinetic energy apply as matrix products and from which the
   Poisson solve builds its real Hartley matrices.
-* **Scratch buffers** — named, shape/dtype-keyed arrays that kernels reuse
-  across calls instead of allocating fresh temporaries per sweep (the
-  structure-of-arrays reuse of Sec. V.B.2-3).
-* **Stencil plans** — precomputed finite-difference coefficient/axis schedules
-  for the fused Laplacian engine in :mod:`repro.grid.stencil`.
 * **Ground states** — converged Kohn-Sham SCF solutions, keyed on everything
   the solve reads (grid, external potential, electron/orbital counts, SCF
   settings).  The paper's DC-MESH solves the ground state once and hands
@@ -37,18 +31,13 @@ accept an explicit workspace for callers that want isolated caches.
 Thread-safety contract
 ----------------------
 The workspace is safe to share between threads (the ``backend="thread"``
-worker pools hand every thread the same instance so operator/plan caches are
-amortised across the whole pool):
-
-* The operator, plan and ground-state caches have a **lock-free read path**
-  — lookups touch the underlying dict with single (GIL-atomic) operations and
-  never block; only insertions take the cache lock.  Cached arrays are
-  immutable (read-only flags), so a value observed by any thread is always
-  fully built.
-* Scratch buffers come from **per-thread pools** keyed on ``threading.get_ident``
-  — two threads asking for the same ``(tag, shape, dtype)`` get distinct
-  buffers, so concurrent kernels can no longer stomp on each other's
-  temporaries.  Within one thread the old reuse guarantees hold unchanged.
+worker pools hand every thread the same instance so its caches are amortised
+across the whole pool): the operator, spectral-matrix and ground-state caches
+have a **lock-free read path** — lookups touch the underlying dict with
+single (GIL-atomic) operations and never block; only insertions take the
+cache lock.  Cached arrays are immutable (read-only flags), so a value
+observed by any thread is always fully built.  The workspace hands out no
+writable buffers: kernels allocate their own temporaries.
 
 Hit/miss counters are maintained without locks and may undercount slightly
 under heavy contention; they are diagnostics, not ground truth.
@@ -59,8 +48,7 @@ from __future__ import annotations
 import threading
 import time as _time
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, NamedTuple, Optional, Tuple
+from typing import Callable, Hashable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -68,7 +56,6 @@ import numpy as np
 # import light; recording is zero-cost until telemetry is enabled.
 from repro.telemetry import metrics as _telemetry
 from repro.units import SPEED_OF_LIGHT_AU
-from repro.utils.mathutils import finite_difference_coefficients
 
 #: LRU capacity of the ground-state cache.  A registry-size entry (orbitals,
 #: density, three potentials) is well under 128 kB, so a full cache stays
@@ -131,42 +118,6 @@ class LRUCache:
             self.misses = 0
 
 
-@dataclass(frozen=True)
-class StencilPlan:
-    """Precomputed schedule for one fused second-derivative Laplacian sweep.
-
-    ``center`` is the zero-offset coefficient summed over the three axes;
-    ``terms`` lists ``(axis, offset, scale)`` with ``axis`` counted from the
-    last-but-two dimension (0 = x, 1 = y, 2 = z), ``offset > 0`` the stencil
-    reach, and ``scale`` the coefficient divided by the squared spacing.  Each
-    term is applied symmetrically at ``+offset`` and ``-offset``.
-    """
-
-    order: int
-    spacing: Tuple[float, float, float]
-    center: float
-    terms: Tuple[Tuple[int, int, float], ...]
-
-    @staticmethod
-    def build(spacing: Tuple[float, float, float], order: int) -> "StencilPlan":
-        coeffs = finite_difference_coefficients(order)
-        half = len(coeffs) // 2
-        inv_h2 = [1.0 / float(h) ** 2 for h in spacing]
-        center = float(coeffs[half]) * sum(inv_h2)
-        terms = []
-        for axis in range(3):
-            for offset in range(1, half + 1):
-                scale = float(coeffs[half + offset]) * inv_h2[axis]
-                if scale != 0.0:
-                    terms.append((axis, offset, scale))
-        return StencilPlan(
-            order=order,
-            spacing=tuple(float(h) for h in spacing),
-            center=center,
-            terms=tuple(terms),
-        )
-
-
 class DFTBasis(NamedTuple):
     """The spectral matrices of one periodic grid axis (all read-only).
 
@@ -185,27 +136,17 @@ class DFTBasis(NamedTuple):
 
 
 class KernelWorkspace:
-    """Shared cache/scratch state for the simulation hot kernels.
+    """Shared cache state for the simulation hot kernels.
 
     Parameters
     ----------
     max_phase_entries:
         LRU capacity of the kinetic-operator cache (one ``U_i`` entry per
         distinct axis key ``(n_i, L_i, dt, A_i)``).
-    max_scratch_entries:
-        LRU capacity of each scratch-buffer pool (one entry per distinct
-        ``(tag, shape, dtype)``); every thread gets its own pool, which
-        is what makes the workspace safe to share between threads.
     """
 
-    def __init__(self, max_phase_entries: int = 32,
-                 max_scratch_entries: int = 64) -> None:
+    def __init__(self, max_phase_entries: int = 32) -> None:
         self._phases = LRUCache(max_phase_entries)
-        self._max_scratch_entries = max_scratch_entries
-        self._scratch_pools: Dict[int, LRUCache] = {}
-        self._scratch_lock = threading.Lock()
-        self._plans: dict = {}
-        self._plan_lock = threading.Lock()
         self._dft: dict = {}
         self._dft_lock = threading.Lock()
         self._ground_states = LRUCache(GROUND_STATE_ENTRIES)
@@ -292,21 +233,6 @@ class KernelWorkspace:
         )
 
     # ------------------------------------------------------------------
-    # Stencil plans
-    # ------------------------------------------------------------------
-    def stencil_plan(self, spacing: Tuple[float, float, float], order: int) -> StencilPlan:
-        """Cached finite-difference plan for the fused Laplacian engine."""
-        key = (tuple(float(h) for h in spacing), int(order))
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = StencilPlan.build(key[0], key[1])
-            with self._plan_lock:
-                # Racing builders produce identical frozen plans; keep the
-                # first so repeated lookups stay `is`-stable.
-                plan = self._plans.setdefault(key, plan)
-        return plan
-
-    # ------------------------------------------------------------------
     # Ground states
     # ------------------------------------------------------------------
     def ground_state(self, key: Hashable, solve: Callable[[], object]):
@@ -329,63 +255,20 @@ class KernelWorkspace:
         return entry, False
 
     # ------------------------------------------------------------------
-    # Scratch buffers
-    # ------------------------------------------------------------------
-    def _scratch_pool(self) -> LRUCache:
-        ident = threading.get_ident()
-        pool = self._scratch_pools.get(ident)
-        if pool is None:
-            with self._scratch_lock:
-                pool = self._scratch_pools.setdefault(
-                    ident, LRUCache(self._max_scratch_entries))
-        return pool
-
-    def scratch(self, tag: Hashable, shape: Tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        """A reusable buffer for the given ``(tag, shape, dtype)``.
-
-        The contents are undefined on entry; callers must fully overwrite the
-        buffer before reading it.  Two call sites that could be live at the
-        same time must use distinct tags.  Buffers are never shared between
-        threads: each thread draws from its own pool.
-        """
-        dtype = np.dtype(dtype)
-        key = (tag, tuple(int(n) for n in shape), dtype.str)
-        pool = self._scratch_pool()
-        buffer = pool.get(key)
-        if buffer is None:
-            buffer = np.empty(key[1], dtype=dtype)
-            pool.put(key, buffer)
-        return buffer
-
-    # ------------------------------------------------------------------
     def clear(self) -> None:
-        """Drop every cached operator, plan, ground state and scratch buffer."""
+        """Drop every cached operator, spectral basis and ground state."""
         self._phases.clear()
         self._ground_states.clear()
-        with self._scratch_lock:
-            self._scratch_pools.clear()
-        with self._plan_lock:
-            self._plans.clear()
         with self._dft_lock:
             self._dft.clear()
 
     @property
     def stats(self) -> dict:
-        """Cache statistics (sizes and hit/miss counters).
-
-        Scratch counters aggregate over every per-thread pool;
-        ``scratch_pools`` reports how many thread pools exist.
-        """
-        pools = list(self._scratch_pools.values())
+        """Cache statistics (sizes and hit/miss counters)."""
         return {
             "phase_entries": len(self._phases),
             "phase_hits": self._phases.hits,
             "phase_misses": self._phases.misses,
-            "scratch_entries": sum(len(pool) for pool in pools),
-            "scratch_hits": sum(pool.hits for pool in pools),
-            "scratch_misses": sum(pool.misses for pool in pools),
-            "scratch_pools": len(pools),
-            "plan_entries": len(self._plans),
             "ground_state_entries": len(self._ground_states),
             "ground_state_hits": self._ground_states.hits,
             "ground_state_misses": self._ground_states.misses,

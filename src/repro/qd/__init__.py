@@ -12,8 +12,6 @@ on the GPU side of each divide-and-conquer domain:
   parameterized mixed precision.
 * :mod:`repro.qd.pseudopotential` — separable (Kleinman-Bylander-like) nonlocal
   ionic projectors applied as dense GEMMs.
-* :mod:`repro.qd.hartree`         — iterative dynamical-simulated-annealing
-  Hartree solver plus the exact spectral reference.
 * :mod:`repro.qd.xc`              — LDA exchange-correlation.
 * :mod:`repro.qd.hamiltonian`     — assembly of the local KS potential and the
   velocity-gauge light coupling.
@@ -26,7 +24,6 @@ from repro.qd.occupations import OccupationState
 from repro.qd.kin_prop import KineticPropagator, kin_prop
 from repro.qd.nlp_prop import NonlocalCorrection, nlp_prop
 from repro.qd.pseudopotential import NonlocalPseudopotential, GaussianProjector
-from repro.qd.hartree import DSAHartreeSolver, hartree_potential
 from repro.qd.xc import lda_exchange_correlation
 from repro.qd.hamiltonian import LocalHamiltonian
 from repro.qd.tddft import RealTimeTDDFT, TDDFTResult
@@ -40,8 +37,6 @@ __all__ = [
     "nlp_prop",
     "NonlocalPseudopotential",
     "GaussianProjector",
-    "DSAHartreeSolver",
-    "hartree_potential",
     "lda_exchange_correlation",
     "LocalHamiltonian",
     "RealTimeTDDFT",

@@ -24,8 +24,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.grid.grid3d import Grid3D
+from repro.grid.poisson import solve_poisson
 from repro.perf.workspace import get_workspace
-from repro.qd.hartree import DSAHartreeSolver, hartree_potential
 from repro.qd.pseudopotential import NonlocalPseudopotential
 from repro.qd.xc import lda_exchange_correlation
 from repro.units import SPEED_OF_LIGHT_AU
@@ -82,16 +82,11 @@ class LocalHamiltonian:
         Static (ionic) local potential v_ext(r) in Hartree.
     nonlocal_pseudopotential:
         Optional separable projector term (applied via GEMMs).
-    use_dsa_hartree:
-        If ``True`` the Hartree potential is solved with the DSA iterative
-        solver (warm-started from the previous call); otherwise the spectral
-        solver of :mod:`repro.grid.poisson` is used.
     """
 
     grid: Grid3D
     external_potential: np.ndarray
     nonlocal_pseudopotential: Optional[NonlocalPseudopotential] = None
-    use_dsa_hartree: bool = False
     hartree: np.ndarray = field(init=False, repr=False)
     xc_potential: np.ndarray = field(init=False, repr=False)
 
@@ -103,7 +98,6 @@ class LocalHamiltonian:
         self.hartree = np.zeros(self.grid.shape)
         self.xc_potential = np.zeros(self.grid.shape)
         self._xc_energy_density = np.zeros(self.grid.shape)
-        self._dsa = DSAHartreeSolver(self.grid) if self.use_dsa_hartree else None
         self._axes = tuple(
             get_workspace().dft_basis(n, length)
             for n, length in zip(self.grid.shape, self.grid.lengths)
@@ -322,8 +316,7 @@ def update_potentials_stacked(hamiltonians: Sequence[LocalHamiltonian],
     spectral Hartree solve (matrix products, no FFT) and the LDA run once
     over the whole stack; both act on each slice independently, so slice
     ``d`` gets exactly the potentials a solve of ``densities[d]`` alone
-    would give.  Hamiltonians using the DSA solver are warm-started one by
-    one.
+    would give.
     """
     grid = hamiltonians[0].grid
     densities = np.asarray(densities, dtype=float)
@@ -331,14 +324,9 @@ def update_potentials_stacked(hamiltonians: Sequence[LocalHamiltonian],
         raise ValueError("densities must stack one density per Hamiltonian")
     if any(h.grid != grid for h in hamiltonians[1:]):
         raise ValueError("stacked Hamiltonians must share one grid")
-    hartree = None
-    if any(h._dsa is None for h in hamiltonians):
-        hartree = hartree_potential(densities, grid)
+    hartree = solve_poisson(densities, grid)
     energy_density, potential = lda_exchange_correlation(densities)
     for d, h in enumerate(hamiltonians):
-        if h._dsa is not None:
-            h.hartree = h._dsa.solve(densities[d], initial_guess=h.hartree)
-        else:
-            h.hartree = hartree[d]
+        h.hartree = hartree[d]
         h._xc_energy_density = energy_density[d]
         h.xc_potential = potential[d]

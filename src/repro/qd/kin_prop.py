@@ -74,10 +74,9 @@ class KineticPropagator:
     block_size:
         Orbital block size for the ``blocked`` implementation.
     workspace:
-        Kernel workspace holding the cached per-axis kinetic operators and
-        the reusable stencil scratch buffers.  Defaults to
-        the process-wide workspace so repeated propagator constructions share
-        one cache.
+        Kernel workspace holding the cached per-axis kinetic operators.
+        Defaults to the process-wide workspace so repeated propagator
+        constructions share one cache.
     """
 
     grid: Grid3D
@@ -172,9 +171,8 @@ class KineticPropagator:
     def _taylor_apply(self, psi_block: np.ndarray, use_naive: bool) -> np.ndarray:
         """Truncated Taylor expansion of exp(-i dt T) using FD stencils.
 
-        The vectorised path ping-pongs the Taylor term between two workspace
-        scratch buffers and scales each fused-stencil sweep in place, so one
-        call allocates only the returned result array; the naive path keeps
+        The vectorised path ping-pongs the Taylor term between two buffers
+        and scales each fused-stencil sweep in place; the naive path keeps
         its per-orbital Python loop on purpose (it is the Table III baseline).
         """
         coeff = -1j * self.dt
@@ -191,14 +189,11 @@ class KineticPropagator:
                 term = (-0.5) * lap * (coeff / n)
                 result = result + term
             return result
-        workspace = self.workspace
-        shape = psi_block.shape
         term = psi_block
-        target = workspace.scratch(("kin_taylor", 0), shape, np.complex128)
-        spare = workspace.scratch(("kin_taylor", 1), shape, np.complex128)
+        target = np.empty_like(psi_block)
+        spare = np.empty_like(psi_block)
         for n in range(1, self.taylor_order + 1):
-            lap = laplacian(term, self.grid, order=self.stencil_order,
-                            out=target, workspace=workspace)
+            lap = laplacian(term, self.grid, order=self.stencil_order, out=target)
             np.multiply(lap, -0.5 * (coeff / n), out=lap)
             result += lap
             term = lap

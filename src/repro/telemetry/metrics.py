@@ -20,8 +20,8 @@ ambient registry):
   :func:`merge_snapshot` folds one registry's snapshot into another's
   (counters and histogram buckets add, gauges last-write-wins), so
   process-backend pool workers can report deltas that the daemon folds into
-  its own registry — ending up with the same aggregate view the thread and
-  serial backends get for free by sharing the daemon's process.
+  its own registry — ending up with the same aggregate view the thread
+  backend and inline workers get for free by sharing the daemon's process.
   :func:`subtract_snapshot` produces those deltas (new minus old, clamped
   at zero) so a long-lived worker never double-reports.
 

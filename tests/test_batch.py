@@ -14,11 +14,10 @@ Four layers under test:
   resumed); peel-off (a member failing mid-batch) leaves the survivors bit-identical
   and the peeled member resumable from its last snapshot; per-member
   ``resume_from`` matches serial resume exactly.
-* **thread-safe workspaces + pool backends** — one
-  :class:`~repro.perf.workspace.KernelWorkspace` shared by concurrent
-  threads hands out per-thread scratch buffers;
-  ``backend="thread"``/``"serial"`` pools produce results bit-identical to
-  the process pool's.
+* **thread-safe workspaces + pool backends** — concurrent readers of one
+  :class:`~repro.perf.workspace.KernelWorkspace` share one read-only
+  operator entry; ``backend="thread"`` pools and ``workers=0`` inline runs
+  produce results bit-identical to each other.
 * **the worker path** — every member of a payload, solo or coalesced,
   gets its spans, counters and metadata stamps; a member failure stays its
   own and a batch-level failure falls back to per-member runs.
@@ -330,34 +329,6 @@ class TestWorkerRunPath:
 # Thread-safe workspace
 # ----------------------------------------------------------------------
 class TestWorkspaceThreads:
-    def test_scratch_buffers_are_per_thread(self):
-        workspace = KernelWorkspace()
-        grabbed = {}
-        # Pools are keyed on threading.get_ident(), which the OS reuses once
-        # a thread exits: hold both threads alive until each has grabbed.
-        both_grabbed = threading.Barrier(2)
-
-        def grab(slot):
-            grabbed[slot] = workspace.scratch("shared-tag", (32,), np.float64)
-
-        def grab_alongside(slot):
-            grab(slot)
-            both_grabbed.wait(timeout=30)
-
-        threads = [threading.Thread(target=grab_alongside, args=(i,))
-                   for i in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        grab("main")
-        assert grabbed[0] is not grabbed[1]
-        assert grabbed["main"] is not grabbed[0]
-        # Within one thread the reuse guarantee is unchanged.
-        assert workspace.scratch("shared-tag", (32,), np.float64) \
-            is grabbed["main"]
-        assert workspace.stats["scratch_pools"] == 3
-
     def test_concurrent_operator_reads_share_one_entry(self):
         from repro.grid import Grid3D
 
@@ -391,14 +362,17 @@ class TestWorkspaceThreads:
 # ----------------------------------------------------------------------
 class TestPoolBackends:
     def test_backend_validation(self):
-        assert POOL_BACKENDS == ("process", "thread", "serial")
+        assert POOL_BACKENDS == ("process", "thread")
         with pytest.raises(ValueError):
             WorkerPool(1, backend="bogus")
         with pytest.raises(ValueError):
+            WorkerPool(2, backend="serial")
+        with pytest.raises(ValueError):
             ExecutionService(workers=1, backend="bogus")
 
-    def test_serial_backend_runs_inline(self):
-        pool = WorkerPool(4, backend="serial")
+    @pytest.mark.parametrize("backend", POOL_BACKENDS)
+    def test_zero_workers_run_inline(self, backend):
+        pool = WorkerPool(0, backend=backend)
         assert pool.inline
         payload = {"index": 0,
                    "spec": smoke_spec("maxwell-vacuum").to_dict(),
@@ -406,6 +380,7 @@ class TestPoolBackends:
                    "checkpoint_every": None, "keep": 0, "resume": False,
                    "attempt": 1}
         assert "ok" in pool.submit(payload).result()
+        assert not pool.started
 
     def test_borrowed_pool_backend_must_match(self):
         with WorkerPool(1, backend="thread") as pool:
@@ -414,12 +389,12 @@ class TestPoolBackends:
             with pytest.raises(ValueError):
                 ExecutionService(pool=pool, backend="process")
 
-    def test_thread_and_serial_backends_match_inline_results(self):
+    def test_thread_backend_matches_inline_results(self):
         specs = [smoke_spec("localmode-switch", seed=s) for s in (11, 12)]
         reference = ExecutionService(workers=0).run(
             [spec.copy() for spec in specs])
-        for backend in ("thread", "serial"):
-            outcomes = ExecutionService(workers=2, backend=backend).run(
+        for workers in (2, 0):
+            outcomes = ExecutionService(workers=workers, backend="thread").run(
                 [spec.copy() for spec in specs])
             for expected, actual in zip(reference, outcomes):
                 assert actual.ok, getattr(actual, "error", None)

@@ -5,15 +5,12 @@ import pytest
 
 from repro.grid import (
     Grid3D,
-    MultigridPoisson,
     coulomb_energy,
-    gradient,
     laplacian,
     laplacian_naive,
     solve_poisson,
 )
 from repro.grid.poisson import poisson_residual
-from repro.grid.stencil import divergence
 
 
 class TestGrid3D:
@@ -45,13 +42,16 @@ class TestGrid3D:
         with pytest.raises(ValueError):
             small_grid.normalize(np.zeros(small_grid.shape))
 
-    def test_coarsen(self):
-        grid = Grid3D((8, 8, 8), (4.0, 4.0, 4.0))
-        coarse = grid.coarsen()
-        assert coarse.shape == (4, 4, 4)
-        assert coarse.lengths == grid.lengths
-        with pytest.raises(ValueError):
-            Grid3D((6, 7, 8), (1, 1, 1)).coarsen()
+    def test_meshgrid_is_built_once_and_read_only(self):
+        grid = Grid3D((4, 5, 6), (2.0, 2.5, 3.0))
+        x, y, z = grid.meshgrid()
+        again = Grid3D((4, 5, 6), (2.0, 2.5, 3.0)).meshgrid()
+        assert all(a is b for a, b in zip((x, y, z), again))
+        fresh = np.meshgrid(*grid.axes(), indexing="ij")
+        for array, expected in zip((x, y, z), fresh):
+            assert np.array_equal(array, expected)
+            with pytest.raises(ValueError):
+                array += 1.0
 
     def test_k_squared_zero_mode(self, small_grid):
         assert small_grid.k_squared()[0, 0, 0] == pytest.approx(0.0)
@@ -77,35 +77,9 @@ class TestStencils:
         f = rng.standard_normal(small_grid.shape)
         assert np.allclose(laplacian_naive(f, small_grid), laplacian(f, small_grid, order=2))
 
-    def test_gradient_of_plane_wave(self):
-        grid = Grid3D((16, 16, 16), (8.0, 8.0, 8.0))
-        _, y, _ = grid.meshgrid()
-        k = 2.0 * np.pi / 8.0
-        f = np.sin(k * y)
-        grad = gradient(f, grid, order=6)
-        assert np.max(np.abs(grad[1] - k * np.cos(k * y))) < 1e-3
-        assert np.max(np.abs(grad[0])) < 1e-10
-        assert np.max(np.abs(grad[2])) < 1e-10
-
-    def test_divergence_of_gradient_is_laplacian(self, small_grid, rng):
-        f = rng.standard_normal(small_grid.shape)
-        grad = gradient(f, small_grid, order=4)
-        div = divergence(grad, small_grid, order=4)
-        # div(grad f) equals the Laplacian built from two first derivatives,
-        # which agrees with the direct Laplacian at the stencil-accuracy level.
-        smooth = small_grid.gaussian((4, 4, 4), 1.5)
-        assert np.allclose(
-            divergence(gradient(smooth, small_grid), small_grid),
-            laplacian(smooth, small_grid, order=4),
-            atol=0.2 * np.max(np.abs(laplacian(smooth, small_grid, order=4))),
-        )
-        del f, grad, div
-
     def test_shape_validation(self, small_grid):
         with pytest.raises(ValueError):
             laplacian(np.zeros((4, 4, 4)), small_grid)
-        with pytest.raises(ValueError):
-            gradient(np.zeros((4, 4, 4)), small_grid)
 
 
 class TestPoissonSolvers:
@@ -113,14 +87,14 @@ class TestPoissonSolvers:
         rho = grid.gaussian((grid.lengths[0] / 2,) * 3, 0.9) ** 2
         return rho / float(grid.integrate(rho))
 
-    def test_fft_poisson_residual(self):
+    def test_hartley_poisson_residual(self):
         grid = Grid3D((16, 16, 16), (10.0, 10.0, 10.0))
         rho = self._gaussian_density(grid)
         potential = solve_poisson(rho, grid)
         assert potential.mean() == pytest.approx(0.0, abs=1e-10)
         assert poisson_residual(potential, rho, grid, order=6) < 0.05
 
-    def test_fft_poisson_sinusoidal_exact(self):
+    def test_hartley_poisson_sinusoidal_exact(self):
         # For rho = sin(kx), V = 4 pi sin(kx)/k^2 exactly (single Fourier mode).
         grid = Grid3D((16, 8, 8), (8.0, 8.0, 8.0))
         x, _, _ = grid.meshgrid()
@@ -133,25 +107,6 @@ class TestPoissonSolvers:
         grid = Grid3D((12, 12, 12), (10.0, 10.0, 10.0))
         rho = self._gaussian_density(grid)
         assert coulomb_energy(rho, grid) > 0
-
-    def test_multigrid_matches_fd_solution(self):
-        grid = Grid3D((16, 16, 16), (10.0, 10.0, 10.0))
-        rho = self._gaussian_density(grid)
-        solver = MultigridPoisson(grid)
-        assert solver.num_levels >= 2
-        potential = solver.solve(rho, tolerance=1e-7)
-        # The multigrid solves the 2nd-order FD operator; verify against it.
-        lap = laplacian(potential, grid, order=2)
-        rhs = -4 * np.pi * (rho - rho.mean())
-        assert np.linalg.norm(lap - rhs) / np.linalg.norm(rhs) < 1e-5
-
-    def test_multigrid_warm_start(self):
-        grid = Grid3D((8, 8, 8), (6.0, 6.0, 6.0))
-        rho = self._gaussian_density(grid)
-        solver = MultigridPoisson(grid)
-        first = solver.solve(rho, tolerance=1e-6)
-        second = solver.solve(rho, initial_guess=first, tolerance=1e-6, max_cycles=2)
-        assert np.allclose(first, second, atol=1e-4)
 
     def test_shape_validation(self, small_grid):
         with pytest.raises(ValueError):

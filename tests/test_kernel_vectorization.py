@@ -124,16 +124,13 @@ class TestFusedStencil:
         reference = laplacian_reference(batch, small_grid, order=order)
         assert np.max(np.abs(fused - reference)) < 1e-10
 
-    def test_out_buffer_and_workspace_reuse(self, small_grid, rng):
-        workspace = KernelWorkspace()
+    def test_out_buffer(self, small_grid, rng):
         field = rng.standard_normal(small_grid.shape)
         out = np.empty_like(field)
-        result = laplacian(field, small_grid, order=4, out=out, workspace=workspace)
+        result = laplacian(field, small_grid, order=4, out=out)
         assert result is out
-        again = laplacian(field, small_grid, order=4, workspace=workspace)
-        assert np.allclose(again, out)
-        # Second sweep reuses the pooled scratch buffer instead of allocating.
-        assert workspace.stats["scratch_hits"] >= 1
+        again = laplacian(field, small_grid, order=4)
+        assert np.array_equal(again, out)
 
     def test_out_aliasing_rejected(self, small_grid, rng):
         field = rng.standard_normal(small_grid.shape)

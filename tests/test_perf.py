@@ -65,15 +65,6 @@ class TestKernelWorkspace:
         with pytest.raises(ValueError):
             LRUCache(0)
 
-    def test_scratch_buffers_are_reused_per_key(self):
-        ws = KernelWorkspace()
-        a = ws.scratch("x", (4, 4), np.float64)
-        b = ws.scratch("x", (4, 4), np.float64)
-        assert a is b
-        assert ws.scratch("x", (4, 4), np.complex128) is not a
-        assert ws.scratch("y", (4, 4), np.float64) is not a
-        assert ws.scratch("x", (4, 5), np.float64).shape == (4, 5)
-
     def test_kinetic_operators_cached_and_read_only(self):
         ws = KernelWorkspace()
         grid = Grid3D((6, 6, 6), (6.0, 6.0, 6.0))
@@ -98,26 +89,15 @@ class TestKernelWorkspace:
         # and one full replay (three hits).
         assert stats["phase_hits"] == 9 and stats["phase_misses"] == 3
 
-    def test_stencil_plan_cached_and_consistent(self):
-        ws = KernelWorkspace()
-        plan = ws.stencil_plan((0.5, 0.5, 1.0), 4)
-        assert ws.stencil_plan((0.5, 0.5, 1.0), 4) is plan
-        # 2 symmetric offsets per axis for the 4th-order stencil.
-        assert len(plan.terms) == 6
-        # Plan reproduces the analytic center coefficient sum.
-        assert plan.center == pytest.approx(-2.5 * (4.0 + 4.0 + 1.0))
-
     def test_clear_resets_everything(self):
         ws = KernelWorkspace()
         grid = Grid3D((4, 4, 4), (4.0, 4.0, 4.0))
         ws.kinetic_operators(grid, 0.1)
-        ws.scratch("x", (2, 2))
-        ws.stencil_plan((1.0, 1.0, 1.0), 2)
+        ws.ground_state("key", lambda: "entry")
         ws.clear()
         stats = ws.stats
         assert stats["phase_entries"] == 0
-        assert stats["scratch_entries"] == 0
-        assert stats["plan_entries"] == 0
+        assert stats["ground_state_entries"] == 0
 
     def test_default_workspace_is_a_singleton(self):
         assert get_workspace() is get_workspace()

@@ -5,7 +5,8 @@
   against their FFT forms (kept here, as oracles).
 * Unitarity of the driven split-operator step.
 * The stacked DC-MESH step against the per-domain loop, bit for bit, and the
-  stacked occupation update against a per-domain loop, bit for bit.
+  stacked potential and occupation updates against per-domain loops, bit
+  for bit.
 * The cached local half-step phase against every writer of v_loc.
 * Kernel timing (telemetry on) against the untimed step, bit for bit.
 * Exact counts: no FFT in a DC-MESH exchange or a MESH step, at most D
@@ -26,7 +27,9 @@ from repro.qd import (
     GaussianProjector, KineticPropagator, LocalHamiltonian, NonlocalCorrection,
     NonlocalPseudopotential, OccupationState, RealTimeTDDFT, WaveFunctions,
 )
-from repro.qd.hamiltonian import gaussian_external_potential
+from repro.qd.hamiltonian import (
+    gaussian_external_potential, update_potentials_stacked,
+)
 from repro.qd.tddft import QD_KERNELS, relax_occupations
 from repro.scf import KohnShamSolver
 from repro.units import SPEED_OF_LIGHT_AU
@@ -364,6 +367,31 @@ def test_half_step_phase_is_rebuilt_on_every_v_loc_writer(ground_state):
     assert not np.array_equal(ham.half_step_phase(QD_DT), phase)
     np.testing.assert_array_equal(ham.half_step_phase(0.2 * QD_DT),
                                   np.exp(-0.5j * (0.2 * QD_DT) * ham.local_potential()))
+
+
+# ----------------------------------------------------------------------
+# The stacked potential update == a per-domain loop
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("shape, lengths", GRID_SHAPES)
+@pytest.mark.parametrize("num_domains", [1, 2, 4])
+def test_stacked_potential_update_is_bit_identical_to_domain_loop(
+        shape, lengths, num_domains):
+    grid = Grid3D(shape, lengths)
+    rng = np.random.default_rng(num_domains)
+    densities = rng.random((num_domains, *shape))
+
+    def hamiltonians():
+        return [LocalHamiltonian(grid, gaussian_external_potential(
+            grid, [[1.0 + d, 2.0, 3.0]], [2.0 + d], [1.2])) for d in range(num_domains)]
+
+    stacked = hamiltonians()
+    update_potentials_stacked(stacked, densities)
+    for d, alone in enumerate(hamiltonians()):
+        alone.update_potentials(densities[d])
+        np.testing.assert_array_equal(stacked[d].hartree, alone.hartree)
+        np.testing.assert_array_equal(stacked[d].xc_potential, alone.xc_potential)
+        np.testing.assert_array_equal(stacked[d].potentials_state()["xc_energy_density"],
+                                      alone.potentials_state()["xc_energy_density"])
 
 
 # ----------------------------------------------------------------------

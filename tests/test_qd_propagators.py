@@ -1,4 +1,4 @@
-"""Tests for kin_prop, nlp_prop, the nonlocal pseudopotential, Hartree and xc."""
+"""Tests for kin_prop, nlp_prop, the nonlocal pseudopotential and xc."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.grid import Grid3D
 from repro.precision.gemm import MixedPrecisionGemm
 from repro.qd import (
-    DSAHartreeSolver,
     GaussianProjector,
     KineticPropagator,
     NonlocalCorrection,
@@ -17,7 +16,6 @@ from repro.qd import (
 )
 from repro.qd.kin_prop import IMPLEMENTATIONS, kin_prop
 from repro.qd.xc import lda_correlation, lda_exchange
-from repro.grid.poisson import solve_poisson
 
 
 class TestKineticPropagator:
@@ -164,29 +162,7 @@ class TestNonlocalPseudopotential:
             NonlocalPseudopotential(small_grid, [])
 
 
-class TestHartreeAndXC:
-    def test_dsa_converges_to_fft_solution(self):
-        grid = Grid3D((12, 12, 12), (9.0, 9.0, 9.0))
-        rho = grid.gaussian((4.5, 4.5, 4.5), 1.2) ** 2
-        rho /= float(grid.integrate(rho))
-        solver = DSAHartreeSolver(grid, max_iterations=3000, tolerance=1e-6)
-        potential = solver.solve(rho)
-        assert solver.last_residual < 1e-5
-        reference = solve_poisson(rho, grid)
-        # Both solve Poisson; they differ only by FD-vs-spectral discretisation.
-        rel = np.linalg.norm(potential - reference) / np.linalg.norm(reference)
-        assert rel < 0.1
-
-    def test_dsa_warm_start_is_faster(self):
-        grid = Grid3D((8, 8, 8), (6.0, 6.0, 6.0))
-        rho = grid.gaussian((3.0, 3.0, 3.0), 1.0) ** 2
-        rho /= float(grid.integrate(rho))
-        solver = DSAHartreeSolver(grid, max_iterations=3000, tolerance=1e-6)
-        cold = solver.solve(rho)
-        cold_iterations = solver.last_iterations
-        solver.solve(rho, initial_guess=cold)
-        assert solver.last_iterations < cold_iterations / 2
-
+class TestXC:
     def test_lda_exchange_scaling(self):
         # eps_x ~ n^(1/3): doubling density scales the energy density per electron by 2^(1/3).
         n1 = np.full((2, 2, 2), 0.01)
