@@ -136,15 +136,6 @@ def _without_keep_every(policy: Optional[RetentionPolicy],
     return policy
 
 
-def _journalled_trace(entry: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-    """A journal entry's trace context, when it carries a usable one."""
-    trace = entry.get("trace")
-    if isinstance(trace, dict) and trace.get("trace_id"):
-        return {"trace_id": str(trace["trace_id"]),
-                "parent": trace.get("parent")}
-    return None
-
-
 #: ``RunRecord.batch_signature`` before the scheduler has computed it.
 _UNSIGNED = object()
 
@@ -304,7 +295,8 @@ class ScenarioServer:
         )
         self._fleet: Optional[FleetScheduler] = None
         self._member_id: Optional[str] = None
-        self._stolen_ids: List[str] = []
+        #: Runs this daemon's steal ticks have adopted (``stats()``).
+        self._stolen = 0
         self.store = RunStore(
             self.root / "checkpoints", keep=keep, retention=self.retention
         )
@@ -361,28 +353,23 @@ class ScenarioServer:
             "owner_host": socket.gethostname(),
         }
 
-    def _journal(self, record: RunRecord) -> None:
-        """(Re)write a journal entry under this daemon's ownership."""
-        faults.point(FAULT_JOURNAL_PRE_WRITE)
-        atomic_write_json(
-            self._journal_path(record.run_id), self._journal_entry(record)
-        )
-        faults.point(FAULT_JOURNAL_POST_WRITE)
+    def _journal(self, record: RunRecord, exclusive: bool = False) -> bool:
+        """(Re)write a journal entry under this daemon's ownership.
 
-    def _claim_journal(self, record: RunRecord) -> bool:
-        """Create the journal entry only if no other daemon holds one.
-
-        The exclusive create is the cross-process claim point for a run id:
-        when two daemons race the same id on one shared root, exactly one
-        journal file appears and the loser sees False.
+        With ``exclusive`` the entry is only created if no other daemon
+        holds one: the cross-process claim point for a run id — when two
+        daemons race the same id on one shared root, exactly one journal
+        file appears and the loser sees False.
         """
         faults.point(FAULT_JOURNAL_PRE_WRITE)
-        created = exclusive_create_json(
-            self._journal_path(record.run_id), self._journal_entry(record)
-        )
-        if created:
-            faults.point(FAULT_JOURNAL_POST_WRITE)
-        return created
+        path = self._journal_path(record.run_id)
+        entry = self._journal_entry(record)
+        if not exclusive:
+            atomic_write_json(path, entry)
+        elif not exclusive_create_json(path, entry):
+            return False
+        faults.point(FAULT_JOURNAL_POST_WRITE)
+        return True
 
     def _read_journal(self, run_id: str) -> Optional[Dict[str, Any]]:
         try:
@@ -428,79 +415,6 @@ class ScenarioServer:
             self._journal_path(record.run_id).unlink()
         except OSError:
             pass
-
-    def _recover(self) -> None:
-        """Re-enqueue every journalled-but-unfinished run of a previous daemon.
-
-        Entries are replayed in submission order with ``resume=True``: runs
-        with stored snapshots continue from their latest one, runs that died
-        before the first snapshot start over — either way the eventual result
-        is bit-identical to an uninterrupted run.
-
-        On a root shared by several daemons, entries stamped with a *live*
-        foreign owner are left alone — that daemon is still responsible for
-        them.  Dead-owner and ownerless (pre-ownership) entries are adopted:
-        their journals are rewritten under this daemon's identity so the next
-        observer attributes them correctly.
-        """
-        if not self._queue_dir.is_dir():
-            return
-        entries: List[Dict[str, Any]] = []
-        for path in sorted(self._queue_dir.glob("*.json")):
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    entries.append(json.load(handle))
-            except (OSError, json.JSONDecodeError):
-                continue  # a half-written journal entry was never acked
-        entries.sort(key=lambda entry: int(entry.get("seq", 0)))
-        for entry in entries:
-            run_id = str(entry.get("run_id", ""))
-            if not run_id or run_id in self._records:
-                continue
-            try:
-                validate_key(run_id, "run_id")
-            except ValueError:
-                continue  # a journal file this daemon would never have written
-            if self._result_path(run_id).exists():
-                # A dead journal entry: the previous daemon crashed between
-                # persisting the result and unlinking the journal.  The run
-                # is finished — replaying it would execute it again.
-                try:
-                    self._journal_path(run_id).unlink()
-                except OSError:
-                    pass
-                continue
-            owner = entry.get("owner")
-            if (owner and owner != self.owner
-                    and self._foreign_owner_alive(entry, run_id)):
-                continue  # a live sibling daemon's run, not ours to replay
-            record = RunRecord(
-                run_id=run_id,
-                seq=int(entry.get("seq", 0)),
-                spec=dict(entry.get("spec", {})),
-                checkpoint_every=entry.get("checkpoint_every"),
-                resume=True,
-                recovered=True,
-                submitted_at=float(entry.get("submitted_at", time.time())),
-                trace=_journalled_trace(entry),
-            )
-            self._records[run_id] = record
-            self._queue.append(run_id)
-            self._seq = max(self._seq, record.seq + 1)
-            if owner != self.owner:
-                try:
-                    self._journal(record)
-                except (OSError, faults.InjectedFault):
-                    pass  # adoption stamp is cosmetic; the replay still runs
-            if owner and owner != self.owner:
-                # Taking over a dead peer's run at startup is the same
-                # adoption event the steal loop records mid-flight.
-                telemetry.incr("repro_fleet_adoptions_total", 1,
-                               "orphaned runs adopted from dead fleet peers")
-                self._write_run_span(
-                    record, "fleet.adopt", ts=time.time(), dur=0.0,
-                    attrs={"owner": self.owner, "previous_owner": owner},
-                )
 
     def _housekeep(self) -> None:
         """Bound the state directory on startup replay.
@@ -652,8 +566,8 @@ class ScenarioServer:
         an *exclusive create* — on a root shared by several daemons it is
         the claim point for the run id: a second daemon's submission of the
         same id answers 409 naming the owner while that owner lives, and
-        takes the run over (resuming from its snapshots) once the owner is
-        provably dead or its lease expired.
+        takes the same spec's run over (resuming from its snapshots) once
+        the owner is provably dead or its lease expired.
         """
         try:
             validated = ScenarioSpec.from_dict(spec)
@@ -743,20 +657,21 @@ class ScenarioServer:
             # the scheduler and every other request behind one submission.
             self._records[run_id] = record
         try:
-            self._claim_run(record, auto_id=auto_id)
+            claimed = self._claim_run(record, auto_id=auto_id)
         except BaseException:
             with self._wake:
                 self._records.pop(record.run_id, None)
             raise
         for span_record in carried_spans:
-            self._write_carried_span(record, span_record)
+            self._write_carried_span(claimed, span_record)
         telemetry.incr("repro_serve_submissions_total", 1,
                        "accepted run submissions")
         with self._wake:
-            self._queue.append(record.run_id)
+            if claimed is record:  # an adopted run is already queued
+                self._queue.append(record.run_id)
             position = len(self._queue)
             self._wake.notify_all()
-        ack = record.to_dict()
+        ack = claimed.to_dict()
         ack["position"] = position
         return ack
 
@@ -790,18 +705,20 @@ class ScenarioServer:
             return ack
         return None
 
-    def _claim_run(self, record: RunRecord, auto_id: bool) -> None:
+    def _claim_run(self, record: RunRecord, auto_id: bool) -> RunRecord:
         """Make ``record``'s run id this daemon's, durably, or raise 409.
 
-        An existing *foreign* journal entry whose owner is alive is a
-        conflict; a dead owner's entry is taken over (the run resumes from
-        its snapshots — the lease inside the manifest arbitrates any true
-        race at save time).  Auto-assigned ids never conflict: losing the
+        The exclusive journal create claims a fresh id without any lock.  An
+        existing entry whose foreign owner is alive, or that journals a
+        different spec, is a conflict; any other entry (a dead peer's, an
+        ownerless one, our own unacked one) is taken over through
+        :meth:`_adopt` and the adopted record is returned — the run resumes
+        from its snapshots.  Auto-assigned ids never conflict: losing the
         exclusive-create race just moves on to the next candidate.
         """
         while True:
-            if self._claim_journal(record):
-                return
+            if self._journal(record, exclusive=True):
+                return record
             if auto_id:
                 # Another daemon on the same root claimed this candidate
                 # first; _fresh_run_id skips it now that its journal exists.
@@ -814,115 +731,114 @@ class ScenarioServer:
                 continue
             entry = self._read_journal(record.run_id)
             if entry is None:
-                # The competing journal vanished between the failed claim
-                # and the read (its run just finished, or was taken over and
-                # completed) — try the claim again.
-                continue
+                continue  # the competing entry just vanished: claim again
             owner = entry.get("owner")
-            if owner in (None, self.owner):
-                if entry.get("spec") == record.spec:
-                    # An identical journalled submission nobody is running
-                    # (ownerless pre-ownership entry, or our own orphan):
-                    # adopt it — resubmitting the same work is idempotent.
-                    record.resume = True
-                    record.recovered = True
-                    record.trace = _journalled_trace(entry) or record.trace
-                    if owner is None:
-                        try:
-                            self._journal(record)
-                        except (OSError, faults.InjectedFault):
-                            pass  # ownership stamp is cosmetic here
-                    return
-                # A *different* submission under the same id: a true conflict.
+            if (owner != self.owner
+                    and self._foreign_owner_alive(entry, record.run_id)):
+                raise ServerError(
+                    409, f"run id {record.run_id!r} is owned by {owner!r}",
+                )
+            if entry.get("spec") != record.spec:  # not the journalled run
                 raise ServerError(
                     409, f"run id {record.run_id!r} already exists"
                 )
-            if self._foreign_owner_alive(entry, record.run_id):
-                raise ServerError(
-                    409,
-                    f"run id {record.run_id!r} is owned by {owner!r}",
-                )
-            # Stale foreign claim: adopt the run.  Resume from its stored
-            # snapshots so the takeover continues the run bit-identically
-            # instead of restarting it — under the same trace, so the span
-            # log reads as one story across owners.
-            record.resume = True
-            record.recovered = True
-            record.trace = _journalled_trace(entry) or record.trace
-            self._journal(record)
-            return
+            try:
+                return self._adopt(entry, submission=record)
+            except FleetClaimLost as exc:
+                raise ServerError(409, str(exc)) from None
 
     # ------------------------------------------------------------------
-    # Fleet: work stealing over the shared journal
+    # Adoption: startup replay and work stealing over the shared journal
     # ------------------------------------------------------------------
+    def _recover(self) -> None:
+        """Re-enqueue every journalled-but-unfinished run left on the root.
+
+        Entries are replayed in submission order with ``resume=True``: runs
+        with stored snapshots continue from their latest one, runs that died
+        before the first snapshot start over — either way the eventual result
+        is bit-identical to an uninterrupted run.  A live foreign owner's
+        entries are left alone; the rest are claimed through :meth:`_adopt`.
+        """
+        for entry in self._adoptable_entries(include_own=True):
+            try:
+                self._adopt(entry)
+            except FleetClaimLost:
+                continue  # a peer won the race — exactly what should happen
+
     def steal_once(self) -> List[str]:
         """Adopt orphaned journal entries while idle slots exist.
 
         One pass of the :class:`~repro.fleet.scheduler.FleetScheduler`'s
-        steal tick: scan the shared journal dir for pending runs whose owner
-        is provably dead or absent, claim each under a per-run claim lock
-        (kernel-released flock — two daemons racing the same orphan see
-        exactly one winner; the loser's :class:`FleetClaimLost` is swallowed
-        here), and enqueue the wins with ``resume=True`` so they continue
-        from their snapshots bit-identically.  Returns the adopted run ids.
+        steal tick; this daemon's own entries (a submission that failed
+        before its ack) are left to its next startup replay.  Returns the
+        adopted run ids.
         """
-        if not self._queue_dir.is_dir():
-            return []
         adopted: List[str] = []
-        for path in sorted(self._queue_dir.glob("*.json")):
-            if path.name.startswith("."):
-                continue  # an atomic-write temp file caught mid-write
-            with self._wake:
-                if self._stopping:
-                    break
-                if len(self._queue) + len(self._inflight) >= self._slots():
-                    break  # no idle slot; leave the rest for the next tick
-                known = path.stem in self._records
-            if known:
-                continue
-            entry = self._read_journal(path.stem)
-            if entry is None:
-                continue  # torn write, or the run just finished
-            run_id = str(entry.get("run_id", ""))
-            if run_id != path.stem:
-                continue
+        if self._has_idle_slot():
+            for entry in self._adoptable_entries(include_own=False):
+                try:
+                    adopted.append(self._adopt(entry).run_id)
+                except FleetClaimLost:
+                    continue
+                if not self._has_idle_slot():
+                    break  # leave the rest for the next tick
+        with self._wake:
+            self._stolen += len(adopted)
+        return adopted
+
+    def _has_idle_slot(self) -> bool:
+        with self._wake:
+            return (not self._stopping
+                    and len(self._queue) + len(self._inflight) < self._slots())
+
+    def _adoptable_entries(self, include_own: bool) -> List[Dict[str, Any]]:
+        """The one journal scan: adoptable entries, in ``seq`` order.
+
+        Skips entries held here, names this daemon never writes (temp files
+        included), torn writes and a live foreign owner's entries.  Dead
+        entries (the owner crashed between persisting the result and
+        unlinking the journal) are swept: replaying would re-run the run.
+        """
+        entries: List[Dict[str, Any]] = []
+        for path in self._queue_dir.glob("*.json"):
+            run_id = path.stem
             try:
                 validate_key(run_id, "run_id")
             except ValueError:
                 continue
+            with self._wake:
+                if run_id in self._records:
+                    continue
+            entry = self._read_journal(run_id)
+            if entry is None or entry.get("run_id") != run_id:
+                continue  # a half-written journal entry was never acked
             if self._result_path(run_id).exists():
-                # Dead entry: its owner crashed between persisting the
-                # result and unlinking the journal.  Same cleanup as the
-                # startup replay — nothing to execute.
                 try:
-                    self._journal_path(run_id).unlink()
+                    path.unlink()
                 except OSError:
                     pass
-                continue
-            owner = entry.get("owner")
-            if (owner == self.owner
-                    or self._foreign_owner_alive(entry, run_id)):
-                continue  # ours already, or a live sibling's responsibility
-            try:
-                self._adopt_orphan(run_id, entry)
-            except FleetClaimLost:
-                continue  # a peer won the race — exactly what should happen
-            adopted.append(run_id)
-        if adopted:
-            with self._wake:
-                self._stolen_ids.extend(adopted)
-        return adopted
+            elif (include_own if entry.get("owner") == self.owner
+                  else not self._foreign_owner_alive(entry, run_id)):
+                entries.append(entry)
+        return sorted(entries, key=lambda entry: int(entry.get("seq", 0)))
 
-    def _adopt_orphan(self, run_id: str, entry: Dict[str, Any]) -> None:
-        """Claim one orphaned journal entry for this daemon, or raise
+    def _adopt(self, entry: Dict[str, Any],
+               submission: Optional[RunRecord] = None) -> RunRecord:
+        """Claim one journalled run for this daemon and enqueue it, or raise
         :class:`FleetClaimLost`.
 
-        The arbiter is a per-run flock inside the shared queue dir: the
-        kernel releases it instantly when a claimant crashes, and the
-        journal entry itself is only *rewritten in place* (never moved), so
-        a crash mid-claim leaves the orphan intact for the next claimant —
-        the ``fleet.steal.pre_claim`` fault point sits exactly there.
+        Every adoption ends here: startup replay, steal tick, resubmission
+        over a dead owner's entry.  The arbiter is a per-run flock in the
+        shared queue dir (the kernel releases it when a claimant crashes);
+        the entry is only rewritten in place, so a crash mid-claim (the
+        ``fleet.steal.pre_claim`` point) leaves it for the next claimant.
+        Under the lock the entry is re-verified and the record rebuilt from
+        it with ``resume=True``.  ``submission``, the resubmitted record
+        reserving the id here, lends its fault plan and, for an untraced
+        entry, its trace.
         """
+        run_id = str(entry["run_id"])
+        previous_owner = entry.get("owner")
         claim = RunLock(self._queue_dir, timeout=0.25,
                         name=f".claim-{run_id}.lock")
         try:
@@ -931,59 +847,64 @@ class ScenarioServer:
             raise FleetClaimLost(run_id, "claim lock is contended") from None
         try:
             faults.point(FAULT_STEAL_PRE_CLAIM)
-            # Re-verify under the lock: the winner of a race rewrote the
-            # entry (or finished the run) while we waited.
             current = self._read_journal(run_id)
             if current is None:
                 raise FleetClaimLost(run_id, "journal entry vanished")
-            if current.get("owner") != entry.get("owner"):
+            if current.get("owner") != previous_owner:
                 raise FleetClaimLost(run_id, "another daemon adopted it")
             if self._result_path(run_id).exists():
                 raise FleetClaimLost(run_id, "the run already finished")
-            if self._foreign_owner_alive(current, run_id):
+            if (previous_owner != self.owner
+                    and self._foreign_owner_alive(current, run_id)):
                 raise FleetClaimLost(run_id, "its owner came back to life")
-            record = RunRecord(
-                run_id=run_id,
-                seq=int(current.get("seq", 0)),
-                spec=dict(current.get("spec", {})),
-                checkpoint_every=current.get("checkpoint_every"),
-                resume=True,
-                recovered=True,
-                submitted_at=float(current.get("submitted_at", time.time())),
-                trace=_journalled_trace(current),
-            )
+            trace = current.get("trace")
+            if not (isinstance(trace, dict) and trace.get("trace_id")):
+                trace = submission.trace if submission else None
             with self._wake:
-                if self._stopping or run_id in self._records:
+                held = self._records.get(run_id)
+                if self._stopping or (held is not None
+                                      and held is not submission):
                     raise FleetClaimLost(run_id, "no longer claimable here")
+                # A local seq, not the journalled one: seq keys a coalesced
+                # batch's outcomes, and each dead peer numbered its own runs.
+                record = RunRecord(
+                    run_id=run_id, seq=self._seq,
+                    spec=dict(current.get("spec", {})),
+                    checkpoint_every=current.get("checkpoint_every"),
+                    resume=True, recovered=True,
+                    faults=submission.faults if submission else None,
+                    trace=trace, submitted_at=float(
+                        current.get("submitted_at", time.time())),
+                )
+                self._seq += 1
                 self._records[run_id] = record
-                self._seq = max(self._seq, record.seq + 1)
-            try:
-                # The durable ownership transfer: the entry now names us, so
-                # peers' scans skip it while this daemon lives.
-                self._journal(record)
-            except (OSError, faults.InjectedFault):
-                with self._wake:
-                    self._records.pop(run_id, None)
-                raise FleetClaimLost(run_id, "could not stamp ownership")
+            if previous_owner != self.owner:
+                try:
+                    # The durable ownership transfer: peers' scans skip the
+                    # entry while this daemon lives.
+                    self._journal(record)
+                except (OSError, faults.InjectedFault):
+                    with self._wake:
+                        self._records.pop(run_id, None)
+                    raise FleetClaimLost(run_id, "could not stamp ownership")
+                telemetry.incr("repro_fleet_adoptions_total", 1,
+                               "orphaned runs adopted from dead fleet peers")
+                self._write_run_span(
+                    record, "fleet.adopt", ts=time.time(), dur=0.0,
+                    attrs={"owner": self.owner,
+                           "previous_owner": previous_owner},
+                )
             with self._wake:
                 self._queue.append(run_id)
                 self._wake.notify_all()
-            telemetry.incr("repro_fleet_adoptions_total", 1,
-                           "orphaned runs adopted from dead fleet peers")
-            self._write_run_span(
-                record, "fleet.adopt", ts=time.time(), dur=0.0,
-                attrs={"owner": self.owner,
-                       "previous_owner": entry.get("owner")},
-            )
-            # Only the WINNER unlinks the claim file: a loser unlinking it
+            # Only the winner unlinks the claim file: a loser unlinking it
             # while the entry is still claimable would let two late racers
-            # flock different inodes of the same path simultaneously.  After
-            # a win the entry names us, so any orphaned-inode holder fails
-            # the owner re-check anyway.
+            # flock different inodes of the same path.
             try:
                 claim.path.unlink()
             except OSError:
                 pass
+            return record
         finally:
             claim.release()
 
@@ -1410,7 +1331,7 @@ class ScenarioServer:
                 "pid": os.getpid(),
                 "owner": self.owner,
                 "daemon_id": self.daemon_id,
-                "stolen": len(self._stolen_ids),
+                "stolen": self._stolen,
                 "uptime_s": time.time() - self.started_at,
                 "queued": statuses.count("queued"),
                 "running": statuses.count("running"),
@@ -1532,8 +1453,7 @@ class ScenarioServer:
         self.root.mkdir(parents=True, exist_ok=True)
         self._queue_dir.mkdir(parents=True, exist_ok=True)
         self._results_dir.mkdir(parents=True, exist_ok=True)
-        with self._wake:
-            self._recover()
+        self._recover()
         self._housekeep()
         self._scheduler = threading.Thread(
             target=self._scheduler_loop, name="repro-serve-scheduler",

@@ -15,7 +15,7 @@ One background thread per daemon does both fleet duties:
 
 The contended-claim arbiter lives in the server's adoption path, not here:
 two daemons racing to adopt the same orphan both reach
-``ScenarioServer._adopt_orphan``, exactly one wins the per-run claim lock
+``ScenarioServer._adopt``, exactly one wins the per-run claim lock
 (kernel-released flock — a crashed claimant releases instantly), and the
 loser gets the typed :class:`FleetClaimLost` this module defines and moves
 on silently.
@@ -30,9 +30,9 @@ from repro import faults
 
 FAULT_STEAL_PRE_CLAIM = faults.register(
     "fleet.steal.pre_claim",
-    "inside the claim lock, before a stolen run's journal entry is "
-    "rewritten (a crash here must leave the entry intact for the next "
-    "claimant)",
+    "inside the claim lock, before an adopted run's journal entry is "
+    "rewritten — startup replay, steal tick or dead-owner resubmit (a "
+    "crash here must leave the entry intact for the next claimant)",
 )
 
 __all__ = [
@@ -79,8 +79,7 @@ class FleetScheduler:
         self.steal_interval = (
             None if steal_interval is None else float(steal_interval)
         )
-        #: Run ids this scheduler's steal ticks have adopted (stats surface).
-        self.stolen = 0
+        self._beats = 0
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
 
@@ -111,7 +110,7 @@ class FleetScheduler:
     def _heartbeat(self) -> None:
         try:
             self.server.registry.join(self.server.member_entry())
-            self._beats = getattr(self, "_beats", 0) + 1
+            self._beats += 1
             if self._beats % self._PRUNE_EVERY == 0:
                 self.server.registry.prune()
         except Exception:
@@ -121,7 +120,7 @@ class FleetScheduler:
 
     def _steal(self) -> None:
         try:
-            self.stolen += len(self.server.steal_once())
+            self.server.steal_once()
         except Exception:
             pass
 

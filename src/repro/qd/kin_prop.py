@@ -42,7 +42,6 @@ stencil variants at the O(dt^{order+1}) truncation level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
 from typing import Optional
 
 import numpy as np

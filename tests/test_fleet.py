@@ -37,12 +37,13 @@ from pathlib import Path
 
 import pytest
 
-from repro import faults
+from repro import faults, telemetry
 from repro.api import (
     BatchRunner, ScenarioServer, ServeClient, ServeError, ServeUnavailable,
     default_registry,
 )
 from repro.api.client import ServeTimeout
+from repro.api.http import FINISHED, ServerError
 from repro.fleet import FleetRegistry, FleetRouter, member_id_for
 from repro.store import atomic_write_json
 
@@ -332,15 +333,11 @@ class TestWorkStealing:
             # only the steal loop — not the startup replay — can adopt it.
             atomic_write_json(root / "queue" / "orphan.json",
                               _orphan_entry("orphan", spec))
-            deadline = time.monotonic() + 60
-            while True:
-                try:
-                    client.status("orphan")
-                    break
-                except ServeError as exc:
-                    assert exc.status == 404
-                    assert time.monotonic() < deadline, "never stolen"
-                    time.sleep(0.05)
+            # Adoption registers the run and notifies the daemon's condition.
+            with daemon._wake:
+                assert daemon._wake.wait_for(
+                    lambda: "orphan" in daemon._records, timeout=60), \
+                    "never stolen"
             outcome = client.wait("orphan", timeout=120)
             assert outcome.ok, outcome.error
             assert_results_bit_identical(inline, outcome)
@@ -410,15 +407,99 @@ class TestWorkStealing:
             assert wins_a & wins_b == set()
             assert wins_a | wins_b == set(run_ids)
             assert len(adopted["a"]) + len(adopted["b"]) == len(run_ids)
-            # Every adopted run executes to a persisted result.
-            deadline = time.monotonic() + 120
-            missing = set(run_ids)
-            while missing and time.monotonic() < deadline:
-                missing = {run_id for run_id in missing
-                           if not (root / "results"
-                                   / f"{run_id}.json").exists()}
-                time.sleep(0.05)
-            assert not missing, f"never finished: {sorted(missing)}"
+            # Every adopted run executes to a persisted result; each settle
+            # notifies its daemon's condition.
+            for server, wins in ((a, wins_a), (b, wins_b)):
+                with server._wake:
+                    assert server._wake.wait_for(
+                        lambda: all(server._records[run_id].status in FINISHED
+                                    for run_id in wins), timeout=120), \
+                        f"never finished: {sorted(wins)}"
+            assert all((root / "results" / f"{run_id}.json").exists()
+                       for run_id in run_ids)
+
+    def test_startup_replay_and_a_peer_steal_adopt_an_orphan_once(
+            self, tmp_path, monkeypatch):
+        root = tmp_path / "shared"
+        atomic_write_json(root / "queue" / "orphan.json",
+                          _orphan_entry("orphan", smoke_spec("maxwell-vacuum")))
+        a, b = (ScenarioServer(root, port=0, workers=0,
+                               owner=f"serve:{HOSTNAME}:{os.getpid()}:{name}")
+                for name in "ab")
+        consult = a._foreign_owner_alive
+        steals = []
+
+        def consult_then_steal(entry, run_id):
+            # B's steal tick lands between A's journal scan and A's claim.
+            alive = consult(entry, run_id)
+            if not steals:
+                steals.append(b.steal_once())
+            return alive
+
+        monkeypatch.setattr(a, "_foreign_owner_alive", consult_then_steal)
+        a._recover()
+        assert steals == [["orphan"]]
+        holders = [server for server in (a, b) if "orphan" in server._records]
+        assert len(holders) == 1
+        entry = json.loads((root / "queue" / "orphan.json").read_text())
+        assert entry["owner"] == holders[0].owner
+
+    def test_replayed_peers_runs_with_equal_seqs_batch_correctly(
+            self, tmp_path):
+        # Two dead peers each journalled their first run as seq 0.  Batch
+        # outcomes are keyed by seq, so the replay must renumber them or a
+        # coalesced batch hands one run the other's result.
+        root = tmp_path / "shared"
+        for run_id in ("x", "y"):
+            spec = smoke_spec("maxwell-vacuum", num_steps=2).to_dict()
+            spec["name"] = f"vacuum-{run_id}"
+            entry = _orphan_entry(run_id, smoke_spec("maxwell-vacuum"))
+            entry.update(spec=spec, owner=f"serve:no-such-host-zzz:{run_id}")
+            atomic_write_json(root / "queue" / f"{run_id}.json", entry)
+        with fleet_servers(root, count=1, batch_max=4) as (daemon,):
+            with daemon._wake:
+                assert daemon._wake.wait_for(
+                    lambda: all(daemon._records[run_id].status in FINISHED
+                                for run_id in "xy"), timeout=120)
+            assert daemon.stats()["daemon"]["batched_runs"] == 2
+            for run_id in "xy":
+                assert daemon.result(run_id)["ok"]["scenario"] == \
+                    f"vacuum-{run_id}"
+
+    def test_resubmit_takes_over_a_dead_peers_run_only_with_its_spec(
+            self, tmp_path, live_telemetry):
+        root = tmp_path / "shared"
+        spec = smoke_spec("maxwell-vacuum", num_steps=4)
+        entry = _orphan_entry("orphan", spec)
+        entry["checkpoint_every"] = 2
+        journal = root / "queue" / "orphan.json"
+        with fleet_servers(root, count=1) as (daemon,):  # no steal ticks
+            atomic_write_json(journal, entry)
+            before = journal.read_bytes()
+            # A different spec under the dead peer's id would replace the
+            # journalled run: a conflict, and the journal stays untouched.
+            with pytest.raises(ServerError) as excinfo:
+                daemon.submit(smoke_spec("md-nve").to_dict(), run_id="orphan")
+            assert excinfo.value.status == 409
+            assert journal.read_bytes() == before
+            assert "orphan" not in daemon._records
+
+            ack = daemon.submit(spec.to_dict(), run_id="orphan",
+                                checkpoint_every=3)
+            assert ack["recovered"] is True
+            # The run is rebuilt from the journal, cadence included.
+            assert daemon._records["orphan"].checkpoint_every == 2
+            with daemon._wake:
+                assert daemon._wake.wait_for(
+                    lambda: daemon._records["orphan"].status in FINISHED,
+                    timeout=120)
+            assert daemon._records["orphan"].status == "done"
+            spans = daemon.trace_payload("orphan")["spans"]
+        adopts = [span for span in spans if span["name"] == "fleet.adopt"]
+        assert len(adopts) == 1
+        assert adopts[0]["attrs"]["previous_owner"] == entry["owner"]
+        counters = telemetry.snapshot()["counters"]
+        assert counters["repro_fleet_adoptions_total"]["value"] == 1
 
     def test_stealing_is_opt_in(self, tmp_path):
         root = tmp_path / "shared"
