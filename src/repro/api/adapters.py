@@ -3,10 +3,12 @@
 Each adapter knows how to *construct* its simulation engine from a
 :class:`~repro.api.spec.ScenarioSpec` and how to *drive* it through the
 unified ``prepare / step / observe / checkpoint / restore / result``
-protocol.  The wrapped engines keep their imperative ``run()`` APIs
-untouched; the adapters only call public entry points (plus the spec-driven
-constructors), and the checkpoint state round-trip delegates to each
-engine's ``state_dict()`` / ``load_state_dict()`` pair.  State that a fresh
+protocol.  Engines step; adapters record.  An engine exposes only its step
+(``step`` / ``advance`` / ``step_exchange``), its ``state_dict()`` /
+``load_state_dict()`` pair and the quantities an observation reads; the
+adapter's :meth:`observe` is the one definition of what a run of its kind
+records, and the checkpoint state round-trip delegates to the engine's
+state pair.  State that a fresh
 ``_build`` reconstructs deterministically from the spec (SCF ground states,
 reference orbitals, occupation baselines, couplers) is deliberately *not*
 checkpointed — only what stepping mutates, including every RNG stream, so a
@@ -314,8 +316,6 @@ class MESHEngine(EngineAdapter):
         self._metadata["surface_hopping"] = bool(prop.surface_hopping)
 
     def _advance(self, num_steps: int) -> None:
-        # The adapter records its own series: advance without the
-        # integrator's per-step record.
         for _ in range(num_steps):
             self.integrator.advance()
 
@@ -378,15 +378,11 @@ class MDEngine(EngineAdapter):
             )
         else:
             self.integrator = VelocityVerlet(force_field, prop.dt)
-        self._force_field = force_field
         self._metadata["n_atoms"] = int(self.atoms.n_atoms)
         self._metadata["thermostat"] = prop.thermostat
 
     def _advance(self, num_steps: int) -> None:
         self.integrator.step(self.atoms, num_steps)
-        # The adapter keeps its own time series; cap the integrator-side
-        # history at the latest snapshot (observe() reads it below).
-        del self.integrator.history[:-1]
 
     @property
     def time(self) -> float:
@@ -394,15 +390,10 @@ class MDEngine(EngineAdapter):
 
     def observe(self) -> Dict[str, Any]:
         self.prepare()
-        history = self.integrator.history
-        if history and history[-1].time == self.integrator.time:
-            snapshot = history[-1]
-            energy, kinetic = snapshot.potential_energy, snapshot.kinetic_energy
-        else:  # before the first step: no snapshot for the current state
-            raw, _ = self._force_field.compute(
-                self.atoms, self.integrator.neighbor_list
-            )
-            energy, kinetic = float(raw), self.atoms.kinetic_energy()
+        # The step's own force-field call left this energy behind; before
+        # the first step, evaluating it also caches the forces that step uses.
+        energy = self.integrator.potential_energy(self.atoms)
+        kinetic = self.atoms.kinetic_energy()
         return {
             "potential_energy": energy,
             "kinetic_energy": kinetic,
@@ -607,12 +598,12 @@ class MaxwellEngine(EngineAdapter):
 
 
 class MLMDEngine(_LatticeAdapter):
-    """The end-to-end photo-switching pipeline (:class:`repro.core.mlmd.MLMDPipeline`).
+    """The end-to-end photo-switching pipeline: stage 3 of
+    :class:`repro.core.mlmd.MLMDPipeline`.
 
-    ``prepare()`` relaxes the skyrmion superlattice on the ground-state
-    surface; each protocol step advances the excited-state local-mode
-    dynamics with the exponentially decaying excitation weight of the
-    pipeline's stage 3.
+    ``prepare()`` relaxes the pipeline's skyrmion superlattice on the
+    ground-state surface; each protocol step advances the excited-state
+    local-mode dynamics with an exponentially decaying excitation weight.
     """
 
     kind = "mlmd"
@@ -621,34 +612,27 @@ class MLMDEngine(_LatticeAdapter):
         from repro.core import MLMDPipeline
 
         spec = self.spec
-        prop = spec.propagator
+        if spec.propagator.excitation_lifetime_fs <= 0:
+            raise ValueError("propagator.excitation_lifetime_fs must be positive")
         rng_init, rng_dyn, _, _ = spec.rngs(4)
         self._rng = rng_dyn
         # Stream 0 covers the ground-state preparation (texture noise);
         # stream 1 drives the excited-state dynamics noise in _advance.
-        self.pipeline = MLMDPipeline(
+        self.lattice = MLMDPipeline(
             supercell_repeats=spec.material.repeats,
             skyrmions_per_axis=spec.material.skyrmions_per_axis,
-            excitation_lifetime_fs=prop.excitation_lifetime_fs,
-            md_timestep_fs=prop.dt,
-            damping_per_fs=prop.damping,
-            thermal_noise_amplitude=prop.noise_amplitude,
             rng=rng_init,
-        )
-        self.lattice = self.pipeline.ground_state_texture()
+        ).ground_state_texture()
 
     def _finish_build(self) -> None:
         from repro.topology.analysis import classify_texture
 
         initial = classify_texture(self.lattice.modes)
-        self.pipeline.adopt_ground_state(
-            self.lattice, charge=initial.topological_charge)
         super()._finish_build()
         self._charge = initial.topological_charge
         self._metadata["initial_label"] = initial.label
         self._metadata["initial_topological_charge"] = float(
-            self.pipeline.initial_topological_charge
-        )
+            initial.topological_charge)
 
     def _tick(self) -> None:
         """Advance the clock and decay the excitation weight."""

@@ -13,9 +13,10 @@ life cycle:
                       prepared engine (validated against spec/engine/time)
     result()          everything recorded so far as a RunResult
 
-Adapters (:mod:`repro.api.adapters`) retrofit the protocol onto the existing
-engines without touching their imperative ``run()`` APIs; the shared
-:meth:`EngineAdapter.run` loop gives every engine identical argument
+Engines step and adapters record: each engine only advances its state,
+and its adapter (:mod:`repro.api.adapters`) defines what a run of that kind
+observes.  The shared :meth:`EngineAdapter.run` loop is the one recording
+loop and gives every engine identical argument
 validation (:func:`repro.utils.validation.validate_run_args`), identical
 recording semantics (record the initial state, then every ``record_every``-th
 step) and identical checkpointing semantics (emit a snapshot every

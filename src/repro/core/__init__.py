@@ -10,7 +10,7 @@ topological dynamics) that produces the photo-switching result of Fig. 3.
 
 from repro.core.dcr import DCRDecomposition, Subproblem, HardwareUnit
 from repro.core.msa import MetamodelExtrapolation, metamodel_combine
-from repro.core.mlmd import MLMDPipeline, MLMDPipelineResult
+from repro.core.mlmd import MLMDPipeline
 
 __all__ = [
     "DCRDecomposition",
@@ -19,5 +19,4 @@ __all__ = [
     "MetamodelExtrapolation",
     "metamodel_combine",
     "MLMDPipeline",
-    "MLMDPipelineResult",
 ]

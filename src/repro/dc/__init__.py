@@ -13,7 +13,7 @@ hopping (MESH) problem.
 
 from repro.dc.domains import DCDomain, DomainDecomposition
 from repro.dc.dc_scf import DCKohnShamSolver, DCSCFResult
-from repro.dc.dcmesh import DCMESHSimulation, DCMESHResult
+from repro.dc.dcmesh import DCMESHSimulation
 
 __all__ = [
     "DCDomain",
@@ -21,5 +21,4 @@ __all__ = [
     "DCKohnShamSolver",
     "DCSCFResult",
     "DCMESHSimulation",
-    "DCMESHResult",
 ]

@@ -27,30 +27,13 @@ bit-identical to stepping the domains one by one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from repro.maxwell.coupling import MaxwellCoupler
 from repro.maxwell.pulses import LaserPulse
 from repro.qd.tddft import RealTimeTDDFT, propagate_domains
-from repro.utils.validation import validate_run_args
-
-
-@dataclass
-class DCMESHResult:
-    """Time series recorded by a DC-MESH run."""
-
-    times: np.ndarray
-    vector_potential_at_domains: np.ndarray
-    domain_currents: np.ndarray
-    domain_excitations: np.ndarray
-    dipoles: np.ndarray
-
-    @property
-    def final_excitations(self) -> np.ndarray:
-        """n_exc^(alpha) after the pulse — the DC-MESH -> XS-NNQMD handshake."""
-        return self.domain_excitations[-1]
 
 
 @dataclass
@@ -133,10 +116,6 @@ class DCMESHSimulation:
         """The most recently sampled A(X_alpha) per domain."""
         return self._sampled_a.copy()
 
-    def domain_currents(self) -> np.ndarray:
-        """Polarisation-projected cell-averaged current per domain."""
-        return self._domain_currents()
-
     def gather_excitations(self) -> np.ndarray:
         """The per-domain photo-excitation numbers n_exc^(alpha).
 
@@ -165,8 +144,8 @@ class DCMESHSimulation:
                 engine.wavefunctions.psi = view
         return self._stack
 
-    def _domain_currents(self) -> np.ndarray:
-        """Scalar (polarisation-projected) cell-averaged currents per domain."""
+    def domain_currents(self) -> np.ndarray:
+        """Polarisation-projected cell-averaged current per domain."""
         engines = self.domain_engines
         j_vecs = engines[0].hamiltonian.current_density_average(
             self._orbital_stack(),
@@ -214,41 +193,6 @@ class DCMESHSimulation:
         propagate_domains(self.domain_engines, self._orbital_stack(),
                           self.qd_steps_per_exchange)
         self._sampled_a = self.coupler.step(
-            self._domain_currents(), boundary_source=self._source
+            self.domain_currents(), boundary_source=self._source
         )
         return self._sampled_a
-
-    # ------------------------------------------------------------------
-    def run(self, num_exchanges: int, record_dipoles: bool = True) -> DCMESHResult:
-        """Run ``num_exchanges`` Maxwell<->TDDFT exchange cycles."""
-        validate_run_args(num_exchanges)
-        times = np.zeros(num_exchanges + 1)
-        a_history = np.zeros((num_exchanges + 1, self.num_domains))
-        current_history = np.zeros((num_exchanges + 1, self.num_domains))
-        excitation_history = np.zeros((num_exchanges + 1, self.num_domains))
-        dipole_history = np.zeros((num_exchanges + 1, self.num_domains, 3))
-
-        def record(step: int) -> None:
-            times[step] = self.coupler.solver.time
-            a_history[step] = self._sampled_a
-            excitation_history[step] = self.gather_excitations()
-            current_history[step] = self._domain_currents()
-            if record_dipoles:
-                for i, engine in enumerate(self.domain_engines):
-                    density = engine.wavefunctions.density(
-                        engine.occupations.electrons_per_orbital()
-                    )
-                    dipole_history[step, i] = engine.hamiltonian.dipole_moment(density)
-
-        self._sampled_a = self.coupler.sample_vector_potential()
-        record(0)
-        for exchange in range(1, num_exchanges + 1):
-            self.step_exchange()
-            record(exchange)
-        return DCMESHResult(
-            times=times,
-            vector_potential_at_domains=a_history,
-            domain_currents=current_history,
-            domain_excitations=excitation_history,
-            dipoles=dipole_history,
-        )

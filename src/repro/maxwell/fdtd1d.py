@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.units import SPEED_OF_LIGHT_AU
-from repro.utils.validation import ensure_positive, validate_run_args
+from repro.utils.validation import ensure_positive
 
 
 @dataclass
@@ -126,7 +126,7 @@ class Maxwell1D:
         current_density: Optional[np.ndarray] = None,
         boundary_source: Optional[Callable[[float], float]] = None,
         source_index: int = 0,
-    ) -> np.ndarray:
+    ) -> None:
         """Advance A by one time step.
 
         Parameters
@@ -140,7 +140,6 @@ class Maxwell1D:
         """
         c = SPEED_OF_LIGHT_AU
         r2 = self._courant ** 2
-        a_next = np.empty_like(self.a_curr)
         lap = np.zeros_like(self.a_curr)
         lap[1:-1] = self.a_curr[2:] - 2.0 * self.a_curr[1:-1] + self.a_curr[:-2]
         a_next = 2.0 * self.a_curr - self.a_prev + r2 * lap
@@ -158,31 +157,6 @@ class Maxwell1D:
             a_next[source_index] = boundary_source(self._time)
         self.a_prev = self.a_curr
         self.a_curr = a_next
-        return self.a_curr.copy()
-
-    def run(
-        self,
-        num_steps: int,
-        current_callback: Optional[Callable[[float, np.ndarray], np.ndarray]] = None,
-        boundary_source: Optional[Callable[[float], float]] = None,
-        source_index: int = 0,
-    ) -> np.ndarray:
-        """Propagate for ``num_steps`` steps and return the A(X, t) history.
-
-        ``current_callback(time, A)`` supplies the macroscopic current density
-        each step (the Maxwell<->TDDFT feedback loop); the returned array has
-        shape ``(num_steps + 1, num_points)`` including the initial state.
-        """
-        validate_run_args(num_steps)
-        history = np.zeros((num_steps + 1, self.num_points))
-        history[0] = self.a_curr
-        for n in range(num_steps):
-            current = None
-            if current_callback is not None:
-                current = current_callback(self._time, self.a_curr)
-            self.step(current, boundary_source, source_index)
-            history[n + 1] = self.a_curr
-        return history
 
     def field_energy(self) -> float:
         """Electromagnetic field energy of the window, (1/8pi) \\int (E^2 + B^2) dx.

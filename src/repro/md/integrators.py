@@ -7,8 +7,8 @@ skyrmion superlattices before the laser pulse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -27,22 +27,96 @@ def temperature(atoms: AtomsSystem) -> float:
     return atoms.temperature()
 
 
-@dataclass
-class MDSnapshot:
-    """Observables recorded at one MD step."""
+class _Integrator:
+    """What both integrators share: the clock, the force-field cache and the
+    checkpoint state.
 
-    time: float
-    potential_energy: float
-    kinetic_energy: float
-    temperature: float
+    ``_forces`` and ``_energy`` hold the forces and the potential energy of
+    the current positions: every step refreshes both from the one force-field
+    call it makes, so recording the energy between steps costs nothing.
+    """
+
+    def _init_cache(self) -> None:
+        if self.neighbor_list is None and getattr(self.force_field, "cutoff", 0.0) > 0:
+            self.neighbor_list = NeighborList(self.force_field.cutoff)
+        self._forces: np.ndarray | None = None
+        self._energy: float | None = None
+        self._time = 0.0
 
     @property
-    def total_energy(self) -> float:
-        return self.potential_energy + self.kinetic_energy
+    def time(self) -> float:
+        return self._time
+
+    def _evaluate(self, atoms: AtomsSystem) -> None:
+        """Fill the cache for the current positions.  Forces already held
+        (a restored checkpoint's) are kept: recomputed ones need not carry
+        the bits the uninterrupted run does."""
+        energy, forces = self.force_field.compute(atoms, self.neighbor_list)
+        self._energy = float(energy)
+        if self._forces is None or self._forces.shape[0] != atoms.n_atoms:
+            self._forces = forces
+
+    def _ensure_forces(self, atoms: AtomsSystem) -> np.ndarray:
+        if self._forces is None or self._forces.shape[0] != atoms.n_atoms:
+            self._evaluate(atoms)
+        return self._forces
+
+    def potential_energy(self, atoms: AtomsSystem) -> float:
+        """Potential energy of the current positions: evaluated (with the
+        forces the next step needs) only before the first step or after a
+        restore, read from the last step's cache otherwise."""
+        if self._energy is None:
+            self._evaluate(atoms)
+        return self._energy
+
+    def state_dict(self, atoms: AtomsSystem) -> dict:
+        """Phase-space point, clock, and what a resume needs to stay
+        bit-identical: the cached forces and the neighbour list's pairs and
+        build positions.
+
+        Forces recomputed from the restored positions are not guaranteed to
+        be the bits the uninterrupted run carries, so they are saved, not
+        rebuilt.
+        """
+        state = {
+            "time": float(self._time),
+            "positions": atoms.positions.copy(),
+            "velocities": atoms.velocities.copy(),
+        }
+        if self._forces is not None:
+            state["forces"] = self._forces.copy()
+        if self.neighbor_list is not None:
+            state["neighbor_list"] = self.neighbor_list.state_dict()
+        return state
+
+    def load_state_dict(self, atoms: AtomsSystem, state: dict) -> None:
+        """Inverse of :meth:`state_dict`."""
+        positions = np.asarray(state["positions"], dtype=float)
+        velocities = np.asarray(state["velocities"], dtype=float)
+        if positions.shape != atoms.positions.shape:
+            raise ValueError(
+                f"checkpointed positions have shape {positions.shape}, "
+                f"expected {atoms.positions.shape}"
+            )
+        if velocities.shape != atoms.velocities.shape:
+            raise ValueError("checkpointed velocities do not match the atom count")
+        atoms.positions[...] = positions
+        atoms.velocities[...] = velocities
+        # A checkpoint without cached forces recomputes them lazily; the
+        # potential energy is recomputed when first read, and never replaces
+        # the restored forces.
+        self._forces = (
+            np.asarray(state["forces"], dtype=float).reshape(positions.shape)
+            if "forces" in state else None
+        )
+        self._energy = None
+        if self.neighbor_list is not None and "neighbor_list" in state:
+            self.neighbor_list.load_state_dict(state["neighbor_list"])
+        self._time = float(state["time"])
 
 
 @dataclass
-class VelocityVerlet:
+class VelocityVerlet(_Integrator):
     """Standard velocity-Verlet integrator.
 
     Parameters
@@ -57,38 +131,16 @@ class VelocityVerlet:
     force_field: ForceField
     dt: float
     neighbor_list: Optional[NeighborList] = None
-    history: List[MDSnapshot] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.neighbor_list is None and getattr(self.force_field, "cutoff", 0.0) > 0:
-            self.neighbor_list = NeighborList(self.force_field.cutoff)
-        self._forces: np.ndarray | None = None
-        self._time = 0.0
+        self._init_cache()
 
-    @property
-    def time(self) -> float:
-        return self._time
-
-    def state_dict(self, atoms: AtomsSystem) -> dict:
-        """Mutable NVE state: phase space, clock, cached forces, pair list."""
-        return _md_state_dict(self, atoms)
-
-    def load_state_dict(self, atoms: AtomsSystem, state: dict) -> None:
-        """Inverse of :meth:`state_dict`."""
-        _md_load_state_dict(self, atoms, state)
-
-    def _ensure_forces(self, atoms: AtomsSystem) -> np.ndarray:
-        if self._forces is None or self._forces.shape[0] != atoms.n_atoms:
-            _, self._forces = self.force_field.compute(atoms, self.neighbor_list)
-        return self._forces
-
-    def step(self, atoms: AtomsSystem, num_steps: int = 1) -> MDSnapshot:
-        """Advance ``atoms`` in place by ``num_steps`` steps; returns the last snapshot."""
+    def step(self, atoms: AtomsSystem, num_steps: int = 1) -> None:
+        """Advance ``atoms`` in place by ``num_steps`` steps."""
         validate_run_args(num_steps)
         forces = self._ensure_forces(atoms)
-        snapshot = None
         for _ in range(num_steps):
             accel = _FORCE_TO_ACCEL * forces / atoms.masses[:, None]
             atoms.velocities += 0.5 * self.dt * accel
@@ -98,26 +150,11 @@ class VelocityVerlet:
             accel = _FORCE_TO_ACCEL * forces / atoms.masses[:, None]
             atoms.velocities += 0.5 * self.dt * accel
             self._time += self.dt
-            snapshot = MDSnapshot(
-                time=self._time,
-                potential_energy=float(energy),
-                kinetic_energy=atoms.kinetic_energy(),
-                temperature=atoms.temperature(),
-            )
-            self.history.append(snapshot)
-        self._forces = forces
-        assert snapshot is not None
-        return snapshot
-
-    def run(self, atoms: AtomsSystem, num_steps: int) -> List[MDSnapshot]:
-        """Run ``num_steps`` steps and return the recorded snapshots."""
-        start = len(self.history)
-        self.step(atoms, num_steps)
-        return self.history[start:]
+        self._energy, self._forces = float(energy), forces
 
 
 @dataclass
-class LangevinIntegrator:
+class LangevinIntegrator(_Integrator):
     """Velocity-Verlet with a Langevin thermostat (BAOAB-like splitting).
 
     Parameters
@@ -138,23 +175,15 @@ class LangevinIntegrator:
     friction: float
     rng: np.random.Generator
     neighbor_list: Optional[NeighborList] = None
-    history: List[MDSnapshot] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.dt <= 0 or self.friction < 0 or self.temperature_k < 0:
             raise ValueError("dt must be > 0, friction and temperature >= 0")
-        if self.neighbor_list is None and getattr(self.force_field, "cutoff", 0.0) > 0:
-            self.neighbor_list = NeighborList(self.force_field.cutoff)
-        self._forces: np.ndarray | None = None
-        self._time = 0.0
-
-    @property
-    def time(self) -> float:
-        return self._time
+        self._init_cache()
 
     def state_dict(self, atoms: AtomsSystem) -> dict:
         """Mutable thermostatted state: phase space, clock, RNG stream."""
-        state = _md_state_dict(self, atoms)
+        state = super().state_dict(atoms)
         state["rng_state"] = self.rng.bit_generator.state
         return state
 
@@ -162,17 +191,14 @@ class LangevinIntegrator:
         """Inverse of :meth:`state_dict`; restores the thermostat RNG stream
         so a resumed trajectory draws exactly the kicks the uninterrupted one
         would."""
-        _md_load_state_dict(self, atoms, state)
+        super().load_state_dict(atoms, state)
         self.rng.bit_generator.state = state["rng_state"]
 
-    def step(self, atoms: AtomsSystem, num_steps: int = 1) -> MDSnapshot:
+    def step(self, atoms: AtomsSystem, num_steps: int = 1) -> None:
         """Advance ``atoms`` by ``num_steps`` Langevin steps."""
         validate_run_args(num_steps)
-        if self._forces is None or self._forces.shape[0] != atoms.n_atoms:
-            _, self._forces = self.force_field.compute(atoms, self.neighbor_list)
-        forces = self._forces
+        forces = self._ensure_forces(atoms)
         conversion = 103.642697  # amu (A/fs)^2 per eV
-        snapshot = None
         for _ in range(num_steps):
             accel = _FORCE_TO_ACCEL * forces / atoms.masses[:, None]
             atoms.velocities += 0.5 * self.dt * accel
@@ -192,64 +218,4 @@ class LangevinIntegrator:
             accel = _FORCE_TO_ACCEL * forces / atoms.masses[:, None]
             atoms.velocities += 0.5 * self.dt * accel
             self._time += self.dt
-            snapshot = MDSnapshot(
-                time=self._time,
-                potential_energy=float(energy),
-                kinetic_energy=atoms.kinetic_energy(),
-                temperature=atoms.temperature(),
-            )
-            self.history.append(snapshot)
-        self._forces = forces
-        assert snapshot is not None
-        return snapshot
-
-    def run(self, atoms: AtomsSystem, num_steps: int) -> List[MDSnapshot]:
-        """Run ``num_steps`` steps and return the recorded snapshots."""
-        start = len(self.history)
-        self.step(atoms, num_steps)
-        return self.history[start:]
-
-
-# ----------------------------------------------------------------------
-# Shared checkpoint plumbing for both integrators
-# ----------------------------------------------------------------------
-def _md_state_dict(integrator, atoms: AtomsSystem) -> dict:
-    """Phase-space point, clock, and what a resume needs to stay bit-identical:
-    the cached forces and the neighbour list's pairs and build positions.
-
-    Forces recomputed from the restored positions are not guaranteed to be
-    the bits the uninterrupted run carries, so they are saved, not rebuilt.
-    """
-    state = {
-        "time": float(integrator._time),
-        "positions": atoms.positions.copy(),
-        "velocities": atoms.velocities.copy(),
-    }
-    if integrator._forces is not None:
-        state["forces"] = integrator._forces.copy()
-    if integrator.neighbor_list is not None:
-        state["neighbor_list"] = integrator.neighbor_list.state_dict()
-    return state
-
-
-def _md_load_state_dict(integrator, atoms: AtomsSystem, state: dict) -> None:
-    positions = np.asarray(state["positions"], dtype=float)
-    velocities = np.asarray(state["velocities"], dtype=float)
-    if positions.shape != atoms.positions.shape:
-        raise ValueError(
-            f"checkpointed positions have shape {positions.shape}, "
-            f"expected {atoms.positions.shape}"
-        )
-    if velocities.shape != atoms.velocities.shape:
-        raise ValueError("checkpointed velocities do not match the atom count")
-    atoms.positions[...] = positions
-    atoms.velocities[...] = velocities
-    # A checkpoint without cached forces recomputes them lazily.
-    integrator._forces = (
-        np.asarray(state["forces"], dtype=float).reshape(positions.shape)
-        if "forces" in state else None
-    )
-    if integrator.neighbor_list is not None and "neighbor_list" in state:
-        integrator.neighbor_list.load_state_dict(state["neighbor_list"])
-    integrator._time = float(state["time"])
-    integrator.history.clear()
+        self._energy, self._forces = float(energy), forces

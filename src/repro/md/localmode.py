@@ -45,7 +45,6 @@ from typing import Tuple
 import numpy as np
 
 from repro.utils.mathutils import periodic_shift
-from repro.utils.validation import validate_run_args
 
 
 @dataclass(frozen=True)
@@ -239,20 +238,6 @@ class LocalModeLattice:
                      self._force_of(excitation_weight, electric_field),
                      damping, noise_amplitude,
                      None if rng is None else (rng,))
-
-    def run(self, num_steps: int, dt: float, excitation_weight: float = 0.0,
-            damping: float = 0.0,
-            electric_field: np.ndarray | None = None,
-            noise_amplitude: float = 0.0,
-            rng: np.random.Generator | None = None) -> np.ndarray:
-        """Run ``num_steps`` steps; returns the energy trajectory."""
-        validate_run_args(num_steps)
-        energies = np.zeros(num_steps)
-        for i in range(num_steps):
-            self.step(dt, excitation_weight, damping, electric_field,
-                      noise_amplitude, rng)
-            energies[i] = self.energy(excitation_weight, electric_field)
-        return energies
 
     def relax(self, num_steps: int = 200, dt: float = 0.5,
               excitation_weight: float = 0.0, damping: float = 0.2) -> None:

@@ -20,7 +20,7 @@ step, with the surface-hopping occupation update applied at the boundary.
 from repro.naqmd.nonadiabatic import nonadiabatic_coupling_matrix, coupling_from_overlap
 from repro.naqmd.surface_hopping import SurfaceHopping, SurfaceHoppingResult
 from repro.naqmd.ehrenfest import EhrenfestForces
-from repro.naqmd.mesh import MESHIntegrator, MESHStepResult
+from repro.naqmd.mesh import MESHIntegrator
 
 __all__ = [
     "nonadiabatic_coupling_matrix",
@@ -29,5 +29,4 @@ __all__ = [
     "SurfaceHoppingResult",
     "EhrenfestForces",
     "MESHIntegrator",
-    "MESHStepResult",
 ]

@@ -18,8 +18,8 @@ runs one of these per DC domain and adds the Maxwell coupling across domains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -27,21 +27,6 @@ from repro.naqmd.ehrenfest import EhrenfestForces
 from repro.naqmd.nonadiabatic import nonadiabatic_coupling_matrix
 from repro.naqmd.surface_hopping import SurfaceHopping
 from repro.qd.tddft import RealTimeTDDFT
-from repro.utils.validation import validate_run_args
-
-
-@dataclass
-class MESHStepResult:
-    """Observables of one MESH MD step."""
-
-    time: float
-    positions: np.ndarray
-    velocities: np.ndarray
-    forces: np.ndarray
-    excitation_number: float
-    coupling_norm: float
-    hops: List[tuple]
-    total_energy: float
 
 
 @dataclass
@@ -75,7 +60,6 @@ class MESHIntegrator:
     md_dt: float
     qd_substeps: int = 20
     surface_hopping: Optional[SurfaceHopping] = None
-    history: List[MESHStepResult] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.positions = np.asarray(self.positions, dtype=float).reshape(-1, 3).copy()
@@ -150,8 +134,7 @@ class MESHIntegrator:
 
         The shadow-dynamics external potential and the mean-field forces are
         functions of the restored ions/density, so they are recomputed rather
-        than stored; the per-step ``history`` belongs to the interrupted
-        driver and is cleared.
+        than stored.
         """
         positions = np.asarray(state["positions"], dtype=float).reshape(-1, 3)
         velocities = np.asarray(state["velocities"], dtype=float).reshape(-1, 3)
@@ -178,12 +161,10 @@ class MESHIntegrator:
             self.surface_hopping.load_state_dict(sh_state)
         self._current_forces = self._compute_forces()
         self._time = float(state["time"])
-        self.history.clear()
 
     # ------------------------------------------------------------------
-    def advance(self) -> Tuple[float, List[tuple]]:
-        """Advance the coupled system by one MD step and return the step's
-        ``(coupling_norm, hops)``; :meth:`step` also records the step."""
+    def advance(self) -> None:
+        """Advance the coupled system by one MD step."""
         dt = self.md_dt
         # Velocity Verlet half kick + drift (QXMD side, FP64 chemistry).
         self.velocities += 0.5 * dt * self._current_forces / self.masses[:, None]
@@ -203,41 +184,15 @@ class MESHIntegrator:
         coupling = nonadiabatic_coupling_matrix(
             previous_wf, self.tddft.wavefunctions, dt
         )
-        hops: List[tuple] = []
-        coupling_norm = float(np.linalg.norm(coupling - np.diag(np.diag(coupling))))
         if self.surface_hopping is not None:
-            sh_result = self.surface_hopping.step(
+            self.surface_hopping.step(
                 coupling,
                 dt,
                 occupations=self.tddft.occupations,
                 kinetic_energy=self.kinetic_energy(),
             )
-            hops = sh_result.hops
 
         # Closing half kick with forces from the updated density.
         self._current_forces = self._compute_forces()
         self.velocities += 0.5 * dt * self._current_forces / self.masses[:, None]
         self._time += dt
-        return coupling_norm, hops
-
-    def step(self) -> MESHStepResult:
-        """Advance the coupled system by one MD step and record its
-        observables (total energy included) in :attr:`history`."""
-        coupling_norm, hops = self.advance()
-        result = MESHStepResult(
-            time=self._time,
-            positions=self.positions.copy(),
-            velocities=self.velocities.copy(),
-            forces=self._current_forces.copy(),
-            excitation_number=self.tddft.occupations.excitation_number(),
-            coupling_norm=coupling_norm,
-            hops=hops,
-            total_energy=self.total_energy(),
-        )
-        self.history.append(result)
-        return result
-
-    def run(self, num_steps: int) -> List[MESHStepResult]:
-        """Run ``num_steps`` MD steps and return their results."""
-        validate_run_args(num_steps)
-        return [self.step() for _ in range(num_steps)]

@@ -12,9 +12,10 @@ fewest-switches algorithm on the Kohn-Sham state ladder:
 * accepted hops move occupation between orbitals in the shared
   :class:`~repro.qd.occupations.OccupationState`.
 
-The amplitudes are propagated with many small sub-steps per MD step because
-the electronic time scale (attoseconds) is much shorter than the MD step
-(~100 attoseconds) — the same N_QD sub-cycling the paper uses.
+The coupling is frozen over an MD step, so the amplitudes are advanced by
+the exact exponential of the (few-state) electronic Hamiltonian over the
+whole step: however short the electronic time scale (attoseconds) is against
+the MD step (~100 attoseconds), one propagator covers it.
 """
 
 from __future__ import annotations
@@ -49,14 +50,11 @@ class SurfaceHopping:
         Index of the initially active (occupied frontier) state.
     rng:
         Random generator for the stochastic hop decisions.
-    substeps:
-        Number of electronic sub-steps per MD step.
     """
 
     energies: np.ndarray
     active_state: int
     rng: np.random.Generator
-    substeps: int = 100
     amplitudes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -66,8 +64,6 @@ class SurfaceHopping:
         n = self.energies.size
         if not (0 <= self.active_state < n):
             raise IndexError("active_state out of range")
-        if self.substeps < 1:
-            raise ValueError("substeps must be >= 1")
         self.amplitudes = np.zeros(n, dtype=np.complex128)
         self.amplitudes[self.active_state] = 1.0
 
@@ -114,14 +110,12 @@ class SurfaceHopping:
         if coupling.shape != (n, n):
             raise ValueError("coupling matrix has the wrong shape")
         hamiltonian = np.diag(self.energies.astype(np.complex128)) - 1j * coupling
-        sub_dt = dt / self.substeps
-        # Exact exponential of the (small) electronic Hamiltonian per sub-step;
-        # the matrix is a few tens of states at most so eig is cheap.
+        # Exact exponential of the (small) electronic Hamiltonian over the
+        # whole step, V diag(exp(-i lambda dt)) V^-1; the matrix is a few
+        # tens of states at most so eig is cheap.
         eigvals, eigvecs = np.linalg.eig(hamiltonian)
-        inv = np.linalg.inv(eigvecs)
-        propagator = eigvecs @ np.diag(np.exp(-1j * eigvals * sub_dt)) @ inv
-        for _ in range(self.substeps):
-            self.amplitudes = propagator @ self.amplitudes
+        propagator = (eigvecs * np.exp(-1j * eigvals * dt)) @ np.linalg.inv(eigvecs)
+        self.amplitudes = propagator @ self.amplitudes
         # Renormalise against the non-unitarity introduced by non-Hermitian
         # coupling asymmetries (finite-difference d_ij is only antisymmetric to
         # leading order).

@@ -26,7 +26,7 @@ from repro.qd.nlp_prop import NonlocalCorrection, nlp_prop
 from repro.qd.pseudopotential import NonlocalPseudopotential, GaussianProjector
 from repro.qd.xc import lda_exchange_correlation
 from repro.qd.hamiltonian import LocalHamiltonian
-from repro.qd.tddft import RealTimeTDDFT, TDDFTResult
+from repro.qd.tddft import RealTimeTDDFT
 
 __all__ = [
     "WaveFunctions",
@@ -40,5 +40,4 @@ __all__ = [
     "lda_exchange_correlation",
     "LocalHamiltonian",
     "RealTimeTDDFT",
-    "TDDFTResult",
 ]

@@ -24,10 +24,10 @@ when v_loc changes, and the occupations of all domains relax in one update.
 While telemetry is on, each call splits its time by kernel into the
 ``repro_qd_<kernel>_seconds`` histograms.
 
-The driver records the time series of dipole moment, cell-averaged current,
-occupation-resolved excitation numbers, and total energy, which is everything
-the analysis module needs for absorption spectra and everything XS-NNQMD needs
-for the excitation feedback.
+The engine steps and exposes its state; what a run records (dipole moment,
+cell-averaged current, excitation number, total energy, orbital norms) is
+defined once, by the ``tddft`` adapter's ``observe()`` in
+:mod:`repro.api.adapters`.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -47,34 +47,11 @@ from repro.qd.nlp_prop import NonlocalCorrection
 from repro.qd.occupations import OccupationState
 from repro.qd.wavefunctions import WaveFunctions
 from repro.telemetry import metrics as _telemetry
-from repro.utils.validation import validate_run_args
 
 #: The kernels a QD step is split into, each timed into
 #: ``repro_qd_<kernel>_seconds`` while telemetry is on.
 QD_KERNELS = ("v_loc_prop", "kin_prop", "nlp_prop", "vnl_prop", "hartree_xc",
               "occupations")
-
-
-@dataclass
-class TDDFTResult:
-    """Time series recorded during a real-time TDDFT run."""
-
-    times: np.ndarray
-    dipole: np.ndarray
-    current: np.ndarray
-    total_energy: np.ndarray
-    excitation: np.ndarray
-    norms: np.ndarray
-
-    def as_dict(self) -> dict:
-        return {
-            "times": self.times,
-            "dipole": self.dipole,
-            "current": self.current,
-            "total_energy": self.total_energy,
-            "excitation": self.excitation,
-            "norms": self.norms,
-        }
 
 
 def _untimed(_name: str):
@@ -356,45 +333,3 @@ class RealTimeTDDFT:
         )
         self.hamiltonian.load_potentials_state(state["potentials"])
         self._time = float(state["time"])
-
-    # ------------------------------------------------------------------
-    def run(self, num_steps: int, record_every: int = 1) -> TDDFTResult:
-        """Propagate ``num_steps`` QD steps, recording observables."""
-        validate_run_args(num_steps, record_every)
-        times: List[float] = []
-        dipoles: List[np.ndarray] = []
-        currents: List[np.ndarray] = []
-        energies: List[float] = []
-        excitations: List[float] = []
-        norms: List[np.ndarray] = []
-
-        def record() -> None:
-            weights = self.occupations.electrons_per_orbital()
-            density = self.wavefunctions.density(weights)
-            a_vec = self.vector_potential()
-            times.append(self._time)
-            dipoles.append(self.hamiltonian.dipole_moment(density))
-            currents.append(
-                self.hamiltonian.current_density_average(
-                    self.wavefunctions.psi, weights, a_vec
-                )
-            )
-            energies.append(
-                self.hamiltonian.total_energy(self.wavefunctions.psi, weights, a_vec)
-            )
-            excitations.append(self.occupations.excitation_number())
-            norms.append(self.wavefunctions.norms())
-
-        record()
-        for n in range(num_steps):
-            self.step(1)
-            if (n + 1) % record_every == 0:
-                record()
-        return TDDFTResult(
-            times=np.asarray(times),
-            dipole=np.asarray(dipoles),
-            current=np.asarray(currents),
-            total_energy=np.asarray(energies),
-            excitation=np.asarray(excitations),
-            norms=np.asarray(norms),
-        )

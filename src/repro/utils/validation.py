@@ -18,10 +18,10 @@ def require(condition: bool, message: str) -> None:
 
 
 def validate_run_args(num_steps: int, record_every: int = 1) -> None:
-    """Validate the step/record arguments every engine ``run()`` accepts.
+    """Validate the step/record arguments of a run or a multi-step call.
 
-    All engines raise the same ``ValueError`` text so callers (and the
-    adapter layer in :mod:`repro.api`) can rely on one contract:
+    The adapter run loop (:mod:`repro.api`) and the MD integrators' ``step``
+    raise the same ``ValueError`` text, so callers can rely on one contract:
     ``num_steps`` — the number of native steps/exchanges — and
     ``record_every`` — the recording stride — must both be at least 1.
     """

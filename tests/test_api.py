@@ -207,22 +207,25 @@ class TestEngineProtocol:
 
 
 # ----------------------------------------------------------------------
-# Unified run() validation on the engines themselves
+# Unified run() validation: the adapter loop, and the MD integrators' step
 # ----------------------------------------------------------------------
+def _assert_run_args_validated(name):
+    spec = smoke_spec(name)
+    with pytest.raises(ValueError, match="num_steps must be >= 1"):
+        run_scenario(spec, num_steps=0)
+    with pytest.raises(ValueError, match="record_every must be >= 1"):
+        run_scenario(spec, num_steps=1, record_every=0)
+
+
 class TestRunArgumentValidation:
     def test_maxwell_run(self):
-        from repro.maxwell import Maxwell1D
-
-        solver = Maxwell1D(num_points=10, dx=200.0, dt=1.0)
-        with pytest.raises(ValueError, match="num_steps must be >= 1"):
-            solver.run(0)
+        _assert_run_args_validated("maxwell-vacuum")
 
     def test_localmode_run(self):
-        from repro.md.localmode import LocalModeLattice, LocalModeModel
+        _assert_run_args_validated("localmode-switch")
 
-        lattice = LocalModeLattice(np.zeros((3, 3, 1, 3)), LocalModeModel())
-        with pytest.raises(ValueError, match="num_steps must be >= 1"):
-            lattice.run(0, dt=0.5)
+    def test_mlmd_run(self):
+        _assert_run_args_validated("mlmd-photoswitch")
 
     def test_velocity_verlet_step(self, argon_fcc):
         from repro.md.forcefields import LennardJones
@@ -238,22 +241,11 @@ class TestRunArgumentValidation:
         with pytest.raises(ValueError, match="num_steps must be >= 1"):
             langevin.step(argon_fcc, 0)
 
-    def test_mlmd_run(self):
-        from repro.core import MLMDPipeline
-
-        pipeline = MLMDPipeline(supercell_repeats=(4, 4, 1))
-        pipeline.prepare_ground_state(relax_steps=1)
-        with pytest.raises(ValueError, match="num_steps must be >= 1"):
-            pipeline.run_excited_dynamics(0.0, num_steps=0)
-        with pytest.raises(ValueError, match="record_every must be >= 1"):
-            pipeline.run_excited_dynamics(0.0, num_steps=1, record_every=0)
-
 
 def test_mlmd_computes_each_topological_charge_once(monkeypatch):
     """The relaxed texture's charge is computed once (initial label,
-    pipeline and first record share it), and so is the final one (last
+    metadata and first record share it), and so is the final one (last
     record and final label): one charged layer per distinct texture."""
-    import repro.core.mlmd as mlmd_module
     import repro.topology.analysis as analysis_module
     import repro.topology.charge as charge_module
 
@@ -265,7 +257,7 @@ def test_mlmd_computes_each_topological_charge_once(monkeypatch):
         layers.append(int(np.prod(texture.shape[:-3], dtype=int)))
         return real(texture)
 
-    for module in (charge_module, analysis_module, mlmd_module):
+    for module in (charge_module, analysis_module):
         monkeypatch.setattr(module, "topological_charge", counting)
     result = run_scenario(smoke_spec("mlmd-photoswitch", num_steps=4),
                           workspace=KernelWorkspace())

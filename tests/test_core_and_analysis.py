@@ -5,6 +5,7 @@ import pytest
 
 from repro.analysis import absorption_spectrum, dipole_strength_function, energy_drift, norm_drift
 from repro.analysis.spectra import peak_frequencies
+from repro.api import default_registry, run_scenario
 from repro.core import (
     DCRDecomposition,
     HardwareUnit,
@@ -71,36 +72,43 @@ class TestMSA:
             msa.combine_forces(np.zeros((5, 3)), np.ones((2, 3)), np.ones((3, 3)), np.array([0, 1]))
 
 
+def _photoswitch(excitation_fraction):
+    """The Fig. 3 run: a 2x2 skyrmion superlattice on 20x20x1 cells,
+    relaxed for 200 steps, then 250 excited-state steps."""
+    spec = default_registry().get("mlmd-photoswitch").with_overrides({
+        "material.repeats": [20, 20, 1],
+        "material.skyrmions_per_axis": [2, 2],
+        "propagator.relax_steps": 200,
+        "propagator.excitation_fraction": excitation_fraction,
+    })
+    return run_scenario(spec, num_steps=250, record_every=5)
+
+
 class TestMLMDPipeline:
     @pytest.fixture(scope="class")
     def results(self):
-        pumped = MLMDPipeline(
-            supercell_repeats=(20, 20, 1), skyrmions_per_axis=(2, 2),
-            rng=np.random.default_rng(0),
-        ).run(excitation_fraction=0.8, num_steps=250)
-        dark = MLMDPipeline(
-            supercell_repeats=(20, 20, 1), skyrmions_per_axis=(2, 2),
-            rng=np.random.default_rng(0),
-        ).run(excitation_fraction=0.0, num_steps=250)
-        return pumped, dark
+        return _photoswitch(0.8), _photoswitch(0.0)
 
     def test_initial_texture_is_topological(self, results):
         pumped, dark = results
-        assert pumped.initial_label == "skyrmion"
-        assert abs(pumped.topological_charge[0]) == pytest.approx(4.0, abs=0.2)
-        assert abs(dark.topological_charge[0]) == pytest.approx(4.0, abs=0.2)
+        assert pumped.metadata["initial_label"] == "skyrmion"
+        assert abs(pumped.observables["topological_charge"][0]) == pytest.approx(4.0, abs=0.2)
+        assert abs(dark.observables["topological_charge"][0]) == pytest.approx(4.0, abs=0.2)
 
     def test_pumped_run_switches_dark_run_does_not(self, results):
         pumped, dark = results
-        assert pumped.switched
-        assert not dark.switched
-        assert abs(dark.topological_charge[-1]) > 0.5 * abs(dark.topological_charge[0])
-        assert abs(pumped.topological_charge[-1]) < 0.5 * abs(pumped.topological_charge[0])
+        pumped_charge = pumped.observables["topological_charge"]
+        dark_charge = dark.observables["topological_charge"]
+        assert pumped.metadata["switching_time_fs"] is not None
+        assert dark.metadata["switching_time_fs"] is None
+        assert abs(dark_charge[-1]) > 0.5 * abs(dark_charge[0])
+        assert abs(pumped_charge[-1]) < 0.5 * abs(pumped_charge[0])
 
     def test_excitation_decays_over_time(self, results):
         pumped, _ = results
-        assert pumped.excitation_fraction[0] == pytest.approx(0.8)
-        assert pumped.excitation_fraction[-1] < pumped.excitation_fraction[0]
+        fraction = pumped.observables["excitation_fraction"]
+        assert fraction[0] == pytest.approx(0.8)
+        assert fraction[-1] < fraction[0]
 
     def test_excitation_helpers(self):
         pipeline = MLMDPipeline(rng=np.random.default_rng(1))
@@ -110,11 +118,6 @@ class TestMLMDPipeline:
         assert fraction == pytest.approx(0.3)
         with pytest.raises(ValueError):
             pipeline.excitation_from_dcmesh(np.array([]), 10.0)
-
-    def test_requires_preparation_before_dynamics(self):
-        pipeline = MLMDPipeline(rng=np.random.default_rng(2))
-        with pytest.raises(RuntimeError):
-            pipeline.run_excited_dynamics(0.5)
 
 
 class TestAnalysis:

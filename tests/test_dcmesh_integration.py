@@ -3,100 +3,75 @@
 import numpy as np
 import pytest
 
+from repro.api import build_engine, default_registry, run_scenario
 from repro.dc import DCMESHSimulation
-from repro.grid import Grid3D
-from repro.maxwell import GaussianPulse, Maxwell1D, MaxwellCoupler
-from repro.qd import LocalHamiltonian, OccupationState, RealTimeTDDFT
-from repro.qd.hamiltonian import gaussian_external_potential
-from repro.scf import KohnShamSolver
-from repro.units import SPEED_OF_LIGHT_AU
+from repro.perf.workspace import KernelWorkspace
+
+#: Long enough for the pulse to cross both domains.
+EXCHANGES = 80
 
 
 @pytest.fixture(scope="module")
-def dcmesh_setup():
-    """Two tiny DC domains coupled to a 1-D Maxwell window with a strong pulse."""
-    qd_dt = 0.1
-    qd_steps_per_exchange = 5
-    maxwell_dt = qd_dt * qd_steps_per_exchange
-    dx = 1.05 * SPEED_OF_LIGHT_AU * maxwell_dt  # satisfy the CFL condition
-    solver = Maxwell1D(num_points=60, dx=dx, dt=maxwell_dt)
-    domain_positions = [15.0 * dx, 35.0 * dx]
-    coupler = MaxwellCoupler(solver, domain_positions)
-
-    engines = []
-    for _ in range(2):
-        grid = Grid3D((6, 6, 6), (8.0, 8.0, 8.0))
-        vext = gaussian_external_potential(grid, [[4.0, 4.0, 4.0]], [3.0], [1.2])
-        hamiltonian = LocalHamiltonian(grid, vext)
-        scf = KohnShamSolver(
-            hamiltonian, n_electrons=2, n_orbitals=3, max_iterations=20, tolerance=1e-4
-        ).run()
-        engines.append(
-            RealTimeTDDFT(
-                hamiltonian,
-                scf.wavefunctions.copy(),
-                OccupationState.ground_state(3, 2.0),
-                dt=qd_dt,
-                update_potentials_every=5,
-                occupation_decoherence_rate=2.0,
-            )
-        )
-    pulse = GaussianPulse(e0=0.08, omega=0.4, t0=6 * maxwell_dt, sigma=3 * maxwell_dt)
-    simulation = DCMESHSimulation(
-        domain_engines=engines,
-        coupler=coupler,
-        pulse=pulse,
-        qd_steps_per_exchange=qd_steps_per_exchange,
-    )
-    return simulation
+def dcmesh_run():
+    """Two tiny DC domains coupled to a 1-D Maxwell window with a strong
+    pulse (``dcmesh-pulse``), run for EXCHANGES exchanges: the adapter and
+    its result."""
+    spec = default_registry().get("dcmesh-pulse")
+    engine = build_engine(spec, workspace=KernelWorkspace())
+    result = engine.run(num_steps=EXCHANGES, record_every=1)
+    return engine, result
 
 
 class TestDCMESH:
-    def test_run_produces_consistent_time_series(self, dcmesh_setup):
-        result = dcmesh_setup.run(num_exchanges=40)
-        assert result.times.shape == (41,)
-        assert result.vector_potential_at_domains.shape == (41, 2)
-        assert result.domain_excitations.shape == (41, 2)
+    def test_run_produces_consistent_time_series(self, dcmesh_run):
+        _, result = dcmesh_run
+        assert result.times.shape == (EXCHANGES + 1,)
+        assert result.observables["vector_potential"].shape == (EXCHANGES + 1, 2)
+        assert result.observables["domain_excitations"].shape == (EXCHANGES + 1, 2)
         assert np.all(np.diff(result.times) > 0)
 
-    def test_pulse_reaches_domains_and_excites_electrons(self, dcmesh_setup):
-        result = dcmesh_setup.run(num_exchanges=40)
+    def test_pulse_reaches_domains_and_excites_electrons(self, dcmesh_run):
+        _, result = dcmesh_run
+        excitations = result.observables["domain_excitations"]
         # The vector potential sampled at the first domain must become nonzero
         # once the pulse has propagated there.
-        assert np.max(np.abs(result.vector_potential_at_domains[:, 0])) > 1e-4
+        assert np.max(np.abs(result.observables["vector_potential"][:, 0])) > 1e-4
         # The laser drives a nonzero current and a nonzero photo-excitation.
-        assert np.max(np.abs(result.domain_currents)) > 0
-        assert np.all(result.final_excitations >= 0.0)
-        assert np.max(result.domain_excitations) > 1e-6
+        assert np.max(np.abs(result.observables["domain_currents"])) > 0
+        assert np.all(excitations[-1] >= 0.0)
+        assert np.max(excitations) > 1e-6
 
-    def test_upstream_domain_sees_pulse_first(self, dcmesh_setup):
-        result = dcmesh_setup.run(num_exchanges=40)
-        a = np.abs(result.vector_potential_at_domains)
+    def test_upstream_domain_sees_pulse_first(self, dcmesh_run):
+        _, result = dcmesh_run
+        a = np.abs(result.observables["vector_potential"])
         threshold = 0.25 * a.max()
+        assert np.all(np.any(a > threshold, axis=0))  # it reaches both
         first_arrival = [int(np.argmax(a[:, d] > threshold)) for d in range(2)]
         assert first_arrival[0] <= first_arrival[1]
 
-    def test_gather_excitations_matches_engines(self, dcmesh_setup):
-        gathered = dcmesh_setup.gather_excitations()
+    def test_gather_excitations_matches_engines(self, dcmesh_run):
+        simulation = dcmesh_run[0].simulation
+        gathered = simulation.gather_excitations()
         manual = np.array(
-            [e.occupations.excitation_number() for e in dcmesh_setup.domain_engines]
+            [e.occupations.excitation_number() for e in simulation.domain_engines]
         )
         assert np.allclose(gathered, manual)
 
-    def test_configuration_validation(self, dcmesh_setup):
+    def test_configuration_validation(self, dcmesh_run):
+        simulation = dcmesh_run[0].simulation
         with pytest.raises(ValueError):
             DCMESHSimulation(
-                domain_engines=dcmesh_setup.domain_engines[:1],
-                coupler=dcmesh_setup.coupler,
-                pulse=dcmesh_setup.pulse,
+                domain_engines=simulation.domain_engines[:1],
+                coupler=simulation.coupler,
+                pulse=simulation.pulse,
                 qd_steps_per_exchange=5,
             )
         with pytest.raises(ValueError):
             DCMESHSimulation(
-                domain_engines=dcmesh_setup.domain_engines,
-                coupler=dcmesh_setup.coupler,
-                pulse=dcmesh_setup.pulse,
+                domain_engines=simulation.domain_engines,
+                coupler=simulation.coupler,
+                pulse=simulation.pulse,
                 qd_steps_per_exchange=7,  # inconsistent with the Maxwell dt
             )
         with pytest.raises(ValueError):
-            dcmesh_setup.run(0)
+            run_scenario(default_registry().get("dcmesh-pulse"), num_steps=0)

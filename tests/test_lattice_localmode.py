@@ -135,7 +135,8 @@ class TestLocalModeModel:
         modes = np.zeros((4, 4, 1, 3))
         modes[..., 2] = 1.0
         lattice = LocalModeLattice(modes, model)
-        lattice.run(400, dt=1.0, excitation_weight=0.9, damping=0.3)
+        for _ in range(400):
+            lattice.step(1.0, excitation_weight=0.9, damping=0.3)
         assert np.max(np.abs(lattice.modes)) < 0.2
 
     def test_energy_conservation_without_damping(self):
@@ -359,8 +360,6 @@ class TestOneForcePerStep:
         before = lattice.modes.copy()
         with pytest.raises(ValueError, match="rng"):
             lattice.step(0.5, noise_amplitude=0.01)
-        with pytest.raises(ValueError, match="rng"):
-            lattice.run(3, 0.5, noise_amplitude=0.01)
         assert _same(lattice.modes, before)  # refused before stepping
 
 

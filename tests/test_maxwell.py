@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import default_registry, run_scenario
 from repro.maxwell import (
     GaussianPulse,
     Maxwell1D,
@@ -65,7 +66,8 @@ class TestMaxwell1D:
         pulse = GaussianPulse(e0=0.05, omega=0.4, t0=20 * dt, sigma=6 * dt)
         source = solver.inject_pulse(pulse, entry_index=5)
         num_steps = 250
-        solver.run(num_steps, boundary_source=source, source_index=5)
+        for _ in range(num_steps):
+            solver.step(boundary_source=source, source_index=5)
         profile = np.abs(solver.vector_potential())
         peak_index = int(np.argmax(profile))
         expected = 5 + SPEED_OF_LIGHT_AU * (num_steps * dt - 20 * dt) / dx
@@ -73,16 +75,21 @@ class TestMaxwell1D:
         assert profile.max() > 1e-4
 
     def test_field_energy_positive_and_decays_after_absorption(self):
-        dx = 5.0
-        dt = 0.8 * dx / SPEED_OF_LIGHT_AU
-        solver = Maxwell1D(num_points=120, dx=dx, dt=dt)
-        pulse = GaussianPulse(e0=0.05, omega=0.5, t0=15 * dt, sigma=4 * dt)
-        source = solver.inject_pulse(pulse)
-        solver.run(60, boundary_source=source)
-        mid_energy = solver.field_energy()
+        dt = 0.8 * 5.0 / SPEED_OF_LIGHT_AU  # dx = 5 Bohr at Courant number 0.8
+        spec = default_registry().get("maxwell-vacuum").with_overrides({
+            "propagator.maxwell_points": 120,
+            "propagator.maxwell_courant": 0.8,
+            "propagator.dt": dt,
+            "pulse.e0": 0.05, "pulse.omega": 0.5,
+            "pulse.t0": 15 * dt, "pulse.sigma": 4 * dt,
+        })
+        # Recorded at step 60 and after 400 more, once the pulse has left
+        # through the absorbing boundary.
+        energy = run_scenario(spec, num_steps=460, record_every=20
+                              ).observables["field_energy"]
+        mid_energy = energy[60 // 20]
         assert mid_energy > 0
-        solver.run(400)  # pulse leaves through the absorbing boundary
-        assert solver.field_energy() < 0.05 * mid_energy
+        assert energy[-1] < 0.05 * mid_energy
 
     def test_current_source_generates_field(self):
         dx = 2.0

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.conservation import momentum_drift
+from repro.api import default_registry, run_scenario
 from repro.md import (
     AtomsSystem,
     HarmonicWells,
@@ -261,11 +262,11 @@ class TestForceFields:
 
 
 class TestIntegrators:
-    def test_velocity_verlet_conserves_energy(self, argon_fcc, rng):
-        argon_fcc.set_temperature(30.0, rng)
-        integrator = VelocityVerlet(LennardJones(), dt=2.0)
-        snapshots = integrator.run(argon_fcc, 100)
-        energies = np.array([s.total_energy for s in snapshots])
+    def test_velocity_verlet_conserves_energy(self):
+        # md-nve: the 2x2x2 FCC argon crystal at 30 K, dt = 2 fs.
+        result = run_scenario(default_registry().get("md-nve"),
+                              num_steps=100, record_every=1)
+        energies = result.observables["total_energy"][1:]
         assert (energies.max() - energies.min()) / abs(energies[0]) < 5e-3
 
     def test_velocity_verlet_conserves_momentum(self, argon_fcc, rng):
@@ -300,14 +301,16 @@ class TestIntegrators:
         assert abs(positions[-1] - 5.5) < 0.05
 
     def test_langevin_thermalises_to_target(self, argon_fcc):
+        # Starts cold, which a scenario (thermalised at its target) cannot.
         rng = np.random.default_rng(11)
         integrator = LangevinIntegrator(
             LennardJones(), dt=4.0, temperature_k=60.0, friction=0.05, rng=rng
         )
-        for _ in range(30):
-            integrator.step(argon_fcc, 5)
-        temps = [s.temperature for s in integrator.history[-50:]]
-        assert np.mean(temps) == pytest.approx(60.0, rel=0.4)
+        temps = []
+        for _ in range(150):
+            integrator.step(argon_fcc)
+            temps.append(argon_fcc.temperature())
+        assert np.mean(temps[-50:]) == pytest.approx(60.0, rel=0.4)
 
     def test_invalid_parameters(self, argon_fcc):
         with pytest.raises(ValueError):
@@ -315,3 +318,31 @@ class TestIntegrators:
         with pytest.raises(ValueError):
             LangevinIntegrator(LennardJones(), dt=1.0, temperature_k=-5.0, friction=0.1,
                                rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("name", ["md-nve", "md-langevin"])
+    def test_run_evaluates_the_force_field_once_per_step_plus_one(
+            self, name, monkeypatch):
+        """N steps cost N + 1 force-field calls: the step-0 record evaluates
+        the energy together with the forces the first step uses, and every
+        later record reads the energy its step computed.  A resumed run keeps
+        the checkpoint's forces: its remaining steps cost one call each."""
+        calls = []
+        compute = LennardJones.compute
+
+        def counting(self, atoms, neighbor_list=None):
+            calls.append(None)
+            return compute(self, atoms, neighbor_list)
+
+        monkeypatch.setattr(LennardJones, "compute", counting)
+        spec = default_registry().get(name)
+        num_steps = spec.runtime.num_steps
+        for record_every in (1, spec.runtime.record_every):
+            calls.clear()
+            run_scenario(spec, record_every=record_every)
+            assert len(calls) == num_steps + 1
+        checkpoints = []
+        run_scenario(spec, num_steps=num_steps // 2, checkpoint_every=1,
+                     on_checkpoint=checkpoints.append)
+        calls.clear()
+        run_scenario(spec, resume_from=checkpoints[-1])
+        assert len(calls) == num_steps - num_steps // 2

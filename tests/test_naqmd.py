@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from repro.api import build_engine, default_registry
 from repro.grid import Grid3D
 from repro.naqmd import (
     EhrenfestForces,
@@ -12,9 +14,8 @@ from repro.naqmd import (
     nonadiabatic_coupling_matrix,
 )
 from repro.naqmd.nonadiabatic import coupling_strength
-from repro.qd import LocalHamiltonian, OccupationState, RealTimeTDDFT, WaveFunctions
-from repro.qd.hamiltonian import gaussian_external_potential
-from repro.scf import KohnShamSolver
+from repro.perf.workspace import KernelWorkspace
+from repro.qd import OccupationState, WaveFunctions
 
 
 class TestNonadiabaticCoupling:
@@ -54,7 +55,7 @@ class TestSurfaceHopping:
     def test_strong_coupling_transfers_population(self, rng):
         energies = np.array([0.0, 0.001])
         coupling = np.array([[0.0, 0.5], [-0.5, 0.0]])
-        sh = SurfaceHopping(energies, active_state=0, rng=rng, substeps=200)
+        sh = SurfaceHopping(energies, active_state=0, rng=rng)
         sh.step(coupling, dt=2.0)
         populations = sh.populations()
         assert populations[1] > 0.1
@@ -65,7 +66,7 @@ class TestSurfaceHopping:
         energies = np.array([0.0, 0.002])
         coupling = np.array([[0.0, 0.4], [-0.4, 0.0]])
         occupations = OccupationState.ground_state(2, 2.0)
-        sh = SurfaceHopping(energies, active_state=0, rng=rng, substeps=100)
+        sh = SurfaceHopping(energies, active_state=0, rng=rng)
         hopped = False
         for _ in range(50):
             result = sh.step(coupling, dt=1.0, occupations=occupations, kinetic_energy=1.0)
@@ -79,11 +80,28 @@ class TestSurfaceHopping:
         rng = np.random.default_rng(5)
         energies = np.array([0.0, 5.0])  # huge upward gap
         coupling = np.array([[0.0, 0.6], [-0.6, 0.0]])
-        sh = SurfaceHopping(energies, active_state=0, rng=rng, substeps=50)
+        sh = SurfaceHopping(energies, active_state=0, rng=rng)
         for _ in range(50):
             result = sh.step(coupling, dt=1.0, kinetic_energy=0.0)
             assert result.active_state == 0  # never allowed to hop up
         assert True
+
+    @pytest.mark.parametrize("dt", [0.05, 2.0, 4.13])
+    def test_one_step_is_the_exact_exponential(self, dt):
+        """One MD step applies expm(-i H dt) to the amplitudes, then
+        renormalises, with H = diag(eps) - i d (a slightly non-anti-Hermitian
+        finite-difference coupling, as MESH produces)."""
+        rng = np.random.default_rng(7)
+        energies = np.array([-0.4, 0.1, 0.35])
+        raw = 0.3 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        coupling = raw - raw.conj().T + 0.01 * rng.standard_normal((3, 3))
+        sh = SurfaceHopping(energies, active_state=1, rng=rng)
+        sh.amplitudes = np.array([0.6, 0.7j, 0.2 - 0.3j])
+        hamiltonian = np.diag(energies) - 1j * coupling
+        expected = scipy.linalg.expm(-1j * hamiltonian * dt) @ sh.amplitudes
+        expected /= np.linalg.norm(expected)
+        sh.step(coupling, dt)
+        np.testing.assert_allclose(sh.amplitudes, expected, rtol=0, atol=1e-12)
 
     def test_probabilities_clipped_to_unit_interval(self, rng):
         sh = SurfaceHopping(np.array([0.0, 0.1]), active_state=0, rng=rng)
@@ -149,45 +167,39 @@ class TestEhrenfestForces:
 
 class TestMESHIntegrator:
     @pytest.fixture(scope="class")
-    def mesh(self):
-        grid = Grid3D((6, 6, 6), (8.0, 8.0, 8.0))
-        position = np.array([[4.0, 4.0, 4.0]])
-        force_model = EhrenfestForces(grid, depths=[3.0], widths=[1.2], charges=[2.0])
-        hamiltonian = LocalHamiltonian(grid, force_model.external_potential(position))
-        scf = KohnShamSolver(
-            hamiltonian, n_electrons=2, n_orbitals=3, max_iterations=25, tolerance=1e-4
-        ).run()
-        engine = RealTimeTDDFT(
-            hamiltonian, scf.wavefunctions.copy(),
-            OccupationState.ground_state(3, 2.0), dt=0.2,
-            update_potentials_every=5,
-        )
-        sh = SurfaceHopping(scf.eigenvalues, active_state=0, rng=np.random.default_rng(0), substeps=20)
-        return MESHIntegrator(
-            tddft=engine,
-            forces=force_model,
-            positions=position,
-            velocities=np.zeros((1, 3)),
-            masses=np.array([50000.0]),
-            md_dt=2.0,
-            qd_substeps=10,
-            surface_hopping=sh,
-        )
+    def mesh_run(self):
+        """One ion in a 6^3 box under MESH with surface hopping, field-free,
+        run for three MD steps of 2.0 a.u.: the adapter and its result."""
+        spec = default_registry().get("mesh-hopping").with_overrides({
+            "material.centers": [[4.0, 4.0, 4.0]],
+            "material.depths": [3.0],
+            "material.widths": [1.2],
+            "material.charges": [2.0],
+            "material.masses": [50000.0],
+            "material.scf_max_iterations": 25,
+            "pulse.kind": "none",
+            "propagator.dt": 0.2,
+            "propagator.qd_substeps": 10,
+            "propagator.update_potentials_every": 5,
+            "propagator.occupation_decoherence_rate": 0.0,
+        })
+        engine = build_engine(spec, workspace=KernelWorkspace())
+        return engine, engine.run(num_steps=3, record_every=1)
 
-    def test_step_produces_consistent_record(self, mesh):
-        result = mesh.step()
-        assert result.time == pytest.approx(2.0)
-        assert result.positions.shape == (1, 3)
-        assert np.isfinite(result.total_energy)
-        assert result.excitation_number >= 0.0
+    def test_step_produces_consistent_record(self, mesh_run):
+        _, result = mesh_run
+        assert result.times[1] == pytest.approx(2.0)
+        assert result.observables["positions"][1].shape == (1, 3)
+        assert np.isfinite(result.observables["total_energy"][1])
+        assert result.observables["excitation"][1] >= 0.0
 
-    def test_run_advances_time_and_history(self, mesh):
-        results = mesh.run(2)
-        assert len(results) == 2
-        assert len(mesh.history) >= 3
-        assert results[-1].time > results[0].time
+    def test_run_advances_time_and_history(self, mesh_run):
+        _, result = mesh_run
+        assert result.num_records == 4  # the initial state and three steps
+        assert np.all(np.diff(result.times) > 0)
 
-    def test_time_step_consistency_enforced(self, mesh):
+    def test_time_step_consistency_enforced(self, mesh_run):
+        mesh = mesh_run[0].integrator
         with pytest.raises(ValueError):
             MESHIntegrator(
                 tddft=mesh.tddft,

@@ -10,7 +10,7 @@
 * The cached local half-step phase against every writer of v_loc.
 * Kernel timing (telemetry on) against the untimed step, bit for bit.
 * Exact counts: no FFT in a DC-MESH exchange or a MESH step, at most D
-  kinetic-operator builds per exchange; MESH ``advance`` == ``step``.
+  kinetic-operator builds per exchange.
 """
 
 import numpy as np
@@ -198,6 +198,23 @@ def _domains(ground_state, num_domains):
     return engines, coupler, pulse
 
 
+def _exchange_series(simulation, exchanges):
+    """Step ``simulation`` through ``exchanges`` exchanges; after each, the
+    sampled A, the currents, the excitations and the dipoles per domain."""
+    series = {"a": [], "currents": [], "excitations": [], "dipoles": []}
+    for _ in range(exchanges):
+        simulation.step_exchange()
+        series["a"].append(simulation.sampled_vector_potential)
+        series["currents"].append(simulation.domain_currents())
+        series["excitations"].append(simulation.gather_excitations())
+        series["dipoles"].append([
+            engine.hamiltonian.dipole_moment(engine.wavefunctions.density(
+                engine.occupations.electrons_per_orbital()))
+            for engine in simulation.domain_engines
+        ])
+    return {name: np.array(values) for name, values in series.items()}
+
+
 def _run_looped(engines, coupler, pulse):
     """The per-domain exchange loop: each engine stepped on its own."""
     source = coupler.solver.inject_pulse(pulse)
@@ -235,14 +252,14 @@ def test_stacked_exchange_is_bit_identical_to_domain_loop(ground_state, num_doma
     engines, coupler, pulse = _domains(ground_state, num_domains)
     stacked = DCMESHSimulation(engines, coupler, pulse,
                                qd_steps_per_exchange=QD_STEPS_PER_EXCHANGE)
-    result = stacked.run(EXCHANGES)
+    result = _exchange_series(stacked, EXCHANGES)
     ref_engines, ref_coupler, ref_pulse = _domains(ground_state, num_domains)
     a_ref, currents_ref, excitations_ref = _run_looped(
         ref_engines, ref_coupler, ref_pulse)
 
-    np.testing.assert_array_equal(result.vector_potential_at_domains[1:], a_ref)
-    np.testing.assert_array_equal(result.domain_currents[1:], currents_ref)
-    np.testing.assert_array_equal(result.domain_excitations[1:], excitations_ref)
+    np.testing.assert_array_equal(result["a"], a_ref)
+    np.testing.assert_array_equal(result["currents"], currents_ref)
+    np.testing.assert_array_equal(result["excitations"], excitations_ref)
     for engine, ref in zip(engines, ref_engines):
         np.testing.assert_array_equal(engine.wavefunctions.psi, ref.wavefunctions.psi)
         np.testing.assert_array_equal(engine.occupations.occupations,
@@ -253,7 +270,7 @@ def test_stacked_exchange_is_bit_identical_to_domain_loop(ground_state, num_doma
     assert np.max(np.abs(currents_ref)) > 0.0
     if num_domains > 1:
         # A domain mix-up can only show where the domains' fields differ.
-        a = result.vector_potential_at_domains
+        a = result["a"]
         differing = np.any(a != a[:, :1], axis=1)
         assert differing.sum() >= EXCHANGES // 2
 
@@ -274,15 +291,14 @@ def test_kernel_timing_leaves_the_step_bit_identical(ground_state,
             grid, [GaussianProjector((4.0, 4.0, 4.0), 0.8, 0.5)])
         simulation = DCMESHSimulation(
             engines, coupler, pulse, qd_steps_per_exchange=QD_STEPS_PER_EXCHANGE)
-        runs[timed] = (simulation.run(exchanges), engines)
+        runs[timed] = (_exchange_series(simulation, exchanges), engines)
         if not timed:
             assert not any(name.startswith("repro_qd_")
                            for name in telemetry.snapshot()["histograms"])
 
     (untimed, plain), (timed, engines) = runs[False], runs[True]
-    for name in ("vector_potential_at_domains", "domain_currents",
-                 "domain_excitations", "dipoles"):
-        np.testing.assert_array_equal(getattr(timed, name), getattr(untimed, name))
+    for name in ("a", "currents", "excitations", "dipoles"):
+        np.testing.assert_array_equal(timed[name], untimed[name])
     for engine, ref in zip(engines, plain):
         np.testing.assert_array_equal(engine.wavefunctions.psi, ref.wavefunctions.psi)
         np.testing.assert_array_equal(engine.hamiltonian.hartree,
@@ -490,30 +506,5 @@ def test_mesh_step_runs_no_fft(fft_calls):
     engine.prepare()
     fft_calls.clear()
     engine.step(3)
-    engine.integrator.step()  # the recording step, total energy included
+    engine.record()  # the recording observation, total energy included
     assert fft_calls == []
-
-
-def test_mesh_advance_and_step_leave_identical_state():
-    spec = default_registry().get("mesh-hopping")
-    advanced, stepped = (build_engine(spec, workspace=KernelWorkspace())
-                         for _ in range(2))
-    for engine in (advanced, stepped):
-        engine.prepare()
-    for _ in range(spec.runtime.num_steps):
-        advanced.integrator.advance()
-        result = stepped.integrator.step()
-        assert np.isfinite(result.total_energy)
-    a, b = advanced.integrator, stepped.integrator
-    assert advanced.integrator.history == []
-    assert len(b.history) == spec.runtime.num_steps
-    assert a.time == b.time
-    for name in ("positions", "velocities", "_current_forces"):
-        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-    np.testing.assert_array_equal(a.tddft.wavefunctions.psi,
-                                  b.tddft.wavefunctions.psi)
-    np.testing.assert_array_equal(a.tddft.occupations.occupations,
-                                  b.tddft.occupations.occupations)
-    np.testing.assert_array_equal(a.surface_hopping.amplitudes,
-                                  b.surface_hopping.amplitudes)
-    assert a.surface_hopping.active_state == b.surface_hopping.active_state

@@ -4,15 +4,10 @@ import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.api import default_registry, run_scenario
 from repro.grid import Grid3D
-from repro.maxwell import GaussianPulse
-from repro.qd import (
-    LocalHamiltonian,
-    NonlocalCorrection,
-    OccupationState,
-    RealTimeTDDFT,
-    WaveFunctions,
-)
+from repro.perf.workspace import KernelWorkspace
+from repro.qd import LocalHamiltonian, OccupationState, RealTimeTDDFT, WaveFunctions
 from repro.qd.hamiltonian import gaussian_external_potential
 from repro.scf import KohnShamSolver, lowest_eigenstates
 from repro.analysis import energy_drift, norm_drift
@@ -136,71 +131,85 @@ class TestSCF:
             KohnShamSolver(ham, n_electrons=2, mixing=0.0)
 
 
+#: The ``scf_result`` system as a ``tddft`` scenario: one well, two
+#: electrons in three orbitals, dt = 0.05, field-free.
+TDDFT_OVERRIDES = {
+    "material.centers": [[4.0, 4.0, 4.0]],
+    "material.depths": [3.0],
+    "material.widths": [1.2],
+    "material.n_electrons": 2.0,
+    "material.n_orbitals": 3,
+    "pulse.kind": "none",
+    "propagator.dt": 0.05,
+    "propagator.update_potentials_every": 1,
+    "propagator.occupation_decoherence_rate": 0.0,
+    "propagator.scissors_shift": 0.0,
+}
+
+
+def _tddft_run(num_steps, record_every=1, workspace=None, **overrides):
+    """A ``tddft`` run of the fixture system; the ground state is solved
+    once per ``workspace`` and served from its cache afterwards."""
+    spec = default_registry().get("quickstart-tddft").with_overrides({
+        **TDDFT_OVERRIDES,
+        "runtime.num_steps": num_steps,
+        "runtime.record_every": record_every,
+        **overrides,
+    })
+    return run_scenario(spec, workspace=workspace).observables
+
+
+def _pulse(e0):
+    return {"pulse.kind": "gaussian", "pulse.e0": e0, "pulse.omega": 0.4,
+            "pulse.t0": 0.5, "pulse.sigma": 0.3}
+
+
 class TestRealTimeTDDFT:
-    def _make_engine(self, scf_result, **kwargs):
-        hamiltonian, result = scf_result
-        occupations = OccupationState.ground_state(result.occupations.n_orbitals, 2.0)
-        return RealTimeTDDFT(
-            hamiltonian,
-            result.wavefunctions.copy(),
-            occupations,
-            dt=0.05,
-            **kwargs,
-        )
+    @pytest.fixture(scope="class")
+    def workspace(self):
+        return KernelWorkspace()
 
-    def test_field_free_propagation_conserves_norm_and_energy(self, scf_result):
-        engine = self._make_engine(scf_result, update_potentials_every=2)
-        out = engine.run(20, record_every=5)
-        assert norm_drift(out.norms) < 1e-8
-        assert energy_drift(out.total_energy) < 1e-4
-        assert np.allclose(out.excitation, 0.0)
+    def test_field_free_propagation_conserves_norm_and_energy(self, workspace):
+        out = _tddft_run(20, record_every=5, workspace=workspace, **{
+            "propagator.update_potentials_every": 2})
+        assert norm_drift(out["norms"]) < 1e-8
+        assert energy_drift(out["total_energy"]) < 1e-4
+        assert np.allclose(out["excitation"], 0.0)
 
-    def test_laser_pulse_deposits_energy_and_excites(self, scf_result):
-        pulse = GaussianPulse(e0=0.05, omega=0.4, t0=0.5, sigma=0.3)
-        engine = self._make_engine(
-            scf_result,
-            field_callback=lambda t: pulse.vector_potential(t).reshape(3),
-            update_potentials_every=2,
-            occupation_decoherence_rate=2.0,
-        )
-        out = engine.run(30, record_every=10)
+    def test_laser_pulse_deposits_energy_and_excites(self, workspace):
+        out = _tddft_run(30, record_every=10, workspace=workspace, **{
+            **_pulse(0.05),
+            "propagator.update_potentials_every": 2,
+            "propagator.occupation_decoherence_rate": 2.0,
+        })
+        energy, excitation = out["total_energy"], out["excitation"]
         # The pulse must not drain energy (up to the split-operator tolerance).
-        assert out.total_energy[-1] > out.total_energy[0] - 1e-4
-        assert out.excitation[-1] >= 0.0
+        assert energy[-1] > energy[0] - 1e-4
+        assert excitation[-1] >= 0.0
         # The kick must excite a measurable (if small) number of electrons.
         # The exact value depends on how the degenerate excited orbitals of the
         # Gaussian well are oriented by the eigensolver, so only a loose lower
         # bound is asserted.
-        assert out.excitation[-1] > 1e-7
+        assert excitation[-1] > 1e-7
 
-    def test_scissors_correction_changes_dynamics(self, scf_result):
-        hamiltonian, result = scf_result
-        pulse = GaussianPulse(e0=0.02, omega=0.4, t0=0.5, sigma=0.3)
-        kwargs = dict(
-            field_callback=lambda t: pulse.vector_potential(t).reshape(3),
-            update_potentials_every=5,
-        )
-        plain = self._make_engine(scf_result, **kwargs)
-        out_plain = plain.run(10)
-        with_scissors = self._make_engine(
-            scf_result,
-            scissors=NonlocalCorrection(result.wavefunctions.copy(), shift=0.2, dt=0.05),
-            **kwargs,
-        )
-        out_scissors = with_scissors.run(10)
-        assert not np.allclose(out_plain.dipole, out_scissors.dipole)
+    def test_scissors_correction_changes_dynamics(self, workspace):
+        kwargs = {**_pulse(0.02), "propagator.update_potentials_every": 5}
+        out_plain = _tddft_run(10, workspace=workspace, **kwargs)
+        out_scissors = _tddft_run(10, workspace=workspace, **{
+            **kwargs, "propagator.scissors_shift": 0.2})
+        assert not np.allclose(out_plain["dipole"], out_scissors["dipole"])
 
-    def test_kernel_split_reaches_telemetry(self, scf_result, live_telemetry):
-        engine = self._make_engine(scf_result)
-        engine.run(3)
+    def test_kernel_split_reaches_telemetry(self, workspace, live_telemetry):
+        _tddft_run(3, workspace=workspace)
         histograms = telemetry.snapshot()["histograms"]
         assert histograms["repro_qd_kin_prop_seconds"]["count"] == 3
 
     def test_invalid_arguments(self, scf_result):
-        engine = self._make_engine(scf_result)
-        with pytest.raises(ValueError):
-            engine.run(0)
+        with pytest.raises(ValueError, match="num_steps must be >= 1"):
+            run_scenario(default_registry().get("quickstart-tddft"), num_steps=0)
+        hamiltonian, result = scf_result
         with pytest.raises(ValueError):
             RealTimeTDDFT(
-                engine.hamiltonian, engine.wavefunctions, engine.occupations, dt=-1.0
+                hamiltonian, result.wavefunctions.copy(),
+                OccupationState.ground_state(3, 2.0), dt=-1.0,
             )
