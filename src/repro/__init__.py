@@ -5,9 +5,10 @@ conquer Maxwell-Ehrenfest-surface-hopping NAQMD) lives in :mod:`repro.grid`,
 :mod:`repro.maxwell`, :mod:`repro.qd`, :mod:`repro.scf`, :mod:`repro.dc` and
 :mod:`repro.naqmd`; the XS-NNQMD module (excited-state neural-network quantum
 MD) lives in :mod:`repro.nn`, :mod:`repro.md` and :mod:`repro.xsnn`; the
-divide-conquer-recombine / metamodel-space-algebra orchestration lives in
-:mod:`repro.core`; performance modelling and the virtual cluster used for the
-scaling studies live in :mod:`repro.perf` and :mod:`repro.parallel`.
+divide-conquer-recombine orchestration and the MLMD pipeline live in
+:mod:`repro.core`; performance counters and the machine and cost models
+behind the scaling studies live in :mod:`repro.perf` and
+:mod:`repro.parallel`.
 
 The declarative front door over all of those engines is :mod:`repro.api`:
 ``ScenarioSpec`` configs, the unified ``Engine`` protocol, named scenarios,

@@ -12,11 +12,10 @@ order.
 
 Pool lifecycle is a first-class object: :class:`WorkerPool` owns the worker
 processes (lazy start, reset-after-breakage, shutdown) and *persists across
-submissions*, so the per-worker kernel caches stay warm between batches.  The
-same pool object backs both :meth:`ExecutionService.run` (which reuses it
-round after round and batch after batch) and the long-lived
-:class:`~repro.api.server.ScenarioServer` daemon (which keeps one pool warm
-across client requests).
+submissions*, so the per-worker kernel caches stay warm between batches.
+:meth:`ExecutionService.run` reuses its own pool round after round and batch
+after batch; the long-lived :class:`~repro.api.server.ScenarioServer` daemon
+keeps a pool of its own warm across client requests.
 
 Failure handling is two-layered:
 
@@ -342,7 +341,7 @@ def execute_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
             faults.reset()
 
 
-def _default_mp_context():
+def _start_context():
     methods = multiprocessing.get_all_start_methods()
     # fork is cheapest (no re-import) and inherits monkeypatched test state;
     # fall back to the platform default elsewhere (macOS/Windows -> spawn).
@@ -385,13 +384,10 @@ class WorkerPool:
       starts fresh workers — the recovery step after a worker death;
     * :meth:`shutdown` ends the pool for good (also via ``with``).
 
-    Thread-safe; both :class:`ExecutionService` and
-    :class:`repro.api.server.ScenarioServer` drive their submissions through
-    one shared instance.
+    Thread-safe.
     """
 
-    def __init__(self, workers: int, mp_context=None,
-                 backend: str = "process") -> None:
+    def __init__(self, workers: int, backend: str = "process") -> None:
         if workers < 0:
             raise ValueError("workers must be >= 0 (0 = inline execution)")
         if backend not in POOL_BACKENDS:
@@ -400,7 +396,6 @@ class WorkerPool:
             )
         self.workers = int(workers)
         self.backend = str(backend)
-        self._mp_context = mp_context
         self._executor: Optional[Executor] = None
         self._generations = 0
         self._lock = threading.Lock()
@@ -431,13 +426,9 @@ class WorkerPool:
                         thread_name_prefix="repro-worker",
                     )
                 else:
-                    context = self._mp_context if self._mp_context is not None \
-                        else _default_mp_context()
+                    # (max_workers, start-method context, initializer)
                     self._executor = ProcessPoolExecutor(
-                        max_workers=self.workers,
-                        mp_context=context,
-                        initializer=_worker_init,
-                    )
+                        self.workers, _start_context(), _worker_init)
                 self._generations += 1
             return self._executor
 
@@ -515,30 +506,14 @@ class ExecutionService:
         ``"keep=3,max-age=7d,max-bytes=1G"`` spec string or a
         :class:`~repro.store.retention.RetentionPolicy`), forwarded to each
         worker's store alongside ``keep``.
-    mp_context:
-        Optional ``multiprocessing`` context; defaults to ``fork`` where
-        available.
     backend:
         Worker backend: ``"process"`` (default, isolated worker processes)
         or ``"thread"`` (threads sharing one thread-safe in-process
-        workspace); ``workers=0`` runs inline on either.  A borrowed pool's
-        backend wins; passing a conflicting value is an error.
-    pool:
-        Optional *borrowed* :class:`WorkerPool` to execute on.  When given,
-        the service submits to it but never tears it down (the owner does) —
-        this is how the serving daemon and a batch service share one warm
-        pool.  When omitted the service lazily creates its own pool, keeps it
-        warm across :meth:`run` calls, and releases it in :meth:`close` (or
-        on ``with`` exit).
-    owner / lease_ttl:
-        Run-ownership lease identity shipped to every worker's store (see
-        :class:`~repro.store.RunStore`).  All workers of this
-        service share the one identity — a retry on a different worker
-        renews the lease rather than colliding with it — and the recorded
-        pid is *this* process's, so leases become breakable when the service
-        (not an individual worker) dies.  ``None`` (default) disables
-        leasing; a second service writing the same run ids then behaves
-        exactly as before.
+        workspace); ``workers=0`` runs inline on either.
+
+    The service lazily creates its own :class:`WorkerPool`, keeps it warm
+    across :meth:`run` calls, and releases it in :meth:`close` (or on
+    ``with`` exit).  Its runs take no run-ownership lease; the daemon's do.
     """
 
     def __init__(self, workers: Optional[int] = None,
@@ -547,33 +522,15 @@ class ExecutionService:
                  max_retries: int = 1,
                  keep: int = 0,
                  retention=None,
-                 mp_context=None,
-                 backend: Optional[str] = None,
-                 pool: Optional[WorkerPool] = None,
-                 owner: Optional[str] = None,
-                 lease_ttl: float = DEFAULT_LEASE_TTL_S) -> None:
+                 backend: str = "process") -> None:
         if workers is None:
-            workers = pool.workers if pool is not None else (os.cpu_count() or 1)
+            workers = os.cpu_count() or 1
         if workers < 0:
             raise ValueError("workers must be >= 0 (0 = inline execution)")
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if checkpoint_every is not None and int(checkpoint_every) < 1:
             raise ValueError("checkpoint_every must be >= 1 (or None)")
-        if pool is not None and pool.workers != int(workers):
-            raise ValueError(
-                f"workers={workers} does not match the borrowed pool's "
-                f"{pool.workers} workers"
-            )
-        if pool is not None:
-            if backend is not None and backend != pool.backend:
-                raise ValueError(
-                    f"backend={backend!r} does not match the borrowed "
-                    f"pool's {pool.backend!r} backend"
-                )
-            backend = pool.backend
-        elif backend is None:
-            backend = "process"
         if backend not in POOL_BACKENDS:
             raise ValueError(
                 f"backend must be one of {POOL_BACKENDS}, got {backend!r}"
@@ -599,27 +556,19 @@ class ExecutionService:
                 "(keep=/every=/max-age=/max-bytes= terms) because it is "
                 f"shipped to worker processes as JSON: {exc}"
             ) from exc
-        self.owner = str(owner) if owner is not None else None
-        self.owner_pid = os.getpid()
-        self.lease_ttl = float(lease_ttl)
-        self._mp_context = mp_context
-        self._pool = pool
-        self._owns_pool = pool is None
+        self._pool: Optional[WorkerPool] = None
 
     # ------------------------------------------------------------------
     @property
     def pool(self) -> WorkerPool:
-        """The (shared, persistent) pool submissions execute on."""
+        """The persistent pool submissions execute on."""
         if self._pool is None:
-            self._pool = WorkerPool(
-                self.workers, mp_context=self._mp_context,
-                backend=self.backend,
-            )
+            self._pool = WorkerPool(self.workers, backend=self.backend)
         return self._pool
 
     def close(self) -> None:
-        """Shut down the owned worker pool (borrowed pools are left alone)."""
-        if self._owns_pool and self._pool is not None:
+        """Shut down the worker pool; a later :meth:`run` starts a new one."""
+        if self._pool is not None:
             self._pool.shutdown()
 
     def __enter__(self) -> "ExecutionService":
@@ -637,8 +586,6 @@ class ExecutionService:
             checkpoint_every=self.checkpoint_every,
             keep=self.keep, retention=self.retention,
             resume=resume, attempt=attempt,
-            owner=self.owner, owner_pid=self.owner_pid,
-            lease_ttl=self.lease_ttl,
         )
 
     def _run_pool(self, pool: WorkerPool, payloads: List[Dict[str, Any]],
@@ -688,8 +635,7 @@ class ExecutionService:
         # run that killed it, and the failure is unambiguously its own.
         for payload in pending:
             if payload.get("isolated"):
-                with WorkerPool(1, mp_context=self._mp_context,
-                                backend=self.backend) as solo:
+                with WorkerPool(1, backend=self.backend) as solo:
                     outcomes.update(self._run_pool(solo, [payload]))
         return [outcomes[int(payload["index"])] for payload in pending]
 

@@ -252,7 +252,6 @@ class ScenarioServer:
                  checkpoint_every: Optional[int] = None,
                  max_retries: int = 1, keep: int = 0,
                  retention=None,
-                 mp_context=None,
                  owner: Optional[str] = None,
                  lease_ttl: float = DEFAULT_LEASE_TTL_S,
                  fleet_ttl: float = DEFAULT_MEMBER_TTL_S,
@@ -301,7 +300,7 @@ class ScenarioServer:
             self.root / "checkpoints", keep=keep, retention=self.retention
         )
         self.batch_max = int(batch_max)
-        self.pool = WorkerPool(workers, mp_context=mp_context, backend=backend)
+        self.pool = WorkerPool(workers, backend=backend)
         self.started_at = time.time()
         #: EWMA of finished-run wall time, the basis of Retry-After hints.
         self._avg_run_s: Optional[float] = None

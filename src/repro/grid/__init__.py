@@ -1,4 +1,4 @@
-"""Real-space grids and elliptic solvers for the LFD / DC-DFT substrate.
+"""Real-space grids and elliptic solvers for the LFD substrate.
 
 The paper represents local Kohn-Sham wave functions on finite-difference mesh
 points and solves the Hartree potential with a tree-based multigrid method
@@ -9,7 +9,7 @@ per-axis matrices.  This subpackage provides those building blocks:
 * :class:`Grid3D` — a uniform orthorhombic grid with periodic topology.
 * :mod:`repro.grid.stencil` — 2nd/4th/6th-order Laplacian stencils in "naive
   loop", ``np.roll`` and fused formulations (the Table III optimisation
-  ladder), plus the first differences of the Yee-lattice curls.
+  ladder).
 * :mod:`repro.grid.poisson` — spectral (Hartley-matrix) Poisson solver for
   periodic cells.
 * :func:`apply_separable` — a per-axis operator ``U_x (x) U_y (x) U_z``
@@ -21,7 +21,6 @@ from repro.grid.stencil import (
     laplacian,
     laplacian_naive,
     laplacian_reference,
-    shift_difference,
 )
 from repro.grid.poisson import solve_poisson, coulomb_energy
 
@@ -31,7 +30,6 @@ __all__ = [
     "laplacian",
     "laplacian_naive",
     "laplacian_reference",
-    "shift_difference",
     "solve_poisson",
     "coulomb_energy",
 ]

@@ -15,9 +15,6 @@ paper's Table III kin_prop() optimisation ladder:
   with no per-term allocations.  All variants operate on an arbitrary
   leading batch axis so a whole block of orbitals reuses the same sweep (the
   structure-of-arrays optimisation of Sec. V.B.2-3).
-
-The view-based shifting is shared, through :func:`shift_difference`, by the
-Yee-lattice curls in :mod:`repro.maxwell.fdtd3d`.
 """
 
 from __future__ import annotations
@@ -150,39 +147,3 @@ def laplacian_naive(field: np.ndarray, grid: Grid3D) -> np.ndarray:
                 )
     return out
 
-
-def shift_difference(arr: np.ndarray, axis: int, h: float, forward: bool,
-                     out: Optional[np.ndarray] = None) -> np.ndarray:
-    """First difference ``(f[i+1]-f[i])/h`` (forward) or ``(f[i]-f[i-1])/h``.
-
-    Periodic wrap along ``axis``; the shifted neighbour is assembled into
-    ``out`` through views so no rolled copy is materialised.  This is the
-    shared first-difference engine behind the Yee-lattice curls.
-    """
-    if out is None:
-        out = np.empty_like(arr)
-    if out is arr:
-        raise ValueError("out must not alias the input array")
-    n = arr.shape[axis]
-    head = [slice(None)] * arr.ndim
-    tail = [slice(None)] * arr.ndim
-    if forward:
-        # out[i] = arr[i+1] (periodic), then subtract arr in place.
-        head[axis] = slice(None, n - 1)
-        tail[axis] = slice(1, None)
-        out[tuple(head)] = arr[tuple(tail)]
-        head[axis] = slice(n - 1, None)
-        tail[axis] = slice(None, 1)
-        out[tuple(head)] = arr[tuple(tail)]
-        np.subtract(out, arr, out=out)
-    else:
-        # out[i] = arr[i-1] (periodic), then subtract from arr in place.
-        head[axis] = slice(1, None)
-        tail[axis] = slice(None, n - 1)
-        out[tuple(head)] = arr[tuple(tail)]
-        head[axis] = slice(None, 1)
-        tail[axis] = slice(n - 1, None)
-        out[tuple(head)] = arr[tuple(tail)]
-        np.subtract(arr, out, out=out)
-    out *= 1.0 / h
-    return out

@@ -10,15 +10,12 @@ provides:
 * analytic laser pulse envelopes (:mod:`repro.maxwell.pulses`),
 * a 1-D multiscale Maxwell solver for the vector potential with current
   feedback (:mod:`repro.maxwell.fdtd1d`),
-* a 3-D Yee-grid FDTD solver for full vectorial propagation
-  (:mod:`repro.maxwell.fdtd3d`),
 * the :class:`~repro.maxwell.coupling.MaxwellCoupler` that maps DC domains to
   macroscopic grid points and exchanges (A, J) pairs with minimal data volume.
 """
 
 from repro.maxwell.pulses import GaussianPulse, LaserPulse, TrapezoidalPulse
 from repro.maxwell.fdtd1d import Maxwell1D
-from repro.maxwell.fdtd3d import YeeGrid3D
 from repro.maxwell.coupling import MaxwellCoupler
 
 __all__ = [
@@ -26,6 +23,5 @@ __all__ = [
     "LaserPulse",
     "TrapezoidalPulse",
     "Maxwell1D",
-    "YeeGrid3D",
     "MaxwellCoupler",
 ]

@@ -1,26 +1,22 @@
-"""Virtual cluster: simulated MPI, machine models, and scaling studies.
+"""Virtual cluster: machine models, cost models and scaling studies.
 
 The paper's scalability and time-to-solution results (Figs. 4-5, Tables I-II,
 Sec. VII) were measured on 10,000 Aurora nodes; this reproduction has one
-laptop-class machine, so the parallel runtime is *simulated*:
+laptop-class machine, so the parallel runtime is *modelled*:
 
-* :mod:`repro.parallel.virtualmpi` executes real data movement between
-  virtual ranks in one process while charging every message to an
-  alpha-beta communication cost model — collective semantics are therefore
-  testable, and the charged costs drive the scaling predictions.
 * :mod:`repro.parallel.machines` holds calibrated per-machine hardware
   parameters (Aurora PVC tiles, Fugaku, Summit, Theta, BlueGene/Q) used by the
   SOTA-comparison tables.
 * :mod:`repro.parallel.costmodel` contains the DC-MESH and XS-NNQMD
   performance models whose single-domain constants are calibrated against the
   *measured* kernels of this repository and whose communication terms come
-  from the machine model.
+  from the machine model through an alpha-beta message cost
+  (:class:`~repro.parallel.costmodel.CommunicationCost`).
 * :mod:`repro.parallel.scaling` turns the cost models into the weak/strong
   scaling curves and parallel efficiencies that Fig. 4 and Fig. 5 report.
 """
 
 from repro.parallel.machines import MachineSpec, MACHINES, aurora, fugaku, summit, theta, bluegene_q
-from repro.parallel.virtualmpi import VirtualCommunicator, VirtualClusterError
 from repro.parallel.costmodel import (
     CommunicationModel,
     DCMESHCostModel,
@@ -36,8 +32,6 @@ __all__ = [
     "summit",
     "theta",
     "bluegene_q",
-    "VirtualCommunicator",
-    "VirtualClusterError",
     "CommunicationModel",
     "DCMESHCostModel",
     "NNQMDCostModel",

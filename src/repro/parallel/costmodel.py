@@ -24,7 +24,26 @@ from typing import Optional
 import numpy as np
 
 from repro.parallel.machines import MachineSpec, aurora
-from repro.parallel.virtualmpi import CommunicationCost
+
+
+@dataclass
+class CommunicationCost:
+    """Alpha-beta cost model of one message: alpha + bytes / bandwidth."""
+
+    latency_s: float = 2.0e-6
+    bandwidth_bytes_per_s: float = 25.0e9
+
+    def message(self, num_bytes: float) -> float:
+        if num_bytes < 0:
+            raise ValueError("message size must be non-negative")
+        return self.latency_s + num_bytes / self.bandwidth_bytes_per_s
+
+    def tree_collective(self, num_bytes: float, num_ranks: int) -> float:
+        """Cost of a tree-based collective (reduce/bcast/gather): log2(P) rounds."""
+        if num_ranks < 1:
+            raise ValueError("num_ranks must be >= 1")
+        rounds = max(1.0, np.ceil(np.log2(num_ranks)))
+        return rounds * self.message(num_bytes)
 
 
 @dataclass

@@ -23,6 +23,7 @@ sign (see :func:`lowest_eigenstates`).
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, Tuple
 
 import numpy as np
@@ -36,7 +37,10 @@ from repro.qd.hamiltonian import LocalHamiltonian
 # the (expensive, column-by-column synthesised) kinetic matrix every iteration would
 # dominate the cost of small-cell ground-state solves.  Entries are shared
 # between threads (``backend=thread``) and never written after insertion.
+# Reads are lock-free; insert and evict hold the lock, because evicting
+# iterates the dict and another thread's insert would resize it mid-iteration.
 _KINETIC_CACHE: Dict[tuple, np.ndarray] = {}
+_KINETIC_LOCK = threading.Lock()
 
 
 def _dense_kinetic(hamiltonian: LocalHamiltonian) -> np.ndarray:
@@ -54,11 +58,12 @@ def _dense_kinetic(hamiltonian: LocalHamiltonian) -> np.ndarray:
         ).reshape(n, n).real
         kinetic = 0.5 * (columns + columns.T)
         kinetic.setflags(write=False)
-        _KINETIC_CACHE[key] = kinetic
-        if len(_KINETIC_CACHE) > 8:
-            # Another thread may have evicted this very key already; the
-            # caller still gets the matrix through the local.
-            _KINETIC_CACHE.pop(next(iter(_KINETIC_CACHE)), None)
+        with _KINETIC_LOCK:
+            _KINETIC_CACHE[key] = kinetic
+            if len(_KINETIC_CACHE) > 8:
+                # This may evict the key just stored; the caller still gets
+                # the matrix through the local.
+                _KINETIC_CACHE.pop(next(iter(_KINETIC_CACHE)))
     return kinetic
 
 

@@ -382,13 +382,6 @@ class TestPoolBackends:
         assert "ok" in pool.submit(payload).result()
         assert not pool.started
 
-    def test_borrowed_pool_backend_must_match(self):
-        with WorkerPool(1, backend="thread") as pool:
-            service = ExecutionService(pool=pool)
-            assert service.backend == "thread"
-            with pytest.raises(ValueError):
-                ExecutionService(pool=pool, backend="process")
-
     def test_thread_backend_matches_inline_results(self):
         specs = [smoke_spec("localmode-switch", seed=s) for s in (11, 12)]
         reference = ExecutionService(workers=0).run(

@@ -1,4 +1,4 @@
-"""Tests for DCR/MSA orchestration, the MLMD pipeline, and analysis helpers."""
+"""Tests for DCR orchestration, the MLMD pipeline, and analysis helpers."""
 
 import numpy as np
 import pytest
@@ -9,10 +9,8 @@ from repro.api import default_registry, run_scenario
 from repro.core import (
     DCRDecomposition,
     HardwareUnit,
-    MetamodelExtrapolation,
     MLMDPipeline,
     Subproblem,
-    metamodel_combine,
 )
 from repro.core.dcr import mlmd_decomposition
 
@@ -46,30 +44,6 @@ class TestDCR:
         assert ratio < 1e-4
         # And the DC-MESH -> XS-NNQMD handshake is one number per domain.
         assert decomposition.interface_bytes("lfd", "xs_nnqmd") == 8.0 * 100
-
-
-class TestMSA:
-    def test_oniom_combination(self):
-        assert metamodel_combine(10.0, 3.0, 2.5) == pytest.approx(10.5)
-
-    def test_force_combination_only_touches_embedded_atoms(self):
-        msa = MetamodelExtrapolation()
-        low_large = np.zeros((5, 3))
-        high_small = np.ones((2, 3))
-        low_small = 0.25 * np.ones((2, 3))
-        combined = msa.combine_forces(low_large, high_small, low_small, np.array([1, 3]))
-        assert np.allclose(combined[[1, 3]], 0.75)
-        assert np.allclose(combined[[0, 2, 4]], 0.0)
-
-    def test_transferability_error(self):
-        msa = MetamodelExtrapolation()
-        assert msa.transferability_error(1.0, 0.4, 2.0, 1.4) == pytest.approx(0.0)
-        assert msa.transferability_error(1.0, 0.4, 2.0, 1.0) == pytest.approx(0.4)
-
-    def test_shape_validation(self):
-        msa = MetamodelExtrapolation()
-        with pytest.raises(ValueError):
-            msa.combine_forces(np.zeros((5, 3)), np.ones((2, 3)), np.ones((3, 3)), np.array([0, 1]))
 
 
 def _photoswitch(excitation_fraction):

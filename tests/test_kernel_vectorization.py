@@ -12,11 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.grid import Grid3D
-from repro.grid.stencil import (
-    laplacian,
-    laplacian_reference,
-    shift_difference,
-)
+from repro.grid.stencil import laplacian, laplacian_reference
 from repro.md import AtomsSystem, NeighborList, brute_force_pairs
 from repro.md.neighborlist import build_pairs_reference
 from repro.naqmd import EhrenfestForces
@@ -136,18 +132,6 @@ class TestFusedStencil:
         field = rng.standard_normal(small_grid.shape)
         with pytest.raises(ValueError):
             laplacian(field, small_grid, out=field)
-
-    def test_shift_difference_matches_roll(self, small_grid, rng):
-        field = rng.standard_normal(small_grid.shape)
-        for axis in range(3):
-            for forward in (True, False):
-                h = 0.7
-                got = shift_difference(field, axis, h, forward)
-                if forward:
-                    expected = (np.roll(field, -1, axis=axis) - field) / h
-                else:
-                    expected = (field - np.roll(field, 1, axis=axis)) / h
-                assert np.allclose(got, expected, atol=1e-14)
 
 
 class TestCachedKineticPropagation:

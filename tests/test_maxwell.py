@@ -1,4 +1,4 @@
-"""Tests for laser pulses, the 1-D multiscale Maxwell solver, and the Yee grid."""
+"""Tests for laser pulses, the 1-D multiscale Maxwell solver and the coupler."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.maxwell import (
     Maxwell1D,
     MaxwellCoupler,
     TrapezoidalPulse,
-    YeeGrid3D,
 )
 from repro.units import SPEED_OF_LIGHT_AU
 
@@ -104,36 +103,6 @@ class TestMaxwell1D:
         solver = Maxwell1D(num_points=50, dx=2.0, dt=0.001)
         with pytest.raises(ValueError):
             solver.step(np.zeros(10))
-
-
-class TestYeeGrid3D:
-    def test_cfl_enforced(self):
-        with pytest.raises(ValueError):
-            YeeGrid3D((8, 8, 8), (1.0, 1.0, 1.0), dt=1.0)
-
-    def test_plane_wave_energy_conserved(self):
-        spacing = (2.0, 2.0, 2.0)
-        dt = 0.4 * 2.0 / (SPEED_OF_LIGHT_AU * np.sqrt(3.0))
-        solver = YeeGrid3D((16, 8, 8), spacing, dt)
-        solver.add_plane_wave(amplitude=0.1, k_index=1)
-        initial = solver.field_energy()
-        for _ in range(100):
-            solver.step()
-        assert solver.field_energy() == pytest.approx(initial, rel=0.05)
-
-    def test_current_reduces_or_changes_field(self):
-        dt = 0.2 * 2.0 / (SPEED_OF_LIGHT_AU * np.sqrt(3.0))
-        solver = YeeGrid3D((8, 8, 8), (2.0, 2.0, 2.0), dt)
-        current = np.zeros((3, 8, 8, 8))
-        current[2, 4, 4, 4] = 1.0
-        solver.step(current)
-        assert np.abs(solver.efield[2, 4, 4, 4]) > 0
-
-    def test_polarization_must_be_transverse(self):
-        dt = 1e-4
-        solver = YeeGrid3D((8, 8, 8), (2.0, 2.0, 2.0), dt)
-        with pytest.raises(ValueError):
-            solver.add_plane_wave(0.1, polarization_axis=0, propagation_axis=0)
 
 
 class TestMaxwellCoupler:

@@ -17,6 +17,8 @@ from repro.naqmd.nonadiabatic import coupling_strength
 from repro.perf.workspace import KernelWorkspace
 from repro.qd import OccupationState, WaveFunctions
 
+from test_checkpoint import assert_results_bit_identical, json_cycle
+
 
 class TestNonadiabaticCoupling:
     def test_identical_states_give_zero_coupling(self, small_grid, rng):
@@ -210,3 +212,50 @@ class TestMESHIntegrator:
                 md_dt=1.0,
                 qd_substeps=3,  # 1.0 / 3 != tddft.dt
             )
+
+
+class TestFrustratedHop:
+    """A strong pulse drives the registry MESH engine to attempt upward hops
+    that its near-still ions cannot pay for: the frustrated-hop branch."""
+
+    def test_frustrated_hop_keeps_the_surface_and_resumes_bit_identically(
+            self, monkeypatch):
+        spec = default_registry().get("mesh-hopping").with_overrides(
+            {"pulse.e0": 1.0, "runtime.num_steps": 40, "seed": 3})
+        attempts = []
+        step = SurfaceHopping.step
+
+        def recording_step(hopping, *args, **kwargs):
+            before = hopping.active_state
+            result = step(hopping, *args, **kwargs)
+            attempts.append((before, kwargs["kinetic_energy"], result,
+                             hopping.energies))
+            return result
+
+        monkeypatch.setattr(SurfaceHopping, "step", recording_step)
+        checkpoints = []
+        uninterrupted = build_engine(spec, workspace=KernelWorkspace()).run(
+            checkpoint_every=10,
+            on_checkpoint=lambda c: checkpoints.append(json_cycle(c)))
+        frustrated = [i for i, (_, _, result, _) in enumerate(attempts)
+                      if result.frustrated]
+        assert frustrated
+        for i in frustrated:
+            before, kinetic, result, energies = attempts[i]
+            (source, target), = result.frustrated
+            assert source == before == result.active_state
+            assert not result.hops
+            assert energies[target] - energies[source] > kinetic
+
+        # Resume from the last snapshot before the first frustrated hop.
+        first = frustrated[0]
+        checkpoint = [c for c in checkpoints if c["step"] <= first][-1]
+        resumed_attempts = len(attempts)
+        resumed = build_engine(spec, workspace=KernelWorkspace()).resume(
+            checkpoint)
+        assert_results_bit_identical(uninterrupted, resumed)
+        replayed = [result.frustrated
+                    for _, _, result, _ in attempts[resumed_attempts:]]
+        original = [result.frustrated for _, _, result, _
+                    in attempts[checkpoint["step"]:resumed_attempts]]
+        assert replayed == original

@@ -1,8 +1,6 @@
-"""Tests for the virtual MPI layer, machine models, cost models and scaling studies."""
+"""Tests for the machine models, cost models and scaling studies."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.parallel import (
     DCMESHCostModel,
@@ -10,16 +8,14 @@ from repro.parallel import (
     MachineSpec,
     NNQMDCostModel,
     ScalingStudy,
-    VirtualClusterError,
-    VirtualCommunicator,
     aurora,
     bluegene_q,
     fugaku,
     summit,
     theta,
 )
+from repro.parallel.costmodel import CommunicationCost
 from repro.parallel.scaling import run_scaling_study
-from repro.parallel.virtualmpi import CommunicationCost, HierarchicalCommunicator
 
 
 class TestMachines:
@@ -44,79 +40,12 @@ class TestMachines:
         assert summit().total_accelerators == 768
 
 
-class TestVirtualCommunicator:
-    def test_allreduce_sum_semantics(self):
-        comm = VirtualCommunicator(4)
-        buffers = [np.full(3, float(rank)) for rank in range(4)]
-        results = comm.allreduce(buffers)
-        for result in results:
-            assert np.allclose(result, 0 + 1 + 2 + 3)
-        assert comm.wall_clock > 0
-        assert comm.message_count == 1
-
-    def test_allreduce_max_min(self):
-        comm = VirtualCommunicator(3)
-        buffers = [np.array([float(rank)]) for rank in range(3)]
-        assert np.allclose(comm.allreduce(buffers, op="max")[0], 2.0)
-        assert np.allclose(comm.allreduce(buffers, op="min")[0], 0.0)
-        with pytest.raises(VirtualClusterError):
-            comm.allreduce(buffers, op="prod")
-
-    def test_broadcast_and_gather(self):
-        comm = VirtualCommunicator(3)
-        results = comm.broadcast(np.array([7.0]), root=1)
-        assert all(np.allclose(r, 7.0) for r in results)
-        gathered = comm.gather([np.array([float(r)]) for r in range(3)])
-        assert np.allclose(np.concatenate(gathered), [0.0, 1.0, 2.0])
-
-    def test_halo_exchange_ring(self):
-        comm = VirtualCommunicator(4)
-        received = comm.halo_exchange([np.array([float(rank)]) for rank in range(4)])
-        assert np.allclose([r[0] for r in received], [3.0, 0.0, 1.0, 2.0])
-
-    def test_alltoall(self):
-        comm = VirtualCommunicator(2)
-        sends = [[np.array([0.0]), np.array([1.0])], [np.array([10.0]), np.array([11.0])]]
-        received = comm.alltoall(sends)
-        assert received[0][1][0] == 10.0  # rank 0 receives from rank 1
-        assert received[1][0][0] == 1.0
-
-    def test_buffer_count_validated(self):
-        comm = VirtualCommunicator(3)
-        with pytest.raises(VirtualClusterError):
-            comm.allreduce([np.zeros(2)])
-
-    def test_compute_charging_and_imbalance(self):
-        comm = VirtualCommunicator(4)
-        comm.charge_compute([1.0, 1.0, 1.0, 2.0])
-        assert comm.wall_clock == pytest.approx(2.0)
-        assert comm.load_imbalance() == pytest.approx(2.0 / 1.25)
-        comm.reset()
-        assert comm.wall_clock == 0.0
-
-    @given(size=st.integers(min_value=1, max_value=12), seed=st.integers(0, 100))
-    @settings(max_examples=20, deadline=None)
-    def test_allreduce_matches_numpy_sum(self, size, seed):
-        rng = np.random.default_rng(seed)
-        comm = VirtualCommunicator(size)
-        buffers = [rng.standard_normal(5) for _ in range(size)]
-        results = comm.allreduce(buffers)
-        assert np.allclose(results[0], np.sum(buffers, axis=0))
-
-    def test_hierarchical_communicator(self):
-        hier = HierarchicalCommunicator(num_domains=3, ranks_per_domain=4)
-        assert hier.world_size == 12
-        hier.domain_comms[0].charge_compute(1.0)
-        hier.world.barrier()
-        assert hier.total_wall_clock() > 0
-
+class TestCostModels:
     def test_communication_cost_model(self):
         cost = CommunicationCost(latency_s=1e-6, bandwidth_bytes_per_s=1e9)
         assert cost.message(1e9) == pytest.approx(1.0 + 1e-6)
         assert cost.tree_collective(0.0, 1024) == pytest.approx(10e-6)
 
-
-class TestCostModels:
     def test_dcmesh_t2s_matches_paper(self):
         model = DCMESHCostModel()
         t2s = model.time_to_solution(120_000, 128)
