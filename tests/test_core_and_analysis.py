@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import absorption_spectrum, dipole_strength_function, energy_drift, norm_drift
+from repro.analysis.conservation import momentum_drift
 from repro.analysis.spectra import peak_frequencies
 from repro.api import default_registry, run_scenario
 from repro.core import (
@@ -126,3 +127,25 @@ class TestAnalysis:
         assert energy_drift(np.array([0.0, 1e-3]), relative=True) == pytest.approx(1.0)
         assert norm_drift(np.array([[1.0, 1.0], [1.0, 0.99]])) == pytest.approx(0.01)
         assert norm_drift(np.array([])) == 0.0
+
+    def test_energy_drift_absolute_and_relative_to_initial_energy(self):
+        energies = np.array([-2.0, -2.2, -1.9])
+        assert energy_drift(energies, relative=False) == pytest.approx(0.3)
+        assert energy_drift(energies) == pytest.approx(0.15)
+
+    @pytest.mark.parametrize("energies", [[], [3.0], [[3.0]]])
+    def test_energy_drift_of_fewer_than_two_samples_is_zero(self, energies):
+        assert energy_drift(np.array(energies)) == 0.0
+
+    def test_norm_drift_counts_growth_and_loss_alike(self):
+        assert norm_drift(np.array([1.0, 1.02, 0.99])) == pytest.approx(0.02)
+
+    def test_momentum_drift_is_largest_change_from_the_start(self):
+        momenta = np.array([[1.0, 0.0, 0.0], [4.0, 4.0, 0.0], [1.0, 0.0, 1.0]])
+        assert momentum_drift(momenta) == pytest.approx(5.0)
+        assert momentum_drift(momenta[:1]) == 0.0
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 2), (2, 3, 1)])
+    def test_momentum_drift_rejects_non_vector_series(self, shape):
+        with pytest.raises(ValueError):
+            momentum_drift(np.zeros(shape))

@@ -240,6 +240,45 @@ class TestTrainingAndInference:
         assert np.allclose(f_blocked, f_full, atol=1e-10)
         assert blocked.peak_pairs_per_block > 0
 
+    def test_blocked_inference_rejects_empty_blocks(self, rng):
+        model = AllegroLiteModel(species=["Ar"], cutoff=5.0, rng=rng)
+        with pytest.raises(ValueError):
+            BlockedInference(model, block_size=0)
+
+    def test_blocked_inference_peak_pairs_shrink_with_block_size(self, liquid_argon, rng):
+        model = AllegroLiteModel(species=["Ar"], cutoff=5.0, rng=rng)
+        neighbor_list = NeighborList(model.cutoff)
+        neighbor_list.build(liquid_argon)
+        total_pairs = neighbor_list.pairs.shape[0]
+        peaks, results = [], []
+        for block_size in (liquid_argon.n_atoms, 8, 1):
+            blocked = BlockedInference(model, block_size=block_size)
+            results.append(blocked.compute(liquid_argon))
+            peaks.append(blocked.peak_pairs_per_block)
+        assert peaks[0] == total_pairs
+        assert peaks[0] > peaks[1] > peaks[2] > 0
+        for energy, forces in results[1:]:
+            assert energy == pytest.approx(results[0][0], abs=1e-10)
+            assert np.allclose(forces, results[0][1], atol=1e-10)
+
+    def test_blocked_inference_without_pairs_returns_reference_energy(self, rng):
+        model = AllegroLiteModel(species=["Ar"], cutoff=3.0, rng=rng,
+                                 atomic_reference_energies={"Ar": -0.5})
+        atoms = AtomsSystem(np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]]),
+                            np.array(["Ar", "Ar"], dtype=object), np.array([30.0] * 3))
+        energy, forces = BlockedInference(model, block_size=1).compute(atoms)
+        assert energy == pytest.approx(-1.0)
+        assert np.array_equal(forces, np.zeros((2, 3)))
+
+    def test_blocked_inference_memory_model_counts_blocks(self, rng):
+        model = AllegroLiteModel(species=["Ar"], cutoff=5.0, rng=rng)
+        report = BlockedInference(model, block_size=300).memory_model_bytes(
+            1000, neighbors_per_atom=50)
+        assert report["blocks"] == 4
+        assert report["positions_bytes"] == 3 * 1000 * 8
+        assert report["neighbor_list_bytes_monolithic"] == 25_000 * 48
+        assert report["neighbor_list_bytes_blocked_peak"] == 25_000 * 48 // 4
+
     def test_blocked_inference_memory_model(self, rng):
         model = AllegroLiteModel(species=["Ar"], cutoff=5.0, rng=rng)
         blocked = BlockedInference(model, block_size=1000)

@@ -14,7 +14,7 @@ from repro.parallel import (
     summit,
     theta,
 )
-from repro.parallel.costmodel import CommunicationCost
+from repro.parallel.costmodel import CommunicationCost, CommunicationModel
 from repro.parallel.scaling import run_scaling_study
 
 
@@ -45,6 +45,63 @@ class TestCostModels:
         cost = CommunicationCost(latency_s=1e-6, bandwidth_bytes_per_s=1e9)
         assert cost.message(1e9) == pytest.approx(1.0 + 1e-6)
         assert cost.tree_collective(0.0, 1024) == pytest.approx(10e-6)
+
+    def test_communication_cost_rejects_invalid_sizes(self):
+        cost = CommunicationCost()
+        with pytest.raises(ValueError):
+            cost.message(-1.0)
+        with pytest.raises(ValueError):
+            cost.tree_collective(8.0, 0)
+
+    @pytest.mark.parametrize("ranks, rounds", [(1, 1), (2, 1), (3, 2), (1024, 10), (1025, 11)])
+    def test_tree_collective_takes_ceil_log2_rounds(self, ranks, rounds):
+        cost = CommunicationCost(latency_s=1e-6, bandwidth_bytes_per_s=1e9)
+        assert cost.tree_collective(1e3, ranks) == pytest.approx(rounds * cost.message(1e3))
+
+    def test_communication_model_halo_fixed_reductions_grow_as_log_ranks(self):
+        cost = CommunicationCost(latency_s=1e-6, bandwidth_bytes_per_s=1e9)
+        model = CommunicationModel(cost, halo_bytes=1e6, global_reduction_bytes=8.0,
+                                   reductions_per_step=3)
+        halo = 2.0 * cost.message(1e6)
+        assert model.time_per_step(1) == pytest.approx(halo + 3 * cost.message(8.0))
+        assert model.time_per_step(0) == model.time_per_step(1)
+        growth = model.time_per_step(1024) - model.time_per_step(2)
+        assert growth == pytest.approx(3 * 9 * cost.message(8.0))
+
+    def test_dcmesh_t2s_is_weak_time_per_qd_step_per_electron(self):
+        model = DCMESHCostModel()
+        ranks, electrons = 6144, 128.0
+        seconds_per_md = model.weak_scaling_time(ranks, electrons)
+        assert model.time_to_solution(ranks, electrons) == pytest.approx(
+            seconds_per_md / model.qd_steps_per_md_step / (ranks * electrons))
+
+    def test_dcmesh_parameter_validation(self):
+        with pytest.raises(ValueError):
+            DCMESHCostModel(electrons_per_rank_reference=0.0)
+        with pytest.raises(ValueError):
+            DCMESHCostModel(gemm_fraction=1.5)
+        model = DCMESHCostModel()
+        with pytest.raises(ValueError):
+            model.strong_scaling_time(0, 1e6)
+        with pytest.raises(ValueError):
+            model.strong_scaling_time(8, 0.0)
+
+    def test_nnqmd_halo_grows_with_subdomain_surface(self):
+        model = NNQMDCostModel(fixed_overhead_seconds=0.0, collective_seconds_per_log2p=0.0)
+        # A cubic subdomain's halo shell holds 6 side^2 atoms: 8x the atoms
+        # per rank is 4x the surface, so the halo bytes grow 4x.
+        small = model.communication_time(64, 1e6) - model.communication_time(64, 0.0)
+        large = model.communication_time(64, 8e6) - model.communication_time(64, 0.0)
+        assert large == pytest.approx(4.0 * small)
+
+    def test_nnqmd_t2s_normalises_by_atoms_and_weights(self):
+        model = NNQMDCostModel()
+        seconds = model.weak_scaling_time(100, 1e5)
+        assert model.time_to_solution(100, 1e5, 7) == pytest.approx(seconds / (100 * 1e5 * 7))
+        with pytest.raises(ValueError):
+            NNQMDCostModel(seconds_per_atom_step=0.0)
+        with pytest.raises(ValueError):
+            NNQMDCostModel(fixed_overhead_seconds=-1.0)
 
     def test_dcmesh_t2s_matches_paper(self):
         model = DCMESHCostModel()

@@ -11,6 +11,7 @@ every benchmark and every example.  Rules of the walk:
   ``pkg.X``, or the module that defines ``X``, followed through the
   package's re-exports;
 * reaching a module reaches the ``__init__`` of every package above it;
+* ``from pkg.mod import *`` reaches ``pkg.mod`` itself;
 * imports inside functions count: a lazy import is still a run path.
 
 A module nothing reaches must be listed in :data:`ORPHANS` with the reason
@@ -110,7 +111,12 @@ class ImportGraph:
                 base = _absolute(node, name, is_package)
                 for alias in node.names:
                     bound = alias.asname or alias.name
-                    if alias.name == "*" or (is_package and bound not in loads):
+                    if alias.name == "*":
+                        # Which names a star import uses is not known, so it
+                        # reaches the whole module it reads from.
+                        reached.add(base)
+                        continue
+                    if is_package and bound not in loads:
                         continue
                     target, is_module = self.resolve(base, alias.name)
                     reached.add(target)
@@ -255,3 +261,160 @@ def test_walk_rules_on_a_synthetic_tree(tmp_path):
     # reaches its __init__ only; attribute chains and lazy imports count.
     assert reached == {"pkg", "pkg.main", "pkg.used", "pkg.sub",
                        "pkg.sub.deep", "pkg.lazy"}
+
+
+def _reached(tmp_path: Path, files: Dict[str, str], entry: str) -> Set[str]:
+    _write(tmp_path, files)
+    return ImportGraph(tmp_path / "src").reachable([tmp_path / "src" / entry])
+
+
+def test_package_import_reaches_only_its_init(tmp_path):
+    reached = _reached(tmp_path, {
+        "src/pkg/__init__.py": "from pkg.a import f\n",
+        "src/pkg/a.py": "def f():\n    pass\n",
+        "src/pkg/main.py": "import pkg\n",
+    }, "pkg/main.py")
+    assert reached == {"pkg", "pkg.main"}
+
+
+def test_a_package_reaches_what_its_own_body_uses(tmp_path):
+    reached = _reached(tmp_path, {
+        "src/pkg/__init__.py": "from pkg.a import f\nDEFAULT = f()\n",
+        "src/pkg/a.py": "def f():\n    return 1\n",
+        "src/pkg/main.py": "import pkg\n",
+    }, "pkg/main.py")
+    assert reached == {"pkg", "pkg.main", "pkg.a"}
+
+
+def test_from_import_follows_a_chain_of_re_exports(tmp_path):
+    reached = _reached(tmp_path, {
+        "src/pkg/__init__.py": "from pkg.sub import Thing\n",
+        "src/pkg/sub/__init__.py": "from .impl import Thing\n",
+        "src/pkg/sub/impl.py": "class Thing:\n    pass\n",
+        "src/pkg/sub/spare.py": "",
+        "src/pkg/main.py": "from pkg import Thing\n",
+    }, "pkg/main.py")
+    assert reached == {"pkg", "pkg.main", "pkg.sub", "pkg.sub.impl"}
+
+
+def test_attribute_chain_reaches_submodules_and_stops_at_a_value(tmp_path):
+    reached = _reached(tmp_path, {
+        "src/pkg/__init__.py": "from pkg.a import f\n",
+        "src/pkg/a.py": "def f():\n    pass\n",
+        "src/pkg/b/__init__.py": "",
+        "src/pkg/b/c.py": "value = 2\n",
+        "src/pkg/b/value.py": "",
+        "src/pkg/main.py": "import pkg\nimport pkg.b\n"
+                           "pkg.f.value\npkg.b.c.value\n",
+    }, "pkg/main.py")
+    # ``pkg.f`` is a function, so ``.value`` after it is not a module even
+    # though ``pkg.b.value`` exists; ``pkg.b.c`` is a submodule.
+    assert reached == {"pkg", "pkg.main", "pkg.a", "pkg.b", "pkg.b.c"}
+
+
+def test_import_as_binds_the_alias_to_the_submodule(tmp_path):
+    reached = _reached(tmp_path, {
+        "src/pkg/__init__.py": "",
+        "src/pkg/sub/__init__.py": "",
+        "src/pkg/sub/leaf.py": "",
+        "src/pkg/sub/other.py": "",
+        "src/pkg/main.py": "import pkg.sub as s\ns.leaf\n",
+    }, "pkg/main.py")
+    assert reached == {"pkg", "pkg.main", "pkg.sub", "pkg.sub.leaf"}
+
+
+def test_dotted_import_reaches_every_package_above(tmp_path):
+    reached = _reached(tmp_path, {
+        "src/pkg/__init__.py": "",
+        "src/pkg/a/__init__.py": "",
+        "src/pkg/a/b/__init__.py": "",
+        "src/pkg/a/b/leaf.py": "",
+        "src/pkg/main.py": "import pkg.a.b.leaf\n",
+    }, "pkg/main.py")
+    assert reached == {"pkg", "pkg.main", "pkg.a", "pkg.a.b", "pkg.a.b.leaf"}
+
+
+def test_lazy_import_inside_a_function_counts(tmp_path):
+    reached = _reached(tmp_path, {
+        "src/pkg/__init__.py": "",
+        "src/pkg/heavy.py": "",
+        "src/pkg/main.py": "def run():\n"
+                           "    from pkg import heavy\n"
+                           "    return heavy\n",
+    }, "pkg/main.py")
+    assert "pkg.heavy" in reached
+
+
+def test_star_import_reaches_its_module(tmp_path):
+    reached = _reached(tmp_path, {
+        "src/pkg/__init__.py": "",
+        "src/pkg/names.py": "X = 1\n",
+        "src/pkg/main.py": "from pkg.names import *\n",
+    }, "pkg/main.py")
+    assert reached == {"pkg", "pkg.main", "pkg.names"}
+
+
+def test_relative_imports_resolve_against_module_and_package():
+    def base(code: str, name: str, is_package: bool) -> str:
+        return _absolute(ast.parse(code).body[0], name, is_package)
+
+    assert base("from . import x", "pkg.mod", False) == "pkg"
+    assert base("from .sib import x", "pkg.mod", False) == "pkg.sib"
+    assert base("from ..up import x", "pkg.sub.mod", False) == "pkg.up"
+    assert base("from . import x", "pkg.sub", True) == "pkg.sub"
+    assert base("from .. import x", "pkg.sub", True) == "pkg"
+    assert base("from pkg.abs import x", "other.mod", False) == "pkg.abs"
+
+
+def test_cyclic_re_exports_terminate(tmp_path):
+    _write(tmp_path, {
+        "src/pkg/__init__.py": "",
+        "src/pkg/a/__init__.py": "from pkg.b import X\n",
+        "src/pkg/b/__init__.py": "from pkg.a import X\n",
+    })
+    graph = ImportGraph(tmp_path / "src")
+    module, is_module = graph.resolve("pkg.a", "X")
+    assert not is_module
+    assert module in {"pkg.a", "pkg.b"}
+
+
+def test_modules_outside_src_are_not_edges(tmp_path):
+    _write(tmp_path, {
+        "src/pkg/__init__.py": "",
+        "src/pkg/used.py": "",
+        "scripts/run.py": "import json\nimport numpy as np\n"
+                          "from pkg import used\nnp.linalg.norm\n",
+    })
+    graph = ImportGraph(tmp_path / "src")
+    assert graph.edges(_parse(tmp_path / "scripts/run.py")) == {"pkg.used"}
+    assert graph.reachable([tmp_path / "scripts/run.py"]) == {"pkg", "pkg.used"}
+
+
+def test_entry_points_take_nested_benchmarks_and_top_level_examples(tmp_path):
+    _write(tmp_path, {
+        "benchmarks/bench_a.py": "",
+        "benchmarks/e2e/run.py": "",
+        "examples/demo.py": "",
+        "examples/data/helper.py": "",
+    })
+    names = {path.relative_to(tmp_path).as_posix()
+             for path in entry_points(tmp_path)}
+    assert {"benchmarks/bench_a.py", "benchmarks/e2e/run.py",
+            "examples/demo.py"} <= names
+    assert "examples/data/helper.py" not in names
+    assert "src/repro/api/cli.py" in names
+
+
+def test_gate_reports_an_unreached_module_of_a_repro_tree(tmp_path):
+    empty = ["__init__.py", "__main__.py", "api/__init__.py",
+             "api/adapters.py", "api/server.py", "fleet/__init__.py",
+             "fleet/router.py", "tools/__init__.py", "tools/live.py",
+             "tools/dead.py"]
+    files = {f"src/repro/{path}": "" for path in empty}
+    files["src/repro/api/cli.py"] = "from repro.tools import live\n"
+    files["src/other/__init__.py"] = ""
+    _write(tmp_path, files)
+    modules, unreached = unreached_modules(tmp_path)
+    assert "other" not in modules
+    assert "repro.tools.live" in modules - unreached
+    assert unreached == {"repro.tools.dead"}
