@@ -69,19 +69,3 @@ def absorption_spectrum(
     omega, strength = dipole_strength_function(times, dipole, kick_strength, damping)
     return omega, np.maximum(strength, 0.0)
 
-
-def peak_frequencies(omega: np.ndarray, spectrum: np.ndarray, top_n: int = 3) -> np.ndarray:
-    """Frequencies of the ``top_n`` largest local maxima of a spectrum."""
-    omega = np.asarray(omega, dtype=float)
-    spectrum = np.asarray(spectrum, dtype=float)
-    if omega.shape != spectrum.shape or omega.size < 3:
-        raise ValueError("omega and spectrum must match and have >= 3 samples")
-    interior = np.arange(1, omega.size - 1)
-    is_peak = (spectrum[interior] > spectrum[interior - 1]) & (
-        spectrum[interior] > spectrum[interior + 1]
-    )
-    peaks = interior[is_peak]
-    if peaks.size == 0:
-        return np.array([])
-    order = np.argsort(spectrum[peaks])[::-1]
-    return omega[peaks[order[:top_n]]]

@@ -9,7 +9,7 @@ Subcommands::
     repro analytics bench HISTORY [--bench B]     repro-bench trajectories
     repro analytics dashboard [ROOT | --live]     stats snapshot
 
-Exit codes follow the repo convention (:mod:`repro.utils.cliutil`): 0 on
+Exit codes follow the repo convention (:mod:`repro.store.cliutil`): 0 on
 success, **1 when ``regress`` finds violations** (the gate), 2 on usage or
 state errors.  ``dashboard`` reads a live daemon's ``/v1/stats`` when given
 ``--live``, else scans the root offline.
@@ -23,10 +23,10 @@ from typing import Optional, Sequence
 from repro.analytics.regress import bench_trajectory, cohort_violations, \
     conservation_violations, load_results
 from repro.analytics.stats import render_dashboard, store_stats
-from repro.utils.cliutil import subcommand_errors
+from repro.store.cliutil import subcommand_errors
 
 #: Analytics faults become one-line stderr diagnostics and exit 2 — the same
-#: error path the store CLI uses (repro.utils.cliutil).
+#: error path the store CLI uses (repro.store.cliutil).
 _analytics_errors = subcommand_errors(ValueError, KeyError)
 
 

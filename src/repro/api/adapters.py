@@ -530,14 +530,10 @@ class LocalModeEngine(_LatticeAdapter):
         weights = [engine.spec.propagator.excitation_fraction
                    for engine in engines]
         model = engines[0].lattice.model
-        if model.depolarization == 0.0:
-            quadratic_eff = np.array(
-                [model.effective_quadratic(w) for w in weights],
-            ).reshape(-1, 1, 1, 1, 1)
-            energies = stacked_energy(modes, model, quadratic_eff)
-        else:  # the dipolar term is not vectorized: member by member
-            energies = [engine.lattice.energy(w)
-                        for engine, w in zip(engines, weights)]
+        quadratic_eff = np.array(
+            [model.effective_quadratic(w) for w in weights],
+        ).reshape(-1, 1, 1, 1, 1)
+        energies = stacked_energy(modes, model, quadratic_eff)
         return [
             {"energy": float(energy), "topological_charge": float(charge),
              "mean_polarization": polarization}

@@ -51,7 +51,7 @@ Subcommands
 
 Exit codes
 ----------
-Every subcommand follows one convention (:mod:`repro.utils.cliutil`):
+Every subcommand follows one convention (:mod:`repro.store.cliutil`):
 
 * ``0`` — success.
 * ``1`` — the operation ran and found what it looked for: a failed run

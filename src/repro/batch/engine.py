@@ -89,9 +89,8 @@ class _LatticeStack:
     def try_build(engines: Sequence[EngineAdapter]) -> Optional["_LatticeStack"]:
         """A stack over ``engines``, or ``None`` when stacking is unsafe.
 
-        Refuses mixed models/masses/shapes and any nonzero long-range
-        depolarization (the dipolar FFT term is not vectorized; such runs
-        fall back to per-member lockstep, which is always correct).
+        Refuses mixed models/masses/shapes (such runs fall back to
+        per-member lockstep, which is always correct).
         """
         if len(engines) < 2:
             return None
@@ -104,8 +103,6 @@ class _LatticeStack:
                     or lattice.mode_mass != first.mode_mass
                     or lattice.modes.shape != first.modes.shape):
                 return None
-        if first.model.depolarization != 0.0:
-            return None
         return _LatticeStack(engines)
 
     def _restack(self) -> None:
@@ -198,9 +195,6 @@ class BatchedEngine:
         self.members = [
             build_engine(spec, workspace=self.workspace) for spec in specs
         ]
-
-    def __len__(self) -> int:
-        return len(self.members)
 
     # ------------------------------------------------------------------
     def _normalize_per_member(self, value, name: str) -> List[Any]:

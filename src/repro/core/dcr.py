@@ -78,9 +78,6 @@ class DCRDecomposition:
     def interface_bytes(self, source: str, target: str) -> float:
         return self.interfaces.get((source, target), 0.0)
 
-    def total_interface_bytes(self) -> float:
-        return float(sum(self.interfaces.values()))
-
     def mutual_information_ratio(self, source: str, target: str) -> float:
         """Interface size relative to the source's internal state.
 

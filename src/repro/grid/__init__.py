@@ -22,7 +22,7 @@ from repro.grid.stencil import (
     laplacian_naive,
     laplacian_reference,
 )
-from repro.grid.poisson import solve_poisson, coulomb_energy
+from repro.grid.poisson import solve_poisson
 
 __all__ = [
     "Grid3D",
@@ -31,5 +31,4 @@ __all__ = [
     "laplacian_naive",
     "laplacian_reference",
     "solve_poisson",
-    "coulomb_energy",
 ]

@@ -100,10 +100,6 @@ class Grid3D:
     # ------------------------------------------------------------------
     # Field helpers
     # ------------------------------------------------------------------
-    def zeros(self, dtype=np.float64) -> np.ndarray:
-        """A zero-initialised field with the grid's shape."""
-        return np.zeros(self.shape, dtype=dtype)
-
     def integrate(self, field: np.ndarray) -> float | complex:
         """Trapezoid-free periodic integral: sum(field) * dv."""
         field = np.asarray(field)
@@ -116,32 +112,13 @@ class Grid3D:
             return complex(total) if np.iscomplexobj(field) else float(total)
         return total
 
-    def inner_product(self, bra: np.ndarray, ket: np.ndarray) -> complex:
-        """<bra|ket> with the grid volume element."""
-        bra = np.asarray(bra)
-        ket = np.asarray(ket)
-        if bra.shape != self.shape or ket.shape != self.shape:
-            raise ValueError("bra and ket must both have the grid shape")
-        return complex(np.vdot(bra, ket) * self.dv)
-
-    def norm(self, field: np.ndarray) -> float:
-        """L2 norm sqrt(<f|f>)."""
-        return float(np.sqrt(np.real(self.inner_product(field, field))))
-
-    def normalize(self, field: np.ndarray) -> np.ndarray:
-        """Return ``field`` scaled to unit L2 norm."""
-        n = self.norm(field)
-        if n == 0.0:
-            raise ValueError("cannot normalise a zero field")
-        return np.asarray(field) / n
-
     def gaussian(self, center: Tuple[float, float, float], width: float,
                  dtype=np.float64) -> np.ndarray:
         """A normalised periodic Gaussian blob centred at ``center``.
 
-        Used for initial wave packets, model densities and pseudo-charge
-        distributions.  The Gaussian respects minimum-image periodicity so
-        blobs near the cell boundary wrap smoothly.
+        Tests use it for model densities.  The Gaussian respects
+        minimum-image periodicity so blobs near the cell boundary wrap
+        smoothly.
         """
         ensure_positive(width, "width")
         x, y, z = self.meshgrid()
@@ -154,11 +131,7 @@ class Grid3D:
         dz -= lz * np.round(dz / lz)
         r2 = dx ** 2 + dy ** 2 + dz ** 2
         blob = np.exp(-0.5 * r2 / width ** 2).astype(dtype)
-        norm = self.norm(blob)
-        return blob / norm
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Grid3D(shape={self.shape}, lengths={self.lengths})"
+        return blob / float(np.sqrt(np.vdot(blob, blob).real * self.dv))
 
 
 @lru_cache(maxsize=16)

@@ -74,12 +74,6 @@ def solve_poisson(density: np.ndarray, grid: Grid3D) -> np.ndarray:
     return apply_separable(v_k, inverse, out=v_k)
 
 
-def coulomb_energy(density: np.ndarray, grid: Grid3D) -> float:
-    """Classical Hartree energy 1/2 \\int rho V_H of a periodic density."""
-    potential = solve_poisson(density, grid)
-    return 0.5 * float(grid.integrate(density * potential))
-
-
 def poisson_residual(potential: np.ndarray, density: np.ndarray, grid: Grid3D,
                      order: int = 4) -> float:
     """Relative residual || nabla^2 V + 4 pi rho || / || 4 pi rho ||.

@@ -24,7 +24,29 @@ from typing import Optional
 import numpy as np
 
 from repro.grid.grid3d import Grid3D
-from repro.utils.mathutils import finite_difference_coefficients
+
+
+def finite_difference_coefficients(order: int) -> np.ndarray:
+    """Central finite-difference coefficients for the second derivative.
+
+    Parameters
+    ----------
+    order:
+        Accuracy order of the stencil; one of 2, 4, or 6.
+
+    Returns
+    -------
+    ndarray
+        Symmetric coefficient vector of length ``order + 1`` such that
+        ``f''(x) ~ sum_k c[k] f(x + (k - order/2) h) / h**2``.
+    """
+    if order == 2:
+        return np.array([1.0, -2.0, 1.0])
+    if order == 4:
+        return np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
+    if order == 6:
+        return np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
+    raise ValueError(f"unsupported finite-difference order {order}; use 2, 4, or 6")
 
 
 def _accumulate_shifted(out: np.ndarray, src: np.ndarray, axis: int, offset: int) -> None:

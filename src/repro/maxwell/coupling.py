@@ -63,11 +63,6 @@ class MaxwellCoupler:
         a = self.solver.vector_potential()
         return a[self._lower] * (1.0 - self._frac) + a[self._lower + 1] * self._frac
 
-    def sample_electric_field(self) -> np.ndarray:
-        """E(X_alpha) for every domain (same interpolation as the potential)."""
-        e = self.solver.electric_field()
-        return e[self._lower] * (1.0 - self._frac) + e[self._lower + 1] * self._frac
-
     def deposit_current(self, domain_currents: Sequence[float]) -> np.ndarray:
         """Spread per-domain scalar currents onto the macroscopic grid.
 

@@ -66,11 +66,6 @@ class Maxwell1D:
         """Current simulation time in atomic units."""
         return self._time
 
-    @property
-    def positions(self) -> np.ndarray:
-        """Macroscopic grid coordinates in Bohr."""
-        return np.arange(self.num_points) * self.dx
-
     def vector_potential(self) -> np.ndarray:
         """The current vector potential profile A(X)."""
         return self.a_curr.copy()

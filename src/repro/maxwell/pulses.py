@@ -2,9 +2,9 @@
 
 All quantities are in Hartree atomic units: the electric field is
 E(t) = -(1/c) dA/dt, and the dimensionless peak "field strength" parameter is
-E0 in atomic units of field (1 a.u. = 51.42 V/Angstrom).  Pulses provide both
-A(t) and E(t) analytically so the TDDFT propagator never needs to
-differentiate numerically.
+E0 in atomic units of field (1 a.u. = 51.42 V/Angstrom).  Pulses provide A(t)
+analytically, which is all the velocity-gauge propagator samples; the
+Gaussian pulse also gives E(t), the field its A(t) is checked against.
 """
 
 from __future__ import annotations
@@ -18,29 +18,10 @@ from repro.utils.validation import ensure_positive
 
 
 class LaserPulse:
-    """Base interface for laser pulses.
-
-    Subclasses implement :meth:`electric_field`; the vector potential is
-    obtained by the base class via cumulative integration when an analytic
-    form is not available, but both pulses below provide analytic A(t).
-    """
+    """Base of the laser pulses: each provides ``vector_potential(t)``, the
+    ``(..., 3)`` A(t) along its unit ``polarization``."""
 
     polarization: np.ndarray
-
-    def electric_field(self, t: float | np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def vector_potential(self, t: float | np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def fluence(self, t_end: float, num_samples: int = 2000) -> float:
-        """Time-integrated |E|^2 up to ``t_end`` (arbitrary units).
-
-        Useful for comparing how much energy different pulse shapes deposit.
-        """
-        times = np.linspace(0.0, t_end, num_samples)
-        fields = np.array([np.linalg.norm(self.electric_field(t)) for t in times])
-        return float(np.trapezoid(fields ** 2, times))
 
 
 @dataclass
@@ -142,11 +123,6 @@ class TrapezoidalPulse(LaserPulse):
         env[flat] = 1.0
         env[falling] = (total - rel[falling]) / self.ramp
         return env
-
-    def electric_field(self, t: float | np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        scalar = self.e0 * self._envelope(t) * np.cos(self.omega * (t - self.t_start))
-        return np.multiply.outer(scalar, self.polarization)
 
     def vector_potential(self, t: float | np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)

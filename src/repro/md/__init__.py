@@ -20,11 +20,10 @@ from repro.md.forcefields import (
     MorsePotential,
     scatter_pair_forces,
 )
-from repro.md.integrators import VelocityVerlet, LangevinIntegrator, temperature
+from repro.md.integrators import VelocityVerlet, LangevinIntegrator
 from repro.md.lattice import (
     perovskite_unit_cell,
     perovskite_supercell,
-    apply_polar_displacements,
     skyrmion_displacement_field,
 )
 from repro.md.localmode import LocalModeModel, LocalModeLattice
@@ -41,10 +40,8 @@ __all__ = [
     "scatter_pair_forces",
     "VelocityVerlet",
     "LangevinIntegrator",
-    "temperature",
     "perovskite_unit_cell",
     "perovskite_supercell",
-    "apply_polar_displacements",
     "skyrmion_displacement_field",
     "LocalModeModel",
     "LocalModeLattice",

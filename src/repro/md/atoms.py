@@ -79,24 +79,9 @@ class AtomsSystem:
     def n_atoms(self) -> int:
         return self.positions.shape[0]
 
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.box))
-
-    def species_indices(self) -> np.ndarray:
-        """Integer type indices (alphabetical order of unique species)."""
-        unique = sorted(set(self.species.tolist()))
-        lookup = {s: i for i, s in enumerate(unique)}
-        return np.array([lookup[s] for s in self.species], dtype=int)
-
     def wrap(self) -> None:
         """Wrap all positions back into the primary periodic image."""
         self.positions %= self.box
-
-    def minimum_image(self, i: int, j: int) -> np.ndarray:
-        """Minimum-image displacement r_i - r_j."""
-        delta = self.positions[i] - self.positions[j]
-        return delta - self.box * np.round(delta / self.box)
 
     # ------------------------------------------------------------------
     def kinetic_energy(self) -> float:
@@ -135,17 +120,6 @@ class AtomsSystem:
         )
 
     # ------------------------------------------------------------------
-    def select(self, indices: Sequence[int]) -> "AtomsSystem":
-        """A new system containing only the selected atoms."""
-        indices = np.asarray(indices, dtype=int)
-        return AtomsSystem(
-            positions=self.positions[indices],
-            species=self.species[indices],
-            box=self.box.copy(),
-            velocities=self.velocities[indices],
-            masses=self.masses[indices],
-        )
-
     def replicate(self, repeats: Sequence[int]) -> "AtomsSystem":
         """Periodic replication of the system ``repeats`` times per axis."""
         repeats = np.asarray(repeats, dtype=int).reshape(3)

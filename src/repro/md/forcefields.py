@@ -179,30 +179,3 @@ class HarmonicWells:
         energy = float(0.5 * self.spring_constant * np.sum(delta ** 2))
         forces = -self.spring_constant * delta
         return energy, forces
-
-
-@dataclass
-class MixedForceField:
-    """Linear combination (1-w) * ground + w * excited of two force fields.
-
-    This is the classical-force-field analogue of the paper's Eq. (4); the
-    neural-network version lives in :mod:`repro.xsnn.mixing`, and this one is
-    used to generate reference data and for ablation tests.
-    """
-
-    ground: ForceField
-    excited: ForceField
-    weight: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.weight <= 1.0):
-            raise ValueError("weight must lie in [0, 1]")
-        self.cutoff = max(self.ground.cutoff, self.excited.cutoff)
-
-    def compute(
-        self, atoms: AtomsSystem, neighbor_list: Optional[NeighborList] = None
-    ) -> Tuple[float, np.ndarray]:
-        e_g, f_g = self.ground.compute(atoms, neighbor_list)
-        e_x, f_x = self.excited.compute(atoms, neighbor_list)
-        w = self.weight
-        return (1.0 - w) * e_g + w * e_x, (1.0 - w) * f_g + w * f_x

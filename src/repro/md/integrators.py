@@ -22,11 +22,6 @@ from repro.utils.validation import validate_run_args
 _FORCE_TO_ACCEL = 9.648533212e-3
 
 
-def temperature(atoms: AtomsSystem) -> float:
-    """Instantaneous kinetic temperature in Kelvin (convenience re-export)."""
-    return atoms.temperature()
-
-
 class _Integrator:
     """What both integrators share: the clock, the force-field cache and the
     checkpoint state.

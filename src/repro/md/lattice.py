@@ -8,9 +8,6 @@ superlattices in PbTiO3.  These helpers build the atomistic structures:
 * :func:`perovskite_supercell` — an Nx x Ny x Nz replication.
 * :func:`skyrmion_displacement_field` — an analytic Neel-type polar-skyrmion
   superlattice texture u(r) on the cell grid (unit vectors + magnitude).
-* :func:`apply_polar_displacements` — converts the local-mode texture into
-  actual Ti/O displacements of the atomistic supercell, which is how the
-  prepared structures are fed to DC-MESH and XS-NNQMD.
 """
 
 from __future__ import annotations
@@ -132,91 +129,3 @@ def skyrmion_displacement_field(
             field[..., 2] = np.where(mask, pz, field[..., 2])
     return field
 
-
-def apply_polar_displacements(
-    supercell: AtomsSystem,
-    mode_field: np.ndarray,
-    displacement_amplitude: float = 0.25,
-) -> AtomsSystem:
-    """Displace Ti (and counter-displace O) atoms according to a local-mode field.
-
-    Parameters
-    ----------
-    supercell:
-        A supercell built by :func:`perovskite_supercell` (its metadata stores
-        the replication counts used to map atoms to unit cells).
-    mode_field:
-        Array of shape ``(nx, ny, nz, 3)`` with the dimensionless local mode
-        of each unit cell (magnitude ~1 means fully polarised).
-    displacement_amplitude:
-        Ti displacement (Angstrom) corresponding to |u| = 1; oxygen atoms move
-        opposite with 40% of the amplitude, the classic ferroelectric soft-mode
-        pattern.
-
-    Returns
-    -------
-    AtomsSystem
-        A displaced copy of the supercell (the input is not modified).
-    """
-    repeats = supercell.metadata.get("repeats")
-    lattice_constant = supercell.metadata.get("lattice_constant")
-    if repeats is None or lattice_constant is None:
-        raise ValueError("supercell must carry 'repeats' and 'lattice_constant' metadata")
-    nx, ny, nz = repeats
-    mode_field = np.asarray(mode_field, dtype=float)
-    if mode_field.shape != (nx, ny, nz, 3):
-        raise ValueError(
-            f"mode_field must have shape {(nx, ny, nz, 3)}, got {mode_field.shape}"
-        )
-    displaced = supercell.copy()
-    atoms_per_cell = 5
-    a = lattice_constant
-    index = 0
-    for ix in range(nx):
-        for iy in range(ny):
-            for iz in range(nz):
-                u = mode_field[ix, iy, iz]
-                ti_shift = displacement_amplitude * u
-                o_shift = -0.4 * displacement_amplitude * u
-                # Atom ordering inside each replicated cell: Pb, Ti, O, O, O.
-                displaced.positions[index + 1] += ti_shift
-                displaced.positions[index + 2] += o_shift
-                displaced.positions[index + 3] += o_shift
-                displaced.positions[index + 4] += o_shift
-                index += atoms_per_cell
-    displaced.wrap()
-    displaced.metadata["displacement_amplitude"] = displacement_amplitude
-    return displaced
-
-
-def extract_local_modes(
-    supercell: AtomsSystem,
-    reference: AtomsSystem,
-    displacement_amplitude: float = 0.25,
-) -> np.ndarray:
-    """Recover the local-mode field from displaced Ti positions.
-
-    This is the inverse of :func:`apply_polar_displacements` (up to the oxygen
-    contribution, which is folded into the amplitude): the Ti off-centering of
-    each unit cell, divided by the amplitude, gives back u(r).  XS-NNQMD
-    trajectories are converted to polarisation textures this way before the
-    topological-charge analysis.
-    """
-    repeats = supercell.metadata.get("repeats") or reference.metadata.get("repeats")
-    if repeats is None:
-        raise ValueError("supercell metadata must carry 'repeats'")
-    nx, ny, nz = repeats
-    if supercell.n_atoms != reference.n_atoms:
-        raise ValueError("supercell and reference must have the same atoms")
-    delta = supercell.positions - reference.positions
-    delta -= supercell.box * np.round(delta / supercell.box)
-    modes = np.zeros((nx, ny, nz, 3))
-    atoms_per_cell = 5
-    index = 0
-    for ix in range(nx):
-        for iy in range(ny):
-            for iz in range(nz):
-                ti_delta = delta[index + 1]
-                modes[ix, iy, iz] = ti_delta / displacement_amplitude
-                index += atoms_per_cell
-    return modes

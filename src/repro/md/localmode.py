@@ -13,34 +13,23 @@ reproduction: each perovskite unit cell carries a 3-component local mode u_i
 
 A < 0 and B > 0 give the ferroelectric double well; the nearest-neighbour
 coupling J penalises polarisation gradients (domain walls cost energy); C < 0
-adds easy-axis anisotropy along z.  On top of the short-range terms an
-*optional* long-range depolarisation (dipolar) energy
+adds easy-axis anisotropy along z.  There is no long-range depolarisation
+term: the photo-switching pipeline relies on the metastability of the
+prepared texture under overdamped dynamics (domain walls pinned by the
+discrete lattice), which is sufficient for the Fig. 3 contrast between pumped
+and unpumped runs.
 
-    E_dep = (D/N) sum_k f(k) |u_z(k)|^2 ,   f(k) = 1 / (1 + (|k| xi)^2)
-
-penalises long-wavelength modulations of the out-of-plane polarisation (the
-uncompensated bound charge of uniform domains) — the physical mechanism that
-stabilises flux-closure / polar-skyrmion textures in PbTiO3 superlattices.
-It is off by default (D = 0): the photo-switching pipeline relies on the
-metastability of the prepared texture under overdamped dynamics (domain walls
-pinned by the discrete lattice), which is sufficient for the Fig. 3 contrast
-between pumped and unpumped runs and keeps the default dynamics simple.
-
-Photo-excitation does two things, both proportional to the excitation weight
-w: it flattens the double well (A_eff = A * (1 - screening * w)) and it
-screens the depolarising field (D_eff = D * (1 - w)), because free carriers
-compensate the bound charge.  That combination is the physically motivated
-mechanism by which the laser pulse destabilises the polar texture.  The
-ground-state and excited-state variants of this model are the data generators
-for the GS / XS Allegro-lite models and the direct drivers of the
-photo-switching benchmark.
+Photo-excitation flattens the double well in proportion to the excitation
+weight w (A_eff = A * (1 - screening * w)), the mechanism by which the laser
+pulse destabilises the polar texture.  The ground-state and excited-state
+variants of this model are the data generators for the GS / XS Allegro-lite
+models and the direct drivers of the photo-switching benchmark.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -60,8 +49,6 @@ class LocalModeModel:
     quartic: float = 0.1         # B, eV per |u|^4
     anisotropy: float = -0.02    # C, eV per u_z^2 (easy axis along z)
     coupling: float = 0.08       # J, eV per |u_i - u_j|^2
-    depolarization: float = 0.0  # D, eV per cell weighting the optional long-range dipolar term
-    screening_cells: float = 3.0  # xi, dipolar screening length in unit cells
     excitation_screening: float = 2.5  # how strongly excitation flattens the well
 
     def effective_quadratic(self, excitation_weight: float) -> float:
@@ -69,20 +56,6 @@ class LocalModeModel:
         if not (0.0 <= excitation_weight <= 1.0):
             raise ValueError("excitation_weight must lie in [0, 1]")
         return self.quadratic * (1.0 - self.excitation_screening * excitation_weight)
-
-    def effective_depolarization(self, excitation_weight: float) -> float:
-        """D_eff(w): photo-excited carriers screen the depolarising field.
-
-        The depolarisation energy D * N * <u_z>^2 is what stabilises the
-        flux-closure / skyrmion textures of PbTiO3 superlattices against a
-        uniform monodomain state (it penalises any net out-of-plane
-        polarisation whose bound charge is uncompensated).  Free carriers
-        generated by the pump screen that bound charge, so the term is scaled
-        by (1 - w).
-        """
-        if not (0.0 <= excitation_weight <= 1.0):
-            raise ValueError("excitation_weight must lie in [0, 1]")
-        return self.depolarization * (1.0 - excitation_weight)
 
     def well_minimum(self, excitation_weight: float = 0.0) -> float:
         """|u| at the minimum of the on-site potential (0 when the well closes)."""
@@ -119,24 +92,6 @@ class LocalModeLattice:
         self.velocities = np.zeros_like(self.modes)
         if self.mode_mass <= 0:
             raise ValueError("mode_mass must be positive")
-        # Precompute the dipolar kernel f(k) = 1 / (1 + (|k| xi)^2) on the
-        # in-plane (x, y) Fourier grid; it only depends on the lattice shape.
-        nx, ny = self.modes.shape[0], self.modes.shape[1]
-        kx = 2.0 * np.pi * np.fft.fftfreq(nx)
-        ky = 2.0 * np.pi * np.fft.fftfreq(ny)
-        k2 = kx[:, None] ** 2 + ky[None, :] ** 2
-        xi = self.model.screening_cells
-        self._dipolar_kernel = 1.0 / (1.0 + k2 * xi ** 2)
-
-    def _dipolar_field(self, excitation_weight: float) -> np.ndarray:
-        """Re[IFFT2(f(k) u_z(k))] per layer, used by both energy and force."""
-        uz = self.modes[..., 2]
-        uz_k = np.fft.fft2(uz, axes=(0, 1))
-        return np.real(np.fft.ifft2(self._dipolar_kernel[:, :, None] * uz_k, axes=(0, 1)))
-
-    @property
-    def shape(self) -> Tuple[int, int, int]:
-        return self.modes.shape[:3]
 
     # ------------------------------------------------------------------
     # Checkpoint support
@@ -166,21 +121,17 @@ class LocalModeLattice:
         """Total energy of the texture on the effective surface.
 
         The short-range part comes from the shared :func:`stacked_energy`
-        kernel with a leading axis of one; the depolarization and field
-        terms, which that kernel does not vectorize, are added here, in that
-        order (as :meth:`_force_of` does for the force).
+        kernel with a leading axis of one; the field term, which that kernel
+        does not vectorize, is added here (as :meth:`_force_of` does for the
+        force).
         """
         quadratic_eff = np.full((1, 1, 1, 1, 1),
                                 self.model.effective_quadratic(excitation_weight))
         energy = float(stacked_energy(self.modes[None], self.model,
                                       quadratic_eff)[0])
-        u = self.modes
-        d_eff = self.model.effective_depolarization(excitation_weight)
-        if d_eff != 0.0:
-            energy += d_eff * float(np.sum(u[..., 2] * self._dipolar_field(excitation_weight)))
         if electric_field is not None:
             field = np.asarray(electric_field, dtype=float).reshape(3)
-            energy -= float(np.sum(u @ field))
+            energy -= float(np.sum(self.modes @ field))
         return energy
 
     def forces(self, excitation_weight: float = 0.0,
@@ -194,26 +145,19 @@ class LocalModeLattice:
         """The force as a function of the ``(1, nx, ny, nz, 3)`` mode stack.
 
         The short-range part comes from the shared :func:`stacked_forces`
-        kernel (and its memo); the depolarization and field terms, which
-        that kernel does not vectorize, are added here on a copy, in that
-        order.
+        kernel (and its memo); the field term, which that kernel does not
+        vectorize, is added here on a copy.
         """
         quadratic_eff = np.full((1, 1, 1, 1, 1),
                                 self.model.effective_quadratic(excitation_weight))
-        d_eff = self.model.effective_depolarization(excitation_weight)
         field = (None if electric_field is None
                  else np.asarray(electric_field, dtype=float).reshape(3))
 
         def force_of(modes: np.ndarray) -> np.ndarray:
             force = stacked_forces(modes, self.model, quadratic_eff)
-            if d_eff == 0.0 and field is None:
+            if field is None:
                 return force
-            force = force.copy()
-            if d_eff != 0.0:
-                force[..., 2] -= 2.0 * d_eff * self._dipolar_field(excitation_weight)
-            if field is not None:
-                force += field
-            return force
+            return force + field
 
         return force_of
 
@@ -245,15 +189,11 @@ class LocalModeLattice:
 
         ``num_steps=0`` is a no-op (the texture is used as prepared).  The
         same relax loop as :func:`relax_stacked`, on a stack of one, with
-        this lattice's force (depolarization included).
+        this lattice's force.
         """
         _relax(self.modes[None], self.velocities[None], num_steps, dt,
                self.mode_mass,
                self._force_of(excitation_weight, None), damping)
-
-    def mean_polarization(self) -> np.ndarray:
-        """Average local mode (proportional to the net polarisation)."""
-        return self.modes.reshape(-1, 3).mean(axis=0)
 
 
 # ----------------------------------------------------------------------
@@ -268,10 +208,8 @@ class LocalModeLattice:
 # to ``np.roll``), an explicit left-to-right sum of the 3 components or a
 # per-member row sum — all value-identical under a leading batch axis — so
 # the stacked trajectory and energies are bit-identical to treating each
-# member serially.  Long-range depolarisation (model.depolarization != 0)
-# and external fields are added only by the lattice wrapper; stacked callers
-# fall back to per-member stepping and relaxing for those (the registry
-# scenarios all run with D = 0).
+# member serially.  External fields are added only by the lattice wrapper;
+# no registry scenario applies one.
 #
 # The force at the end of step n is the start force of step n + 1 whenever
 # the modes and A_eff are unchanged (damping and noise touch only

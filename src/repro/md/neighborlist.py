@@ -307,11 +307,3 @@ class NeighborList:
         self._reference_positions = np.asarray(
             state["reference_positions"], dtype=float
         ).reshape(-1, 3)
-
-    def neighbor_counts(self, n_atoms: int) -> np.ndarray:
-        """Number of neighbours per atom (full double-counted coordination)."""
-        pairs = self.pairs
-        return (
-            np.bincount(pairs[:, 0], minlength=n_atoms)
-            + np.bincount(pairs[:, 1], minlength=n_atoms)
-        )

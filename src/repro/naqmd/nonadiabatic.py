@@ -58,9 +58,3 @@ def nonadiabatic_coupling_matrix(
     backward = cur_matrix.conj().T @ prev_matrix * dv
     return coupling_from_overlap(forward, backward, dt)
 
-
-def coupling_strength(coupling: np.ndarray) -> float:
-    """Scalar summary |d|_F of a coupling matrix (used in diagnostics/tests)."""
-    coupling = np.asarray(coupling)
-    off_diagonal = coupling - np.diag(np.diag(coupling))
-    return float(np.linalg.norm(off_diagonal))

@@ -46,25 +46,6 @@ class MachineSpec:
     network_bandwidth_bytes_per_s: float
     ranks_per_node: int = 1
 
-    @property
-    def total_accelerators(self) -> int:
-        units = self.accelerators_per_node if self.accelerators_per_node else 1
-        return self.num_nodes * units
-
-    @property
-    def peak_flops_fp64_total(self) -> float:
-        return self.total_accelerators * self.peak_flops_fp64_per_accelerator
-
-    def peak_flops(self, precision: str = "fp64") -> float:
-        """Full-system peak for the requested precision."""
-        if precision.lower() == "fp64":
-            per_unit = self.peak_flops_fp64_per_accelerator
-        elif precision.lower() in ("fp32", "bf16", "bf16x2", "bf16x3"):
-            per_unit = self.peak_flops_fp32_per_accelerator
-        else:
-            raise ValueError(f"unknown precision {precision!r}")
-        return self.total_accelerators * per_unit
-
 
 def aurora() -> MachineSpec:
     """ALCF Aurora: 10,624 nodes, 6 PVC GPUs x 2 tiles each; the paper uses

@@ -16,13 +16,10 @@ from repro.perf.workspace import (
     get_workspace,
 )
 from repro.perf.metrics import (
-    flops_rate,
     me_time_to_solution,
     nnqmd_time_to_solution,
     parallel_efficiency_strong,
     parallel_efficiency_weak,
-    percent_of_peak,
-    speedup,
 )
 
 __all__ = [
@@ -32,11 +29,8 @@ __all__ = [
     "KernelWorkspace",
     "LRUCache",
     "get_workspace",
-    "flops_rate",
     "me_time_to_solution",
     "nnqmd_time_to_solution",
     "parallel_efficiency_strong",
     "parallel_efficiency_weak",
-    "percent_of_peak",
-    "speedup",
 ]

@@ -57,28 +57,5 @@ class FlopCounter:
             raise ValueError("flops must be non-negative")
         self.counts[kernel] = self.counts.get(kernel, 0) + int(flops)
 
-    def total(self) -> int:
-        return sum(self.counts.values())
-
     def __getitem__(self, kernel: str) -> int:
         return self.counts.get(kernel, 0)
-
-    def merge(self, other: "FlopCounter") -> "FlopCounter":
-        """Return a new counter containing the sums of both counters."""
-        merged = FlopCounter(dict(self.counts))
-        for kernel, flops in other.counts.items():
-            merged.add(kernel, flops)
-        return merged
-
-    def scaled(self, factor: int) -> "FlopCounter":
-        """Return a counter with every count multiplied by ``factor``.
-
-        This is the divide-and-conquer multiplication rule: per-domain counts
-        times the number of identical domains gives the full-application count.
-        """
-        if factor < 0:
-            raise ValueError("factor must be non-negative")
-        return FlopCounter({k: v * int(factor) for k, v in self.counts.items()})
-
-    def reset(self) -> None:
-        self.counts.clear()

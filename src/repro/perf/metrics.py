@@ -38,29 +38,6 @@ def nnqmd_time_to_solution(
     return wall_seconds_per_md_step / (float(num_atoms) * float(num_weights))
 
 
-def flops_rate(total_flops: float, wall_seconds: float) -> float:
-    """FLOP/s given a total operation count and wall-clock time."""
-    if wall_seconds <= 0:
-        raise ValueError("wall_seconds must be positive")
-    if total_flops < 0:
-        raise ValueError("total_flops must be non-negative")
-    return total_flops / wall_seconds
-
-
-def percent_of_peak(achieved_flops_per_s: float, peak_flops_per_s: float) -> float:
-    """Percentage of theoretical peak performance."""
-    if peak_flops_per_s <= 0:
-        raise ValueError("peak must be positive")
-    return 100.0 * achieved_flops_per_s / peak_flops_per_s
-
-
-def speedup(reference_seconds: float, seconds: float) -> float:
-    """Classical speedup: reference time over measured time."""
-    if seconds <= 0 or reference_seconds <= 0:
-        raise ValueError("times must be positive")
-    return reference_seconds / seconds
-
-
 def parallel_efficiency_weak(
     work_units: np.ndarray,
     wall_seconds: np.ndarray,

@@ -86,9 +86,6 @@ class LRUCache:
     def __len__(self) -> int:
         return len(self._data)
 
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._data
-
     def get(self, key: Hashable):
         """Return the cached value or ``None``, updating recency and stats."""
         try:
@@ -110,12 +107,6 @@ class LRUCache:
             self._data.move_to_end(key)
             while len(self._data) > self.maxsize:
                 self._data.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-            self.hits = 0
-            self.misses = 0
 
 
 class DFTBasis(NamedTuple):
@@ -253,14 +244,6 @@ class KernelWorkspace:
         entry = solve()
         self._ground_states.put(key, entry)
         return entry, False
-
-    # ------------------------------------------------------------------
-    def clear(self) -> None:
-        """Drop every cached operator, spectral basis and ground state."""
-        self._phases.clear()
-        self._ground_states.clear()
-        with self._dft_lock:
-            self._dft.clear()
 
     @property
     def stats(self) -> dict:

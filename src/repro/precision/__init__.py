@@ -12,8 +12,6 @@ from repro.precision.floats import (
     PRECISION_NAMES,
     bf16_round,
     bf16_split,
-    fp16_round,
-    round_to_precision,
 )
 from repro.precision.gemm import (
     GemmMode,
@@ -27,8 +25,6 @@ __all__ = [
     "PRECISION_NAMES",
     "bf16_round",
     "bf16_split",
-    "fp16_round",
-    "round_to_precision",
     "GemmMode",
     "MixedPrecisionGemm",
     "gemm",

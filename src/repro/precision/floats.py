@@ -43,14 +43,6 @@ def bf16_round(values: np.ndarray) -> np.ndarray:
     return out.reshape(values.shape)
 
 
-def fp16_round(values: np.ndarray) -> np.ndarray:
-    """Round an array to IEEE half precision, returned as float32."""
-    values = np.asarray(values)
-    if np.iscomplexobj(values):
-        return fp16_round(values.real) + 1j * fp16_round(values.imag)
-    return np.asarray(values, dtype=np.float16).astype(np.float32)
-
-
 def bf16_split(values: np.ndarray, components: int) -> List[np.ndarray]:
     """Decompose FP32 values into a sum of ``components`` BF16 terms.
 
@@ -74,49 +66,3 @@ def bf16_split(values: np.ndarray, components: int) -> List[np.ndarray]:
         residual = residual - part
     return parts
 
-
-def round_to_precision(values: np.ndarray, precision: str) -> np.ndarray:
-    """Round ``values`` to the named precision and return them as float64.
-
-    ``bf16x2`` and ``bf16x3`` reconstruct the value from its multi-component
-    BF16 decomposition, which is how data effectively enters the MKL GEMM in
-    those modes.
-    """
-    precision = precision.lower()
-    values = np.asarray(values)
-    if precision == "fp64":
-        return np.asarray(values, dtype=np.complex128 if np.iscomplexobj(values) else np.float64)
-    if precision == "fp32":
-        if np.iscomplexobj(values):
-            return values.astype(np.complex64).astype(np.complex128)
-        return values.astype(np.float32).astype(np.float64)
-    if precision == "fp16":
-        out = fp16_round(values)
-        return out.astype(np.complex128 if np.iscomplexobj(values) else np.float64)
-    if precision == "bf16":
-        out = bf16_round(values)
-        return out.astype(np.complex128 if np.iscomplexobj(values) else np.float64)
-    if precision in ("bf16x2", "bf16x3"):
-        n = 2 if precision == "bf16x2" else 3
-        parts = bf16_split(values, n)
-        total = parts[0].astype(np.complex128 if np.iscomplexobj(values) else np.float64)
-        for part in parts[1:]:
-            total = total + part
-        return total
-    raise ValueError(f"unknown precision {precision!r}; expected one of {PRECISION_NAMES}")
-
-
-def machine_epsilon(precision: str) -> float:
-    """Approximate unit roundoff of the named format (for error models)."""
-    table = {
-        "fp64": 2.0 ** -53,
-        "fp32": 2.0 ** -24,
-        "fp16": 2.0 ** -11,
-        "bf16": 2.0 ** -8,
-        "bf16x2": 2.0 ** -16,
-        "bf16x3": 2.0 ** -24,
-    }
-    try:
-        return table[precision.lower()]
-    except KeyError as exc:
-        raise ValueError(f"unknown precision {precision!r}") from exc

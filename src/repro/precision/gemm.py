@@ -18,7 +18,7 @@ from typing import Dict
 
 import numpy as np
 
-from repro.precision.floats import bf16_split, round_to_precision
+from repro.precision.floats import bf16_split
 
 
 @dataclass(frozen=True)
@@ -163,16 +163,3 @@ class MixedPrecisionGemm:
         self.total_model_seconds += flops / rate
         self.call_count += 1
         return result
-
-    def reset(self) -> None:
-        """Zero the accumulated flop and model-time counters."""
-        self.total_flops = 0
-        self.total_model_seconds = 0.0
-        self.call_count = 0
-
-    @property
-    def model_flops_per_second(self) -> float:
-        """Modelled sustained FLOP/s over all recorded calls."""
-        if self.total_model_seconds <= 0.0:
-            return 0.0
-        return self.total_flops / self.total_model_seconds

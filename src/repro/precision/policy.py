@@ -11,7 +11,7 @@ configurations with one object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.precision.floats import PRECISION_NAMES
 
@@ -55,30 +55,8 @@ class PrecisionPolicy:
                     f"precision policy field {name}={value!r} not in {PRECISION_NAMES}"
                 )
 
-    def with_uniform(self, precision: str) -> "PrecisionPolicy":
-        """Return a policy that forces a single precision everywhere.
-
-        Used by the precision-ablation benchmark to measure what the paper's
-        mixed assignment buys relative to uniform FP64 or uniform low precision.
-        """
-        return PrecisionPolicy(
-            qxmd=precision,
-            lfd=precision,
-            nonlocal_gemm=precision,
-            nn_inference=precision,
-            nn_forces=precision,
-        )
-
-    def with_gemm_mode(self, mode: str) -> "PrecisionPolicy":
-        """Return a copy with only the nonlocal GEMM mode changed."""
-        return replace(self, nonlocal_gemm=mode)
-
 
 def default_policy() -> PrecisionPolicy:
     """The paper's production configuration: FP64 QXMD, FP32 LFD, BF16 GEMM."""
     return PrecisionPolicy()
 
-
-def fp64_policy() -> PrecisionPolicy:
-    """All-FP64 reference configuration used for accuracy baselines."""
-    return PrecisionPolicy().with_uniform("fp64")

@@ -10,8 +10,6 @@ on the GPU side of each divide-and-conquer domain:
   propagation with the four implementation variants of Table III.
 * :mod:`repro.qd.nlp_prop`        — GEMMified nonlocal correction (Eq. 5) with
   parameterized mixed precision.
-* :mod:`repro.qd.pseudopotential` — separable (Kleinman-Bylander-like) nonlocal
-  ionic projectors applied as dense GEMMs.
 * :mod:`repro.qd.xc`              — LDA exchange-correlation.
 * :mod:`repro.qd.hamiltonian`     — assembly of the local KS potential and the
   velocity-gauge light coupling.
@@ -21,9 +19,8 @@ on the GPU side of each divide-and-conquer domain:
 
 from repro.qd.wavefunctions import WaveFunctions
 from repro.qd.occupations import OccupationState
-from repro.qd.kin_prop import KineticPropagator, kin_prop
-from repro.qd.nlp_prop import NonlocalCorrection, nlp_prop
-from repro.qd.pseudopotential import NonlocalPseudopotential, GaussianProjector
+from repro.qd.kin_prop import KineticPropagator
+from repro.qd.nlp_prop import NonlocalCorrection
 from repro.qd.xc import lda_exchange_correlation
 from repro.qd.hamiltonian import LocalHamiltonian
 from repro.qd.tddft import RealTimeTDDFT
@@ -32,11 +29,7 @@ __all__ = [
     "WaveFunctions",
     "OccupationState",
     "KineticPropagator",
-    "kin_prop",
     "NonlocalCorrection",
-    "nlp_prop",
-    "NonlocalPseudopotential",
-    "GaussianProjector",
     "lda_exchange_correlation",
     "LocalHamiltonian",
     "RealTimeTDDFT",

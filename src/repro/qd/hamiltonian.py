@@ -5,9 +5,11 @@ The per-domain electronic Hamiltonian is
     h = (1/2) (p + A(X_alpha, t)/c)^2 + v_loc(r, R, t) + v_nl
 
 with the local potential v_loc = v_ext(r; R) + v_Hartree[n] + v_xc[n].  This
-module builds v_loc, applies the full Hamiltonian to orbital blocks (needed by
-the ground-state solver and by energy evaluation), and computes the
-macroscopic current density that feeds back into Maxwell's equations.
+module builds v_loc, applies the local Hamiltonian to orbital blocks (needed
+by the ground-state solver and by energy evaluation), and computes the
+macroscopic current density that feeds back into Maxwell's equations.  The
+nonlocal v_nl acts only as the scissors correction of
+:mod:`repro.qd.nlp_prop`, applied by the propagator.
 
 The kinetic energy and the momentum act through the cached per-axis
 spectral matrices of :meth:`~repro.perf.workspace.KernelWorkspace.dft_basis`,
@@ -26,7 +28,6 @@ import numpy as np
 from repro.grid.grid3d import Grid3D
 from repro.grid.poisson import solve_poisson
 from repro.perf.workspace import get_workspace
-from repro.qd.pseudopotential import NonlocalPseudopotential
 from repro.qd.xc import lda_exchange_correlation
 from repro.units import SPEED_OF_LIGHT_AU
 
@@ -72,7 +73,7 @@ _V_LOC_FIELDS = frozenset({"external_potential", "hartree", "xc_potential"})
 
 @dataclass
 class LocalHamiltonian:
-    """The local Kohn-Sham potential plus kinetic/nonlocal application helpers.
+    """The local Kohn-Sham potential plus kinetic application helpers.
 
     Parameters
     ----------
@@ -80,13 +81,10 @@ class LocalHamiltonian:
         Real-space grid.
     external_potential:
         Static (ionic) local potential v_ext(r) in Hartree.
-    nonlocal_pseudopotential:
-        Optional separable projector term (applied via GEMMs).
     """
 
     grid: Grid3D
     external_potential: np.ndarray
-    nonlocal_pseudopotential: Optional[NonlocalPseudopotential] = None
     hartree: np.ndarray = field(init=False, repr=False)
     xc_potential: np.ndarray = field(init=False, repr=False)
 
@@ -201,17 +199,14 @@ class LocalHamiltonian:
         return out[0] if single else out
 
     def apply(self, psi: np.ndarray,
-              vector_potential: Optional[np.ndarray] = None,
-              include_nonlocal: bool = True) -> np.ndarray:
-        """Full H psi = T psi + v_loc psi (+ V_nl psi)."""
+              vector_potential: Optional[np.ndarray] = None) -> np.ndarray:
+        """H psi = T psi + v_loc psi."""
         psi = np.asarray(psi, dtype=np.complex128)
         single = psi.ndim == 3
         if single:
             psi = psi[None]
         out = self.apply_kinetic(psi, vector_potential)
         out = out + self.local_potential()[None] * psi
-        if include_nonlocal and self.nonlocal_pseudopotential is not None:
-            out = out + self.nonlocal_pseudopotential.apply(psi)
         return out[0] if single else out
 
     # ------------------------------------------------------------------
@@ -232,7 +227,7 @@ class LocalHamiltonian:
                      vector_potential: Optional[np.ndarray] = None) -> float:
         """Kohn-Sham total energy with double-counting corrections.
 
-        E = sum_s f_s <psi_s|T + v_ext + V_nl|psi_s> + E_H[n] + E_xc[n]
+        E = sum_s f_s <psi_s|T + v_ext|psi_s> + E_H[n] + E_xc[n]
         computed from the current density; the Hartree and xc terms are added
         once (not via the eigenvalue sum) to avoid double counting.
         """
@@ -249,10 +244,7 @@ class LocalHamiltonian:
         e_external = float(self.grid.integrate(density * self.external_potential))
         e_hartree = 0.5 * float(self.grid.integrate(density * self.hartree))
         e_xc = float(self.grid.integrate(self._xc_energy_density))
-        e_nonlocal = 0.0
-        if self.nonlocal_pseudopotential is not None:
-            e_nonlocal = self.nonlocal_pseudopotential.energy(psi, occupations)
-        return e_kinetic + e_external + e_hartree + e_xc + e_nonlocal
+        return e_kinetic + e_external + e_hartree + e_xc
 
     def dipole_moment(self, density: np.ndarray) -> np.ndarray:
         """Electronic dipole moment -integral r n(r) d^3r relative to the cell centre."""

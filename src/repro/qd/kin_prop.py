@@ -235,9 +235,3 @@ class KineticPropagator:
             out[start:stop] = self._taylor_apply(psi[start:stop], use_naive=False)
         return out
 
-
-def kin_prop(psi: np.ndarray, grid: Grid3D, dt: float,
-             implementation: str = "blocked", **kwargs) -> np.ndarray:
-    """Convenience wrapper mirroring the paper's free-function kernel name."""
-    propagator = KineticPropagator(grid, dt, **kwargs)
-    return propagator.kin_prop(psi, implementation=implementation)

@@ -20,12 +20,10 @@ Sec. VI.C can be reproduced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.perf.flops import FlopCounter
 from repro.precision.gemm import MixedPrecisionGemm, gemm_flops
 from repro.qd.wavefunctions import WaveFunctions
 
@@ -53,7 +51,6 @@ class NonlocalCorrection:
     shift: float
     dt: float
     mode: str = "fp64"
-    flops: FlopCounter = field(default_factory=FlopCounter)
 
     def __post_init__(self) -> None:
         if self.dt <= 0:
@@ -112,42 +109,4 @@ class NonlocalCorrection:
             n_grid, n_orb, n_orb, complex_valued=True
         )
 
-    def energy_correction(self, psi_t: np.ndarray, occupations: np.ndarray) -> float:
-        """Nonlocal contribution to the total energy, Tr[f Psi^H V_nl Psi].
 
-        GEMMification applies here too (paper Sec. V.B.5 notes the same trick
-        is used for energy and current): the energy is shift * sum_s f_s
-        |<psi_s(0)|psi_s(t)>|^2 restricted to the reference subspace.
-        """
-        overlap = self.overlap(np.asarray(psi_t))
-        occupations = np.asarray(occupations, dtype=float)
-        if occupations.shape != (overlap.shape[1],):
-            raise ValueError("occupations must have one entry per orbital")
-        weights = np.sum(np.abs(overlap) ** 2, axis=0)
-        return float(self.shift * np.dot(occupations, weights))
-
-
-def nlp_prop(
-    psi_t: np.ndarray,
-    psi_0: np.ndarray,
-    shift: float,
-    dt: float,
-    dv: float,
-    mode: str = "fp64",
-    engine: Optional[MixedPrecisionGemm] = None,
-) -> np.ndarray:
-    """Free-function form of the nonlocal propagation kernel.
-
-    Operates directly on (N_grid x N_orb) matrices; used by the kernel-level
-    benchmarks (Table V) where constructing full :class:`WaveFunctions`
-    containers would only add noise.
-    """
-    psi_t = np.asarray(psi_t)
-    psi_0 = np.asarray(psi_0)
-    if psi_t.shape != psi_0.shape:
-        raise ValueError("psi_t and psi_0 must have identical shapes")
-    gemm_engine = engine if engine is not None else MixedPrecisionGemm(mode=mode)
-    overlap = gemm_engine(psi_0.conj().T, psi_t) * dv
-    correction = gemm_engine(psi_0, overlap)
-    delta = -1j * dt * shift
-    return psi_t - delta * correction

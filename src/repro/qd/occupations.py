@@ -64,10 +64,6 @@ class OccupationState:
 
     # ------------------------------------------------------------------
     @property
-    def n_orbitals(self) -> int:
-        return self.occupations.size
-
-    @property
     def total_electrons(self) -> float:
         """Total electron count sum_s g f_s."""
         return float(self.spin_degeneracy * self.occupations.sum())
@@ -87,13 +83,6 @@ class OccupationState:
         depleted = np.maximum(self._initial - self.occupations, 0.0)
         return float(self.spin_degeneracy * depleted.sum())
 
-    def excitation_fraction(self) -> float:
-        """Excited electrons as a fraction of all electrons (the XS weight driver)."""
-        total = self.spin_degeneracy * self._initial.sum()
-        if total <= 0:
-            return 0.0
-        return self.excitation_number() / total
-
     # ------------------------------------------------------------------
     def apply_transition(self, source: int, target: int, amount: float) -> None:
         """Move ``amount`` of occupation from orbital ``source`` to ``target``.
@@ -102,7 +91,8 @@ class OccupationState:
         hopping uses this to realise stochastic hops, and perturbative
         occupation updates use it with small ``amount`` values.
         """
-        if not (0 <= source < self.n_orbitals and 0 <= target < self.n_orbitals):
+        n_orbitals = self.occupations.size
+        if not (0 <= source < n_orbitals and 0 <= target < n_orbitals):
             raise IndexError("orbital index out of range")
         if amount < 0:
             raise ValueError("amount must be non-negative")
@@ -124,10 +114,6 @@ class OccupationState:
         if not np.abs(occ - clipped).max(initial=0.0) <= 1e-9:
             raise ValueError("occupations must lie in [0, 1]")
         self.occupations = clipped
-
-    def reset_reference(self) -> None:
-        """Take the current occupations as the new ground-state reference."""
-        self._initial = self.occupations.copy()
 
     def copy(self) -> "OccupationState":
         new = OccupationState(self.occupations.copy(), self.spin_degeneracy)

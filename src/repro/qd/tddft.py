@@ -5,13 +5,13 @@ Suzuki-Trotter split-operator sweep,
 
     psi <- exp(-i dt/2 v_loc) exp(-i dt T(A)) exp(-i dt/2 v_loc) psi,
 
-followed by the perturbative nonlocal corrections (scissors correction via
-``nlp_prop`` and, when present, the separable ionic projectors), and finally a
-self-consistent update of the Hartree/xc potentials from the new density.  The
-vector potential A is constant across the domain (it is sampled at the domain
-anchor X_alpha by the Maxwell coupler) and is refreshed every QD step, while
-the atomic positions — and hence v_ext — are refreshed only once per MD step
-by the QXMD side (the shadow-dynamics split of Sec. V.A.3-4).
+followed by the perturbative nonlocal correction (the scissors correction of
+``nlp_prop``), and finally a self-consistent update of the Hartree/xc
+potentials from the new density.  The vector potential A is constant across
+the domain (it is sampled at the domain anchor X_alpha by the Maxwell
+coupler) and is refreshed every QD step, while the atomic positions — and
+hence v_ext — are refreshed only once per MD step by the QXMD side (the
+shadow-dynamics split of Sec. V.A.3-4).
 
 The step is one kernel over a leading domain axis
 (:func:`propagate_domains`): a lone :class:`RealTimeTDDFT` calls it with one
@@ -50,7 +50,7 @@ from repro.telemetry import metrics as _telemetry
 
 #: The kernels a QD step is split into, each timed into
 #: ``repro_qd_<kernel>_seconds`` while telemetry is on.
-QD_KERNELS = ("v_loc_prop", "kin_prop", "nlp_prop", "vnl_prop", "hartree_xc",
+QD_KERNELS = ("v_loc_prop", "kin_prop", "nlp_prop", "hartree_xc",
               "occupations")
 
 
@@ -123,8 +123,8 @@ def propagate_domains(engines: Sequence["RealTimeTDDFT"], psi: np.ndarray,
     ``psi`` is the C-contiguous ``(D, n_orb, nx, ny, nz)`` orbital stack whose
     slice ``d`` is ``engines[d].wavefunctions.psi``; it is updated in place.
     The engines must share grid, orbital count, ``dt`` and
-    ``update_potentials_every``; their fields, potentials, occupations,
-    scissors and projectors stay their own.  Each step:
+    ``update_potentials_every``; their fields, potentials, occupations and
+    scissors stay their own.  Each step:
 
     1. ``exp(-i dt/2 v_loc)`` for the whole stack: one multiply by the
        ``(D, 1, nx, ny, nz)`` stack of the domains' cached phases, restacked
@@ -133,8 +133,8 @@ def propagate_domains(engines: Sequence["RealTimeTDDFT"], psi: np.ndarray,
        per-axis operators of each domain's A (a ``(D, 1, n, n)`` stack on the
        axes where the domains' A differ), looked up only when some domain's
        A moved;
-    3. the second local half step, then each domain's scissors correction
-       and nonlocal projectors, applied slice by slice;
+    3. the second local half step, then each domain's scissors correction,
+       applied domain by domain;
     4. every ``update_potentials_every`` steps, the Hartree/xc update of all
        domains in one spectral solve and one LDA sweep;
     5. the occupation relaxation of all domains: one overlap with the
@@ -149,11 +149,7 @@ def propagate_domains(engines: Sequence["RealTimeTDDFT"], psi: np.ndarray,
     every = engines[0].update_potentials_every
     hamiltonians = [engine.hamiltonian for engine in engines]
     measure = _KernelTimer() if _telemetry.enabled() else _untimed
-    sliced = [
-        (block, engine) for block, engine in zip(psi, engines)
-        if engine.scissors is not None
-        or engine.hamiltonian.nonlocal_pseudopotential is not None
-    ]
+    corrected = [engine for engine in engines if engine.scissors is not None]
     states = [engine.occupations for engine in engines]
     occupations = np.stack([state.occupations for state in states])
     spin = np.array([state.spin_degeneracy for state in states])[:, None]
@@ -182,14 +178,9 @@ def propagate_domains(engines: Sequence["RealTimeTDDFT"], psi: np.ndarray,
             apply_separable(psi, step_operators, psi)
         with measure("v_loc_prop"):
             psi *= phase
-        for block, engine in sliced:
-            if engine.scissors is not None:
-                with measure("nlp_prop"):
-                    engine.scissors.apply(engine.wavefunctions)
-            projectors = engine.hamiltonian.nonlocal_pseudopotential
-            if projectors is not None:
-                with measure("vnl_prop"):
-                    block[...] = projectors.propagate(block, dt)
+        for engine in corrected:
+            with measure("nlp_prop"):
+                engine.scissors.apply(engine.wavefunctions)
         for engine in engines:
             engine._time += dt
         if (n + 1) % every == 0:
@@ -213,8 +204,7 @@ class RealTimeTDDFT:
     Parameters
     ----------
     hamiltonian:
-        The local Hamiltonian assembly (owns v_ext, v_H, v_xc and the optional
-        nonlocal pseudopotential).
+        The local Hamiltonian assembly (owns v_ext, v_H and v_xc).
     wavefunctions:
         The orbital block to propagate (modified in place).
     occupations:

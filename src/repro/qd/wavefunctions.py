@@ -135,16 +135,6 @@ class WaveFunctions:
             raise ValueError("occupations must have one entry per orbital")
         return np.einsum("s,sxyz->xyz", occupations, np.abs(self.psi) ** 2)
 
-    def expectation(self, local_potential: np.ndarray) -> np.ndarray:
-        """Per-orbital expectation value of a local (diagonal) operator."""
-        local_potential = np.asarray(local_potential)
-        if local_potential.shape != self.grid.shape:
-            raise ValueError("local potential must live on the grid")
-        return np.real(
-            np.sum(np.abs(self.psi) ** 2 * local_potential[None], axis=(1, 2, 3))
-            * self.grid.dv
-        )
-
     def norms(self) -> np.ndarray:
         """Per-orbital L2 norms (should stay 1 under unitary propagation)."""
         return np.sqrt(np.sum(np.abs(self.psi) ** 2, axis=(1, 2, 3)) * self.grid.dv)

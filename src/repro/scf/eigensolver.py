@@ -7,11 +7,9 @@ Two paths are provided:
   problems of the examples.  The ground-state problem is field-free
   (:func:`lowest_eigenstates` never takes a vector potential), so its kinetic
   matrix is real symmetric (``k^2`` is even in ``k``); with the real local
-  potential on the diagonal and real projectors the whole matrix is, and it
-  is assembled and diagonalised in ``float64`` — about a quarter of the cost
-  of the same ``eigh`` in ``complex128``.  Only a nonlocal term whose matrix
-  really carries an imaginary part (decided from the matrix, not from a
-  flag) takes the complex Hermitian solve;
+  potential on the diagonal the whole matrix is, and it is assembled and
+  diagonalised in ``float64`` — about a quarter of the cost of the same
+  ``eigh`` in ``complex128``;
 * a matrix-free path using scipy's LOBPCG on a ``LinearOperator`` built from
   :meth:`LocalHamiltonian.apply` — the form that scales to the larger grids of
   the benchmark runs (this is the per-domain "locally dense" solve of the
@@ -68,22 +66,14 @@ def _dense_kinetic(hamiltonian: LocalHamiltonian) -> np.ndarray:
 
 
 def _dense_hamiltonian(hamiltonian: LocalHamiltonian) -> np.ndarray:
-    """A fresh dense Hamiltonian matrix the caller may overwrite.
+    """A fresh dense ``float64`` Hamiltonian matrix the caller may overwrite.
 
-    ``float64`` and symmetric unless the nonlocal term has a non-zero
-    imaginary part, in which case ``complex128`` and Hermitian.  The cached
-    kinetic matrix is exactly symmetric and a diagonal add keeps it so, which
-    is why nothing is re-symmetrised per call.
+    The cached kinetic matrix is exactly symmetric and a diagonal add keeps
+    it so, which is why nothing is re-symmetrised per call.
     """
     n = hamiltonian.grid.num_points
     matrix = _dense_kinetic(hamiltonian).copy()
     matrix[np.diag_indices(n)] += hamiltonian.local_potential().reshape(-1)
-    if hamiltonian.nonlocal_pseudopotential is not None:
-        nl = hamiltonian.nonlocal_pseudopotential.apply_matrix(np.eye(n))
-        nl = 0.5 * (nl + nl.conj().T)
-        if np.iscomplexobj(nl) and not nl.imag.any():
-            nl = nl.real
-        matrix = matrix + nl
     return matrix
 
 

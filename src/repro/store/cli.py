@@ -27,10 +27,10 @@ from typing import Any, Dict, Optional
 from repro.store.errors import CheckpointError, StoreFormatError
 from repro.store.retention import parse_retention
 from repro.store.runstore import RunStore
-from repro.utils.cliutil import subcommand_errors
+from repro.store.cliutil import subcommand_errors
 
 #: Storage faults become one-line stderr diagnostics and exit 2 — the same
-#: error path the analytics CLI uses (repro.utils.cliutil).
+#: error path the analytics CLI uses (repro.store.cliutil).
 _store_errors = subcommand_errors(CheckpointError, ValueError)
 
 

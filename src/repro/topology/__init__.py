@@ -3,25 +3,19 @@
 The science result of the paper (Fig. 3) is the light-induced switching of a
 polar-skyrmion superlattice: the quantity that changes is the integer
 topological charge of the polarization texture.  This subpackage provides the
-polarization-field extraction from atomistic structures, the lattice
-(Berg-Luscher) topological-charge density, skyrmion counting, and the
-switching detector used by the photo-switching benchmark.
+lattice (Berg-Luscher) topological-charge density, the texture classifier and
+the switching detector used by the photo-switching benchmark.
 """
 
-from repro.topology.polarization import polarization_field_from_modes, polarization_from_atoms
 from repro.topology.charge import (
     topological_charge,
     topological_charge_density,
-    skyrmion_count,
 )
 from repro.topology.analysis import TextureAnalysis, classify_texture, switching_time
 
 __all__ = [
-    "polarization_field_from_modes",
-    "polarization_from_atoms",
     "topological_charge",
     "topological_charge_density",
-    "skyrmion_count",
     "TextureAnalysis",
     "classify_texture",
     "switching_time",

@@ -10,12 +10,12 @@ compact per-snapshot summary that can be tabulated by the benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.topology.charge import topological_charge
-from repro.topology.polarization import in_plane_slice, normalize_texture
+from repro.topology.polarization import in_plane_slice
 
 
 @dataclass(frozen=True)
@@ -97,13 +97,3 @@ def switching_time(
         return float("inf")
     return float(times[indices[0]])
 
-
-def charge_trajectory(textures: List[np.ndarray]) -> np.ndarray:
-    """Topological charge of each texture in a trajectory (mid-plane slice)."""
-    charges = []
-    for field in textures:
-        field = np.asarray(field, dtype=float)
-        if field.ndim == 4:
-            field = in_plane_slice(field, field.shape[2] // 2)
-        charges.append(topological_charge(normalize_texture(field)))
-    return np.asarray(charges)

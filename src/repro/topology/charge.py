@@ -89,28 +89,3 @@ def topological_charge(texture: np.ndarray):
         return float(charges[0])
     return charges.reshape(density.shape[:-2])
 
-
-def skyrmion_count(texture: np.ndarray, charge_threshold: float = 0.5) -> int:
-    """Number of skyrmions: |Q| rounded to the nearest integer.
-
-    ``charge_threshold`` guards against calling a trivial texture (|Q| well
-    below 1/2) a skyrmion.
-    """
-    q = abs(topological_charge(texture))
-    if q < charge_threshold:
-        return 0
-    return int(round(q))
-
-
-def winding_number_1d(angles: np.ndarray) -> int:
-    """Winding number of a closed loop of planar angles (helper for tests).
-
-    Counts how many times the in-plane component of a texture wraps the circle
-    along a closed path — used to verify the skyrmion builder's wall structure.
-    """
-    angles = np.asarray(angles, dtype=float).reshape(-1)
-    if angles.size < 3:
-        raise ValueError("need at least three samples along the loop")
-    diffs = np.diff(np.concatenate([angles, angles[:1]]))
-    diffs = (diffs + np.pi) % (2.0 * np.pi) - np.pi
-    return int(round(float(np.sum(diffs)) / (2.0 * np.pi)))

@@ -1,48 +1,14 @@
-"""Polarization fields from local modes or atomistic displacements.
+"""Polarization textures: layer slices and unit-vector fields.
 
 PbTiO3's local polarization is proportional to the B-site (Ti) off-centering
-within each perovskite unit cell; both the local-mode lattice model and the
-atomistic supercells can therefore be converted to a polarization field
-P(x, y[, z]) on the unit-cell grid, which is what the topological-charge
-machinery consumes.
+within each perovskite unit cell, so a local-mode field u(x, y, z) is a
+polarization texture on the unit-cell grid.  The topological-charge
+machinery consumes one z layer of it as a unit-vector field.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.md.atoms import AtomsSystem
-from repro.md.lattice import extract_local_modes
-
-#: Effective Born charge factor converting |u| = 1 to polarisation in C/m^2
-#: (approximate PbTiO3 value; only relative values matter for the topology).
-POLARIZATION_PER_UNIT_MODE = 0.75
-
-
-def polarization_field_from_modes(modes: np.ndarray,
-                                  scale: float = POLARIZATION_PER_UNIT_MODE) -> np.ndarray:
-    """Polarization field (same shape as the mode field) from local modes."""
-    modes = np.asarray(modes, dtype=float)
-    if modes.ndim != 4 or modes.shape[-1] != 3:
-        raise ValueError("modes must have shape (nx, ny, nz, 3)")
-    return scale * modes
-
-
-def polarization_from_atoms(
-    supercell: AtomsSystem,
-    reference: AtomsSystem,
-    displacement_amplitude: float = 0.25,
-    scale: float = POLARIZATION_PER_UNIT_MODE,
-) -> np.ndarray:
-    """Polarization field of an atomistic supercell relative to a reference.
-
-    The Ti off-centering of every unit cell (recovered by
-    :func:`repro.md.lattice.extract_local_modes`) is scaled to a polarization;
-    this is how XS-NNQMD snapshots are turned into textures for the
-    topological-charge tracking of the photo-switching study.
-    """
-    modes = extract_local_modes(supercell, reference, displacement_amplitude)
-    return polarization_field_from_modes(modes, scale)
 
 
 def in_plane_slice(field: np.ndarray, z_index: int = 0) -> np.ndarray:

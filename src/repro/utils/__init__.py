@@ -1,32 +1,12 @@
 """Small shared utilities: validation helpers, RNG management, math helpers."""
 
-from repro.utils.validation import (
-    ensure_array,
-    ensure_positive,
-    ensure_probability,
-    ensure_shape,
-    require,
-)
-from repro.utils.rng import default_rng, spawn_rngs
-from repro.utils.mathutils import (
-    finite_difference_coefficients,
-    moving_average,
-    periodic_delta,
-    relative_error,
-    soft_clip,
-)
+from repro.utils.validation import ensure_array, ensure_positive
+from repro.utils.rng import spawn_rngs
+from repro.utils.mathutils import periodic_delta
 
 __all__ = [
     "ensure_array",
     "ensure_positive",
-    "ensure_probability",
-    "ensure_shape",
-    "require",
-    "default_rng",
     "spawn_rngs",
-    "finite_difference_coefficients",
-    "moving_average",
     "periodic_delta",
-    "relative_error",
-    "soft_clip",
 ]

@@ -2,25 +2,16 @@
 
 Every stochastic component of the library (surface hopping, Langevin
 thermostats, NN weight initialisation, synthetic dataset generation) takes an
-explicit ``numpy.random.Generator`` so results are reproducible.  These helpers
-centralise construction and deterministic splitting of generators, mirroring
-the per-rank RNG streams an MPI code would use.
+explicit ``numpy.random.Generator`` so results are reproducible.
+:func:`spawn_rngs` splits one seed into independent generators, mirroring the
+per-rank RNG streams an MPI code would use.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
-
-
-def default_rng(seed: Optional[int] = None) -> np.random.Generator:
-    """Return a ``numpy.random.Generator`` seeded with ``seed``.
-
-    ``None`` produces an OS-entropy-seeded generator; tests always pass an
-    explicit integer.
-    """
-    return np.random.default_rng(seed)
 
 
 def spawn_rngs(seed: int, count: int) -> List[np.random.Generator]:

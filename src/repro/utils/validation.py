@@ -6,15 +6,7 @@ numerical code free of repetitive argument checking boilerplate.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 import numpy as np
-
-
-def require(condition: bool, message: str) -> None:
-    """Raise ``ValueError`` with ``message`` when ``condition`` is false."""
-    if not condition:
-        raise ValueError(message)
 
 
 def validate_run_args(num_steps: int, record_every: int = 1) -> None:
@@ -38,13 +30,6 @@ def ensure_positive(value: float, name: str = "value") -> float:
     return float(value)
 
 
-def ensure_probability(value: float, name: str = "value") -> float:
-    """Return ``value`` if it lies in [0, 1], otherwise raise ``ValueError``."""
-    if not np.isfinite(value) or value < 0.0 or value > 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-    return float(value)
-
-
 def ensure_array(
     data,
     dtype=None,
@@ -57,34 +42,4 @@ def ensure_array(
         raise ValueError(f"{name} must have ndim={ndim}, got ndim={arr.ndim}")
     if arr.dtype.kind == "f" and not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite values")
-    return arr
-
-
-def ensure_shape(
-    arr: np.ndarray,
-    shape: Sequence[int | None],
-    name: str = "array",
-) -> np.ndarray:
-    """Check that ``arr`` has the given shape.
-
-    ``None`` entries in ``shape`` match any size along that axis.
-    """
-    arr = np.asarray(arr)
-    if arr.ndim != len(shape):
-        raise ValueError(
-            f"{name} must have {len(shape)} dimensions, got shape {arr.shape}"
-        )
-    for axis, expected in enumerate(shape):
-        if expected is not None and arr.shape[axis] != expected:
-            raise ValueError(
-                f"{name} axis {axis} must have length {expected}, got {arr.shape[axis]}"
-            )
-    return arr
-
-
-def ensure_monotonic(values: Iterable[float], name: str = "values") -> np.ndarray:
-    """Check that a sequence is strictly increasing."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size >= 2 and not np.all(np.diff(arr) > 0):
-        raise ValueError(f"{name} must be strictly increasing")
     return arr

@@ -494,36 +494,12 @@ class TestStackedRelaxAndRecord:
                 == alone.lattice.modes.tobytes()
             assert not member.lattice.velocities.any()
 
-    def test_depolarization_falls_back_to_per_member_kernels(
-            self, monkeypatch):
-        import functools
-
+    def test_stacked_observation_equals_each_member_alone(self):
         from repro.api.adapters import LocalModeEngine
-        from repro.batch import engine as batch_engine
-        from repro.md import localmode
 
-        specs = [smoke_spec("localmode-switch", num_steps=6, seed=s,
-                            **{"runtime.record_every": 2})
-                 for s in range(3)]
-        plain = [build_engine(spec.copy()).run() for spec in specs]
-        monkeypatch.setattr(localmode, "LocalModeModel", functools.partial(
-            localmode.LocalModeModel, depolarization=0.2))
-        serial = [build_engine(spec.copy()).run() for spec in specs]
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a stacked kernel ran with D != 0")
-
-        monkeypatch.setattr(batch_engine, "relax_stacked", refuse)
-        monkeypatch.setattr(batch_engine, "step_stacked", refuse)
-        outcomes = BatchedEngine([spec.copy() for spec in specs]).run(
-            raise_on_error=True)
-        for before, expected, actual in zip(plain, serial, outcomes):
-            assert_results_bit_identical(expected, actual)
-            assert not np.array_equal(before.observables["energy"],
-                                      actual.observables["energy"])
-
-        # The stacked observation keeps the dipolar energy per member.
-        engines = [build_engine(spec.copy()) for spec in specs]
+        engines = [build_engine(smoke_spec("localmode-switch", num_steps=6,
+                                           seed=s))
+                   for s in range(3)]
         for engine in engines:
             engine.prepare()
         for engine, row in zip(engines,

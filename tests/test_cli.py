@@ -217,14 +217,22 @@ def test_batch_unknown_scenario_fails_cleanly():
     assert "unknown scenario" in proc.stderr
 
 
-def test_client_commands_without_daemon_fail_cleanly():
+def test_client_commands_without_daemon_fail_cleanly(monkeypatch, capsys):
     # Port 1 is never listening; every client subcommand must exit 3 with
-    # the daemon address in the message, not hang or traceback.
-    for argv in (["submit", "md-nve"], ["status"], ["fetch", "r000000"],
-                 ["shutdown"], ["analytics", "dashboard", "--live"]):
-        proc = run_cli(*argv, "--port", "1")
-        assert proc.returncode == 3, (argv, proc.stderr)
-        assert "no repro daemon reachable" in proc.stderr
+    # the daemon address in the message, not hang or traceback.  One goes
+    # through the ``python -m repro`` entry point; the others run in-process
+    # with the client's retry backoff recorded instead of slept.
+    proc = run_cli("status", "--port", "1")
+    assert proc.returncode == 3, proc.stderr
+    assert "no repro daemon reachable" in proc.stderr
+
+    sleeps = []
+    monkeypatch.setattr("repro.api.client.time.sleep", sleeps.append)
+    for argv in (["submit", "md-nve"], ["fetch", "r000000"], ["shutdown"],
+                 ["analytics", "dashboard", "--live"]):
+        assert main([*argv, "--port", "1"]) == 3, argv
+        assert "no repro daemon reachable" in capsys.readouterr().err, argv
+    assert sleeps, "the GETs retry a refused connection with backoff"
 
 
 # ----------------------------------------------------------------------

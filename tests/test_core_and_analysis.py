@@ -5,7 +5,6 @@ import pytest
 
 from repro.analysis import absorption_spectrum, dipole_strength_function, energy_drift, norm_drift
 from repro.analysis.conservation import momentum_drift
-from repro.analysis.spectra import peak_frequencies
 from repro.api import default_registry, run_scenario
 from repro.core import (
     DCRDecomposition,
@@ -23,7 +22,6 @@ class TestDCR:
         decomposition.add_subproblem(Subproblem("qxmd", HardwareUnit.CPU, "fp64", 1e7))
         decomposition.add_interface("lfd", "qxmd", 1e3)
         assert decomposition.interface_bytes("lfd", "qxmd") == 1e3
-        assert decomposition.total_interface_bytes() == 1e3
         report = decomposition.report()
         assert {row["subproblem"] for row in report} == {"lfd", "qxmd"}
         with pytest.raises(ValueError):
@@ -106,13 +104,6 @@ class TestAnalysis:
         window = omega < 2.0
         peak = omega[window][np.argmax(strength[window])]
         assert peak == pytest.approx(omega0, abs=0.03)
-
-    def test_peak_frequencies_finds_local_maxima(self):
-        omega = np.linspace(0.0, 2.0, 200)
-        spectrum = np.exp(-((omega - 0.5) / 0.05) ** 2) + 0.4 * np.exp(-((omega - 1.2) / 0.05) ** 2)
-        peaks = peak_frequencies(omega, spectrum, top_n=2)
-        assert peaks[0] == pytest.approx(0.5, abs=0.02)
-        assert peaks[1] == pytest.approx(1.2, abs=0.02)
 
     def test_strength_function_requires_uniform_grid(self):
         times = np.array([0.0, 1.0, 3.0, 4.0])

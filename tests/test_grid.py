@@ -5,12 +5,12 @@ import pytest
 
 from repro.grid import (
     Grid3D,
-    coulomb_energy,
     laplacian,
     laplacian_naive,
     solve_poisson,
 )
 from repro.grid.poisson import poisson_residual
+from repro.grid.stencil import finite_difference_coefficients
 
 
 class TestGrid3D:
@@ -33,14 +33,7 @@ class TestGrid3D:
 
     def test_gaussian_normalised(self, small_grid):
         blob = small_grid.gaussian((4.0, 4.0, 4.0), 1.0)
-        assert small_grid.norm(blob) == pytest.approx(1.0)
-
-    def test_inner_product_and_normalize(self, small_grid, rng):
-        f = rng.standard_normal(small_grid.shape)
-        normalised = small_grid.normalize(f)
-        assert small_grid.norm(normalised) == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            small_grid.normalize(np.zeros(small_grid.shape))
+        assert small_grid.integrate(blob ** 2) == pytest.approx(1.0)
 
     def test_meshgrid_is_built_once_and_read_only(self):
         grid = Grid3D((4, 5, 6), (2.0, 2.5, 3.0))
@@ -58,6 +51,19 @@ class TestGrid3D:
 
 
 class TestStencils:
+    @pytest.mark.parametrize("order", [2, 4, 6])
+    def test_fd_coefficients_sum_to_zero(self, order):
+        coeffs = finite_difference_coefficients(order)
+        assert np.isclose(coeffs.sum(), 0.0, atol=1e-12)
+        # Applying to x^2 should give exactly 2 (constant second derivative).
+        half = len(coeffs) // 2
+        x = np.arange(-half, half + 1, dtype=float)
+        assert np.isclose(np.dot(coeffs, x ** 2), 2.0)
+
+    def test_fd_coefficients_rejects_bad_order(self):
+        with pytest.raises(ValueError):
+            finite_difference_coefficients(3)
+
     @pytest.mark.parametrize("order,tol", [(2, 3e-2), (4, 2e-3), (6, 2e-4)])
     def test_laplacian_of_plane_wave(self, order, tol):
         grid = Grid3D((16, 16, 16), (8.0, 8.0, 8.0))
@@ -102,11 +108,6 @@ class TestPoissonSolvers:
         rho = np.sin(k * x)
         v = solve_poisson(rho, grid)
         assert np.allclose(v, 4 * np.pi * np.sin(k * x) / k ** 2, atol=1e-10)
-
-    def test_coulomb_energy_positive(self):
-        grid = Grid3D((12, 12, 12), (10.0, 10.0, 10.0))
-        rho = self._gaussian_density(grid)
-        assert coulomb_energy(rho, grid) > 0
 
     def test_shape_validation(self, small_grid):
         with pytest.raises(ValueError):

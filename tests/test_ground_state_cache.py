@@ -167,9 +167,6 @@ class TestBounds:
         assert workspace.ground_state(9, solver(9)) == (("entry", 9), True)
         assert workspace.ground_state(0, solver(0)) == (("entry", 0), False)
         assert solved == list(range(10)) + [0]
-        workspace.clear()
-        assert workspace.stats["ground_state_entries"] == 0
-        assert ground_state_counts(workspace) == (0, 0)
 
 
 # ----------------------------------------------------------------------

@@ -77,17 +77,6 @@ class TestNeighborListVectorized:
         assert set(map(tuple, pairs)) == set(map(tuple, reference))
         assert np.all(distances <= 3.5 + 1e-12)
 
-    def test_neighbor_counts_matches_loop(self, rng):
-        atoms = _random_atoms(rng, 50, 10.0)
-        nl = NeighborList(cutoff=3.0, skin=0.0)
-        nl.build(atoms)
-        counts = nl.neighbor_counts(atoms.n_atoms)
-        expected = np.zeros(atoms.n_atoms, dtype=int)
-        for i, j in nl.pairs:
-            expected[i] += 1
-            expected[j] += 1
-        assert np.array_equal(counts, expected)
-
     def test_empty_list(self):
         atoms = AtomsSystem(
             np.array([[1.0, 1.0, 1.0], [9.0, 9.0, 9.0]]),

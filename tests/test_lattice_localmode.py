@@ -8,8 +8,6 @@ import pytest
 
 from repro.md.lattice import (
     PBTIO3_LATTICE_CONSTANT,
-    apply_polar_displacements,
-    extract_local_modes,
     perovskite_supercell,
     perovskite_unit_cell,
     skyrmion_displacement_field,
@@ -38,27 +36,6 @@ class TestPerovskiteBuilders:
         # Stoichiometry preserved.
         assert np.sum(supercell.species == "Ti") == 6
         assert np.sum(supercell.species == "O") == 18
-
-    def test_apply_and_extract_displacements_round_trip(self):
-        repeats = (3, 3, 1)
-        supercell = perovskite_supercell(repeats)
-        modes = np.zeros((*repeats, 3))
-        modes[..., 2] = 1.0
-        modes[1, 1, 0, 2] = -1.0
-        displaced = apply_polar_displacements(supercell, modes, displacement_amplitude=0.2)
-        recovered = extract_local_modes(displaced, supercell, displacement_amplitude=0.2)
-        assert np.allclose(recovered, modes, atol=1e-10)
-
-    def test_apply_displacements_validates_shape(self):
-        supercell = perovskite_supercell((2, 2, 1))
-        with pytest.raises(ValueError):
-            apply_polar_displacements(supercell, np.zeros((3, 3, 1, 3)))
-
-    def test_displacement_requires_metadata(self):
-        cell = perovskite_unit_cell()
-        cell.metadata.clear()
-        with pytest.raises(ValueError):
-            apply_polar_displacements(cell, np.zeros((1, 1, 1, 3)))
 
 
 class TestSkyrmionTexture:
@@ -94,11 +71,9 @@ class TestLocalModeModel:
         model = LocalModeModel()
         with pytest.raises(ValueError):
             model.effective_quadratic(1.5)
-        with pytest.raises(ValueError):
-            model.effective_depolarization(-0.1)
 
     def test_uniform_state_energy_per_cell(self):
-        model = LocalModeModel(coupling=0.08, anisotropy=0.0, depolarization=0.0)
+        model = LocalModeModel(coupling=0.08, anisotropy=0.0)
         modes = np.zeros((4, 4, 1, 3))
         modes[..., 2] = model.well_minimum(0.0)
         lattice = LocalModeLattice(modes, model)
@@ -107,7 +82,7 @@ class TestLocalModeModel:
 
     def test_forces_match_numerical_gradient(self):
         rng = np.random.default_rng(0)
-        model = LocalModeModel(depolarization=0.3)
+        model = LocalModeModel()
         modes = 0.5 * rng.standard_normal((4, 4, 1, 3))
         lattice = LocalModeLattice(modes, model)
         force = lattice.forces(excitation_weight=0.2)
@@ -121,7 +96,7 @@ class TestLocalModeModel:
             assert force[index] == pytest.approx(numeric, rel=1e-4, abs=1e-8)
 
     def test_relaxation_reaches_well_minimum(self):
-        model = LocalModeModel(anisotropy=0.0, depolarization=0.0)
+        model = LocalModeModel(anisotropy=0.0)
         rng = np.random.default_rng(1)
         modes = np.zeros((4, 4, 1, 3))
         modes[..., 2] = 1.0 + 0.1 * rng.standard_normal((4, 4, 1))
@@ -140,7 +115,7 @@ class TestLocalModeModel:
         assert np.max(np.abs(lattice.modes)) < 0.2
 
     def test_energy_conservation_without_damping(self):
-        model = LocalModeModel(depolarization=0.0)
+        model = LocalModeModel()
         rng = np.random.default_rng(2)
         modes = np.zeros((4, 4, 1, 3))
         modes[..., 2] = 1.0 + 0.05 * rng.standard_normal((4, 4, 1))
@@ -152,12 +127,6 @@ class TestLocalModeModel:
         kinetic = 0.5 * lattice.mode_mass * np.sum(lattice.velocities ** 2)
         total = lattice.energy() + kinetic
         assert total == pytest.approx(total0, abs=5e-3 * abs(total0) + 1e-6)
-
-    def test_mean_polarization(self):
-        modes = np.zeros((2, 2, 1, 3))
-        modes[..., 2] = 0.7
-        lattice = LocalModeLattice(modes, LocalModeModel())
-        assert np.allclose(lattice.mean_polarization(), [0, 0, 0.7])
 
 
 # ----------------------------------------------------------------------
@@ -173,11 +142,6 @@ class ReferenceLattice:
         self.velocities = np.zeros_like(self.modes)
         self.model = model
         self.mode_mass = mode_mass
-        nx, ny = self.modes.shape[:2]
-        kx = 2.0 * np.pi * np.fft.fftfreq(nx)
-        ky = 2.0 * np.pi * np.fft.fftfreq(ny)
-        k2 = kx[:, None] ** 2 + ky[None, :] ** 2
-        self._dipolar_kernel = 1.0 / (1.0 + k2 * model.screening_cells ** 2)
 
     def forces(self, excitation_weight, electric_field=None):
         u = self.modes
@@ -192,12 +156,6 @@ class ReferenceLattice:
                 np.roll(u, 1, axis=axis) + np.roll(u, -1, axis=axis) - 2.0 * u
             )
             force += self.model.coupling * laplacian
-        d_eff = self.model.effective_depolarization(excitation_weight)
-        if d_eff != 0.0:
-            uz_k = np.fft.fft2(u[..., 2], axes=(0, 1))
-            dipolar = np.real(np.fft.ifft2(
-                self._dipolar_kernel[:, :, None] * uz_k, axes=(0, 1)))
-            force[..., 2] -= 2.0 * d_eff * dipolar
         if electric_field is not None:
             force = force + np.asarray(electric_field, dtype=float).reshape(3)
         return force
@@ -229,8 +187,6 @@ REUSE_CASES = {
     "constant-weight": CONSTANT,
     "decaying-weight": dict(model=LocalModeModel(), field=None, decay=30.0),
     "field": dict(model=LocalModeModel(), field=[0.01, -0.02, 0.03], decay=None),
-    "depolarization": dict(model=LocalModeModel(depolarization=0.3),
-                           field=None, decay=None),
 }
 
 
@@ -429,7 +385,7 @@ class TestStackedKernel:
 # ----------------------------------------------------------------------
 def reference_energy(modes, model, excitation_weight, electric_field=None):
     """The lattice energy as written before the stacked kernel: whole-array
-    ``np.sum`` calls, ``np.roll`` neighbours, the long-range terms after."""
+    ``np.sum`` calls, ``np.roll`` neighbours, the field term after."""
     u = np.asarray(modes, dtype=float)
     a_eff = model.effective_quadratic(excitation_weight)
     u2 = np.sum(u ** 2, axis=-1)
@@ -440,13 +396,6 @@ def reference_energy(modes, model, excitation_weight, electric_field=None):
             continue
         diff = u - np.roll(u, 1, axis=axis)
         energy += 0.5 * model.coupling * float(np.sum(diff ** 2))
-    d_eff = model.effective_depolarization(excitation_weight)
-    if d_eff != 0.0:
-        dipolar = ReferenceLattice(u, model)
-        uz_k = np.fft.fft2(u[..., 2], axes=(0, 1))
-        field_z = np.real(np.fft.ifft2(
-            dipolar._dipolar_kernel[:, :, None] * uz_k, axes=(0, 1)))
-        energy += d_eff * float(np.sum(u[..., 2] * field_z))
     if electric_field is not None:
         energy -= float(np.sum(u @ np.asarray(electric_field, dtype=float)))
     return energy
@@ -464,10 +413,6 @@ def _relaxed_reference(modes, model, steps, dt, damping=0.2, velocity=0.0):
 ENERGY_CASES = {
     "short-range": dict(model=LocalModeModel(), field=None),
     "field": dict(model=LocalModeModel(), field=[0.01, -0.02, 0.03]),
-    "depolarization": dict(model=LocalModeModel(depolarization=0.3),
-                           field=None),
-    "both": dict(model=LocalModeModel(depolarization=0.3),
-                 field=[-0.05, 0.0, 0.02]),
 }
 
 
@@ -500,9 +445,8 @@ class TestStackedEnergyAndRelax:
             assert _same(energy, reference_energy(member, model, weight))
             assert _same(energy, LocalModeLattice(member, model).energy(weight))
 
-    @pytest.mark.parametrize("name", ("constant-weight", "depolarization"))
-    def test_lattice_relax_equals_the_serial_relax(self, name):
-        model = REUSE_CASES[name]["model"]
+    def test_lattice_relax_equals_the_serial_relax(self):
+        model = CONSTANT["model"]
         modes = _texture(210)
         lattice = LocalModeLattice(modes, model)
         lattice.velocities[...] = 0.3  # a relax starts from these, ends at 0

@@ -42,6 +42,15 @@ def dead_pid() -> int:
     return proc.pid  # reaped above, so the pid is free again
 
 
+@pytest.fixture
+def clock(monkeypatch):
+    """A wall clock (``time.time``) that moves only when a test advances
+    ``clock[0]``: the lease ages the store reads, without sleeping."""
+    now = [time.time()]
+    monkeypatch.setattr(time, "time", lambda: now[0])
+    return now
+
+
 def make_checkpoint(step: int, scenario: str = "locked") -> dict:
     return {"format": 2, "scenario": scenario, "engine": "md",
             "time": float(step), "step": int(step),
@@ -238,13 +247,13 @@ class TestLeaseFunctions:
 # RunStore ownership surface
 # ----------------------------------------------------------------------
 class TestStoreLeases:
-    def test_owned_save_writes_and_renews_lease(self, tmp_path):
+    def test_owned_save_writes_and_renews_lease(self, tmp_path, clock):
         store = RunStore(tmp_path, owner="alice")
         store.save(make_checkpoint(0), run_id="r")
         lease = read_manifest(store.run_dir("locked", "r"))["lease"]
         assert lease["owner"] == "alice" and lease["pid"] == os.getpid()
         first_renewed = lease["renewed_at"]
-        time.sleep(0.01)
+        clock[0] += 0.01
         store.save(make_checkpoint(1), run_id="r")
         lease = read_manifest(store.run_dir("locked", "r"))["lease"]
         assert lease["renewed_at"] > first_renewed
@@ -269,7 +278,7 @@ class TestStoreLeases:
         assert lease["owner"] == "bob"
         assert bob.steps("locked", "r") == [0, 1]
 
-    def test_expired_ttl_is_taken_over(self, tmp_path):
+    def test_expired_ttl_is_taken_over(self, tmp_path, clock):
         # A foreign-host lease (no pid probe possible) falls back to TTL.
         alice = RunStore(tmp_path, owner="alice", owner_host="elsewhere",
                          lease_ttl=0.05)
@@ -277,7 +286,7 @@ class TestStoreLeases:
         bob = RunStore(tmp_path, owner="bob")
         with pytest.raises(RunLeaseHeld):
             bob.save(make_checkpoint(1), run_id="r")
-        time.sleep(0.08)
+        clock[0] += 0.08
         bob.save(make_checkpoint(1), run_id="r")
         assert read_manifest(bob.run_dir("locked", "r"))["lease"]["owner"] == "bob"
 

@@ -13,7 +13,6 @@ from repro.naqmd import (
     coupling_from_overlap,
     nonadiabatic_coupling_matrix,
 )
-from repro.naqmd.nonadiabatic import coupling_strength
 from repro.perf.workspace import KernelWorkspace
 from repro.qd import OccupationState, WaveFunctions
 
@@ -35,7 +34,8 @@ class TestNonadiabaticCoupling:
         wf2.orthonormalize()
         coupling = nonadiabatic_coupling_matrix(wf1, wf2, dt=0.5)
         assert np.allclose(coupling, -coupling.conj().T, atol=1e-3)
-        assert coupling_strength(coupling) > 0
+        off_diagonal = coupling - np.diag(np.diag(coupling))
+        assert np.linalg.norm(off_diagonal) > 0
 
     def test_coupling_from_overlap_formula(self):
         forward = np.array([[1.0, 0.1], [-0.1, 1.0]])

@@ -5,14 +5,8 @@ import pytest
 from repro.parallel import (
     DCMESHCostModel,
     MACHINES,
-    MachineSpec,
     NNQMDCostModel,
     ScalingStudy,
-    aurora,
-    bluegene_q,
-    fugaku,
-    summit,
-    theta,
 )
 from repro.parallel.costmodel import CommunicationCost, CommunicationModel
 from repro.parallel.scaling import run_scaling_study
@@ -21,23 +15,6 @@ from repro.parallel.scaling import run_scaling_study
 class TestMachines:
     def test_registry_contains_all_paper_machines(self):
         assert set(MACHINES) == {"aurora", "fugaku", "summit", "theta", "bluegene/q"}
-
-    def test_aurora_peak_is_about_two_exaflops(self):
-        machine = aurora()
-        assert machine.peak_flops_fp64_total == pytest.approx(2.76e18, rel=0.01)
-        assert machine.total_accelerators == 120_000
-
-    def test_peak_precision_selector(self):
-        machine = aurora()
-        assert machine.peak_flops("fp32") >= machine.peak_flops("fp64")
-        with pytest.raises(ValueError):
-            machine.peak_flops("int4")
-
-    def test_cpu_machines_have_one_unit_per_node(self):
-        assert fugaku().total_accelerators == fugaku().num_nodes
-        assert theta().total_accelerators == theta().num_nodes
-        assert bluegene_q().total_accelerators == 98_304
-        assert summit().total_accelerators == 768
 
 
 class TestCostModels:

@@ -10,37 +10,22 @@ from repro.perf import (
     LRUCache,
     fft_flops,
     get_workspace,
-    flops_rate,
     me_time_to_solution,
     nnqmd_time_to_solution,
     parallel_efficiency_strong,
     parallel_efficiency_weak,
-    percent_of_peak,
-    speedup,
     stencil_flops,
 )
 
 
 class TestFlopCounter:
-    def test_add_and_total(self):
+    def test_add_accumulates_per_kernel(self):
         counter = FlopCounter()
         counter.add("gemm", 100)
         counter.add("gemm", 50)
         counter.add("stencil", 10)
         assert counter["gemm"] == 150
-        assert counter.total() == 160
-
-    def test_dc_scaling_rule(self):
-        counter = FlopCounter({"gemm": 10})
-        scaled = counter.scaled(1000)
-        assert scaled["gemm"] == 10_000
-        assert counter["gemm"] == 10  # original untouched
-
-    def test_merge(self):
-        a = FlopCounter({"x": 1})
-        b = FlopCounter({"x": 2, "y": 3})
-        merged = a.merge(b)
-        assert merged["x"] == 3 and merged["y"] == 3
+        assert counter["stencil"] == 10
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -89,16 +74,6 @@ class TestKernelWorkspace:
         # and one full replay (three hits).
         assert stats["phase_hits"] == 9 and stats["phase_misses"] == 3
 
-    def test_clear_resets_everything(self):
-        ws = KernelWorkspace()
-        grid = Grid3D((4, 4, 4), (4.0, 4.0, 4.0))
-        ws.kinetic_operators(grid, 0.1)
-        ws.ground_state("key", lambda: "entry")
-        ws.clear()
-        stats = ws.stats
-        assert stats["phase_entries"] == 0
-        assert stats["ground_state_entries"] == 0
-
     def test_default_workspace_is_a_singleton(self):
         assert get_workspace() is get_workspace()
 
@@ -120,15 +95,6 @@ class TestMetrics:
     def test_linker2022_sota_t2s(self):
         value = nnqmd_time_to_solution(3142.66, 1_007_271_936_000, 440)
         assert value == pytest.approx(7.091e-12, rel=1e-2)
-
-    def test_flops_rate_and_percent_of_peak(self):
-        assert flops_rate(1e15, 0.5) == pytest.approx(2e15)
-        assert percent_of_peak(1.873e18, 1.869e18) == pytest.approx(100.2, rel=1e-2)
-
-    def test_speedup(self):
-        assert speedup(10.0, 2.0) == pytest.approx(5.0)
-        with pytest.raises(ValueError):
-            speedup(1.0, 0.0)
 
     def test_weak_efficiency_perfect(self):
         ranks = np.array([4, 8, 16])

@@ -13,10 +13,7 @@ from repro.precision import (
     default_policy,
     gemm,
     gemm_flops,
-    round_to_precision,
 )
-from repro.precision.floats import machine_epsilon
-from repro.precision.policy import fp64_policy
 
 
 class TestBF16Rounding:
@@ -61,13 +58,6 @@ class TestBF16Rounding:
             errors.append(float(np.max(np.abs(rec - values))))
         assert errors[0] >= errors[1] >= errors[2]
 
-    def test_round_to_precision_names(self):
-        values = np.array([np.pi])
-        for name in ("fp64", "fp32", "bf16", "bf16x2", "bf16x3", "fp16"):
-            out = round_to_precision(values, name)
-            assert np.abs(out[0] - np.pi) <= machine_epsilon(name) * 4 * np.pi
-        with pytest.raises(ValueError):
-            round_to_precision(values, "int8")
 
 
 class TestGemm:
@@ -115,9 +105,6 @@ class TestGemm:
         engine(a, a)
         assert engine.total_flops == gemm_flops(4, 4, 4, complex_valued=True)
         assert engine.call_count == 1
-        assert engine.model_flops_per_second > 0
-        engine.reset()
-        assert engine.total_flops == 0
 
     def test_relative_speed_ordering_matches_paper(self):
         # Table IV: BF16 > FP32 > FP64 throughput on the PVC tile.
@@ -130,11 +117,6 @@ class TestPrecisionPolicy:
         assert policy.qxmd == "fp64"
         assert policy.lfd == "fp32"
         assert policy.nonlocal_gemm == "bf16"
-
-    def test_uniform_and_gemm_override(self):
-        policy = default_policy().with_uniform("fp64")
-        assert policy == fp64_policy()
-        assert default_policy().with_gemm_mode("bf16x3").nonlocal_gemm == "bf16x3"
 
     def test_invalid_precision_rejected(self):
         with pytest.raises(ValueError):

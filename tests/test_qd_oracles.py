@@ -24,8 +24,8 @@ from repro.grid.poisson import solve_poisson
 from repro.maxwell import GaussianPulse, Maxwell1D, MaxwellCoupler
 from repro.perf.workspace import KernelWorkspace
 from repro.qd import (
-    GaussianProjector, KineticPropagator, LocalHamiltonian, NonlocalCorrection,
-    NonlocalPseudopotential, OccupationState, RealTimeTDDFT, WaveFunctions,
+    KineticPropagator, LocalHamiltonian, NonlocalCorrection, OccupationState,
+    RealTimeTDDFT, WaveFunctions,
 )
 from repro.qd.hamiltonian import (
     gaussian_external_potential, update_potentials_stacked,
@@ -278,17 +278,13 @@ def test_stacked_exchange_is_bit_identical_to_domain_loop(ground_state, num_doma
 def test_kernel_timing_leaves_the_step_bit_identical(ground_state,
                                                      live_telemetry):
     """The same two-domain exchanges untimed, then timed: identical bits,
-    and one observation per kernel block.  Domain 0 carries nonlocal
-    projectors and domain 1 a scissors correction, so all six kernels
-    run."""
+    and one observation per kernel block.  Domain 1 carries a scissors
+    correction, so all five kernels run."""
     exchanges = 4
     runs = {}
     for timed in (False, True):  # ends enabled, as the fixture expects
         (telemetry.enable if timed else telemetry.disable)()
         engines, coupler, pulse = _domains(ground_state, 2)
-        grid = engines[0].wavefunctions.grid
-        engines[0].hamiltonian.nonlocal_pseudopotential = NonlocalPseudopotential(
-            grid, [GaussianProjector((4.0, 4.0, 4.0), 0.8, 0.5)])
         simulation = DCMESHSimulation(
             engines, coupler, pulse, qd_steps_per_exchange=QD_STEPS_PER_EXCHANGE)
         runs[timed] = (_exchange_series(simulation, exchanges), engines)
@@ -314,7 +310,6 @@ def test_kernel_timing_leaves_the_step_bit_identical(ground_state,
         "v_loc_prop": 2 * steps,  # two half steps, all domains in one block
         "kin_prop": steps,
         "nlp_prop": steps,        # domain 1 only
-        "vnl_prop": steps,        # domain 0 only
         "hartree_xc": exchanges,  # update_potentials_every == steps/exchange
         "occupations": steps,     # all domains in one block
     }

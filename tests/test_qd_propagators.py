@@ -1,20 +1,16 @@
-"""Tests for kin_prop, nlp_prop, the nonlocal pseudopotential and xc."""
+"""Tests for kin_prop, nlp_prop and xc."""
 
 import numpy as np
 import pytest
 
 from repro.grid import Grid3D
-from repro.precision.gemm import MixedPrecisionGemm
 from repro.qd import (
-    GaussianProjector,
     KineticPropagator,
     NonlocalCorrection,
-    NonlocalPseudopotential,
     WaveFunctions,
     lda_exchange_correlation,
-    nlp_prop,
 )
-from repro.qd.kin_prop import IMPLEMENTATIONS, kin_prop
+from repro.qd.kin_prop import IMPLEMENTATIONS
 from repro.qd.xc import lda_correlation, lda_exchange
 
 
@@ -72,11 +68,6 @@ class TestKineticPropagator:
             prop.kin_prop(wf.psi, "cuda")
         assert set(IMPLEMENTATIONS) == {"baseline", "reordered", "blocked", "device"}
 
-    def test_free_function_wrapper(self, small_grid, rng):
-        wf = WaveFunctions.random(small_grid, 1, rng)
-        out = kin_prop(wf.psi, small_grid, dt=0.05, implementation="blocked")
-        assert out.shape == wf.psi.shape
-
     def test_flop_accounting(self, small_grid, rng):
         prop = KineticPropagator(small_grid, dt=0.05)
         wf = WaveFunctions.random(small_grid, 2, rng)
@@ -112,54 +103,14 @@ class TestNonlocalCorrection:
             rel = np.linalg.norm(approx - exact) / np.linalg.norm(exact)
             assert rel < tol
 
-    def test_energy_correction_bounded_by_shift(self, small_grid, rng):
-        reference = WaveFunctions.random(small_grid, 2, rng)
-        correction = NonlocalCorrection(reference, shift=0.3, dt=0.05)
-        occ = np.array([1.0, 1.0])
-        energy = correction.energy_correction(reference.as_matrix(), occ)
-        # For psi_t = psi_0 the overlap is the identity -> energy = shift * sum f.
-        assert energy == pytest.approx(0.3 * 2.0, rel=1e-10)
-
-    def test_flop_count_and_free_function(self, small_grid, rng):
+    def test_flop_count_and_two_gemms_per_call(self, small_grid, rng):
         reference = WaveFunctions.random(small_grid, 2, rng)
         correction = NonlocalCorrection(reference, shift=0.1, dt=0.05)
         assert correction.flop_count_per_call() > 0
         psi_t = np.ascontiguousarray(reference.as_matrix())
-        engine = MixedPrecisionGemm(mode="fp64")
-        out = nlp_prop(psi_t, psi_t, 0.1, 0.05, small_grid.dv, engine=engine)
+        out = correction.apply_matrix(psi_t)
         assert out.shape == psi_t.shape
-        assert engine.call_count == 2
-
-
-class TestNonlocalPseudopotential:
-    def test_hermitian_expectation_real(self, small_grid, rng):
-        projector = GaussianProjector((4.0, 4.0, 4.0), 1.0, 0.5)
-        vnl = NonlocalPseudopotential(small_grid, [projector])
-        wf = WaveFunctions.random(small_grid, 2, rng)
-        energy = vnl.energy(wf.psi, np.array([1.0, 1.0]))
-        assert np.isfinite(energy)
-        assert energy >= 0.0  # positive strength -> repulsive
-
-    def test_apply_matches_explicit_projector_sum(self, small_grid, rng):
-        projector = GaussianProjector((3.0, 5.0, 4.0), 1.2, -0.4)
-        vnl = NonlocalPseudopotential(small_grid, [projector])
-        wf = WaveFunctions.random(small_grid, 1, rng)
-        beta = projector.evaluate(small_grid)
-        coefficient = np.vdot(beta, wf.psi[0]) * small_grid.dv
-        expected = -0.4 * coefficient * beta
-        out = vnl.apply(wf.psi[0])
-        assert np.allclose(out, expected, atol=1e-10)
-
-    def test_propagate_first_order(self, small_grid, rng):
-        projector = GaussianProjector((4.0, 4.0, 4.0), 1.0, 0.3)
-        vnl = NonlocalPseudopotential(small_grid, [projector])
-        wf = WaveFunctions.random(small_grid, 1, rng)
-        out = vnl.propagate(wf.psi, dt=0.01)
-        assert np.allclose(out, wf.psi - 1j * 0.01 * vnl.apply(wf.psi))
-
-    def test_requires_projectors(self, small_grid):
-        with pytest.raises(ValueError):
-            NonlocalPseudopotential(small_grid, [])
+        assert correction.gemm_engine.call_count == 2
 
 
 class TestXC:

@@ -38,11 +38,6 @@ class TestWaveFunctions:
         wf.normalize_each()
         assert np.allclose(wf.norms(), 1.0)
 
-    def test_expectation_of_constant_potential(self, small_grid, rng):
-        wf = WaveFunctions.random(small_grid, 2, rng)
-        values = wf.expectation(np.full(small_grid.shape, 3.0))
-        assert np.allclose(values, 3.0)
-
     def test_shape_validation(self, small_grid):
         with pytest.raises(ValueError):
             WaveFunctions(small_grid, np.zeros((2, 4, 4, 4), dtype=complex))
@@ -65,7 +60,6 @@ class TestOccupations:
         occ.apply_transition(1, 3, 0.25)
         # 0.25 occupation moved = 0.5 electrons (spin degeneracy 2).
         assert occ.excitation_number() == pytest.approx(0.5)
-        assert occ.excitation_fraction() == pytest.approx(0.5 / 4.0)
         assert occ.total_electrons == pytest.approx(4.0)
 
     def test_transition_clipping(self):
@@ -73,12 +67,6 @@ class TestOccupations:
         occ.apply_transition(0, 1, 5.0)  # can move at most 1.0 - f_target = 0
         assert np.all(occ.occupations <= 1.0)
         assert occ.total_electrons == pytest.approx(2.0)
-
-    def test_reset_reference(self):
-        occ = OccupationState.ground_state(3, 4.0)
-        occ.apply_transition(0, 2, 0.3)
-        occ.reset_reference()
-        assert occ.excitation_number() == pytest.approx(0.0)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

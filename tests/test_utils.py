@@ -2,21 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.utils.cliutil import subcommand_errors
+from repro.store.cliutil import subcommand_errors
 from repro.utils import (
-    default_rng,
-    ensure_array,
-    ensure_positive,
-    ensure_probability,
-    ensure_shape,
-    finite_difference_coefficients,
-    moving_average,
-    periodic_delta,
-    relative_error,
-    soft_clip,
-    spawn_rngs,
+    ensure_array, ensure_positive, periodic_delta, spawn_rngs,
 )
 
 
@@ -29,12 +18,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             ensure_positive(bad)
 
-    def test_ensure_probability(self):
-        assert ensure_probability(0.0) == 0.0
-        assert ensure_probability(1.0) == 1.0
-        with pytest.raises(ValueError):
-            ensure_probability(1.5)
-
     def test_ensure_array_checks_ndim_and_finiteness(self):
         arr = ensure_array([[1.0, 2.0]], ndim=2)
         assert arr.shape == (1, 2)
@@ -42,12 +25,6 @@ class TestValidation:
             ensure_array([1.0, np.nan])
         with pytest.raises(ValueError):
             ensure_array([1.0, 2.0], ndim=2)
-
-    def test_ensure_shape_wildcards(self):
-        arr = np.zeros((3, 5))
-        ensure_shape(arr, (3, None))
-        with pytest.raises(ValueError):
-            ensure_shape(arr, (None, 4))
 
 
 class TestRng:
@@ -61,48 +38,12 @@ class TestRng:
         with pytest.raises(ValueError):
             spawn_rngs(1, -1)
 
-    def test_default_rng_seeded(self):
-        assert default_rng(3).random() == default_rng(3).random()
-
 
 class TestMathUtils:
-    @pytest.mark.parametrize("order", [2, 4, 6])
-    def test_fd_coefficients_sum_to_zero(self, order):
-        coeffs = finite_difference_coefficients(order)
-        assert np.isclose(coeffs.sum(), 0.0, atol=1e-12)
-        # Applying to x^2 should give exactly 2 (constant second derivative).
-        half = len(coeffs) // 2
-        x = np.arange(-half, half + 1, dtype=float)
-        assert np.isclose(np.dot(coeffs, x ** 2), 2.0)
-
-    def test_fd_coefficients_rejects_bad_order(self):
-        with pytest.raises(ValueError):
-            finite_difference_coefficients(3)
-
-    def test_relative_error(self):
-        assert relative_error(np.array([1.1]), np.array([1.0])) == pytest.approx(0.1)
-        assert relative_error(np.array([0.5]), np.zeros(1)) == pytest.approx(0.5)
-
     def test_periodic_delta_minimum_image(self):
         box = np.array([10.0, 10.0, 10.0])
         delta = periodic_delta(np.array([9.5, 0, 0]), np.array([0.5, 0, 0]), box)
         assert np.allclose(delta, [-1.0, 0.0, 0.0])
-
-    def test_moving_average(self):
-        out = moving_average([1.0, 2.0, 3.0, 4.0], 2)
-        assert np.allclose(out, [1.5, 2.5, 3.5])
-        with pytest.raises(ValueError):
-            moving_average([1.0], 0)
-
-    @given(st.floats(min_value=0.1, max_value=50.0))
-    def test_soft_clip_bounded(self, limit):
-        values = np.linspace(-1000, 1000, 101)
-        clipped = soft_clip(values, limit)
-        assert np.all(np.abs(clipped) <= limit + 1e-12)
-
-    def test_soft_clip_identity_for_small_values(self):
-        values = np.array([0.01, -0.02])
-        assert np.allclose(soft_clip(values, 10.0), values, atol=1e-5)
 
 
 class TestSubcommandErrors:
