@@ -17,6 +17,17 @@ from repro.units import SPEED_OF_LIGHT_AU
 from repro.utils.validation import ensure_positive
 
 
+def _unit_polarization(polarization) -> np.ndarray:
+    """The unit vector along ``polarization`` (default ``z``)."""
+    if polarization is None:
+        return np.array([0.0, 0.0, 1.0])
+    polarization = np.asarray(polarization, dtype=float)
+    norm = np.linalg.norm(polarization)
+    if norm == 0:
+        raise ValueError("polarization vector must be non-zero")
+    return polarization / norm
+
+
 class LaserPulse:
     """Base of the laser pulses: each provides ``vector_potential(t)``, the
     ``(..., 3)`` A(t) along its unit ``polarization``."""
@@ -51,13 +62,7 @@ class GaussianPulse(LaserPulse):
     def __post_init__(self) -> None:
         ensure_positive(self.omega, "omega")
         ensure_positive(self.sigma, "sigma")
-        if self.polarization is None:
-            self.polarization = np.array([0.0, 0.0, 1.0])
-        self.polarization = np.asarray(self.polarization, dtype=float)
-        norm = np.linalg.norm(self.polarization)
-        if norm == 0:
-            raise ValueError("polarization vector must be non-zero")
-        self.polarization = self.polarization / norm
+        self.polarization = _unit_polarization(self.polarization)
 
     def _envelope(self, t: np.ndarray) -> np.ndarray:
         return np.exp(-0.5 * ((t - self.t0) / self.sigma) ** 2)
@@ -107,10 +112,7 @@ class TrapezoidalPulse(LaserPulse):
         ensure_positive(self.ramp, "ramp")
         if self.plateau < 0:
             raise ValueError("plateau must be non-negative")
-        if self.polarization is None:
-            self.polarization = np.array([0.0, 0.0, 1.0])
-        self.polarization = np.asarray(self.polarization, dtype=float)
-        self.polarization = self.polarization / np.linalg.norm(self.polarization)
+        self.polarization = _unit_polarization(self.polarization)
 
     def _envelope(self, t: np.ndarray) -> np.ndarray:
         rel = np.asarray(t, dtype=float) - self.t_start

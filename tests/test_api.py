@@ -11,6 +11,7 @@ from repro.api import (
     BatchRunner,
     Engine,
     RunResult,
+    PulseSpec,
     ScenarioRegistry,
     ScenarioSpec,
     ServeClient,
@@ -19,7 +20,9 @@ from repro.api import (
     parse_assignments,
     run_scenario,
 )
+from repro.maxwell import GaussianPulse, TrapezoidalPulse
 from repro.perf.workspace import KernelWorkspace
+from repro.topology.charge import topological_charge
 
 #: Per-engine overrides that shrink the registry scenarios to smoke size.
 SMOKE_OVERRIDES = {
@@ -119,6 +122,36 @@ class TestScenarioSpec:
             parse_assignments(["novalue"])
 
 
+class TestPulseSpec:
+    def test_gaussian_builds_from_its_fields(self):
+        pulse = PulseSpec(kind="gaussian", e0=0.02, omega=0.5, t0=3.0, sigma=1.5,
+                          polarization=(2.0, 0.0, 0.0)).build()
+        assert isinstance(pulse, GaussianPulse)
+        assert (pulse.e0, pulse.omega, pulse.t0, pulse.sigma) == (0.02, 0.5, 3.0, 1.5)
+        np.testing.assert_array_equal(pulse.polarization, [1.0, 0.0, 0.0])
+
+    def test_trapezoidal_builds_from_its_fields(self):
+        # t0 is where the trapezoid starts; sigma plays no part in it.
+        pulse = PulseSpec(kind="trapezoidal", e0=0.02, omega=0.5, t0=3.0,
+                          ramp=1.5, plateau=4.0, polarization=(0.0, 0.0, 5.0)).build()
+        assert isinstance(pulse, TrapezoidalPulse)
+        assert (pulse.e0, pulse.omega, pulse.t_start, pulse.ramp, pulse.plateau) == (
+            0.02, 0.5, 3.0, 1.5, 4.0)
+        np.testing.assert_array_equal(pulse.polarization, [0.0, 0.0, 1.0])
+
+    def test_none_builds_no_pulse(self):
+        assert PulseSpec(kind="none").build() is None
+
+    @pytest.mark.parametrize("kind", ["gaussian", "trapezoidal"])
+    def test_zero_polarization_rejected(self, kind):
+        with pytest.raises(ValueError, match="polarization"):
+            PulseSpec(kind=kind, polarization=(0.0, 0.0, 0.0)).build()
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="pulse.kind must be"):
+            PulseSpec(kind="square")
+
+
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
@@ -149,6 +182,11 @@ class TestRegistry:
         with pytest.raises(KeyError, match="unknown scenario"):
             default_registry().get("does-not-exist")
 
+    def test_membership_is_by_name(self):
+        registry = default_registry()
+        assert all(name in registry for name in registry.names())
+        assert "does-not-exist" not in registry
+
 
 # ----------------------------------------------------------------------
 # Engine protocol: every registry scenario smoke-runs
@@ -178,6 +216,19 @@ class TestEngineProtocol:
             assert series.shape[0] == result.num_records
             assert np.all(np.isfinite(series))
         assert result.metadata["spec"] == smoke_spec(name).to_dict()
+
+    @pytest.mark.parametrize("name", default_registry().names())
+    def test_recording_cadence_does_not_perturb_the_run(self, name):
+        # Observing is read-only: recording every other step keeps exactly
+        # the even records of the run that records every step.
+        every = run_scenario(smoke_spec(name, num_steps=4))
+        sparse = run_scenario(smoke_spec(name, num_steps=4,
+                                         **{"runtime.record_every": 2}))
+        np.testing.assert_array_equal(sparse.times, every.times[::2])
+        assert set(sparse.observables) == set(every.observables)
+        for key, series in every.observables.items():
+            np.testing.assert_array_equal(sparse.observables[key], series[::2],
+                                          err_msg=key)
 
     @pytest.mark.parametrize("name", ["mlmd-photoswitch", "localmode-switch"])
     def test_zero_relax_steps_is_a_noop(self, name):
@@ -350,6 +401,19 @@ class TestRunResult:
         summary = result.summary()
         assert summary["e"] == 2.0 and "v" not in summary
 
+    def test_run_id_reads_the_executor_stamp(self):
+        result = RunResult("s", "md", times=[0.0], observables={})
+        assert result.run_id is None
+        result.metadata["executor"] = {"run_id": 42}
+        assert result.run_id == "42"
+
+    def test_json_text_round_trip(self):
+        result = run_scenario(smoke_spec("md-nve"))
+        rebuilt = RunResult.from_json(result.to_json())
+        assert rebuilt.to_dict() == result.to_dict()
+        for name, series in result.observables.items():
+            np.testing.assert_array_equal(rebuilt.observables[name], series)
+
 
 # ----------------------------------------------------------------------
 # Seed plumbing: bit-identical reruns
@@ -377,6 +441,71 @@ class TestSeedDeterminism:
         np.testing.assert_array_equal(
             first.observables["excitation"], second.observables["excitation"]
         )
+
+
+# ----------------------------------------------------------------------
+# Lattice engines: what a record holds is the lattice's own observables
+# ----------------------------------------------------------------------
+class TestLatticeObservation:
+    @pytest.mark.parametrize("name", ["localmode-switch", "mlmd-photoswitch"])
+    def test_observation_matches_the_lattice(self, name):
+        engine = build_engine(smoke_spec(name))
+        engine.prepare()
+        engine.step(2)
+        observation = engine.observe()
+        modes = engine.lattice.modes
+        np.testing.assert_allclose(observation["mean_polarization"],
+                                   modes.reshape(-1, 3).mean(axis=0), rtol=1e-12)
+        middle = modes[:, :, modes.shape[2] // 2]
+        assert observation["topological_charge"] == pytest.approx(
+            topological_charge(middle), abs=1e-12)
+        if "energy" in observation:
+            weight = engine.spec.propagator.excitation_fraction
+            assert observation["energy"] == pytest.approx(
+                engine.lattice.energy(weight), rel=1e-12)
+
+    def test_mlmd_excitation_decays_with_its_lifetime(self):
+        spec = smoke_spec("mlmd-photoswitch", num_steps=6)
+        result = run_scenario(spec)
+        prop = spec.propagator
+        expected = prop.excitation_fraction * np.exp(
+            -result.times / prop.excitation_lifetime_fs)
+        np.testing.assert_allclose(result.observables["excitation_fraction"],
+                                   expected, rtol=1e-12)
+
+
+# ----------------------------------------------------------------------
+# pulse.kind='trapezoidal': the spec option runs end to end
+# ----------------------------------------------------------------------
+#: The registry scenarios driven by a laser pulse.
+PULSED = [spec.name for spec in default_registry() if spec.pulse.kind != "none"]
+
+#: A trapezoid that is already ramping when every smoke run starts.
+TRAPEZOID = {"pulse.kind": "trapezoidal", "pulse.t0": 0.0,
+             "pulse.ramp": 0.2, "pulse.plateau": 2.0}
+
+#: Enough steps for the pulse to cross the DC-MESH Maxwell window from its
+#: entry point to the domains (fewer and dcmesh-pulse never sees it).
+PULSED_STEPS = 20
+
+
+class TestTrapezoidalPulseScenarios:
+    def test_every_pulsed_engine_is_covered(self):
+        engines = {default_registry().get(name).engine for name in PULSED}
+        assert engines == {"tddft", "dcmesh", "mesh", "maxwell"}
+
+    @pytest.mark.parametrize("name", PULSED)
+    def test_trapezoidal_pulse_runs_end_to_end(self, name):
+        spec = smoke_spec(name, num_steps=PULSED_STEPS, **TRAPEZOID)
+        result = run_scenario(spec)
+        assert result.metadata["spec"]["pulse"]["kind"] == "trapezoidal"
+        assert result.num_records == PULSED_STEPS + 1
+        for series in result.observables.values():
+            assert np.all(np.isfinite(series))
+        # The field reaches the run: it differs from the Gaussian default.
+        gaussian = run_scenario(smoke_spec(name, num_steps=PULSED_STEPS))
+        assert any(not np.array_equal(series, gaussian.observables[key])
+                   for key, series in result.observables.items())
 
 
 # ----------------------------------------------------------------------

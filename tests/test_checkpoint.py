@@ -26,7 +26,7 @@ from repro.api import (
 )
 from repro.api.result import _plain, revive
 
-from test_api import smoke_spec
+from test_api import PULSED, PULSED_STEPS, TRAPEZOID, smoke_spec
 
 
 def json_cycle(checkpoint: dict) -> dict:
@@ -63,6 +63,19 @@ class TestInterruptResumeBitIdentity:
 
         assert_results_bit_identical(uninterrupted, resumed)
         assert resumed.metadata["spec"] == uninterrupted.metadata["spec"]
+
+    @pytest.mark.parametrize("name", PULSED)
+    def test_trapezoidal_pulse_resumes_bit_identically(self, name):
+        # Interrupt inside the plateau: the pulse is a pure function of
+        # time, so the resumed run must pick it up where it left off.
+        spec = smoke_spec(name, num_steps=PULSED_STEPS, **TRAPEZOID)
+        uninterrupted = build_engine(spec).run()
+
+        interrupted = build_engine(spec)
+        interrupted.run(num_steps=PULSED_STEPS // 2)
+        resumed = build_engine(spec).resume(json_cycle(interrupted.checkpoint()))
+
+        assert_results_bit_identical(uninterrupted, resumed)
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("name", ["md-nve", "md-langevin"])

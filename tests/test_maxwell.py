@@ -47,6 +47,63 @@ class TestPulses:
         assert np.abs(pulse._envelope(np.array([20.0]))[0]) == pytest.approx(1.0)
         assert np.linalg.norm(pulse.vector_potential(100.0)) == pytest.approx(0.0)
 
+    def test_trapezoidal_envelope_is_piecewise_linear(self):
+        pulse = TrapezoidalPulse(e0=0.1, omega=1.0, ramp=4.0, plateau=6.0, t_start=2.0)
+        # Before, mid-ramp up, plateau, mid-ramp down, after (end at t = 16).
+        t = np.array([1.0, 4.0, 9.0, 15.0, 17.0])
+        np.testing.assert_allclose(pulse._envelope(t), [0.0, 0.5, 1.0, 0.25, 0.0])
+
+    def test_trapezoidal_envelope_is_continuous_at_its_corners(self):
+        pulse = TrapezoidalPulse(e0=0.1, omega=1.0, ramp=3.0, plateau=5.0, t_start=1.0)
+        eps = 1e-9
+        for corner, value in ((1.0, 0.0), (4.0, 1.0), (9.0, 1.0), (12.0, 0.0)):
+            sides = pulse._envelope(np.array([corner - eps, corner, corner + eps]))
+            np.testing.assert_allclose(sides, value, atol=1e-8)
+
+    def test_trapezoidal_plateau_carries_the_full_carrier(self):
+        e0, omega, ramp, t_start = 0.05, 0.7, 2.0, 1.5
+        pulse = TrapezoidalPulse(e0=e0, omega=omega, ramp=ramp, plateau=10.0,
+                                 t_start=t_start, polarization=np.array([0.0, 3.0, 0.0]))
+        t = np.linspace(t_start + ramp, t_start + ramp + 10.0, 7)
+        expected = -SPEED_OF_LIGHT_AU * e0 / omega * np.sin(omega * (t - t_start))
+        a = pulse.vector_potential(t)
+        np.testing.assert_allclose(a[:, 1], expected, rtol=1e-12)
+        assert np.all(a[:, [0, 2]] == 0.0)
+
+    def test_trapezoidal_vector_potential_vanishes_outside_the_pulse(self):
+        pulse = TrapezoidalPulse(e0=0.2, omega=0.4, ramp=1.0, plateau=2.0, t_start=5.0)
+        t = np.concatenate([np.linspace(-10.0, 5.0, 9), np.linspace(9.0, 50.0, 9)])
+        assert np.all(pulse.vector_potential(t) == 0.0)
+
+    def test_trapezoidal_polarization_normalised(self):
+        pulse = TrapezoidalPulse(e0=0.1, omega=1.0, ramp=1.0, plateau=1.0,
+                                 polarization=np.array([0.0, 0.0, -4.0]))
+        assert np.allclose(pulse.polarization, [0, 0, -1])
+        with pytest.raises(ValueError, match="non-zero"):
+            TrapezoidalPulse(e0=0.1, omega=1.0, ramp=1.0, plateau=1.0,
+                             polarization=np.zeros(3))
+
+    @pytest.mark.parametrize("field, value", [("omega", 0.0), ("ramp", -1.0), ("plateau", -0.5)])
+    def test_trapezoidal_parameter_validation(self, field, value):
+        params = dict(e0=0.1, omega=1.0, ramp=1.0, plateau=1.0)
+        params[field] = value
+        with pytest.raises(ValueError, match=field):
+            TrapezoidalPulse(**params)
+
+    @pytest.mark.parametrize("pulse", [
+        GaussianPulse(e0=0.02, omega=0.3, t0=5.0, sigma=2.0, polarization=np.array([1.0, 1.0, 0.0])),
+        TrapezoidalPulse(e0=0.02, omega=0.3, ramp=2.0, plateau=3.0, polarization=np.array([1.0, 1.0, 0.0])),
+    ], ids=["gaussian", "trapezoidal"])
+    def test_vector_potential_broadcasts_over_times(self, pulse):
+        times = np.linspace(0.0, 8.0, 11)
+        a = pulse.vector_potential(times)
+        assert a.shape == (11, 3)
+        for t, row in zip(times, a):
+            np.testing.assert_array_equal(row, pulse.vector_potential(t))
+        # Linear polarisation: every sample lies along the unit vector.
+        np.testing.assert_allclose(a[:, 0], a[:, 1])
+        assert np.all(a[:, 2] == 0.0)
+
 
 class TestMaxwell1D:
     def test_cfl_enforced(self):

@@ -16,6 +16,22 @@ class TestMachines:
     def test_registry_contains_all_paper_machines(self):
         assert set(MACHINES) == {"aurora", "fugaku", "summit", "theta", "bluegene/q"}
 
+    @pytest.mark.parametrize("name", sorted(MACHINES))
+    def test_every_machine_prices_communication(self, name):
+        machine = MACHINES[name]
+        # Microsecond latencies and GB/s links: an alpha-beta network.
+        assert 1e-7 < machine.network_latency_s < 1e-4
+        assert 1e9 <= machine.network_bandwidth_bytes_per_s <= 1e11
+        ranks = (1, 64, 4096, 262144)
+        dcmesh = DCMESHCostModel(machine=machine)
+        compute = dcmesh.qd_steps_per_md_step * dcmesh.compute_seconds_per_qd_step(128.0)
+        weak = [dcmesh.weak_scaling_time(p, 128.0) for p in ranks]
+        assert compute < weak[0]
+        assert all(a <= b for a, b in zip(weak, weak[1:]))
+        nnqmd = NNQMDCostModel(machine=machine)
+        weak = [nnqmd.weak_scaling_time(p, 1e6) for p in ranks]
+        assert all(a < b for a, b in zip(weak, weak[1:]))
+
 
 class TestCostModels:
     def test_communication_cost_model(self):
