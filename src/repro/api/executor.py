@@ -80,8 +80,9 @@ FAULT_SPAWN_PRE_SUBMIT = faults.register(
 #: every run a worker executes shares the same kernel caches.
 _WORKER_WORKSPACE: Optional[KernelWorkspace] = None
 
-#: Metrics snapshot as of this worker's previous report, so repeated reports
-#: ship deltas — the daemon folding them in never double-counts.
+#: Metrics snapshot as of this process-pool worker's previous report; None
+#: outside one.  Only process workers report: thread and inline workers count
+#: straight into the daemon's own registry.
 _TELEMETRY_BASELINE: Optional[Dict[str, Any]] = None
 
 #: One batch slot: a completed run or the failure that exhausted its retries.
@@ -91,11 +92,10 @@ BatchOutcome = Union[RunResult, RunFailure]
 def _worker_init() -> None:
     global _WORKER_WORKSPACE, _TELEMETRY_BASELINE
     _WORKER_WORKSPACE = KernelWorkspace()
-    if telemetry.enabled():
-        # A forked worker inherits the parent's registry: everything counted
-        # before the pool started is the parent's to report, not this
-        # worker's, so the first delta starts from here.
-        _TELEMETRY_BASELINE = telemetry.snapshot()
+    # A forked worker inherits the parent's registry: everything counted
+    # before the pool started is the parent's to report, not this worker's,
+    # so the first delta starts from here.
+    _TELEMETRY_BASELINE = telemetry.snapshot()
 
 
 def _ensure_worker_workspace() -> KernelWorkspace:
@@ -114,18 +114,16 @@ def _ensure_worker_workspace() -> KernelWorkspace:
 
 
 def _telemetry_report() -> Optional[Dict[str, Any]]:
-    """This process's metrics delta since the last report (or None when
-    telemetry is disabled).  Stamped with the worker pid so the daemon can
-    tell a foreign (process-backend) snapshot — which it must merge — from
-    its own registry reported back by a thread or inline worker (already
-    counted, must be skipped)."""
+    """The metrics this process-pool worker changed since its last report,
+    as a snapshot delta for the daemon to merge (None in any other process,
+    or when telemetry is disabled)."""
     global _TELEMETRY_BASELINE
-    if not telemetry.enabled():
+    if _TELEMETRY_BASELINE is None or not telemetry.enabled():
         return None
     snap = telemetry.snapshot()
     delta = telemetry.subtract_snapshot(snap, _TELEMETRY_BASELINE)
     _TELEMETRY_BASELINE = snap
-    return {"pid": os.getpid(), "metrics": delta}
+    return delta
 
 
 def worker_payload(index: int, spec: Dict[str, Any], run_id: str, *,

@@ -533,15 +533,9 @@ class ScenarioServer:
             pass
 
     def _merge_worker_telemetry(self, metadata: Dict[str, Any]) -> None:
-        """Fold a process-pool worker's metrics delta into this registry.
-
-        Thread and inline workers share the daemon's registry (same pid), so
-        their reports are skipped — merging them would double-count.
-        """
-        report = metadata.get("telemetry")
-        if not isinstance(report, dict) or report.get("pid") == os.getpid():
-            return
-        delta = report.get("metrics")
+        """Fold a process-pool worker's metrics delta into this registry
+        (thread and inline workers count into it directly and report none)."""
+        delta = metadata.get("telemetry")
         if not isinstance(delta, dict):
             return
         try:

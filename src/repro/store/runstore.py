@@ -46,7 +46,6 @@ concurrent pruning (manifest re-read fallback in :meth:`latest`).
 
 from __future__ import annotations
 
-import contextlib
 import re
 import threading
 import time as _time
@@ -142,9 +141,6 @@ class RunStore:
     lock_timeout:
         Seconds to wait for the cross-process file lock before raising
         :class:`~repro.store.errors.StoreLockTimeout`.
-    locking:
-        Escape hatch disabling the cross-process file lock (the overhead
-        benchmark's baseline); leases still work, just unguarded.
     """
 
     def __init__(self, root, keep: int = 0,
@@ -154,8 +150,7 @@ class RunStore:
                  owner_pid: Optional[int] = None,
                  owner_host: Optional[str] = None,
                  lease_ttl: float = DEFAULT_LEASE_TTL_S,
-                 lock_timeout: float = 10.0,
-                 locking: bool = True) -> None:
+                 lock_timeout: float = 10.0) -> None:
         self.root = Path(root)
         if keep < 0:
             raise ValueError("keep must be >= 0")
@@ -171,7 +166,6 @@ class RunStore:
         self.owner_host = owner_host
         self.lease_ttl = float(lease_ttl)
         self.lock_timeout = float(lock_timeout)
-        self.locking = bool(locking)
         self._locks: Dict[Tuple[str, str], threading.Lock] = {}
         self._master_lock = threading.Lock()
 
@@ -187,10 +181,8 @@ class RunStore:
                 self._locks[key] = threading.Lock()
             return self._locks[key]
 
-    def _run_lock(self, directory: Path):
-        """The cross-process lock of one run dir (no-op when disabled)."""
-        if not self.locking:
-            return contextlib.nullcontext()
+    def _run_lock(self, directory: Path) -> RunLock:
+        """The cross-process lock of one run dir."""
         return RunLock(directory, timeout=self.lock_timeout)
 
     def _claim(self, manifest: Dict[str, Any]) -> None:

@@ -22,8 +22,9 @@ ambient registry):
   process-backend pool workers can report deltas that the daemon folds into
   its own registry — ending up with the same aggregate view the thread
   backend and inline workers get for free by sharing the daemon's process.
-  :func:`subtract_snapshot` produces those deltas (new minus old, clamped
-  at zero) so a long-lived worker never double-reports.
+  :func:`subtract_snapshot` produces those deltas (what changed since the
+  previous report, and nothing else) so a long-lived worker never
+  double-reports.
 
 Histograms are log₂-bucketed over ``BUCKET_BOUNDS`` (1 µs … ~134 s upper
 bounds plus an overflow bucket) — fixed bounds keep cross-process merging a
@@ -203,27 +204,36 @@ class MetricsRegistry:
 
 def subtract_snapshot(new: Dict[str, Any],
                       old: Optional[Dict[str, Any]]) -> Dict[str, Any]:
-    """``new - old`` element-wise (clamped at zero): the delta a long-lived
-    worker reports so repeated reports never double-count.  Gauges pass
-    through ``new`` unchanged (they are levels, not totals)."""
-    if not old:
-        return new
+    """``new - old``, keeping only the metrics that changed: counters and
+    histograms that grew (by what they grew, bucket by bucket) and gauges
+    whose level moved.  A long-lived worker reports these deltas, so
+    repeated reports never double-count and an idle metric ships nothing.
+    A metric that shrank (a restarted worker) counts as unchanged."""
+    old = old or {}
     old_counters = old.get("counters") or {}
+    old_gauges = old.get("gauges") or {}
     old_hists = old.get("histograms") or {}
     delta: Dict[str, Any] = {
         "bounds": new.get("bounds"),
         "counters": {},
-        "gauges": dict(new.get("gauges") or {}),
+        "gauges": {},
         "histograms": {},
     }
     for name, entry in (new.get("counters") or {}).items():
         base = float((old_counters.get(name) or {}).get("value", 0.0))
-        delta["counters"][name] = {
-            "value": max(0.0, float(entry.get("value", 0.0)) - base),
-            "help": entry.get("help", ""),
-        }
+        grown = float(entry.get("value", 0.0)) - base
+        if grown > 0.0:
+            delta["counters"][name] = {"value": grown,
+                                       "help": entry.get("help", "")}
+    for name, entry in (new.get("gauges") or {}).items():
+        if name not in old_gauges or \
+                old_gauges[name].get("value") != entry.get("value"):
+            delta["gauges"][name] = entry
     for name, entry in (new.get("histograms") or {}).items():
         base = old_hists.get(name) or {}
+        grown = int(entry.get("count", 0)) - int(base.get("count", 0))
+        if grown <= 0:
+            continue
         base_counts = base.get("counts") or []
         counts = [int(value) for value in (entry.get("counts") or [])]
         if len(base_counts) == len(counts):
@@ -233,8 +243,7 @@ def subtract_snapshot(new: Dict[str, Any],
             "counts": counts,
             "sum": max(0.0, float(entry.get("sum", 0.0))
                        - float(base.get("sum", 0.0))),
-            "count": max(0, int(entry.get("count", 0))
-                         - int(base.get("count", 0))),
+            "count": grown,
             "help": entry.get("help", ""),
         }
     return delta

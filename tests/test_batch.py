@@ -247,7 +247,13 @@ class TestWorkerRunPath:
     @pytest.mark.parametrize("name", ("localmode-switch", "maxwell-vacuum"))
     @pytest.mark.parametrize("size", (1, 3))
     def test_every_member_is_traced_and_counted(self, name, size, tmp_path,
-                                                live_telemetry):
+                                                live_telemetry, monkeypatch):
+        from repro.api import executor
+
+        # Run as a process-pool worker after _worker_init: only such a
+        # worker attaches a metrics report to its results.
+        monkeypatch.setattr(executor, "_TELEMETRY_BASELINE",
+                            telemetry.snapshot())
         num_steps = 4
         payloads = [
             member_payload(
@@ -493,6 +499,36 @@ class TestStackedRelaxAndRecord:
             assert member.lattice.modes.tobytes() \
                 == alone.lattice.modes.tobytes()
             assert not member.lattice.velocities.any()
+
+    @pytest.mark.parametrize("name, step_forces", (
+        # Constant excitation weight: the memo carries each end-of-step
+        # force into the next step, so N steps cost N + 1 evaluations.
+        ("localmode-switch", lambda n: n + 1),
+        # The MLMD weight decays every step: two evaluations per step.
+        ("mlmd-photoswitch", lambda n: 2 * n),
+    ))
+    def test_stacked_steps_are_one_kernel_call_each(self, monkeypatch, name,
+                                                    step_forces):
+        # The batching perf gate, counted: N stacked steps of M members
+        # are N step_stacked calls and as many force evaluations as ONE
+        # lattice needs; M serial step loops would make no stacked call
+        # and about M times the evaluations.
+        from repro.batch import engine as batch_engine
+        from repro.md.localmode import force_evaluations
+
+        calls = []
+        real = batch_engine.step_stacked
+        monkeypatch.setattr(batch_engine, "step_stacked",
+                            lambda *a, **k: (calls.append(1), real(*a, **k))[1])
+        num_steps, members = 6, 4
+        specs = [smoke_spec(name, num_steps=num_steps, seed=s)
+                 for s in range(members)]
+        relax_steps = specs[0].propagator.relax_steps
+        before = force_evaluations()
+        BatchedEngine(specs).run(raise_on_error=True)
+        assert len(calls) == num_steps
+        assert force_evaluations() - before \
+            == relax_steps + 1 + step_forces(num_steps)
 
     def test_stacked_observation_equals_each_member_alone(self):
         from repro.api.adapters import LocalModeEngine

@@ -16,6 +16,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -317,6 +318,72 @@ class TestStoreLeases:
         store.compact("locked", "r")
         assert (store.run_dir("locked", "r") / ".lock").exists()
         assert store.latest("locked", "r")["step"] == 2
+
+
+# ----------------------------------------------------------------------
+# What an uncontended save costs, counted: the lock and fault-point gate
+# ----------------------------------------------------------------------
+class _CountingLock:
+    """A ``threading.Lock`` stand-in that counts its acquisitions."""
+
+    def __init__(self) -> None:
+        self.inner = threading.Lock()
+        self.acquisitions = 0
+
+    def __enter__(self):
+        self.acquisitions += 1
+        return self.inner.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self.inner.__exit__(*exc_info)
+
+
+@pytest.mark.skipif(locks_module.fcntl is None, reason="needs fcntl")
+class TestUncontendedSaveCounts:
+    SAVES = 6
+
+    def test_one_flock_per_save_and_one_breadcrumb_write(self, tmp_path,
+                                                         monkeypatch):
+        flocks, writes = [], []
+        real_flock, real_write = locks_module.fcntl.flock, os.write
+        monkeypatch.setattr(locks_module.fcntl, "flock",
+                            lambda fd, op: (flocks.append(op),
+                                            real_flock(fd, op))[1])
+        monkeypatch.setattr(os, "write",
+                            lambda fd, data: (writes.append(bytes(data)),
+                                              real_write(fd, data))[1])
+        store = RunStore(tmp_path)
+        for step in range(self.SAVES):
+            store.save(make_checkpoint(step), run_id="r")
+        breadcrumb = f"{os.getpid()} {locks_module.default_owner()}\n"
+        assert flocks == [locks_module.fcntl.LOCK_EX
+                          | locks_module.fcntl.LOCK_NB] * self.SAVES
+        # The holder's breadcrumb is written by the first acquire only:
+        # later acquires by the same process find it already in place.
+        assert writes.count(breadcrumb.encode()) == 1
+
+    def test_unarmed_fault_points_take_no_lock(self, tmp_path, monkeypatch):
+        import repro.store.manifest as manifest_module
+
+        faults.reset()
+        counting = _CountingLock()
+        monkeypatch.setattr(faults, "_lock", counting)
+        store = RunStore(tmp_path)
+        for step in range(self.SAVES):
+            store.save(make_checkpoint(step), run_id="r")
+        for _ in range(100):
+            faults.point(manifest_module.FAULT_COMMIT_PRE)
+        assert counting.acquisitions == 0
+        # Armed elsewhere, every point consults the plan under the lock:
+        # the counter sees those acquisitions.
+        faults.configure({manifest_module.FAULT_COMMIT_POST: "raise@1000"})
+        try:
+            before = counting.acquisitions
+            for _ in range(100):
+                faults.point(manifest_module.FAULT_COMMIT_PRE)
+            assert counting.acquisitions - before == 100
+        finally:
+            faults.reset()
 
 
 # ----------------------------------------------------------------------

@@ -31,7 +31,10 @@ from pathlib import Path
 import pytest
 
 from repro import faults, telemetry
-from repro.api import ScenarioServer, ServeClient, ServeError, default_registry
+from repro.api import (
+    ScenarioServer, ServeClient, ServeError, WorkerPool, default_registry,
+)
+from repro.api.executor import execute_payload, worker_payload
 from repro.api.cli import main
 from repro.analytics.stats import render_dashboard
 from repro.fleet import FleetRouter
@@ -63,6 +66,13 @@ def _spawn_traced_daemon(root: Path, workers: int = 1, *extra: str,
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         env=_telemetry_env(plan), start_new_session=True,
     )
+
+
+def _payload(spec, run_id: str) -> dict:
+    """A storeless worker payload for one run of ``spec``."""
+    return worker_payload(0, spec.to_dict(), run_id, checkpoint_dir=None,
+                          checkpoint_every=None, keep=0, retention=None,
+                          resume=False, attempt=1)
 
 
 def _await_checkpoint(client: ServeClient, run_id: str) -> int:
@@ -132,11 +142,28 @@ class TestMetrics:
         assert delta["counters"]["c"]["value"] == 2.0
         assert delta["histograms"]["h"]["count"] == 1
         assert sum(delta["histograms"]["h"]["counts"]) == 1
-        # A restarted worker (new < old) clamps at zero, never negative.
+        # A restarted worker (new < old) reports nothing, never negative.
         fresh = telemetry.MetricsRegistry()
         fresh.counter("c").inc(1)
         clamped = telemetry.subtract_snapshot(fresh.snapshot(), old)
-        assert clamped["counters"]["c"]["value"] == 0.0
+        assert clamped["counters"] == {}
+
+    def test_subtract_snapshot_keeps_only_what_changed(self):
+        reg = telemetry.MetricsRegistry()
+        for name in ("idle", "busy"):
+            reg.counter(name).inc()
+            reg.gauge(name).set(1.0)
+            reg.histogram(name).observe(0.5)
+        old = reg.snapshot()
+        reg.counter("busy").inc()
+        reg.gauge("busy").set(2.0)
+        reg.histogram("busy").observe(0.5)
+        reg.counter("new").inc()
+        delta = telemetry.subtract_snapshot(reg.snapshot(), old)
+        assert set(delta["counters"]) == {"busy", "new"}
+        assert set(delta["gauges"]) == {"busy"}
+        assert set(delta["histograms"]) == {"busy"}
+        assert telemetry.subtract_snapshot(old, old)["counters"] == {}
 
     def test_quantile_estimates_bucket_upper_bounds(self):
         reg = telemetry.MetricsRegistry()
@@ -253,9 +280,43 @@ class TestMetrics:
         telemetry.incr("repro_serve_submissions_total", 4)
         executor._worker_init()
         telemetry.incr("repro_worker_runs_total", 1)
-        counters = executor._telemetry_report()["metrics"]["counters"]
-        assert counters["repro_serve_submissions_total"]["value"] == 0.0
+        counters = executor._telemetry_report()["counters"]
+        assert "repro_serve_submissions_total" not in counters
         assert counters["repro_worker_runs_total"]["value"] == 1.0
+
+    @pytest.mark.parametrize("workers, backend", ((0, "process"),
+                                                  (1, "thread")))
+    def test_inline_and_thread_runs_attach_no_report(
+            self, live_telemetry, workers, backend):
+        # They count straight into this process's registry: a report would
+        # only be shipped back here to be thrown away.
+        spec = smoke_spec("maxwell-vacuum", num_steps=2)
+        payload = _payload(spec, "inline")
+        with WorkerPool(workers, backend=backend) as pool:
+            outcome = pool.submit(payload).result()
+        assert "telemetry" not in outcome["ok"]["metadata"]
+        counters = telemetry.snapshot()["counters"]
+        assert counters["repro_worker_runs_total"]["value"] == 1.0
+
+    @needs_fork
+    def test_process_worker_reports_exactly_what_its_run_changed(
+            self, live_telemetry):
+        first = _payload(smoke_spec("quickstart-tddft", num_steps=2), "a")
+        second = _payload(smoke_spec("maxwell-vacuum", num_steps=3), "b")
+        with WorkerPool(1) as pool:
+            assert "ok" in pool.submit(first).result()
+            report = pool.submit(second).result()["ok"]["metadata"][
+                "telemetry"]
+        # What the second run changes, read off a registry it runs on alone.
+        telemetry.reset()
+        assert "ok" in execute_payload(second)
+        alone = telemetry.snapshot()
+        for kind in ("counters", "gauges", "histograms"):
+            assert set(report[kind]) == set(alone[kind]), kind
+        for name, entry in alone["counters"].items():
+            assert report["counters"][name]["value"] == entry["value"], name
+        for name, entry in alone["histograms"].items():
+            assert report["histograms"][name]["count"] == entry["count"], name
 
     @pytest.mark.parametrize("spec,expected", [
         ("1", True), ("on", True), ("TRUE", True), ("yes", True),
@@ -402,6 +463,24 @@ class TestDaemonTelemetry:
             assert "telemetry" in dashboard
             assert "queue wait p50/p95/p99" in dashboard
             assert "run p50/p95/p99" in dashboard
+
+    @pytest.mark.parametrize("workers", (
+        0, pytest.param(1, marks=needs_fork)))
+    def test_metrics_count_each_run_once(self, tmp_path, live_telemetry,
+                                         workers):
+        # Inline runs count into the daemon's registry directly; a pool
+        # worker's report is merged once.  Either way: one run, one count.
+        spec = smoke_spec("maxwell-vacuum", num_steps=2)
+        with ScenarioServer(tmp_path, port=0, workers=workers) as server:
+            client = ServeClient(port=server.port, timeout=60.0)
+            for _ in range(2):
+                run_id = client.submit(spec)["run_id"]
+                assert client.wait(run_id, timeout=120).ok
+            counters = client.stats()["telemetry"]["metrics"]["counters"]
+            text = client.metrics()
+        assert counters["repro_worker_runs_total"]["value"] == 2.0
+        assert counters["repro_engine_steps_total"]["value"] == 4.0
+        assert "\nrepro_worker_runs_total 2\n" in text
 
     def test_client_accepts_per_request_timeouts(self, tmp_path,
                                                  live_telemetry):
