@@ -184,10 +184,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="run every registered scenario")
     batch.add_argument("--workers", type=int, default=0, metavar="N",
                        help="worker process count (0 = inline, default)")
-    batch.add_argument("--backend", default="process",
-                       choices=["process", "thread"],
-                       help="worker pool backend (default process; thread "
-                            "shares one thread-safe kernel workspace)")
     batch.add_argument("--max-retries", type=int, default=1, metavar="N",
                        help="retries per failed run before giving up (default 1)")
     _add_override_args(batch)
@@ -209,9 +205,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=1, metavar="N",
                        help="persistent worker process count (0 = inline, "
                             "default 1)")
-    serve.add_argument("--backend", default="process",
-                       choices=["process", "thread"],
-                       help="worker pool backend (default process)")
     serve.add_argument("--batch-max", type=int, default=1, metavar="M",
                        help="coalesce up to M queued same-shape submissions "
                             "into one vectorized worker call (default 1 = "
@@ -524,7 +517,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         max_retries=args.max_retries,
         keep=args.keep,
         retention=args.retention,
-        backend=args.backend,
     )
     outcomes = service.run(specs, resume=args.resume)
 
@@ -557,7 +549,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         retention=args.retention,
         steal_interval=args.steal_interval,
         batch_max=args.batch_max,
-        backend=args.backend,
         **({"lease_ttl": args.lease_ttl} if args.lease_ttl is not None else {}),
         **({"fleet_ttl": args.fleet_ttl} if args.fleet_ttl is not None else {}),
     )

@@ -15,7 +15,11 @@ processes (lazy start, reset-after-breakage, shutdown) and *persists across
 submissions*, so the per-worker kernel caches stay warm between batches.
 :meth:`ExecutionService.run` reuses its own pool round after round and batch
 after batch; the long-lived :class:`~repro.api.server.ScenarioServer` daemon
-keeps a pool of its own warm across client requests.
+keeps a pool of its own warm across client requests.  The pool is also the
+one owner of the process boundary: every future it returns resolves to an
+outcome dict (a dead worker becomes ``pool_broken`` failures), and each
+worker's metrics delta is folded into this process's registry on the way
+back, so neither caller handles either.
 
 Failure handling is two-layered:
 
@@ -48,9 +52,7 @@ import functools
 import multiprocessing
 import os
 import threading
-from concurrent.futures import (
-    Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor, as_completed,
-)
+from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro import faults, telemetry
@@ -73,7 +75,8 @@ FAULT_RETRY_PRE_REQUEUE = faults.register(
 FAULT_SPAWN_PRE_SUBMIT = faults.register(
     "executor.spawn.pre_submit",
     "in the parent, before a payload is submitted to the worker pool "
-    "(a raising submit must become a failed slot, not escape run())",
+    "(a raising submit must become a pool_broken outcome, not escape "
+    "WorkerPool.submit)",
 )
 
 #: Per-process workspace, created once per worker by :func:`_worker_init` so
@@ -81,8 +84,8 @@ FAULT_SPAWN_PRE_SUBMIT = faults.register(
 _WORKER_WORKSPACE: Optional[KernelWorkspace] = None
 
 #: Metrics snapshot as of this process-pool worker's previous report; None
-#: outside one.  Only process workers report: thread and inline workers count
-#: straight into the daemon's own registry.
+#: outside one.  Only process workers report: inline runs count straight into
+#: the caller's own registry.
 _TELEMETRY_BASELINE: Optional[Dict[str, Any]] = None
 
 #: One batch slot: a completed run or the failure that exhausted its retries.
@@ -103,9 +106,9 @@ def _ensure_worker_workspace() -> KernelWorkspace:
 
     Unlike :func:`_worker_init` (which unconditionally installs a fresh
     workspace in a brand-new worker process), this keeps an existing one —
-    the idempotent form thread-backend workers and inline execution need,
-    since they all share this process's module global (the workspace itself
-    is thread-safe; see :mod:`repro.perf.workspace`).
+    the idempotent form inline execution needs, since every inline pool in
+    this process shares the module global (the workspace itself is
+    thread-safe; see :mod:`repro.perf.workspace`).
     """
     global _WORKER_WORKSPACE
     if _WORKER_WORKSPACE is None:
@@ -115,8 +118,8 @@ def _ensure_worker_workspace() -> KernelWorkspace:
 
 def _telemetry_report() -> Optional[Dict[str, Any]]:
     """The metrics this process-pool worker changed since its last report,
-    as a snapshot delta for the daemon to merge (None in any other process,
-    or when telemetry is disabled)."""
+    as a snapshot delta for the parent's :class:`WorkerPool` to merge (None
+    in any other process, or when telemetry is disabled)."""
     global _TELEMETRY_BASELINE
     if _TELEMETRY_BASELINE is None or not telemetry.enabled():
         return None
@@ -172,6 +175,33 @@ def _failure_outcome(payload: Dict[str, Any],
         attempts=int(payload.get("attempt", 1)),
     )
     return {"index": int(payload["index"]), "failure": failure.to_dict()}
+
+
+def _broken_outcome(payload: Dict[str, Any],
+                    exc: BaseException) -> Dict[str, Any]:
+    """The outcome of a payload whose worker never answered (it died, its
+    future was cancelled, or the submit raised): a ``pool_broken`` failure,
+    one per member for a coalesced payload."""
+    if "batch" in payload:
+        return {"index": int(payload["index"]),
+                "batch": [_broken_outcome(member, exc)
+                          for member in payload["batch"]]}
+    return {**_failure_outcome(payload, exc), "pool_broken": True}
+
+
+def _fold_telemetry(outcome: Dict[str, Any]) -> None:
+    """Merge each completed run's worker metrics delta into this process's
+    registry and drop it from the outcome (a merge fault is swallowed:
+    telemetry must not fail the run)."""
+    for member in outcome.get("batch", [outcome]):
+        metadata = member.get("ok", {}).get("metadata", {})
+        report = metadata.pop("telemetry", None)
+        if report is None:
+            continue
+        try:
+            telemetry.merge_snapshot(report)
+        except Exception:  # noqa: BLE001 - telemetry must not fail the run
+            pass
 
 
 def _save_snapshot(store: RunStore, scenario: str, run_id: str,
@@ -348,53 +378,35 @@ def _start_context():
     return multiprocessing.get_context()
 
 
-#: Valid WorkerPool execution backends.
-POOL_BACKENDS = ("process", "thread")
-
-
 class WorkerPool:
     """First-class lifecycle of a persistent worker pool.
 
-    The default (``backend="process"``) pool wraps a ``ProcessPoolExecutor``
-    whose workers outlive individual submissions: each worker initialises one
+    The pool wraps a ``ProcessPoolExecutor`` whose workers outlive individual
+    submissions: each worker initialises one
     :class:`~repro.perf.workspace.KernelWorkspace` (via :func:`_worker_init`)
     and keeps it warm for every payload it ever executes, so repeated
     submissions of similar scenarios skip kinetic-operator and ground-state
     rebuilds.
 
-    ``backend="thread"`` runs the same payloads on a ``ThreadPoolExecutor``
-    instead: every thread shares this process's single (thread-safe)
-    workspace, so its caches are amortised across *all*
-    workers, and there is no process spawn/fork cost — the right trade for
-    small numpy-bound runs whose kernels release the GIL, and the only
-    parallel option on platforms without usable ``fork``.  A dying thread
-    cannot break the pool the way a dying process can, but neither does it
-    isolate a crashing native extension.
-
-    ``workers=0`` (on either backend) executes inline: payloads run
-    synchronously in the calling process and ``submit`` returns an
-    already-completed future.
+    ``workers=0`` executes inline: payloads run synchronously in the calling
+    process and ``submit`` returns an already-completed future.
 
     Lifecycle:
 
     * workers start lazily on the first :meth:`submit`;
-    * :meth:`reset` tears a (typically broken) pool down so the next submit
-      starts fresh workers — the recovery step after a worker death;
+    * a worker death breaks the executor generation it ran on; the pool
+      discards that generation (and only that one), so the next submit
+      starts fresh workers;
     * :meth:`shutdown` ends the pool for good (also via ``with``).
 
     Thread-safe.
     """
 
-    def __init__(self, workers: int, backend: str = "process") -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 0:
             raise ValueError("workers must be >= 0 (0 = inline execution)")
-        if backend not in POOL_BACKENDS:
-            raise ValueError(
-                f"backend must be one of {POOL_BACKENDS}, got {backend!r}"
-            )
         self.workers = int(workers)
-        self.backend = str(backend)
-        self._executor: Optional[Executor] = None
+        self._executor: Optional[ProcessPoolExecutor] = None
         self._generations = 0
         self._lock = threading.Lock()
 
@@ -413,50 +425,68 @@ class WorkerPool:
         reused across submissions keeps this at 1."""
         return self._generations
 
-    def _ensure(self) -> Executor:
+    def _ensure(self) -> ProcessPoolExecutor:
         with self._lock:
             if self._executor is None:
-                if self.backend == "thread":
-                    # No initializer: threads share the process-local
-                    # workspace, which the run path creates on first use.
-                    self._executor = ThreadPoolExecutor(
-                        max_workers=self.workers,
-                        thread_name_prefix="repro-worker",
-                    )
-                else:
-                    # (max_workers, start-method context, initializer)
-                    self._executor = ProcessPoolExecutor(
-                        self.workers, _start_context(), _worker_init)
+                # (max_workers, start-method context, initializer)
+                self._executor = ProcessPoolExecutor(
+                    self.workers, _start_context(), _worker_init)
                 self._generations += 1
             return self._executor
+
+    def _discard(self, executor: Optional[ProcessPoolExecutor]) -> None:
+        """Drop ``executor`` if it is still the current generation.
+
+        A ``ProcessPoolExecutor`` whose worker died is permanently broken;
+        every future of that generation reports the break, but only the first
+        report tears it down (without waiting) — a later one must not discard
+        the fresh generation a newer submit already started.
+        """
+        with self._lock:
+            if executor is None or self._executor is not executor:
+                return
+            self._executor = None
+        executor.shutdown(wait=False, cancel_futures=True)
 
     def submit(self, payload: Dict[str, Any]) -> "Future[Dict[str, Any]]":
         """Schedule one payload; returns a future of its outcome dict.
 
-        The future raises (``BrokenProcessPool``) only when the worker
-        process died outright — in-run exceptions come back as ``failure``
-        outcomes from :func:`execute_payload`.
+        The future never raises.  In-run exceptions come back as ``failure``
+        outcomes from :func:`execute_payload`; a worker that died outright, a
+        cancelled future or a raising submit becomes a ``failure`` outcome
+        marked ``"pool_broken": True`` (one per member of a coalesced
+        payload).  A completed run's worker metrics delta is merged into this
+        process's registry and removed from the outcome.
         """
-        if self.inline:
-            future: "Future[Dict[str, Any]]" = Future()
-            try:
+        future: "Future[Dict[str, Any]]" = Future()
+        executor = None
+        try:
+            faults.point(FAULT_SPAWN_PRE_SUBMIT)
+            if not self.inline:
+                executor = self._ensure()
+                running = executor.submit(execute_payload, payload)
+        except Exception as exc:  # noqa: BLE001 - a faulted or broken submit
+            self._discard(executor)
+            future.set_result(_broken_outcome(payload, exc))
+        else:
+            if self.inline:
                 future.set_result(execute_payload(payload))
-            except BaseException as exc:  # pragma: no cover - defensive
-                future.set_exception(exc)
-            return future
-        return self._ensure().submit(execute_payload, payload)
+            else:
+                running.add_done_callback(functools.partial(
+                    self._resolve, executor, payload, future))
+        return future
 
-    def reset(self) -> None:
-        """Discard the current workers; the next submit starts a fresh set.
-
-        The recovery step after a pool break: a ``ProcessPoolExecutor`` whose
-        worker died is permanently broken, so the executor is dropped (without
-        waiting) and lazily recreated on demand.
-        """
-        with self._lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
+    def _resolve(self, executor: ProcessPoolExecutor,
+                 payload: Dict[str, Any], future: "Future[Dict[str, Any]]",
+                 running: "Future[Dict[str, Any]]") -> None:
+        try:
+            outcome = running.result()
+        except Exception as exc:  # the worker died, or a teardown cancelled it
+            self._discard(executor)
+            outcome = _broken_outcome(payload, exc)
+        else:
+            _fold_telemetry(outcome)
+        future.set_result(outcome)
 
     def shutdown(self, wait: bool = True) -> None:
         """Tear the workers down; the pool may be restarted by a later submit."""
@@ -504,10 +534,6 @@ class ExecutionService:
         ``"keep=3,max-age=7d,max-bytes=1G"`` spec string or a
         :class:`~repro.store.retention.RetentionPolicy`), forwarded to each
         worker's store alongside ``keep``.
-    backend:
-        Worker backend: ``"process"`` (default, isolated worker processes)
-        or ``"thread"`` (threads sharing one thread-safe in-process
-        workspace); ``workers=0`` runs inline on either.
 
     The service lazily creates its own :class:`WorkerPool`, keeps it warm
     across :meth:`run` calls, and releases it in :meth:`close` (or on
@@ -519,8 +545,7 @@ class ExecutionService:
                  checkpoint_every: Optional[int] = None,
                  max_retries: int = 1,
                  keep: int = 0,
-                 retention=None,
-                 backend: str = "process") -> None:
+                 retention=None) -> None:
         if workers is None:
             workers = os.cpu_count() or 1
         if workers < 0:
@@ -529,11 +554,6 @@ class ExecutionService:
             raise ValueError("max_retries must be >= 0")
         if checkpoint_every is not None and int(checkpoint_every) < 1:
             raise ValueError("checkpoint_every must be >= 1 (or None)")
-        if backend not in POOL_BACKENDS:
-            raise ValueError(
-                f"backend must be one of {POOL_BACKENDS}, got {backend!r}"
-            )
-        self.backend = str(backend)
         self.workers = int(workers)
         self.checkpoint_dir = str(checkpoint_dir) if checkpoint_dir else None
         self.checkpoint_every = (
@@ -561,7 +581,7 @@ class ExecutionService:
     def pool(self) -> WorkerPool:
         """The persistent pool submissions execute on."""
         if self._pool is None:
-            self._pool = WorkerPool(self.workers, backend=self.backend)
+            self._pool = WorkerPool(self.workers)
         return self._pool
 
     def close(self) -> None:
@@ -586,55 +606,22 @@ class ExecutionService:
             resume=resume, attempt=attempt,
         )
 
-    def _run_pool(self, pool: WorkerPool, payloads: List[Dict[str, Any]],
-                  ) -> Dict[int, Dict[str, Any]]:
-        """Execute ``payloads`` on ``pool``; never raises.
-
-        A worker process that dies outright breaks the whole pool, so every
-        unfinished future of the pool raises — those outcomes are tagged
-        ``pool_broken`` so the caller can tell collateral damage (a healthy
-        run whose pool was broken by a neighbour) from a run's own failure.
-        A broken pool is reset so the next submission restarts fresh workers.
-        ``submit`` itself can raise on an already-broken pool; that too must
-        become a failed (pool_broken) slot instead of escaping ``run()``.
-        """
-        outcomes: Dict[int, Dict[str, Any]] = {}
-        broken = False
-        futures: Dict["Future[Dict[str, Any]]", Dict[str, Any]] = {}
-        for payload in payloads:
-            try:
-                faults.point(FAULT_SPAWN_PRE_SUBMIT)
-                future = pool.submit(payload)
-            except Exception as exc:  # noqa: BLE001 - broken-pool submit
-                future = Future()
-                future.set_exception(exc)
-            futures[future] = payload
-        for future in as_completed(futures):
-            payload = futures[future]
-            index = int(payload["index"])
-            try:
-                outcomes[index] = future.result()
-            except Exception as exc:  # worker died (BrokenProcessPool, ...)
-                broken = True
-                outcomes[index] = {**_failure_outcome(payload, exc),
-                                   "pool_broken": True}
-        if broken:
-            pool.reset()
-        return outcomes
-
     def _execute_round(self, pending: List[Dict[str, Any]],
                        ) -> List[Dict[str, Any]]:
-        outcomes: Dict[int, Dict[str, Any]] = {}
-        shared = [p for p in pending if not p.get("isolated")]
-        if shared:
-            outcomes.update(self._run_pool(self.pool, shared))
+        """Run one round; the outcomes in ``pending`` order.  A
+        ``pool_broken`` outcome lets :meth:`run` tell collateral damage (a
+        healthy run whose pool a neighbour broke) from a run's own failure."""
+        futures = {int(payload["index"]): self.pool.submit(payload)
+                   for payload in pending if not payload.get("isolated")}
+        outcomes = {index: future.result() for index, future in futures.items()}
         # Quarantined payloads (their previous shared pool broke) each get a
         # private single-worker pool: a dying worker then only takes down the
         # run that killed it, and the failure is unambiguously its own.
         for payload in pending:
             if payload.get("isolated"):
-                with WorkerPool(1, backend=self.backend) as solo:
-                    outcomes.update(self._run_pool(solo, [payload]))
+                with WorkerPool(1) as solo:
+                    outcomes[int(payload["index"])] = \
+                        solo.submit(payload).result()
         return [outcomes[int(payload["index"])] for payload in pending]
 
     # ------------------------------------------------------------------

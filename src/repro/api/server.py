@@ -45,10 +45,11 @@ import socket
 import threading
 import time
 from collections import OrderedDict, deque
-from concurrent.futures import Future
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Set, Tuple, Union,
+)
 
 import repro
 from repro import faults, telemetry
@@ -242,9 +243,8 @@ class ScenarioServer:
         bit-identical to serial execution, throughput goes up by the
         vectorization factor.  ``1`` (default) disables coalescing.
     backend:
-        Worker backend of the persistent pool: ``"process"`` (default) or
-        ``"thread"`` — see
-        :class:`~repro.api.executor.WorkerPool`.
+        Only ``"process"`` is accepted: the pool's workers are processes
+        (see :class:`~repro.api.executor.WorkerPool`).
     """
 
     def __init__(self, root, host: str = "127.0.0.1", port: int = DEFAULT_PORT,
@@ -266,6 +266,8 @@ class ScenarioServer:
             raise ValueError("checkpoint_every must be >= 1 (or None)")
         if int(batch_max) < 1:
             raise ValueError("batch_max must be >= 1")
+        if backend != "process":
+            raise ValueError(f"backend must be 'process', got {backend!r}")
         self.root = Path(root)
         self.host = str(host)
         self.port = int(port)
@@ -300,7 +302,7 @@ class ScenarioServer:
             self.root / "checkpoints", keep=keep, retention=self.retention
         )
         self.batch_max = int(batch_max)
-        self.pool = WorkerPool(workers, backend=backend)
+        self.pool = WorkerPool(workers)
         self.started_at = time.time()
         #: EWMA of finished-run wall time, the basis of Retry-After hints.
         self._avg_run_s: Optional[float] = None
@@ -319,7 +321,7 @@ class ScenarioServer:
         self._results_dir = self.root / "results"
         self._records: "OrderedDict[str, RunRecord]" = OrderedDict()
         self._queue: "deque[str]" = deque()
-        self._inflight: Dict[str, Any] = {}
+        self._inflight: Set[str] = set()
         self._wake = threading.Condition()
         self._seq = 0
         self._stopping = False
@@ -474,7 +476,7 @@ class ScenarioServer:
                 pass
 
     # ------------------------------------------------------------------
-    # Telemetry: span persistence + metric folding
+    # Telemetry: span persistence
     # ------------------------------------------------------------------
     def _span_writer(self, record: RunRecord
                      ) -> Optional[telemetry.SpanWriter]:
@@ -530,17 +532,6 @@ class ScenarioServer:
         try:
             writer.write(flushed)
         except faults.InjectedFault:
-            pass
-
-    def _merge_worker_telemetry(self, metadata: Dict[str, Any]) -> None:
-        """Fold a process-pool worker's metrics delta into this registry
-        (thread and inline workers count into it directly and report none)."""
-        delta = metadata.get("telemetry")
-        if not isinstance(delta, dict):
-            return
-        try:
-            telemetry.merge_snapshot(delta)
-        except Exception:  # noqa: BLE001 - telemetry must not fail the run
             pass
 
     # ------------------------------------------------------------------
@@ -1029,7 +1020,7 @@ class ScenarioServer:
                     record.started_at = time.time()
                     record.attempts += 1
                     payloads.append(self._payload(record))
-                    self._inflight[record.run_id] = None
+                    self._inflight.add(record.run_id)
                 if len(payloads) == 1:
                     payload = payloads[0]
                 else:
@@ -1046,89 +1037,37 @@ class ScenarioServer:
                                      ts=record.submitted_at, dur=wait,
                                      attrs={"attempt": record.attempts})
             # Submit outside the lock: the inline pool executes synchronously.
+            # The future never raises: a worker death or a raising submit
+            # resolves to pool_broken outcomes, which _settle accounts.
             was_warm = self.pool.started
-            try:
-                future = self.pool.submit(payload)
-            except Exception as exc:  # raced a pool that just broke
-                # Never let the scheduler thread die: a submit into a
-                # just-broken pool becomes a failed future, which the normal
-                # done path treats as a pool break (reset + retry).
-                self.pool.reset()
-                future = Future()
-                future.set_exception(exc)
+            future = self.pool.submit(payload)
             with self._wake:
                 self._pool_submissions += 1
                 if not was_warm:
                     self._pool_cold += 1
-                for rid in run_ids:
-                    if rid in self._inflight:
-                        self._inflight[rid] = future
             future.add_done_callback(
                 lambda fut, run_ids=run_ids: self._on_batch_done(run_ids, fut)
             )
-
-    def _synthesized_failure(self, record: RunRecord,
-                             error: str) -> Dict[str, Any]:
-        return {
-            "failure": {
-                "scenario": str(record.spec.get("name", "?")),
-                "engine": str(record.spec.get("engine", "?")),
-                "error": error,
-                "traceback": "",
-                "attempts": record.attempts,
-            }
-        }
 
     def _on_batch_done(self, run_ids, future) -> None:
         """Completion callback of one pool submission (1..batch_max runs)."""
         with self._wake:
             records = [self._records[rid] for rid in run_ids]
             for rid in run_ids:
-                self._inflight.pop(rid, None)
+                self._inflight.discard(rid)
             self._inflight_groups = max(0, self._inflight_groups - 1)
             if len(records) > 1:
                 self._batched_runs += len(records)
-        pool_broken = False
-        outcomes: List[Dict[str, Any]]
-        try:
-            result = future.result()
-        except Exception as exc:  # the worker process died outright
-            pool_broken = True
-            error = f"{type(exc).__name__}: {exc}"
-            outcomes = [
-                self._synthesized_failure(record, error) for record in records
-            ]
-        else:
-            if "batch" in result:
-                by_index = {
-                    int(member.get("index", -1)): member
-                    for member in result["batch"]
-                    if isinstance(member, dict)
-                }
-                outcomes = [
-                    by_index.get(
-                        record.seq,
-                        self._synthesized_failure(
-                            record, "batch outcome is missing this member"
-                        ),
-                    )
-                    for record in records
-                ]
-            else:
-                outcomes = [result]
-        if pool_broken:
-            # One reset for the whole group; the per-record break accounting
-            # happens in _settle.
-            self.pool.reset()
-        for record, outcome in zip(records, outcomes):
-            self._settle(record, outcome, pool_broken)
+        result = future.result()
+        # A batch's member outcomes come back in member (= records) order.
+        for record, outcome in zip(records, result.get("batch", [result])):
+            self._settle(record, outcome)
 
-    def _settle(self, record: RunRecord, outcome: Dict[str, Any],
-                pool_broken: bool) -> None:
+    def _settle(self, record: RunRecord, outcome: Dict[str, Any]) -> None:
         # The run is neither queued nor in flight now, so the record is ours;
         # result/failure files are written OUTSIDE the lock (they can be MBs
         # of observable series — health/status polls must not block on them).
-        if pool_broken:
+        if outcome.get("pool_broken"):
             record.pool_breaks += 1
             if record.pool_breaks <= _POOL_BREAK_ALLOWANCE:
                 # A pool break is usually collateral damage from a *different*
@@ -1143,7 +1082,6 @@ class ScenarioServer:
             )
             record.finished_at = time.time()
             self._persist_outcome(record, {"ok": outcome["ok"]})
-            self._merge_worker_telemetry(outcome["ok"].get("metadata", {}))
             self._observe_settled(record, "done")
             with self._wake:
                 record.status = "done"
@@ -1341,7 +1279,6 @@ class ScenarioServer:
                 "batched_runs": self._batched_runs,
                 "pool": {
                     "workers": self.pool.workers,
-                    "backend": self.pool.backend,
                     "started": self.pool.started,
                     "generations": self.pool.generations,
                     "submissions": submissions,

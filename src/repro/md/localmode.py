@@ -213,8 +213,10 @@ class LocalModeLattice:
 #
 # The force at the end of step n is the start force of step n + 1 whenever
 # the modes and A_eff are unchanged (damping and noise touch only
-# velocities), so the kernel keeps a one-entry memo per thread, validated by
-# value: a restore, a restack or an in-place edit of the modes simply misses.
+# velocities), so the kernel keeps a one-entry memo per thread (threads that
+# share a process — inline daemons, concurrent ``BatchRunner`` callers — step
+# their own lattices), validated by value: a restore, a restack or an
+# in-place edit of the modes simply misses.
 
 class _ForceMemo(threading.local):
     """The last short-range force this thread computed, and its inputs

@@ -25,7 +25,7 @@ from repro.nn.mlp import MLP
 from repro.nn.model import AllegroLiteModel, AllegroCalculator
 from repro.nn.dataset import ConfigurationDataset, Configuration, rattle_dataset
 from repro.nn.loss import force_energy_loss
-from repro.nn.optim import SGD, Adam
+from repro.nn.optim import Adam
 from repro.nn.sam import SAMOptimizer
 from repro.nn.tea import TotalEnergyAlignment
 from repro.nn.training import Trainer, TrainingHistory
@@ -41,7 +41,6 @@ __all__ = [
     "Configuration",
     "rattle_dataset",
     "force_energy_loss",
-    "SGD",
     "Adam",
     "SAMOptimizer",
     "TotalEnergyAlignment",

@@ -46,17 +46,11 @@ class ConfigurationDataset:
     def __len__(self) -> int:
         return len(self.configurations)
 
-    def __getitem__(self, index: int) -> Configuration:
-        return self.configurations[index]
-
     def __iter__(self) -> Iterator[Configuration]:
         return iter(self.configurations)
 
     def add(self, configuration: Configuration) -> None:
         self.configurations.append(configuration)
-
-    def extend(self, other: "ConfigurationDataset") -> None:
-        self.configurations.extend(other.configurations)
 
     def split(self, fraction: float, rng: np.random.Generator) -> Tuple["ConfigurationDataset", "ConfigurationDataset"]:
         """Random train/validation split; ``fraction`` goes to the first set."""
@@ -77,16 +71,6 @@ class ConfigurationDataset:
             order = rng.permutation(order)
         for start in range(0, order.size, batch_size):
             yield [self.configurations[i] for i in order[start: start + batch_size]]
-
-    def fidelities(self) -> List[str]:
-        return sorted({c.fidelity for c in self.configurations})
-
-    def energies(self) -> np.ndarray:
-        return np.array([c.energy for c in self.configurations])
-
-    def mean_energy_per_atom(self) -> float:
-        energies = [c.energy / c.atoms.n_atoms for c in self.configurations]
-        return float(np.mean(energies)) if energies else 0.0
 
 
 def rattle_dataset(

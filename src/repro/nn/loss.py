@@ -55,12 +55,3 @@ def force_rmse(predicted_forces: np.ndarray, reference_forces: np.ndarray) -> fl
     if predicted_forces.shape != reference_forces.shape:
         raise ValueError("force arrays must have matching shapes")
     return float(np.sqrt(np.mean((predicted_forces - reference_forces) ** 2)))
-
-
-def energy_mae_per_atom(
-    predicted_energy: float, reference_energy: float, n_atoms: int
-) -> float:
-    """Absolute energy error per atom (eV/atom)."""
-    if n_atoms < 1:
-        raise ValueError("n_atoms must be >= 1")
-    return abs(predicted_energy - reference_energy) / n_atoms

@@ -152,8 +152,3 @@ class MLP:
             parts.append(gw.reshape(-1))
             parts.append(gb.reshape(-1))
         return np.concatenate(parts), grad_inputs
-
-    def copy(self) -> "MLP":
-        clone = MLP(self.layer_sizes, activation=self.activation, rng=np.random.default_rng(0))
-        clone.set_parameters(self.get_parameters())
-        return clone

@@ -1,38 +1,10 @@
-"""First-order optimisers operating on flat parameter vectors."""
+"""First-order optimiser operating on flat parameter vectors."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-@dataclass
-class SGD:
-    """Plain stochastic gradient descent with optional momentum."""
-
-    learning_rate: float = 1e-2
-    momentum: float = 0.0
-    _velocity: np.ndarray | None = field(default=None, init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ValueError("momentum must lie in [0, 1)")
-
-    def step(self, parameters: np.ndarray, gradient: np.ndarray) -> np.ndarray:
-        parameters = np.asarray(parameters, dtype=float)
-        gradient = np.asarray(gradient, dtype=float)
-        if parameters.shape != gradient.shape:
-            raise ValueError("parameter and gradient shapes must match")
-        if self._velocity is None or self._velocity.shape != parameters.shape:
-            self._velocity = np.zeros_like(parameters)
-        self._velocity = self.momentum * self._velocity - self.learning_rate * gradient
-        return parameters + self._velocity
-
-    def reset(self) -> None:
-        self._velocity = None
 
 
 @dataclass
@@ -68,8 +40,3 @@ class Adam:
         m_hat = self._m / (1.0 - self.beta1 ** self._t)
         v_hat = self._v / (1.0 - self.beta2 ** self._t)
         return parameters - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
-
-    def reset(self) -> None:
-        self._m = None
-        self._v = None
-        self._t = 0

@@ -23,10 +23,6 @@ class TrainingHistory:
     validation_loss: List[float] = field(default_factory=list)
     validation_force_rmse: List[float] = field(default_factory=list)
 
-    @property
-    def best_validation_loss(self) -> float:
-        return min(self.validation_loss) if self.validation_loss else float("inf")
-
 
 @dataclass
 class Trainer:

@@ -18,11 +18,6 @@ class ScalingPoint:
     work_units: float
     wall_seconds: float
 
-    @property
-    def speed(self) -> float:
-        """Work units processed per second (the paper's 'speed' definition)."""
-        return self.work_units / self.wall_seconds
-
 
 @dataclass
 class ScalingStudy:
@@ -72,11 +67,6 @@ class ScalingStudy:
 
     def efficiency_at_largest(self) -> float:
         return float(self.efficiencies()[-1])
-
-    def speedups(self) -> np.ndarray:
-        """Strong-scaling speedups relative to the smallest rank count."""
-        seconds = self.wall_seconds()
-        return seconds[0] / seconds
 
     def as_rows(self) -> List[dict]:
         """Serialisable summary rows (one per point) for benchmark output."""

@@ -30,14 +30,15 @@ accept an explicit workspace for callers that want isolated caches.
 
 Thread-safety contract
 ----------------------
-The workspace is safe to share between threads (the ``backend="thread"``
-worker pools hand every thread the same instance so its caches are amortised
-across the whole pool): the operator, spectral-matrix and ground-state caches
-have a **lock-free read path** — lookups touch the underlying dict with
-single (GIL-atomic) operations and never block; only insertions take the
-cache lock.  Cached arrays are immutable (read-only flags), so a value
-observed by any thread is always fully built.  The workspace hands out no
-writable buffers: kernels allocate their own temporaries.
+The workspace is safe to share between threads (the inline daemons of one
+process share one worker workspace, and concurrent ``BatchRunner`` callers
+the process-wide :func:`get_workspace`): the operator, spectral-matrix and
+ground-state caches have a **lock-free read path** — lookups touch the
+underlying dict with single (GIL-atomic) operations and never block; only
+insertions take the cache lock.  Cached arrays are immutable (read-only
+flags), so a value observed by any thread is always fully built.  The
+workspace hands out no writable buffers: kernels allocate their own
+temporaries.
 
 Hit/miss counters are maintained without locks and may undercount slightly
 under heavy contention; they are diagnostics, not ground truth.

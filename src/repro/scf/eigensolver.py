@@ -34,7 +34,8 @@ from repro.qd.hamiltonian import LocalHamiltonian
 # SCF loop only the local potential changes between iterations, so rebuilding
 # the (expensive, column-by-column synthesised) kinetic matrix every iteration would
 # dominate the cost of small-cell ground-state solves.  Entries are shared
-# between threads (``backend=thread``) and never written after insertion.
+# by every thread that solves in this process (inline daemons, concurrent
+# ``BatchRunner`` callers) and never written after insertion.
 # Reads are lock-free; insert and evict hold the lock, because evicting
 # iterates the dict and another thread's insert would resize it mid-iteration.
 _KINETIC_CACHE: Dict[tuple, np.ndarray] = {}

@@ -80,6 +80,10 @@ FAULT_RESET_POST_MANIFEST = faults.register(
 #: keeps deleting the blobs it found before giving up.
 _LATEST_RETRY_LIMIT = 8
 
+#: Seconds a save waits for a run's cross-process file lock before raising
+#: :class:`~repro.store.errors.StoreLockTimeout`.
+_LOCK_TIMEOUT_S = 10.0
+
 _BLOB_TEMPLATE = "state-{step:08d}.npz"
 
 #: Snapshot files of the retired store format 1 (one JSON file per snapshot).
@@ -138,9 +142,6 @@ class RunStore:
         shares the daemon's identity.
     lease_ttl:
         Seconds a lease stays live past its last renewal (each save renews).
-    lock_timeout:
-        Seconds to wait for the cross-process file lock before raising
-        :class:`~repro.store.errors.StoreLockTimeout`.
     """
 
     def __init__(self, root, keep: int = 0,
@@ -149,8 +150,7 @@ class RunStore:
                  owner: Optional[str] = None,
                  owner_pid: Optional[int] = None,
                  owner_host: Optional[str] = None,
-                 lease_ttl: float = DEFAULT_LEASE_TTL_S,
-                 lock_timeout: float = 10.0) -> None:
+                 lease_ttl: float = DEFAULT_LEASE_TTL_S) -> None:
         self.root = Path(root)
         if keep < 0:
             raise ValueError("keep must be >= 0")
@@ -165,7 +165,6 @@ class RunStore:
         self.owner_pid = owner_pid
         self.owner_host = owner_host
         self.lease_ttl = float(lease_ttl)
-        self.lock_timeout = float(lock_timeout)
         self._locks: Dict[Tuple[str, str], threading.Lock] = {}
         self._master_lock = threading.Lock()
 
@@ -183,7 +182,7 @@ class RunStore:
 
     def _run_lock(self, directory: Path) -> RunLock:
         """The cross-process lock of one run dir."""
-        return RunLock(directory, timeout=self.lock_timeout)
+        return RunLock(directory, timeout=_LOCK_TIMEOUT_S)
 
     def _claim(self, manifest: Dict[str, Any]) -> None:
         """Claim/renew this store's lease inside ``manifest`` (if owned)."""

@@ -19,9 +19,10 @@ ambient registry):
 * **Mergeable snapshots.**  :func:`snapshot` returns a plain-JSON view and
   :func:`merge_snapshot` folds one registry's snapshot into another's
   (counters and histogram buckets add, gauges last-write-wins), so
-  process-backend pool workers can report deltas that the daemon folds into
-  its own registry — ending up with the same aggregate view the thread
-  backend and inline workers get for free by sharing the daemon's process.
+  process pool workers can report deltas that the parent's
+  :class:`~repro.api.executor.WorkerPool` folds into its own registry —
+  ending up with the same aggregate view inline workers get for free by
+  sharing the caller's process.
   :func:`subtract_snapshot` produces those deltas (what changed since the
   previous report, and nothing else) so a long-lived worker never
   double-reports.

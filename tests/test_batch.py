@@ -14,10 +14,9 @@ Four layers under test:
   resumed); peel-off (a member failing mid-batch) leaves the survivors bit-identical
   and the peeled member resumable from its last snapshot; per-member
   ``resume_from`` matches serial resume exactly.
-* **thread-safe workspaces + pool backends** — concurrent readers of one
+* **thread-safe workspaces + the inline pool** — concurrent readers of one
   :class:`~repro.perf.workspace.KernelWorkspace` share one read-only
-  operator entry; ``backend="thread"`` pools and ``workers=0`` inline runs
-  produce results bit-identical to each other.
+  operator entry; a ``workers=0`` pool runs its payloads inline.
 * **the worker path** — every member of a payload, solo or coalesced,
   gets its spans, counters and metadata stamps; a member failure stays its
   own and a batch-level failure falls back to per-member runs.
@@ -40,9 +39,7 @@ from repro.api import (
     run_scenario,
 )
 from repro.api.adapters import build_engine
-from repro.api.executor import (
-    POOL_BACKENDS, ExecutionService, execute_payload, worker_payload,
-)
+from repro.api.executor import execute_payload, worker_payload
 from repro.api.result import RunFailure, RunResult
 from repro.batch import BatchedEngine, batch_key, group_specs
 from repro.batch.engine import STACKED_KINDS
@@ -364,21 +361,11 @@ class TestWorkspaceThreads:
 
 
 # ----------------------------------------------------------------------
-# Pool backends
+# The inline pool
 # ----------------------------------------------------------------------
-class TestPoolBackends:
-    def test_backend_validation(self):
-        assert POOL_BACKENDS == ("process", "thread")
-        with pytest.raises(ValueError):
-            WorkerPool(1, backend="bogus")
-        with pytest.raises(ValueError):
-            WorkerPool(2, backend="serial")
-        with pytest.raises(ValueError):
-            ExecutionService(workers=1, backend="bogus")
-
-    @pytest.mark.parametrize("backend", POOL_BACKENDS)
-    def test_zero_workers_run_inline(self, backend):
-        pool = WorkerPool(0, backend=backend)
+class TestInlinePool:
+    def test_zero_workers_run_inline(self):
+        pool = WorkerPool(0)
         assert pool.inline
         payload = {"index": 0,
                    "spec": smoke_spec("maxwell-vacuum").to_dict(),
@@ -387,17 +374,6 @@ class TestPoolBackends:
                    "attempt": 1}
         assert "ok" in pool.submit(payload).result()
         assert not pool.started
-
-    def test_thread_backend_matches_inline_results(self):
-        specs = [smoke_spec("localmode-switch", seed=s) for s in (11, 12)]
-        reference = ExecutionService(workers=0).run(
-            [spec.copy() for spec in specs])
-        for workers in (2, 0):
-            outcomes = ExecutionService(workers=workers, backend="thread").run(
-                [spec.copy() for spec in specs])
-            for expected, actual in zip(reference, outcomes):
-                assert actual.ok, getattr(actual, "error", None)
-                assert_results_bit_identical(expected, actual)
 
 
 # ----------------------------------------------------------------------

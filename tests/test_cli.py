@@ -205,6 +205,16 @@ def test_resume_with_unknown_run_id_fails_cleanly(tmp_path):
     assert "run 'other'" in proc.stderr
 
 
+@pytest.mark.parametrize("command", (
+    ["batch", "maxwell-vacuum"], ["serve", "--checkpoint-dir", "state"]))
+def test_backend_flag_is_gone(command, capsys):
+    # Worker pools are process pools only; the old knob is an argparse error.
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--backend", "thread"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --backend thread" in capsys.readouterr().err
+
+
 def test_batch_negative_workers_fails_cleanly():
     proc = run_cli("batch", "maxwell-vacuum", "--workers", "-2")
     assert proc.returncode == 2

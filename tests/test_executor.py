@@ -8,14 +8,17 @@ import multiprocessing
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.api import (
     BatchRunner,
     ExecutionService,
     RunFailure,
     RunResult,
+    WorkerPool,
     default_registry,
 )
 from repro.api.adapters import MaxwellEngine
+from repro.api.executor import worker_payload
 
 from test_api import smoke_spec
 from test_checkpoint import assert_results_bit_identical
@@ -164,6 +167,58 @@ class TestExecutionServiceFailures:
             ExecutionService(checkpoint_every=0)
         with pytest.raises(ValueError):
             ExecutionService(max_retries=-1)
+
+
+# ----------------------------------------------------------------------
+# WorkerPool: the process boundary resolves to outcomes, never raises
+# ----------------------------------------------------------------------
+#: A per-payload fault plan that kills the worker process before its run.
+CRASH_PLAN = {"executor.worker.pre_run": "crash"}
+
+
+def pool_payload(index: int, **fields):
+    return worker_payload(
+        index, smoke_spec("maxwell-vacuum", num_steps=2).to_dict(),
+        f"run-{index}", checkpoint_dir=None, checkpoint_every=None, keep=0,
+        retention=None, resume=False, attempt=1, **fields)
+
+
+@pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
+class TestWorkerPoolBoundary:
+    def test_dead_worker_resolves_to_a_pool_broken_failure(self):
+        with WorkerPool(1) as pool:
+            outcome = pool.submit(pool_payload(3, fault_plan=CRASH_PLAN))
+            outcome = outcome.result()
+        assert outcome["index"] == 3
+        assert outcome["pool_broken"] is True
+        assert "BrokenProcessPool" in outcome["failure"]["error"]
+        assert outcome["failure"]["scenario"] == "maxwell-vacuum"
+
+    def test_every_member_of_a_dead_batch_comes_back_pool_broken(self):
+        payload = {"index": 5, "batch": [pool_payload(5), pool_payload(6)]}
+        # A batch payload arms no per-member plan, so the worker inherits an
+        # armed one at fork time (the submit forks it); the parent disarms.
+        faults.configure("executor.worker.pre_run=crash")
+        try:
+            with WorkerPool(1) as pool:
+                future = pool.submit(payload)
+                faults.reset()
+                outcome = future.result()
+        finally:
+            faults.reset()
+        assert outcome["index"] == 5
+        assert [member["index"] for member in outcome["batch"]] == [5, 6]
+        for member in outcome["batch"]:
+            assert member["pool_broken"] is True
+            assert "BrokenProcessPool" in member["failure"]["error"]
+
+    def test_next_submit_after_a_break_starts_a_fresh_generation(self):
+        with WorkerPool(1) as pool:
+            broken = pool.submit(pool_payload(0, fault_plan=CRASH_PLAN))
+            assert broken.result()["pool_broken"] is True
+            outcome = pool.submit(pool_payload(1)).result()
+            assert "ok" in outcome, outcome.get("failure")
+            assert pool.generations == 2
 
 
 # ----------------------------------------------------------------------

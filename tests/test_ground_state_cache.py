@@ -14,7 +14,7 @@ contract checked here:
   copies, so writing into one run's orbitals or potentials cannot reach the
   next;
 * **bounds and sharing** — an 8-entry LRU that ``clear()`` empties, shared by
-  ``BatchRunner`` runs and ``backend="thread"`` workers.
+  ``BatchRunner`` runs and by inline ``ExecutionService`` runs.
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ class TestBounds:
 
 
 # ----------------------------------------------------------------------
-# Sharing: BatchRunner and the thread backend
+# Sharing: BatchRunner and the inline executor
 # ----------------------------------------------------------------------
 class TestSharing:
     def specs(self):
@@ -188,9 +188,9 @@ class TestSharing:
             assert_results_bit_identical(
                 run_scenario(spec, workspace=KernelWorkspace()), result)
 
-    def test_thread_backend_workers_share_the_cache(self, monkeypatch):
+    def test_inline_executor_runs_share_the_cache(self, monkeypatch):
         monkeypatch.setattr(executor, "_WORKER_WORKSPACE", None)
-        service = ExecutionService(workers=2, backend="thread", max_retries=0)
+        service = ExecutionService(workers=0, max_retries=0)
         outcomes = [service.run([spec])[0] for spec in self.specs()]
         assert all(outcome.ok for outcome in outcomes)
         assert [o.metadata["scf_cache"] for o in outcomes] == ["miss", "hit"]

@@ -182,10 +182,6 @@ class TestScalingStudy:
         rows = study.as_rows()
         assert len(rows) == 2
         assert rows[-1]["efficiency"] < 1.0
-        strong = ScalingStudy(kind="strong", label="demo")
-        strong.add_point(10, 100.0, 8.0)
-        strong.add_point(40, 100.0, 2.5)
-        assert strong.speedups()[-1] == pytest.approx(3.2)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -31,9 +31,11 @@ from repro.api import (
     ServeClient,
     ServeError,
     default_registry,
+    run_scenario,
 )
 from repro.analytics import conservation_violations, load_results
-from repro.api.server import ServerError
+from repro.api.server import _POOL_BREAK_ALLOWANCE, ServerError
+from repro.perf import KernelWorkspace
 
 from test_api import smoke_spec
 from test_checkpoint import assert_results_bit_identical
@@ -479,6 +481,11 @@ class TestServerValidation:
             ScenarioServer(tmp_path, checkpoint_every=0)
         with pytest.raises(ValueError):
             ScenarioServer(tmp_path, workers=-1)
+        # Pools are process pools only; the keyword stays for callers that
+        # still name the one backend.
+        with pytest.raises(ValueError, match="backend"):
+            ScenarioServer(tmp_path, backend="thread")
+        assert ScenarioServer(tmp_path, backend="process").pool.workers == 1
 
     def test_submit_validates_spec_before_journalling(self, tmp_path):
         daemon = ScenarioServer(tmp_path / "s7", port=0, workers=0)
@@ -487,6 +494,36 @@ class TestServerValidation:
         assert excinfo.value.status == 400
         queue_dir = tmp_path / "s7" / "queue"
         assert not (queue_dir.is_dir() and list(queue_dir.glob("*.json")))
+
+
+@needs_fork
+class TestPoolBreakAllowance:
+    def test_a_run_that_kills_every_worker_fails_after_its_allowance(
+            self, tmp_path):
+        # The doomed run's own fault plan kills its worker on every attempt.
+        # Each death resolves to a pool_broken outcome: the first
+        # _POOL_BREAK_ALLOWANCE cost nothing, then max_retries + 1 are
+        # charged.  The healthy run queued behind it still runs, exactly.
+        spec = smoke_spec("maxwell-vacuum", num_steps=4)
+        max_retries = 1
+        with ScenarioServer(tmp_path, port=0, workers=1,
+                            max_retries=max_retries) as server:
+            client = ServeClient(port=server.port, timeout=60.0)
+            client.submit(spec, run_id="doomed",
+                          faults="executor.worker.pre_run=crash")
+            client.submit(spec, run_id="healthy")
+            doomed = client.wait("doomed", timeout=120)
+            healthy = client.wait("healthy", timeout=120)
+            record = client.status("doomed")
+            breaks = server._records["doomed"].pool_breaks
+        assert not doomed.ok
+        assert "BrokenProcessPool" in doomed.error
+        assert record["status"] == "failed"
+        assert record["attempts"] == doomed.attempts == max_retries + 1
+        assert breaks == _POOL_BREAK_ALLOWANCE + max_retries + 1
+        assert healthy.ok, healthy.error
+        assert_results_bit_identical(
+            run_scenario(spec, workspace=KernelWorkspace()), healthy)
 
 
 class TestHousekeeping:

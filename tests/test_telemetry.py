@@ -32,7 +32,8 @@ import pytest
 
 from repro import faults, telemetry
 from repro.api import (
-    ScenarioServer, ServeClient, ServeError, WorkerPool, default_registry,
+    ExecutionService, ScenarioServer, ServeClient, ServeError, WorkerPool,
+    default_registry,
 )
 from repro.api.executor import execute_payload, worker_payload
 from repro.api.cli import main
@@ -284,15 +285,12 @@ class TestMetrics:
         assert "repro_serve_submissions_total" not in counters
         assert counters["repro_worker_runs_total"]["value"] == 1.0
 
-    @pytest.mark.parametrize("workers, backend", ((0, "process"),
-                                                  (1, "thread")))
-    def test_inline_and_thread_runs_attach_no_report(
-            self, live_telemetry, workers, backend):
+    def test_inline_runs_attach_no_report(self, live_telemetry):
         # They count straight into this process's registry: a report would
         # only be shipped back here to be thrown away.
         spec = smoke_spec("maxwell-vacuum", num_steps=2)
         payload = _payload(spec, "inline")
-        with WorkerPool(workers, backend=backend) as pool:
+        with WorkerPool(0) as pool:
             outcome = pool.submit(payload).result()
         assert "telemetry" not in outcome["ok"]["metadata"]
         counters = telemetry.snapshot()["counters"]
@@ -305,8 +303,12 @@ class TestMetrics:
         second = _payload(smoke_spec("maxwell-vacuum", num_steps=3), "b")
         with WorkerPool(1) as pool:
             assert "ok" in pool.submit(first).result()
-            report = pool.submit(second).result()["ok"]["metadata"][
-                "telemetry"]
+            # The pool folds the worker's report into this registry and
+            # strips it from the outcome.
+            telemetry.reset()
+            outcome = pool.submit(second).result()
+        assert "telemetry" not in outcome["ok"]["metadata"]
+        report = telemetry.snapshot()
         # What the second run changes, read off a registry it runs on alone.
         telemetry.reset()
         assert "ok" in execute_payload(second)
@@ -317,6 +319,17 @@ class TestMetrics:
             assert report["counters"][name]["value"] == entry["value"], name
         for name, entry in alone["histograms"].items():
             assert report["histograms"][name]["count"] == entry["count"], name
+
+    @needs_fork
+    def test_execution_service_folds_process_worker_reports(
+            self, live_telemetry):
+        specs = [smoke_spec("maxwell-vacuum", num_steps=2) for _ in range(2)]
+        with ExecutionService(workers=1) as service:
+            outcomes = service.run(specs)
+        assert all(outcome.ok for outcome in outcomes)
+        assert all("telemetry" not in o.metadata for o in outcomes)
+        counters = telemetry.snapshot()["counters"]
+        assert counters["repro_worker_runs_total"]["value"] == 2.0
 
     @pytest.mark.parametrize("spec,expected", [
         ("1", True), ("on", True), ("TRUE", True), ("yes", True),
@@ -631,8 +644,8 @@ class TestTelemetryFaults:
     @needs_fork
     def test_daemon_swallows_worker_merge_fault(self, tmp_path,
                                                 live_telemetry):
-        # A process-backend worker reports a metrics delta; the daemon's
-        # fold hits the armed point and must complete the run anyway.
+        # A process worker reports a metrics delta; the pool's fold hits
+        # the armed point and the daemon must complete the run anyway.
         spec = smoke_spec("maxwell-vacuum", num_steps=2)
         faults.configure("telemetry.metrics.pre_merge=raise")
         try:
