@@ -37,7 +37,7 @@ import socket
 import time
 from typing import Any, Dict, Iterator, List, Optional, Union
 
-from repro.api.http import API_PREFIX
+from repro.api.wire import API_PREFIX
 from repro.api.result import RunFailure, RunResult
 from repro.api.server import DEFAULT_PORT, KEEPALIVE_S
 from repro.api.spec import ScenarioSpec

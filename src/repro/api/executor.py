@@ -17,21 +17,17 @@ submissions*, so the per-worker kernel caches stay warm between batches.
 after batch; the long-lived :class:`~repro.api.server.ScenarioServer` daemon
 keeps a pool of its own warm across client requests.  The pool is also the
 one owner of the process boundary: every future it returns resolves to an
-outcome dict (a dead worker becomes ``pool_broken`` failures), and each
-worker's metrics delta is folded into this process's registry on the way
-back, so neither caller handles either.
+outcome dict, and each worker's metrics delta is folded into this process's
+registry on the way back, so neither caller handles either.
 
-Failure handling is two-layered:
+Failure handling is one policy, the pool's, for both callers: an exception
+inside a run is captured in the worker and reported as a
+:class:`~repro.api.result.RunFailure` for that slot only, and a worker
+process that dies outright (OOM kill, segfault) makes the pool re-run every
+payload its death cut off alone (:meth:`WorkerPool._isolate`), so a run is
+charged only for its own failures.
 
-* an exception inside a run is captured in the worker and reported as a
-  :class:`~repro.api.result.RunFailure` payload for that slot only;
-* a worker process that dies outright (OOM kill, segfault) breaks the pool —
-  every payload of that round is requeued into *quarantine* (one private
-  single-worker pool each) without charging anyone's retry budget, so the
-  next round pins the crash on the run that actually caused it while the
-  healthy collateral runs complete undisturbed.
-
-Either way, a failed run is retried up to ``max_retries`` times with
+A failed run is retried by its caller up to ``max_retries`` times with
 ``resume=True``: when checkpointing is enabled the retry picks up from the
 run's last stored snapshot instead of starting over, so a crash costs at most
 ``checkpoint_every`` steps of work and the final result is bit-identical to
@@ -52,7 +48,7 @@ import functools
 import multiprocessing
 import os
 import threading
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro import faults, telemetry
@@ -75,7 +71,7 @@ FAULT_RETRY_PRE_REQUEUE = faults.register(
 FAULT_SPAWN_PRE_SUBMIT = faults.register(
     "executor.spawn.pre_submit",
     "in the parent, before a payload is submitted to the worker pool "
-    "(a raising submit must become a pool_broken outcome, not escape "
+    "(a raising submit must re-run the payload in isolation, not escape "
     "WorkerPool.submit)",
 )
 
@@ -175,18 +171,6 @@ def _failure_outcome(payload: Dict[str, Any],
         attempts=int(payload.get("attempt", 1)),
     )
     return {"index": int(payload["index"]), "failure": failure.to_dict()}
-
-
-def _broken_outcome(payload: Dict[str, Any],
-                    exc: BaseException) -> Dict[str, Any]:
-    """The outcome of a payload whose worker never answered (it died, its
-    future was cancelled, or the submit raised): a ``pool_broken`` failure,
-    one per member for a coalesced payload."""
-    if "batch" in payload:
-        return {"index": int(payload["index"]),
-                "batch": [_broken_outcome(member, exc)
-                          for member in payload["batch"]]}
-    return {**_failure_outcome(payload, exc), "pool_broken": True}
 
 
 def _fold_telemetry(outcome: Dict[str, Any]) -> None:
@@ -396,7 +380,8 @@ class WorkerPool:
     * workers start lazily on the first :meth:`submit`;
     * a worker death breaks the executor generation it ran on; the pool
       discards that generation (and only that one), so the next submit
-      starts fresh workers;
+      starts fresh workers, and re-runs every payload the break cut off in
+      isolation (see :meth:`_isolate`);
     * :meth:`shutdown` ends the pool for good (also via ``with``).
 
     Thread-safe.
@@ -407,7 +392,10 @@ class WorkerPool:
             raise ValueError("workers must be >= 0 (0 = inline execution)")
         self.workers = int(workers)
         self._executor: Optional[ProcessPoolExecutor] = None
+        #: Isolated re-runs queue on its one thread: one extra process at most.
+        self._isolator: Optional[ThreadPoolExecutor] = None
         self._generations = 0
+        self._shutdowns = 0
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -421,8 +409,8 @@ class WorkerPool:
 
     @property
     def generations(self) -> int:
-        """How many times worker processes were (re)started; a pool that is
-        reused across submissions keeps this at 1."""
+        """How many times the shared worker processes were (re)started; a
+        pool that is reused across submissions keeps this at 1."""
         return self._generations
 
     def _ensure(self) -> ProcessPoolExecutor:
@@ -452,48 +440,94 @@ class WorkerPool:
         """Schedule one payload; returns a future of its outcome dict.
 
         The future never raises.  In-run exceptions come back as ``failure``
-        outcomes from :func:`execute_payload`; a worker that died outright, a
-        cancelled future or a raising submit becomes a ``failure`` outcome
-        marked ``"pool_broken": True`` (one per member of a coalesced
-        payload).  A completed run's worker metrics delta is merged into this
-        process's registry and removed from the outcome.
+        outcomes from :func:`execute_payload`.  A payload the shared executor
+        never answered (its worker died, or the submit raised) is re-run
+        alone by :meth:`_isolate`, so its outcome is the one it earns alone.
+        A completed run's worker metrics delta is merged into this process's
+        registry and removed from the outcome.
         """
         future: "Future[Dict[str, Any]]" = Future()
+        shutdowns = self._shutdowns
         executor = None
         try:
             faults.point(FAULT_SPAWN_PRE_SUBMIT)
-            if not self.inline:
-                executor = self._ensure()
-                running = executor.submit(execute_payload, payload)
-        except Exception as exc:  # noqa: BLE001 - a faulted or broken submit
-            self._discard(executor)
-            future.set_result(_broken_outcome(payload, exc))
-        else:
             if self.inline:
                 future.set_result(execute_payload(payload))
-            else:
-                running.add_done_callback(functools.partial(
-                    self._resolve, executor, payload, future))
+                return future
+            executor = self._ensure()
+            running = executor.submit(execute_payload, payload)
+        except Exception as exc:  # noqa: BLE001 - a faulted or broken submit
+            running = Future()
+            running.set_exception(exc)
+        running.add_done_callback(functools.partial(
+            self._resolve, executor, payload, future, shutdowns))
         return future
 
-    def _resolve(self, executor: ProcessPoolExecutor,
+    def _resolve(self, executor: Optional[ProcessPoolExecutor],
                  payload: Dict[str, Any], future: "Future[Dict[str, Any]]",
-                 running: "Future[Dict[str, Any]]") -> None:
+                 shutdowns: int, running: "Future[Dict[str, Any]]") -> None:
         try:
             outcome = running.result()
-        except Exception as exc:  # the worker died, or a teardown cancelled it
+        except Exception as exc:  # a dead worker, a teardown, a raising submit
             self._discard(executor)
-            outcome = _broken_outcome(payload, exc)
-        else:
-            _fold_telemetry(outcome)
+            with self._lock:
+                if not self.inline and shutdowns == self._shutdowns:
+                    self._isolator = self._isolator or ThreadPoolExecutor(1)
+                    # Off this thread: it may be the broken executor's own.
+                    self._isolator.submit(
+                        self._isolate, payload, future, shutdowns, exc)
+                    return
+            self._isolate(payload, future, shutdowns, exc)
+            return
+        _fold_telemetry(outcome)
         future.set_result(outcome)
+
+    def _isolate(self, payload: Dict[str, Any],
+                 future: "Future[Dict[str, Any]]", shutdowns: int,
+                 exc: BaseException) -> None:
+        """Resolve ``future`` by re-running each member of ``payload`` alone.
+
+        Each member runs on a fresh single-worker executor (inline for an
+        inline pool), keeping its ``attempt``, with ``resume=True``: a
+        collateral run continues from its last snapshot, bit-identical, and
+        a death there is the member's own, an ordinary failure.  A payload
+        the owner's own :meth:`shutdown` cut off is not re-run: it resolves
+        to one ``failure`` marked ``"pool_broken": True`` (a coalesced one
+        too), and the owner decides what it becomes.
+        """
+        if shutdowns != self._shutdowns:
+            future.set_result(
+                {**_failure_outcome(payload, exc), "pool_broken": True})
+            return
+        outcomes = []
+        for member in payload.get("batch", [payload]):
+            member = {**member, "resume": True}
+            telemetry.incr("repro_pool_isolated_runs_total", 1,
+                           "payload members re-run alone after a worker "
+                           "death broke their shared executor")
+            if self.inline:
+                outcomes.append(execute_payload(member))
+                continue
+            with ProcessPoolExecutor(1, _start_context(), _worker_init) as solo:
+                try:
+                    outcome = solo.submit(execute_payload, member).result()
+                except Exception as death:  # noqa: BLE001 - its own failure
+                    outcome = _failure_outcome(member, death)
+            _fold_telemetry(outcome)
+            outcomes.append(outcome)
+        future.set_result({"index": int(payload["index"]), "batch": outcomes}
+                          if "batch" in payload else outcomes[0])
 
     def shutdown(self, wait: bool = True) -> None:
         """Tear the workers down; the pool may be restarted by a later submit."""
         with self._lock:
             executor, self._executor = self._executor, None
+            isolator, self._isolator = self._isolator, None
+            self._shutdowns += 1
         if executor is not None:
             executor.shutdown(wait=wait, cancel_futures=True)
+        if isolator is not None:
+            isolator.shutdown(wait=wait)
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -525,7 +559,9 @@ class ExecutionService:
         ``runtime.checkpoint_every`` when given.
     max_retries:
         How many times a failed run is re-queued (with ``resume=True``)
-        before its slot becomes a :class:`RunFailure`.
+        before its slot becomes a :class:`RunFailure`.  Only a run's own
+        failures count: the pool re-runs the collateral of a neighbour's
+        worker death alone before it answers (see :class:`WorkerPool`).
     keep:
         Per-run snapshot retention forwarded to :class:`RunStore`
         (0 keeps every snapshot).
@@ -535,9 +571,9 @@ class ExecutionService:
         :class:`~repro.store.retention.RetentionPolicy`), forwarded to each
         worker's store alongside ``keep``.
 
-    The service lazily creates its own :class:`WorkerPool`, keeps it warm
-    across :meth:`run` calls, and releases it in :meth:`close` (or on
-    ``with`` exit).  Its runs take no run-ownership lease; the daemon's do.
+    The service owns one :class:`WorkerPool`, keeps it warm across
+    :meth:`run` calls, and releases it in :meth:`close` (or on ``with``
+    exit).  Its runs take no run-ownership lease; the daemon's do.
     """
 
     def __init__(self, workers: Optional[int] = None,
@@ -548,13 +584,13 @@ class ExecutionService:
                  retention=None) -> None:
         if workers is None:
             workers = os.cpu_count() or 1
-        if workers < 0:
-            raise ValueError("workers must be >= 0 (0 = inline execution)")
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if checkpoint_every is not None and int(checkpoint_every) < 1:
             raise ValueError("checkpoint_every must be >= 1 (or None)")
-        self.workers = int(workers)
+        #: The persistent pool submissions execute on (it starts lazily).
+        self.pool = WorkerPool(workers)
+        self.workers = self.pool.workers
         self.checkpoint_dir = str(checkpoint_dir) if checkpoint_dir else None
         self.checkpoint_every = (
             int(checkpoint_every) if checkpoint_every is not None else None
@@ -574,20 +610,11 @@ class ExecutionService:
                 "(keep=/every=/max-age=/max-bytes= terms) because it is "
                 f"shipped to worker processes as JSON: {exc}"
             ) from exc
-        self._pool: Optional[WorkerPool] = None
 
     # ------------------------------------------------------------------
-    @property
-    def pool(self) -> WorkerPool:
-        """The persistent pool submissions execute on."""
-        if self._pool is None:
-            self._pool = WorkerPool(self.workers)
-        return self._pool
-
     def close(self) -> None:
         """Shut down the worker pool; a later :meth:`run` starts a new one."""
-        if self._pool is not None:
-            self._pool.shutdown()
+        self.pool.shutdown()
 
     def __enter__(self) -> "ExecutionService":
         return self
@@ -605,24 +632,6 @@ class ExecutionService:
             keep=self.keep, retention=self.retention,
             resume=resume, attempt=attempt,
         )
-
-    def _execute_round(self, pending: List[Dict[str, Any]],
-                       ) -> List[Dict[str, Any]]:
-        """Run one round; the outcomes in ``pending`` order.  A
-        ``pool_broken`` outcome lets :meth:`run` tell collateral damage (a
-        healthy run whose pool a neighbour broke) from a run's own failure."""
-        futures = {int(payload["index"]): self.pool.submit(payload)
-                   for payload in pending if not payload.get("isolated")}
-        outcomes = {index: future.result() for index, future in futures.items()}
-        # Quarantined payloads (their previous shared pool broke) each get a
-        # private single-worker pool: a dying worker then only takes down the
-        # run that killed it, and the failure is unambiguously its own.
-        for payload in pending:
-            if payload.get("isolated"):
-                with WorkerPool(1) as solo:
-                    outcomes[int(payload["index"])] = \
-                        solo.submit(payload).result()
-        return [outcomes[int(payload["index"])] for payload in pending]
 
     # ------------------------------------------------------------------
     def run(self, specs: Sequence[ScenarioSpec],
@@ -647,28 +656,20 @@ class ExecutionService:
             raise ValueError(f"duplicate run_ids: {duplicated}")
 
         slots: List[Optional[BatchOutcome]] = [None] * len(specs)
-        attempts = [0] * len(specs)
         pending = [
             self._payload(i, spec, run_ids[i], resume=resume, attempt=1)
             for i, spec in enumerate(specs)
         ]
         while pending:
             retry: List[Dict[str, Any]] = []
-            for payload, outcome in zip(pending, self._execute_round(pending)):
-                index = int(payload["index"])
+            futures = [self.pool.submit(payload) for payload in pending]
+            for payload, future in zip(pending, futures):
+                index, attempt = int(payload["index"]), int(payload["attempt"])
+                outcome = future.result()
                 if "ok" in outcome:
                     slots[index] = RunResult.from_dict(outcome["ok"])
                     continue
-                if outcome.get("pool_broken") and not payload.get("isolated"):
-                    # Collateral damage: some run in the shared pool killed
-                    # its worker and broke the pool for everyone.  Requeue
-                    # into quarantine WITHOUT charging this run's retry
-                    # budget — only a failure in its own (isolated) pool, or
-                    # an in-run exception, counts against it.
-                    retry.append({**payload, "isolated": True})
-                    continue
-                attempts[index] += 1
-                if attempts[index] <= self.max_retries:
+                if attempt <= self.max_retries:
                     # Retry with resume: with checkpointing enabled the rerun
                     # continues from the last stored snapshot.  An injected
                     # fault here abandons the retry: the slot keeps its typed
@@ -677,20 +678,15 @@ class ExecutionService:
                     try:
                         faults.point(FAULT_RETRY_PRE_REQUEUE)
                     except faults.InjectedFault:
-                        failure = RunFailure.from_dict(outcome["failure"])
-                        failure.attempts = attempts[index]
-                        slots[index] = failure
-                        continue
-                    retry.append(
-                        self._payload(
+                        pass
+                    else:
+                        retry.append(self._payload(
                             index, specs[index], run_ids[index],
-                            resume=True, attempt=attempts[index] + 1,
-                        )
-                    )
-                else:
-                    failure = RunFailure.from_dict(outcome["failure"])
-                    failure.attempts = attempts[index]
-                    slots[index] = failure
+                            resume=True, attempt=attempt + 1))
+                        continue
+                # The failure carries its payload's attempt: the attempts
+                # this run was charged.
+                slots[index] = RunFailure.from_dict(outcome["failure"])
             pending = retry
         assert all(slot is not None for slot in slots)
         return slots  # type: ignore[return-value]

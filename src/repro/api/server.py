@@ -31,7 +31,7 @@ produces results bit-identical to an uninterrupted run.  Graceful shutdown
 submissions are refused, in-flight runs finish (their snapshots are already
 on disk), queued runs stay journalled for the next daemon.
 
-The wire protocol is documented once, in :mod:`repro.api.http` — the one
+The wire protocol is documented once, in :mod:`repro.api.wire` — the one
 ``/v1`` HTTP layer this daemon is an *application* of.  The matching Python
 client lives in :mod:`repro.api.client`; the CLI front ends are
 ``python -m repro serve / submit / status / fetch / shutdown``.
@@ -54,7 +54,7 @@ from typing import (
 import repro
 from repro import faults, telemetry
 from repro.api.executor import WorkerPool, worker_payload
-from repro.api.http import (  # noqa: F401 - API_PREFIX is re-exported
+from repro.api.wire import (  # noqa: F401 - API_PREFIX is re-exported
     API_PREFIX, FINISHED, HttpService, ServerError, recovered_record,
     result_pending, run_trace,
 )
@@ -114,13 +114,6 @@ _POLL_S = 0.05
 #: client socket timeout so silent runs don't look like dead daemons.
 KEEPALIVE_S = 10.0
 
-#: How many times a run's pool may break (a worker death, possibly caused by
-#: a *different* run sharing the pool) before the breaks start counting
-#: against the run's own retry budget.  Healthy collateral runs typically see
-#: one or two breaks; a run that reliably kills its worker exhausts this
-#: allowance and then its retries, so crash loops stay bounded.
-_POOL_BREAK_ALLOWANCE = 3
-
 
 def _without_keep_every(policy: Optional[RetentionPolicy],
                         ) -> Optional[RetentionPolicy]:
@@ -151,7 +144,6 @@ class RunRecord:
     checkpoint_every: Optional[int] = None
     status: str = "queued"
     attempts: int = 0
-    pool_breaks: int = 0
     resume: bool = False
     recovered: bool = False
     #: Per-submission fault plan (chaos testing); rides the worker payload
@@ -211,7 +203,8 @@ class ScenarioServer:
         (``None`` falls back to each spec's ``runtime.checkpoint_every``).
     max_retries:
         Per-run retry budget (resume-from-snapshot) after an in-run exception
-        or a worker death.
+        or a worker death that the pool pins on the run itself (see
+        :class:`~repro.api.executor.WorkerPool`).
     keep:
         Snapshot retention per run forwarded to the checkpoint store.
     retention:
@@ -945,7 +938,7 @@ class ScenarioServer:
             checkpoint_dir=str(self.store.root),
             checkpoint_every=record.checkpoint_every,
             keep=self.store.keep, retention=self.retention_spec,
-            resume=record.resume, attempt=record.attempts + 1,
+            resume=record.resume, attempt=record.attempts,
             owner=self.owner, owner_pid=os.getpid(),
             lease_ttl=self.lease_ttl,
             fault_plan=record.faults, trace=record.trace,
@@ -1037,8 +1030,8 @@ class ScenarioServer:
                                      ts=record.submitted_at, dur=wait,
                                      attrs={"attempt": record.attempts})
             # Submit outside the lock: the inline pool executes synchronously.
-            # The future never raises: a worker death or a raising submit
-            # resolves to pool_broken outcomes, which _settle accounts.
+            # The future never raises: the pool settles a worker death itself
+            # (see WorkerPool), so every outcome is the run's own.
             was_warm = self.pool.started
             future = self.pool.submit(payload)
             with self._wake:
@@ -1059,8 +1052,10 @@ class ScenarioServer:
             if len(records) > 1:
                 self._batched_runs += len(records)
         result = future.result()
-        # A batch's member outcomes come back in member (= records) order.
-        for record, outcome in zip(records, result.get("batch", [result])):
+        # A batch's member outcomes come back in member (= records) order; a
+        # payload this daemon's own stop cut off comes back as one outcome.
+        for record, outcome in zip(
+                records, result.get("batch", [result] * len(records))):
             self._settle(record, outcome)
 
     def _settle(self, record: RunRecord, outcome: Dict[str, Any]) -> None:
@@ -1068,14 +1063,10 @@ class ScenarioServer:
         # result/failure files are written OUTSIDE the lock (they can be MBs
         # of observable series — health/status polls must not block on them).
         if outcome.get("pool_broken"):
-            record.pool_breaks += 1
-            if record.pool_breaks <= _POOL_BREAK_ALLOWANCE:
-                # A pool break is usually collateral damage from a *different*
-                # run killing a shared worker (cf. ExecutionService's
-                # quarantine): don't charge this run's retry budget for it —
-                # but only up to the allowance, so a run that reliably kills
-                # its own worker still fails eventually.
-                record.attempts -= 1
+            # This daemon's own stop cut the run off before it could answer:
+            # it is not charged, and the retry below requeues it, journalled
+            # for the next daemon on this root.
+            record.attempts -= 1
         if "ok" in outcome:
             executor_meta = outcome["ok"].get("metadata", {}).get(
                 "executor", {}

@@ -1,7 +1,7 @@
 """The fleet front door: one address that load-balances a daemon fleet.
 
 ``repro fleet route --port P --root DIR`` starts a :class:`FleetRouter` — a
-second application of the one ``/v1`` HTTP layer (:mod:`repro.api.http`) the
+second application of the one ``/v1`` HTTP layer (:mod:`repro.api.wire`) the
 daemon is served by, so :class:`~repro.api.client.ServeClient` (and every
 CLI front end built on it) works against the router unchanged.  Behind that
 address:
@@ -38,7 +38,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro import faults, telemetry
 from repro.api.client import ServeClient, ServeError, ServeUnavailable
-from repro.api.http import (
+from repro.api.wire import (
     FINISHED, HttpService, ServerError, recovered_record, result_pending,
     run_trace,
 )

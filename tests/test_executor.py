@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
-from repro import faults
+from repro import faults, telemetry
 from repro.api import (
     BatchRunner,
     ExecutionService,
@@ -16,9 +17,11 @@ from repro.api import (
     RunResult,
     WorkerPool,
     default_registry,
+    run_scenario,
 )
 from repro.api.adapters import MaxwellEngine
 from repro.api.executor import worker_payload
+from repro.perf import KernelWorkspace
 
 from test_api import smoke_spec
 from test_checkpoint import assert_results_bit_identical
@@ -183,55 +186,99 @@ def pool_payload(index: int, **fields):
         retention=None, resume=False, attempt=1, **fields)
 
 
+def isolated_runs() -> float:
+    counter = telemetry.snapshot()["counters"].get(
+        "repro_pool_isolated_runs_total")
+    return counter["value"] if counter else 0.0
+
+
 @pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
+@pytest.mark.usefixtures("live_telemetry")
 class TestWorkerPoolBoundary:
-    def test_dead_worker_resolves_to_a_pool_broken_failure(self):
+    def test_a_worker_that_dies_alone_resolves_to_its_own_failure(self):
+        # The payload's own plan kills its worker in the shared executor and
+        # again when the pool re-runs it alone: the second death is its own.
         with WorkerPool(1) as pool:
             outcome = pool.submit(pool_payload(3, fault_plan=CRASH_PLAN))
             outcome = outcome.result()
+            assert pool.generations == 1
         assert outcome["index"] == 3
-        assert outcome["pool_broken"] is True
+        assert "pool_broken" not in outcome
         assert "BrokenProcessPool" in outcome["failure"]["error"]
         assert outcome["failure"]["scenario"] == "maxwell-vacuum"
+        assert outcome["failure"]["attempts"] == 1
+        assert isolated_runs() == 1
 
-    def test_every_member_of_a_dead_batch_comes_back_pool_broken(self):
+    def test_healthy_members_of_a_dead_batch_come_back_ok(self):
         payload = {"index": 5, "batch": [pool_payload(5), pool_payload(6)]}
         # A batch payload arms no per-member plan, so the worker inherits an
-        # armed one at fork time (the submit forks it); the parent disarms.
+        # armed one at fork time (the submit forks it); the parent disarms
+        # before the isolated re-runs fork theirs.
         faults.configure("executor.worker.pre_run=crash")
         try:
             with WorkerPool(1) as pool:
                 future = pool.submit(payload)
                 faults.reset()
                 outcome = future.result()
+                assert pool.generations == 1
         finally:
             faults.reset()
         assert outcome["index"] == 5
         assert [member["index"] for member in outcome["batch"]] == [5, 6]
+        expected = run_scenario(smoke_spec("maxwell-vacuum", num_steps=2),
+                                workspace=KernelWorkspace())
         for member in outcome["batch"]:
-            assert member["pool_broken"] is True
-            assert "BrokenProcessPool" in member["failure"]["error"]
+            assert "ok" in member, member.get("failure")
+            result = RunResult.from_dict(member["ok"])
+            assert result.metadata["executor"]["attempt"] == 1
+            assert_results_bit_identical(expected, result)
+        assert isolated_runs() == 2
 
     def test_next_submit_after_a_break_starts_a_fresh_generation(self):
         with WorkerPool(1) as pool:
             broken = pool.submit(pool_payload(0, fault_plan=CRASH_PLAN))
-            assert broken.result()["pool_broken"] is True
+            assert "failure" in broken.result()
             outcome = pool.submit(pool_payload(1)).result()
             assert "ok" in outcome, outcome.get("failure")
             assert pool.generations == 2
+
+    def test_a_payload_cut_off_by_shutdown_is_neither_isolated_nor_charged(
+            self, monkeypatch):
+        # The worker dies only once the owner has shut the pool down.
+        shut_down = multiprocessing.get_context("fork").Event()
+
+        def die_after_shutdown(self, num_steps):
+            shut_down.wait(60)
+            os._exit(3)
+
+        monkeypatch.setattr(MaxwellEngine, "_advance", die_after_shutdown)
+        pool = WorkerPool(1)
+        future = pool.submit(pool_payload(7))
+        pool.shutdown(wait=False)
+        shut_down.set()
+        outcome = future.result(timeout=60)
+        assert outcome["index"] == 7
+        assert outcome["pool_broken"] is True
+        assert outcome["failure"]["attempts"] == 1
+        assert isolated_runs() == 0
+        assert pool.generations == 1
 
 
 # ----------------------------------------------------------------------
 # Crash-resume: a run that dies mid-flight restarts from its snapshot
 # ----------------------------------------------------------------------
-def _install_crash_once(monkeypatch, marker_path, crash_at_step):
+def _install_crash_once(monkeypatch, marker_path, crash_at_step,
+                        kill_worker=False):
     """Patch MaxwellEngine to raise once at ``crash_at_step`` (marker-guarded,
-    so the retry — possibly in a forked worker — survives)."""
+    so the retry — possibly in a forked worker — survives); with
+    ``kill_worker`` its process dies there instead."""
     original = MaxwellEngine._advance
 
     def flaky(self, num_steps):
         if self._step + num_steps >= crash_at_step and not marker_path.exists():
             marker_path.touch()
+            if kill_worker:
+                os._exit(3)
             raise RuntimeError("injected crash")
         original(self, num_steps)
 
@@ -262,6 +309,25 @@ class TestCrashResume:
         assert outcome.metadata["executor"]["resumed_from_step"] == 2
         # ...and still reproduced the uninterrupted run bit-exactly.
         assert_results_bit_identical(uninterrupted, outcome)
+
+    @pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
+    def test_worker_death_resumes_alone_uncharged(
+            self, tmp_path, monkeypatch, live_telemetry):
+        spec = smoke_spec("maxwell-vacuum", num_steps=6)
+        uninterrupted = BatchRunner().run([spec])[0]
+
+        _install_crash_once(monkeypatch, tmp_path / "killed", crash_at_step=4,
+                            kill_worker=True)
+        with ExecutionService(workers=1, checkpoint_dir=tmp_path / "store",
+                              checkpoint_every=2, max_retries=0) as service:
+            outcome = service.run([spec], run_ids=["r1"])[0]
+            assert service.pool.generations == 1
+        assert outcome.ok, getattr(outcome, "error", None)
+        # The pool re-ran it alone: same attempt, resumed from its snapshot.
+        assert outcome.metadata["executor"]["attempt"] == 1
+        assert outcome.metadata["executor"]["resumed_from_step"] == 2
+        assert_results_bit_identical(uninterrupted, outcome)
+        assert isolated_runs() == 1
 
     def test_without_checkpoints_retry_restarts_from_scratch(
             self, tmp_path, monkeypatch):

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import faults
+from repro import faults, telemetry
 from repro.api import (
     BatchRunner, ScenarioServer, ServeClient, ServeError,
 )
@@ -370,13 +370,16 @@ class TestExecutorFaults:
         assert outcome.attempts == 1  # the abandoned retry stayed charged
         assert "injected fault" in outcome.error
 
-    @needs_fork
-    def test_spawn_fault_quarantines_without_charging(self, tmp_path):
+    def test_spawn_fault_quarantines_without_charging(self, tmp_path,
+                                                      live_telemetry):
         spec = smoke_spec("maxwell-vacuum", num_steps=4)
         faults.configure("executor.spawn.pre_submit=raise")
         with self._service(tmp_path, max_retries=1) as service:
             outcome = service.run([spec])[0]
-        # A submit-time fault reads as a pool break: the run requeues into
-        # quarantine with its retry budget intact and completes there.
+        # A submit-time fault reads as a pool break: the pool re-runs the
+        # payload alone (inline, for this inline service) with its retry
+        # budget intact, and it completes there.
         assert isinstance(outcome, RunResult)
         assert outcome.metadata["executor"]["attempt"] == 1
+        assert telemetry.snapshot()["counters"][
+            "repro_pool_isolated_runs_total"]["value"] == 1

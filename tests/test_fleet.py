@@ -43,7 +43,7 @@ from repro.api import (
     default_registry,
 )
 from repro.api.client import ServeTimeout
-from repro.api.http import FINISHED, ServerError
+from repro.api.wire import FINISHED, ServerError
 from repro.fleet import FleetRegistry, FleetRouter, member_id_for
 from repro.store import atomic_write_json
 

@@ -1,7 +1,7 @@
-"""repro.api.http: the one ``/v1`` layer, at socket level.
+"""repro.api.wire: the one ``/v1`` layer, at socket level.
 
 The layer serves any *application* — an object with one method per row of
-:data:`repro.api.http.ROUTES` — so its contract is tested against a fake
+:data:`repro.api.wire.ROUTES` — so its contract is tested against a fake
 one: no daemon, no store, no worker pool.  One small class at the bottom
 then checks that the two real applications (``ScenarioServer``,
 ``FleetRouter``) really do answer through it.
@@ -23,7 +23,7 @@ import pytest
 
 from repro import telemetry
 from repro.api import ScenarioServer, default_registry
-from repro.api.http import (
+from repro.api.wire import (
     API_PREFIX, ROUTES, HttpService, ServerError, run_trace,
 )
 from repro.fleet import FleetRouter

@@ -25,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import faults, telemetry
 from repro.api import (
     BatchRunner,
     ScenarioServer,
@@ -34,7 +35,8 @@ from repro.api import (
     run_scenario,
 )
 from repro.analytics import conservation_violations, load_results
-from repro.api.server import _POOL_BREAK_ALLOWANCE, ServerError
+from repro.api.adapters import MaxwellEngine
+from repro.api.server import ServerError
 from repro.perf import KernelWorkspace
 
 from test_api import smoke_spec
@@ -91,6 +93,21 @@ def _kill_group(proc: subprocess.Popen, sig: int = signal.SIGKILL) -> None:
         pass
     proc.wait(timeout=30)
     proc.stdout.close()
+
+
+def first_event(client: ServeClient, run_id: str, event: str,
+                **fields) -> dict:
+    """Block on the run's event stream until its first ``event`` whose
+    ``fields`` match arrives; fails if the run finishes first."""
+    stream = client.events(run_id, timeout=120)
+    try:
+        for item in stream:
+            if item["event"] == event and all(
+                    item.get(key) == value for key, value in fields.items()):
+                return item
+    finally:
+        stream.close()
+    raise AssertionError(f"{run_id} finished before its first {event} event")
 
 
 @contextmanager
@@ -167,20 +184,16 @@ class TestDaemonEndToEnd:
         uninterrupted = BatchRunner().run([spec], raise_on_error=True)[0]
 
         root = tmp_path / "state"
-        snapshot_dir = root / "checkpoints" / spec.name / "victim"
         proc = _spawn_daemon(root, 1)
         try:
             port = _await_port(proc)
             client = ServeClient(port=port, timeout=60.0)
             client.submit(spec, run_id="victim", checkpoint_every=20)
-            # Wait for the first committed snapshot (the manifest write is
-            # the v2 store's commit point, so its existence means a complete
-            # resumable snapshot is on disk), then SIGKILL the whole process
-            # group (daemon + pool workers): no drain, no atexit.
-            deadline = time.monotonic() + 120
-            while not (snapshot_dir / "MANIFEST.json").exists():
-                assert time.monotonic() < deadline, "no snapshot before timeout"
-                time.sleep(0.02)
+            # Wait for the first committed snapshot (a checkpoint event is
+            # read off the manifest, the v2 store's commit point, so a
+            # complete resumable snapshot is on disk), then SIGKILL the whole
+            # process group (daemon + pool workers): no drain, no atexit.
+            first_event(client, "victim", "checkpoint")
         finally:
             _kill_group(proc, signal.SIGKILL)
 
@@ -236,6 +249,24 @@ class TestProtocol:
         outcome = client.wait(client.submit(spec)["run_id"], timeout=60)
         assert outcome.ok
         assert_results_bit_identical(inline, outcome)
+
+    def test_attempt_reads_the_same_in_status_and_metadata(self, client):
+        first = client.wait(
+            client.submit(smoke_spec("maxwell-vacuum"))["run_id"], timeout=60)
+        assert first.metadata["executor"]["attempt"] == 1
+        assert client.status(first.metadata["executor"]["run_id"])[
+            "attempts"] == 1
+        # A one-shot process-wide plan fails attempt 1 in the inline worker;
+        # the retry succeeds.
+        faults.configure("executor.worker.pre_run=raise")
+        try:
+            ack = client.submit(smoke_spec("maxwell-vacuum"))
+            retried = client.wait(ack["run_id"], timeout=60)
+        finally:
+            faults.reset()
+        assert retried.ok, retried.error
+        assert retried.metadata["executor"]["attempt"] == 2
+        assert client.status(ack["run_id"])["attempts"] == 2
 
     def test_unknown_run_id_is_404(self, client):
         with pytest.raises(ServeError) as excinfo:
@@ -497,13 +528,13 @@ class TestServerValidation:
 
 
 @needs_fork
-class TestPoolBreakAllowance:
-    def test_a_run_that_kills_every_worker_fails_after_its_allowance(
-            self, tmp_path):
+class TestCrashIsolation:
+    def test_a_run_that_kills_every_worker_fails_alone(
+            self, tmp_path, live_telemetry):
         # The doomed run's own fault plan kills its worker on every attempt.
-        # Each death resolves to a pool_broken outcome: the first
-        # _POOL_BREAK_ALLOWANCE cost nothing, then max_retries + 1 are
-        # charged.  The healthy run queued behind it still runs, exactly.
+        # The pool re-runs it alone after each break, where the death is its
+        # own and charged: max_retries + 1 attempts, each isolated once.  The
+        # healthy run queued behind it still runs, exactly.
         spec = smoke_spec("maxwell-vacuum", num_steps=4)
         max_retries = 1
         with ScenarioServer(tmp_path, port=0, workers=1,
@@ -515,15 +546,43 @@ class TestPoolBreakAllowance:
             doomed = client.wait("doomed", timeout=120)
             healthy = client.wait("healthy", timeout=120)
             record = client.status("doomed")
-            breaks = server._records["doomed"].pool_breaks
         assert not doomed.ok
         assert "BrokenProcessPool" in doomed.error
         assert record["status"] == "failed"
         assert record["attempts"] == doomed.attempts == max_retries + 1
-        assert breaks == _POOL_BREAK_ALLOWANCE + max_retries + 1
+        isolated = telemetry.snapshot()["counters"][
+            "repro_pool_isolated_runs_total"]["value"]
+        assert isolated == max_retries + 1
         assert healthy.ok, healthy.error
         assert_results_bit_identical(
             run_scenario(spec, workspace=KernelWorkspace()), healthy)
+
+    def test_a_run_cut_off_by_a_no_drain_stop_stays_journalled_uncharged(
+            self, tmp_path, monkeypatch, live_telemetry):
+        # The worker dies only once the daemon has torn its pool down.
+        stopped = multiprocessing.get_context("fork").Event()
+
+        def die_after_stop(self, num_steps):
+            stopped.wait(60)
+            os._exit(3)
+
+        monkeypatch.setattr(MaxwellEngine, "_advance", die_after_stop)
+        root = tmp_path / "state"
+        server = ScenarioServer(root, port=0, workers=1).start()
+        client = ServeClient(port=server.port, timeout=60.0)
+        client.submit(smoke_spec("maxwell-vacuum"), run_id="cut")
+        first_event(client, "cut", "status", status="running")
+        server.stop(drain=False)
+        stopped.set()
+        record = server._records["cut"]
+        with server._wake:
+            assert server._wake.wait_for(
+                lambda: record.status == "queued", timeout=60)
+        assert record.attempts == 0
+        assert "repro_pool_isolated_runs_total" not in \
+            telemetry.snapshot()["counters"]
+        assert (root / "queue" / "cut.json").exists()
+        assert not (root / "results" / "cut.json").exists()
 
 
 class TestHousekeeping:
@@ -639,10 +698,7 @@ class TestSharedRootOwnership:
                 self.LONG
             )
             running = client.submit(slow, run_id="hog")["run_id"]
-            deadline = time.monotonic() + 30
-            while client.status(running)["status"] != "running":
-                assert time.monotonic() < deadline
-                time.sleep(0.02)
+            first_event(client, running, "status", status="running")
             client.submit(smoke_spec("maxwell-vacuum"), run_id="queued")
             with pytest.raises(ServeError) as excinfo:
                 client.submit(smoke_spec("maxwell-vacuum"), run_id="refused")
@@ -686,7 +742,6 @@ class TestSharedRootOwnership:
             self.LONG
         )
         uninterrupted = BatchRunner().run([spec], raise_on_error=True)[0]
-        snapshot_dir = root / "checkpoints" / spec.name / "victim"
 
         proc_a = _spawn_daemon(root, 1, "--lease-ttl", "2")
         try:
@@ -702,10 +757,7 @@ class TestSharedRootOwnership:
 
                 # ...A is SIGKILLed mid-run (after its first durable
                 # snapshot, so the takeover has something to resume from)...
-                deadline = time.monotonic() + 120
-                while not (snapshot_dir / "MANIFEST.json").exists():
-                    assert time.monotonic() < deadline, "no snapshot in time"
-                    time.sleep(0.02)
+                first_event(client_a, "victim", "checkpoint")
                 _kill_group(proc_a, signal.SIGKILL)
                 assert (root / "queue" / "victim.json").exists()
 
