@@ -13,25 +13,23 @@ order.
 Pool lifecycle is a first-class object: :class:`WorkerPool` owns the worker
 processes (lazy start, reset-after-breakage, shutdown) and *persists across
 submissions*, so the per-worker kernel caches stay warm between batches.
-:meth:`ExecutionService.run` reuses its own pool round after round and batch
-after batch; the long-lived :class:`~repro.api.server.ScenarioServer` daemon
-keeps a pool of its own warm across client requests.  The pool is also the
-one owner of the process boundary: every future it returns resolves to an
-outcome dict, and each worker's metrics delta is folded into this process's
-registry on the way back, so neither caller handles either.
+:meth:`ExecutionService.run` reuses its own pool batch after batch; the
+long-lived :class:`~repro.api.server.ScenarioServer` daemon keeps a pool of
+its own warm across client requests.  The pool is also the one owner of the
+process boundary: every future it returns resolves to an outcome dict, and
+each worker's metrics delta is folded into this process's registry on the
+way back, so neither caller handles either.
 
-Failure handling is one policy, the pool's, for both callers: an exception
+Failure handling is one policy, the pool's, for both callers.  An exception
 inside a run is captured in the worker and reported as a
-:class:`~repro.api.result.RunFailure` for that slot only, and a worker
-process that dies outright (OOM kill, segfault) makes the pool re-run every
-payload its death cut off alone (:meth:`WorkerPool._isolate`), so a run is
-charged only for its own failures.
-
-A failed run is retried by its caller up to ``max_retries`` times with
-``resume=True``: when checkpointing is enabled the retry picks up from the
-run's last stored snapshot instead of starting over, so a crash costs at most
-``checkpoint_every`` steps of work and the final result is bit-identical to
-an uninterrupted run.
+:class:`~repro.api.result.RunFailure` for that slot only.  A worker process
+that dies outright (OOM kill, segfault) makes the pool re-run every payload
+its death cut off alone (:meth:`WorkerPool._isolate`), so a run is charged
+only for its own failures.  A failed run is retried alone up to
+``max_retries`` times with ``resume=True`` (:meth:`WorkerPool._retry_failed`):
+with checkpointing the retry picks up from the run's last stored snapshot,
+so a crash costs at most ``checkpoint_every`` steps of work and the final
+result is bit-identical to an uninterrupted run.
 
 ``workers=0`` executes the same code path inline (no subprocesses) — handy
 for debugging and for platforms without ``fork``.
@@ -56,7 +54,7 @@ from repro.api.result import RunFailure, RunResult
 from repro.api.spec import ScenarioSpec
 from repro.perf.workspace import KernelWorkspace
 from repro.store import DEFAULT_LEASE_TTL_S, RunStore
-from repro.store.retention import describe_retention, parse_retention
+from repro.store.retention import portable_retention
 
 FAULT_WORKER_PRE_RUN = faults.register(
     "executor.worker.pre_run",
@@ -65,8 +63,8 @@ FAULT_WORKER_PRE_RUN = faults.register(
 )
 FAULT_RETRY_PRE_REQUEUE = faults.register(
     "executor.retry.pre_requeue",
-    "in the parent, before a failed run's retry payload is requeued "
-    "(retry accounting must not double-charge)",
+    "in the parent, before the pool resubmits a failed run with attempt + 1 "
+    "(an abandoned retry keeps the run's own failure, charged once)",
 )
 FAULT_SPAWN_PRE_SUBMIT = faults.register(
     "executor.spawn.pre_submit",
@@ -382,15 +380,21 @@ class WorkerPool:
       discards that generation (and only that one), so the next submit
       starts fresh workers, and re-runs every payload the break cut off in
       isolation (see :meth:`_isolate`);
+    * a failed member is retried alone until it comes back ``ok`` or has
+      used ``max_retries + 1`` attempts (:meth:`_retry_failed`; the default
+      ``max_retries=0`` retries nothing);
     * :meth:`shutdown` ends the pool for good (also via ``with``).
 
     Thread-safe.
     """
 
-    def __init__(self, workers: int) -> None:
+    def __init__(self, workers: int, max_retries: int = 0) -> None:
         if workers < 0:
             raise ValueError("workers must be >= 0 (0 = inline execution)")
+        if max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
         self.workers = int(workers)
+        self.max_retries = int(max_retries)
         self._executor: Optional[ProcessPoolExecutor] = None
         #: Isolated re-runs queue on its one thread: one extra process at most.
         self._isolator: Optional[ThreadPoolExecutor] = None
@@ -413,9 +417,12 @@ class WorkerPool:
         pool that is reused across submissions keeps this at 1."""
         return self._generations
 
-    def _ensure(self) -> ProcessPoolExecutor:
+    def _ensure(self, shutdowns: int) -> Optional[ProcessPoolExecutor]:
+        """The shared executor (None inline), started on first use."""
         with self._lock:
-            if self._executor is None:
+            if shutdowns != self._shutdowns:  # a retry must not restart it
+                raise RuntimeError("the worker pool was shut down")
+            if self._executor is None and not self.inline:
                 # (max_workers, start-method context, initializer)
                 self._executor = ProcessPoolExecutor(
                     self.workers, _start_context(), _worker_init)
@@ -439,33 +446,38 @@ class WorkerPool:
     def submit(self, payload: Dict[str, Any]) -> "Future[Dict[str, Any]]":
         """Schedule one payload; returns a future of its outcome dict.
 
-        The future never raises.  In-run exceptions come back as ``failure``
-        outcomes from :func:`execute_payload`.  A payload the shared executor
-        never answered (its worker died, or the submit raised) is re-run
-        alone by :meth:`_isolate`, so its outcome is the one it earns alone.
-        A completed run's worker metrics delta is merged into this process's
+        The future never raises; it resolves once every member is ``ok`` or
+        out of attempts.  In-run exceptions come back as ``failure``
+        outcomes.  A payload the shared executor never answered (its worker
+        died, or the submit raised) is re-run alone by :meth:`_isolate`.  A
+        completed run's worker metrics delta is merged into this process's
         registry and removed from the outcome.
         """
+        return self._dispatch(payload, self._shutdowns)
+
+    def _dispatch(self, payload: Dict[str, Any],
+                  shutdowns: int) -> "Future[Dict[str, Any]]":
         future: "Future[Dict[str, Any]]" = Future()
-        shutdowns = self._shutdowns
         executor = None
         try:
             faults.point(FAULT_SPAWN_PRE_SUBMIT)
-            if self.inline:
-                future.set_result(execute_payload(payload))
-                return future
-            executor = self._ensure()
-            running = executor.submit(execute_payload, payload)
+            executor = self._ensure(shutdowns)
+            if executor is None:
+                running: "Future[Dict[str, Any]]" = Future()
+                running.set_result(execute_payload(payload))
+            else:
+                running = executor.submit(execute_payload, payload)
         except Exception as exc:  # noqa: BLE001 - a faulted or broken submit
             running = Future()
             running.set_exception(exc)
         running.add_done_callback(functools.partial(
-            self._resolve, executor, payload, future, shutdowns))
+            self._resolve, executor, payload, shutdowns, future))
         return future
 
     def _resolve(self, executor: Optional[ProcessPoolExecutor],
-                 payload: Dict[str, Any], future: "Future[Dict[str, Any]]",
-                 shutdowns: int, running: "Future[Dict[str, Any]]") -> None:
+                 payload: Dict[str, Any], shutdowns: int,
+                 future: "Future[Dict[str, Any]]",
+                 running: "Future[Dict[str, Any]]") -> None:
         try:
             outcome = running.result()
         except Exception as exc:  # a dead worker, a teardown, a raising submit
@@ -475,25 +487,26 @@ class WorkerPool:
                     self._isolator = self._isolator or ThreadPoolExecutor(1)
                     # Off this thread: it may be the broken executor's own.
                     self._isolator.submit(
-                        self._isolate, payload, future, shutdowns, exc)
+                        self._isolate, payload, shutdowns, future, exc)
                     return
-            self._isolate(payload, future, shutdowns, exc)
+            self._isolate(payload, shutdowns, future, exc)
             return
         _fold_telemetry(outcome)
-        future.set_result(outcome)
+        self._retry_failed(payload, shutdowns, future,
+                           outcome.get("batch", [outcome]))
 
-    def _isolate(self, payload: Dict[str, Any],
-                 future: "Future[Dict[str, Any]]", shutdowns: int,
+    def _isolate(self, payload: Dict[str, Any], shutdowns: int,
+                 future: "Future[Dict[str, Any]]",
                  exc: BaseException) -> None:
-        """Resolve ``future`` by re-running each member of ``payload`` alone.
+        """Re-run each member of ``payload`` alone, then retry its failures.
 
         Each member runs on a fresh single-worker executor (inline for an
         inline pool), keeping its ``attempt``, with ``resume=True``: a
         collateral run continues from its last snapshot, bit-identical, and
         a death there is the member's own, an ordinary failure.  A payload
-        the owner's own :meth:`shutdown` cut off is not re-run: it resolves
-        to one ``failure`` marked ``"pool_broken": True`` (a coalesced one
-        too), and the owner decides what it becomes.
+        the owner's own :meth:`shutdown` cut off is neither re-run nor
+        retried: it resolves to one ``failure`` marked ``"pool_broken":
+        True`` (a coalesced one too), and the owner decides what it becomes.
         """
         if shutdowns != self._shutdowns:
             future.set_result(
@@ -515,8 +528,33 @@ class WorkerPool:
                     outcome = _failure_outcome(member, death)
             _fold_telemetry(outcome)
             outcomes.append(outcome)
-        future.set_result({"index": int(payload["index"]), "batch": outcomes}
-                          if "batch" in payload else outcomes[0])
+        self._retry_failed(payload, shutdowns, future, outcomes)
+
+    def _retry_failed(self, payload: Dict[str, Any], shutdowns: int,
+                      future: "Future[Dict[str, Any]]",
+                      results: List[Dict[str, Any]], start: int = 0) -> None:
+        """Resolve ``future`` with ``results`` once each failed member with
+        attempts left was resubmitted alone through :meth:`_dispatch` (so a
+        crash-looping run is isolated once per attempt), with ``attempt + 1``
+        and ``resume=True``; one at a time, so a coalesced payload keeps to
+        the one worker slot its owner counts."""
+        members = payload.get("batch", [payload])
+        for i in range(start, len(members)):
+            attempt = int(members[i].get("attempt", 1))
+            if "failure" not in results[i] or attempt > self.max_retries:
+                continue
+            try:
+                faults.point(FAULT_RETRY_PRE_REQUEUE)
+            except faults.InjectedFault:
+                continue
+            retry = {**members[i], "resume": True, "attempt": attempt + 1}
+            self._dispatch(retry, shutdowns).add_done_callback(
+                lambda retried, i=i: self._retry_failed(
+                    payload, shutdowns, future,
+                    results[:i] + [retried.result()] + results[i + 1:], i + 1))
+            return
+        future.set_result({"index": int(payload["index"]), "batch": results}
+                          if "batch" in payload else results[0])
 
     def shutdown(self, wait: bool = True) -> None:
         """Tear the workers down; the pool may be restarted by a later submit."""
@@ -558,10 +596,9 @@ class ExecutionService:
         Snapshot cadence in steps, overriding each spec's
         ``runtime.checkpoint_every`` when given.
     max_retries:
-        How many times a failed run is re-queued (with ``resume=True``)
-        before its slot becomes a :class:`RunFailure`.  Only a run's own
-        failures count: the pool re-runs the collateral of a neighbour's
-        worker death alone before it answers (see :class:`WorkerPool`).
+        How many times the pool retries a failed run (alone, with
+        ``resume=True``) before its slot becomes a :class:`RunFailure`.
+        Only a run's own failures count (see :class:`WorkerPool`).
     keep:
         Per-run snapshot retention forwarded to :class:`RunStore`
         (0 keeps every snapshot).
@@ -584,32 +621,18 @@ class ExecutionService:
                  retention=None) -> None:
         if workers is None:
             workers = os.cpu_count() or 1
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
         if checkpoint_every is not None and int(checkpoint_every) < 1:
             raise ValueError("checkpoint_every must be >= 1 (or None)")
-        #: The persistent pool submissions execute on (it starts lazily).
-        self.pool = WorkerPool(workers)
+        #: The persistent pool runs execute and retry on (it starts lazily).
+        self.pool = WorkerPool(workers, max_retries=max_retries)
         self.workers = self.pool.workers
         self.checkpoint_dir = str(checkpoint_dir) if checkpoint_dir else None
         self.checkpoint_every = (
             int(checkpoint_every) if checkpoint_every is not None else None
         )
-        self.max_retries = int(max_retries)
         self.keep = int(keep)
-        # Normalised to the round-trippable spec string so payloads stay
-        # JSON-able across process (and daemon-journal) boundaries; also
-        # validates the spec before any worker ever sees it.
-        try:
-            self.retention = describe_retention(
-                parse_retention(retention)
-            ) or None
-        except ValueError as exc:
-            raise ValueError(
-                "executor retention must be expressible as a spec string "
-                "(keep=/every=/max-age=/max-bytes= terms) because it is "
-                f"shipped to worker processes as JSON: {exc}"
-            ) from exc
+        # Validated before any worker ever sees it.
+        self.retention = portable_retention(retention)
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -623,17 +646,6 @@ class ExecutionService:
         self.close()
 
     # ------------------------------------------------------------------
-    def _payload(self, index: int, spec: ScenarioSpec, run_id: str,
-                 resume: bool, attempt: int) -> Dict[str, Any]:
-        return worker_payload(
-            index, spec.to_dict(), run_id,
-            checkpoint_dir=self.checkpoint_dir,
-            checkpoint_every=self.checkpoint_every,
-            keep=self.keep, retention=self.retention,
-            resume=resume, attempt=attempt,
-        )
-
-    # ------------------------------------------------------------------
     def run(self, specs: Sequence[ScenarioSpec],
             run_ids: Optional[Sequence[str]] = None,
             resume: bool = False) -> List[BatchOutcome]:
@@ -643,7 +655,6 @@ class ExecutionService:
         the stable ``run-<index>``); pass the same ids across invocations to
         resume a previous batch with ``resume=True``.
         """
-        specs = [spec.copy() for spec in specs]
         if run_ids is None:
             run_ids = [f"run-{i:04d}" for i in range(len(specs))]
         run_ids = [str(run_id) for run_id in run_ids]
@@ -655,38 +666,17 @@ class ExecutionService:
             )
             raise ValueError(f"duplicate run_ids: {duplicated}")
 
-        slots: List[Optional[BatchOutcome]] = [None] * len(specs)
-        pending = [
-            self._payload(i, spec, run_ids[i], resume=resume, attempt=1)
-            for i, spec in enumerate(specs)
+        futures = [
+            self.pool.submit(worker_payload(
+                i, spec.to_dict(), run_id,
+                checkpoint_dir=self.checkpoint_dir,
+                checkpoint_every=self.checkpoint_every,
+                keep=self.keep, retention=self.retention,
+                resume=resume, attempt=1,
+            ))
+            for i, (spec, run_id) in enumerate(zip(specs, run_ids))
         ]
-        while pending:
-            retry: List[Dict[str, Any]] = []
-            futures = [self.pool.submit(payload) for payload in pending]
-            for payload, future in zip(pending, futures):
-                index, attempt = int(payload["index"]), int(payload["attempt"])
-                outcome = future.result()
-                if "ok" in outcome:
-                    slots[index] = RunResult.from_dict(outcome["ok"])
-                    continue
-                if attempt <= self.max_retries:
-                    # Retry with resume: with checkpointing enabled the rerun
-                    # continues from the last stored snapshot.  An injected
-                    # fault here abandons the retry: the slot keeps its typed
-                    # failure with the attempts it was actually charged —
-                    # run() still never raises.
-                    try:
-                        faults.point(FAULT_RETRY_PRE_REQUEUE)
-                    except faults.InjectedFault:
-                        pass
-                    else:
-                        retry.append(self._payload(
-                            index, specs[index], run_ids[index],
-                            resume=True, attempt=attempt + 1))
-                        continue
-                # The failure carries its payload's attempt: the attempts
-                # this run was charged.
-                slots[index] = RunFailure.from_dict(outcome["failure"])
-            pending = retry
-        assert all(slot is not None for slot in slots)
-        return slots  # type: ignore[return-value]
+        # A failure carries the attempts its run was charged.
+        return [RunResult.from_dict(outcome["ok"]) if "ok" in outcome
+                else RunFailure.from_dict(outcome["failure"])
+                for outcome in (future.result() for future in futures)]

@@ -39,7 +39,6 @@ client lives in :mod:`repro.api.client`; the CLI front ends are
 
 from __future__ import annotations
 
-import json
 import os
 import socket
 import threading
@@ -72,10 +71,10 @@ from repro.store.errors import StoreLockTimeout
 from repro.store.locks import RunLock, owner_alive
 from repro.store.manifest import read_lease
 from repro.store.retention import (
-    CompositePolicy, KeepEvery, RetentionPolicy, StoredItem,
-    describe_retention, parse_retention,
+    CompositePolicy, KeepEvery, RetentionPolicy, StoredItem, parse_retention,
+    portable_retention,
 )
-from repro.store.util import exclusive_create_json
+from repro.store.util import exclusive_create_json, read_json_object
 
 FAULT_JOURNAL_PRE_WRITE = faults.register(
     "server.journal.pre_write",
@@ -96,11 +95,6 @@ FAULT_RESULT_POST_PERSIST = faults.register(
     "server.result.post_persist",
     "after the result file is durable, before the journal entry is "
     "removed (a dead journal entry recovery must drop, not re-run)",
-)
-FAULT_SERVE_RETRY_PRE_REQUEUE = faults.register(
-    "server.retry.pre_requeue",
-    "before a failed run is requeued for its resume-retry (a crash here "
-    "must leave the run journalled for the next daemon)",
 )
 
 #: Default TCP port (ascii "sc" — the paper's venue — is taken; this is free).
@@ -143,6 +137,8 @@ class RunRecord:
     spec: Dict[str, Any]
     checkpoint_every: Optional[int] = None
     status: str = "queued"
+    #: Attempts charged so far, read from the settled outcome (the pool
+    #: retries inside one dispatch, so a running run still reads 0).
     attempts: int = 0
     resume: bool = False
     recovered: bool = False
@@ -203,8 +199,9 @@ class ScenarioServer:
         (``None`` falls back to each spec's ``runtime.checkpoint_every``).
     max_retries:
         Per-run retry budget (resume-from-snapshot) after an in-run exception
-        or a worker death that the pool pins on the run itself (see
-        :class:`~repro.api.executor.WorkerPool`).
+        or a worker death that the pool pins on the run itself.  The pool
+        retries (see :class:`~repro.api.executor.WorkerPool`): a retried run
+        stays ``running`` and is not queued again.
     keep:
         Snapshot retention per run forwarded to the checkpoint store.
     retention:
@@ -253,8 +250,6 @@ class ScenarioServer:
                  backend: str = "process") -> None:
         if queue_size < 1:
             raise ValueError("queue_size must be >= 1")
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
         if checkpoint_every is not None and int(checkpoint_every) < 1:
             raise ValueError("checkpoint_every must be >= 1 (or None)")
         if int(batch_max) < 1:
@@ -268,16 +263,8 @@ class ScenarioServer:
         self.checkpoint_every = (
             int(checkpoint_every) if checkpoint_every is not None else None
         )
-        self.max_retries = int(max_retries)
         self.retention = parse_retention(retention)
-        try:
-            self.retention_spec = describe_retention(self.retention) or None
-        except ValueError as exc:
-            raise ValueError(
-                "daemon retention must be expressible as a spec string "
-                "(keep=/every=/max-age=/max-bytes= terms) because it is "
-                f"shipped to worker processes as JSON: {exc}"
-            ) from exc
+        self.retention_spec = portable_retention(self.retention)
         self.owner = str(owner) if owner is not None \
             else f"serve:{socket.gethostname()}:{os.getpid()}"
         self.lease_ttl = float(lease_ttl)
@@ -295,7 +282,7 @@ class ScenarioServer:
             self.root / "checkpoints", keep=keep, retention=self.retention
         )
         self.batch_max = int(batch_max)
-        self.pool = WorkerPool(workers)
+        self.pool = WorkerPool(workers, max_retries=max_retries)
         self.started_at = time.time()
         #: EWMA of finished-run wall time, the basis of Retry-After hints.
         self._avg_run_s: Optional[float] = None
@@ -364,14 +351,6 @@ class ScenarioServer:
             return False
         faults.point(FAULT_JOURNAL_POST_WRITE)
         return True
-
-    def _read_journal(self, run_id: str) -> Optional[Dict[str, Any]]:
-        try:
-            with open(self._journal_path(run_id), "r", encoding="utf-8") as handle:
-                entry = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            return None
-        return entry if isinstance(entry, dict) else None
 
     def _foreign_owner_alive(self, entry: Dict[str, Any], run_id: str) -> bool:
         """Best evidence on whether a foreign journal entry's owner is alive.
@@ -706,7 +685,7 @@ class ScenarioServer:
                     self._seq += 1
                     self._records[record.run_id] = record
                 continue
-            entry = self._read_journal(record.run_id)
+            entry = read_json_object(self._journal_path(record.run_id))
             if entry is None:
                 continue  # the competing entry just vanished: claim again
             owner = entry.get("owner")
@@ -786,7 +765,7 @@ class ScenarioServer:
             with self._wake:
                 if run_id in self._records:
                     continue
-            entry = self._read_journal(run_id)
+            entry = read_json_object(self._journal_path(run_id))
             if entry is None or entry.get("run_id") != run_id:
                 continue  # a half-written journal entry was never acked
             if self._result_path(run_id).exists():
@@ -824,7 +803,7 @@ class ScenarioServer:
             raise FleetClaimLost(run_id, "claim lock is contended") from None
         try:
             faults.point(FAULT_STEAL_PRE_CLAIM)
-            current = self._read_journal(run_id)
+            current = read_json_object(self._journal_path(run_id))
             if current is None:
                 raise FleetClaimLost(run_id, "journal entry vanished")
             if current.get("owner") != previous_owner:
@@ -938,7 +917,7 @@ class ScenarioServer:
             checkpoint_dir=str(self.store.root),
             checkpoint_every=record.checkpoint_every,
             keep=self.store.keep, retention=self.retention_spec,
-            resume=record.resume, attempt=record.attempts,
+            resume=record.resume, attempt=record.attempts + 1,
             owner=self.owner, owner_pid=os.getpid(),
             lease_ttl=self.lease_ttl,
             fault_plan=record.faults, trace=record.trace,
@@ -1011,7 +990,6 @@ class ScenarioServer:
                 for record in members:
                     record.status = "running"
                     record.started_at = time.time()
-                    record.attempts += 1
                     payloads.append(self._payload(record))
                     self._inflight.add(record.run_id)
                 if len(payloads) == 1:
@@ -1022,16 +1000,17 @@ class ScenarioServer:
                 self._inflight_groups += 1
             # Queue-wait observability, outside the lock (span writes are
             # I/O): ack-to-dispatch latency per member.
-            for record in members:
+            for record, member in zip(members, payloads):
                 wait = max(0.0, record.started_at - record.submitted_at)
                 telemetry.observe("repro_serve_queue_wait_seconds", wait,
                                   "submission ack to pool dispatch")
                 self._write_run_span(record, "serve.queue",
                                      ts=record.submitted_at, dur=wait,
-                                     attrs={"attempt": record.attempts})
+                                     attrs={"attempt": member["attempt"]})
             # Submit outside the lock: the inline pool executes synchronously.
-            # The future never raises: the pool settles a worker death itself
-            # (see WorkerPool), so every outcome is the run's own.
+            # The future never raises, and it resolves once each run is ok or
+            # out of attempts: the pool settles worker deaths and retries
+            # itself (see WorkerPool), so every outcome is the run's own.
             was_warm = self.pool.started
             future = self.pool.submit(payload)
             with self._wake:
@@ -1062,16 +1041,26 @@ class ScenarioServer:
         # The run is neither queued nor in flight now, so the record is ours;
         # result/failure files are written OUTSIDE the lock (they can be MBs
         # of observable series — health/status polls must not block on them).
+        # The pool has already retried the run: the outcome is final, and it
+        # carries the attempts the run was charged.
         if outcome.get("pool_broken"):
             # This daemon's own stop cut the run off before it could answer:
-            # it is not charged, and the retry below requeues it, journalled
-            # for the next daemon on this root.
-            record.attempts -= 1
+            # that attempt is not charged, and the run stays journalled,
+            # requeued at the front, for the next daemon on this root.
+            with self._wake:
+                record.status = "queued"
+                record.resume = True
+                record.attempts = int(outcome["failure"]["attempts"]) - 1
+                record.error = str(outcome["failure"].get("error", ""))
+                self._queue.appendleft(record.run_id)
+                self._wake.notify_all()
+            return
+        record.finished_at = time.time()
         if "ok" in outcome:
             executor_meta = outcome["ok"].get("metadata", {}).get(
                 "executor", {}
             )
-            record.finished_at = time.time()
+            record.attempts = int(executor_meta.get("attempt", 1))
             self._persist_outcome(record, {"ok": outcome["ok"]})
             self._observe_settled(record, "done")
             with self._wake:
@@ -1083,35 +1072,9 @@ class ScenarioServer:
                 )
                 self._observe_run_time(record)
                 self._wake.notify_all()
-        elif record.attempts <= self.max_retries:
-            try:
-                faults.point(FAULT_SERVE_RETRY_PRE_REQUEUE)
-            except faults.InjectedFault as exc:
-                # An injected requeue fault abandons the retry: the run fails
-                # typed, with its attempts charged — _on_done never raises
-                # into the future's callback machinery.
-                record.finished_at = time.time()
-                failure = dict(outcome["failure"])
-                failure["error"] = f"{type(exc).__name__}: {exc}"
-                failure["attempts"] = record.attempts
-                self._persist_outcome(record, {"failure": failure})
-                with self._wake:
-                    record.status = "failed"
-                    record.error = str(failure["error"])
-                    self._wake.notify_all()
-                return
-            with self._wake:
-                # Retry from the last snapshot: requeue at the *front* so an
-                # interrupted run keeps its place in line.
-                record.status = "queued"
-                record.resume = True
-                record.error = str(outcome["failure"].get("error", ""))
-                self._queue.appendleft(record.run_id)
-                self._wake.notify_all()
         else:
-            record.finished_at = time.time()
-            failure = dict(outcome["failure"])
-            failure["attempts"] = record.attempts
+            failure = outcome["failure"]
+            record.attempts = int(failure["attempts"])
             self._persist_outcome(record, {"failure": failure})
             self._observe_settled(record, "failed")
             with self._wake:
@@ -1186,11 +1149,7 @@ class ScenarioServer:
             validate_key(run_id, "run_id")  # never read outside results/
         except ValueError:
             return None
-        try:
-            with open(self._result_path(run_id), "r", encoding="utf-8") as handle:
-                return json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            return None
+        return read_json_object(self._result_path(run_id))
 
     def result(self, run_id: str) -> Dict[str, Any]:
         record = self.status(run_id)
@@ -1311,7 +1270,7 @@ class ScenarioServer:
                 scenario = summary.get("scenario") \
                     or (outcome.get("spec") or {}).get("name")
             else:
-                entry = self._read_journal(run_id)
+                entry = read_json_object(self._journal_path(run_id))
                 if entry is not None:
                     scenario = (entry.get("spec") or {}).get("name")
         if not scenario:

@@ -47,7 +47,6 @@ __all__ = [
     "InjectedFault",
     "active_plan",
     "configure",
-    "describe_plan",
     "parse_plan",
     "point",
     "points",
@@ -161,17 +160,6 @@ def parse_plan(spec: Union[str, Dict[str, str], None]) -> Plan:
             )
         plan[name] = (action, nth)
     return plan
-
-
-def describe_plan() -> Dict[str, str]:
-    """The currently armed plan as a round-trippable name->``action@N`` dict."""
-    with _lock:
-        return {
-            name: f"{action}@{remaining}"
-            for name, (action, remaining) in (
-                (n, (a[0], a[1])) for n, a in _armed.items()
-            )
-        }
 
 
 def configure(spec: Union[str, Dict[str, str], None]) -> None:

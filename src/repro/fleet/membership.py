@@ -23,7 +23,6 @@ string), so there is nothing to contend on.
 
 from __future__ import annotations
 
-import json
 import re
 import time
 from pathlib import Path
@@ -31,7 +30,7 @@ from typing import Any, Dict, List, Optional
 
 from repro import faults
 from repro.store.locks import owner_alive
-from repro.store.util import atomic_write_json
+from repro.store.util import atomic_write_json, read_json_object
 
 FAULT_MEMBER_PRE_JOIN = faults.register(
     "fleet.member.pre_join",
@@ -107,14 +106,6 @@ class FleetRegistry:
     # ------------------------------------------------------------------
     # Read side (the router, peers, the CLI)
     # ------------------------------------------------------------------
-    def _read(self, path: Path) -> Optional[Dict[str, Any]]:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                record = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            return None
-        return record if isinstance(record, dict) else None
-
     def member_stale(self, record: Dict[str, Any],
                      mtime: Optional[float] = None,
                      now: Optional[float] = None) -> bool:
@@ -159,7 +150,7 @@ class FleetRegistry:
         for path in sorted(self.members_dir.glob("*.json")):
             if path.name.startswith("."):
                 continue  # an atomic-write temp file caught mid-heartbeat
-            record = self._read(path)
+            record = read_json_object(path)
             if record is None:
                 continue
             try:
@@ -187,7 +178,7 @@ class FleetRegistry:
         for path in self.members_dir.glob("*.json"):
             if path.name.startswith("."):
                 continue
-            record = self._read(path)
+            record = read_json_object(path)
             if record is None:
                 continue
             try:

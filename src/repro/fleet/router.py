@@ -30,7 +30,6 @@ nothing is lost.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from pathlib import Path
@@ -44,6 +43,7 @@ from repro.api.wire import (
 )
 from repro.api.server import DEFAULT_PORT
 from repro.fleet.membership import DEFAULT_MEMBER_TTL_S, FleetRegistry
+from repro.store.util import read_json_object
 
 FAULT_ROUTER_PRE_PROXY = faults.register(
     "fleet.router.pre_proxy",
@@ -303,8 +303,8 @@ class FleetRouter:
                           ) -> Optional[Dict[str, Any]]:
         """Turn a 409 into a duplicate ack when the shared store proves the
         conflicting run IS this submission; None leaves the 409 standing."""
-        entry = self._read_json(self.root / "queue" / f"{run_id}.json")
-        outcome = self._read_json(self.root / "results" / f"{run_id}.json")
+        entry = read_json_object(self.root / "queue" / f"{run_id}.json")
+        outcome = read_json_object(self.root / "results" / f"{run_id}.json")
         journalled = entry is not None and entry.get("spec") == spec
         finished = outcome is not None and outcome.get("spec") == spec
         if not (journalled or finished):
@@ -313,15 +313,6 @@ class FleetRouter:
         record["position"] = None
         record["deduplicated"] = True
         return record
-
-    @staticmethod
-    def _read_json(path: Path) -> Optional[Dict[str, Any]]:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            return None
-        return payload if isinstance(payload, dict) else None
 
     # ------------------------------------------------------------------
     # Run routing: status / result / events
@@ -374,10 +365,10 @@ class FleetRouter:
         # Shared-store fallbacks: the run may be finished (result persisted
         # by a daemon that since died) or orphaned in the journal awaiting
         # adoption by a stealing member.
-        outcome = self._read_json(self.root / "results" / f"{run_id}.json")
+        outcome = read_json_object(self.root / "results" / f"{run_id}.json")
         if outcome is not None:
             return recovered_record(run_id, outcome)
-        entry = self._read_json(self.root / "queue" / f"{run_id}.json")
+        entry = read_json_object(self.root / "queue" / f"{run_id}.json")
         if entry is not None:
             return {
                 "run_id": run_id,
@@ -400,7 +391,7 @@ class FleetRouter:
     def result(self, run_id: str) -> Dict[str, Any]:
         # The shared store is authoritative for finished runs — no proxy
         # needed, and it keeps working when the finishing daemon is gone.
-        outcome = self._read_json(self.root / "results" / f"{run_id}.json")
+        outcome = read_json_object(self.root / "results" / f"{run_id}.json")
         if outcome is not None:
             return outcome
         record = self.status(run_id)  # 404s unknown ids
@@ -421,7 +412,7 @@ class FleetRouter:
         while True:
             located = self._locate(run_id)
             if located is None:
-                outcome = self._read_json(
+                outcome = read_json_object(
                     self.root / "results" / f"{run_id}.json"
                 )
                 if outcome is not None:

@@ -228,3 +228,18 @@ def describe_retention(policy: Optional[RetentionPolicy]) -> str:
     if isinstance(policy, MaxBytes):
         return f"max-bytes={policy.limit}"
     raise ValueError(f"cannot describe retention policy {policy!r}")
+
+
+def portable_retention(retention: RetentionLike) -> Optional[str]:
+    """``retention`` normalised to its round-trippable spec string (None
+    for no policy): the form worker payloads carry it in as JSON.  Raises
+    ``ValueError`` for a spec that does not parse or a policy that has no
+    spec string."""
+    try:
+        return describe_retention(parse_retention(retention)) or None
+    except ValueError as exc:
+        raise ValueError(
+            "retention must be expressible as a spec string "
+            "(keep=/every=/max-age=/max-bytes= terms) because it is "
+            f"shipped to worker processes as JSON: {exc}"
+        ) from exc

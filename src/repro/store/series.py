@@ -325,16 +325,6 @@ class SeriesLog:
         return times, records
 
     # -- destructive maintenance ---------------------------------------
-    def reset(self) -> None:
-        """Delete every segment; the log is empty afterwards."""
-        for entry in self.state["segments"]:
-            try:
-                self._segment_path(entry).unlink()
-            except OSError:
-                pass
-        self.state.clear()
-        self.state.update(new_series_state())
-
     def compact(self) -> List[Path]:
         """Merge all segments into freshly named segment file(s).
 

@@ -14,7 +14,7 @@ import os
 import re
 import tempfile
 from pathlib import Path
-from typing import Any
+from typing import Any, Dict, Optional
 
 _BAD_KEY = re.compile(r"[^A-Za-z0-9._-]")
 
@@ -73,6 +73,17 @@ def atomic_write_json(path, payload: Any, pre_rename=None) -> Path:
         path, json.dumps(payload).encode("utf-8"), suffix=".json",
         pre_rename=pre_rename,
     )
+
+
+def read_json_object(path) -> Optional[Dict[str, Any]]:
+    """The JSON object stored at ``path``, or None when the file is missing,
+    unreadable, not JSON, or holds something other than an object."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except (OSError, ValueError):
+        return None
+    return payload if isinstance(payload, dict) else None
 
 
 def exclusive_create_json(path, payload: Any) -> bool:

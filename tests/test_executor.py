@@ -19,6 +19,7 @@ from repro.api import (
     default_registry,
     run_scenario,
 )
+from repro.api import executor
 from repro.api.adapters import MaxwellEngine
 from repro.api.executor import worker_payload
 from repro.perf import KernelWorkspace
@@ -262,6 +263,76 @@ class TestWorkerPoolBoundary:
         assert outcome["failure"]["attempts"] == 1
         assert isolated_runs() == 0
         assert pool.generations == 1
+
+
+# ----------------------------------------------------------------------
+# WorkerPool retries: a failed member is resubmitted alone, resumed
+# ----------------------------------------------------------------------
+@pytest.fixture()
+def dispatched(monkeypatch):
+    """Every payload the inline pool executes, in order."""
+    seen = []
+    run = executor.execute_payload
+    monkeypatch.setattr(executor, "execute_payload",
+                        lambda payload: seen.append(payload) or run(payload))
+    return seen
+
+
+@pytest.mark.usefixtures("live_telemetry")
+class TestWorkerPoolRetries:
+    def test_a_failed_coalesced_member_is_retried_alone(
+            self, tmp_path, monkeypatch, dispatched):
+        steady = smoke_spec("maxwell-vacuum", num_steps=6)
+        flaky = steady.with_overrides({"name": "flaky"})
+        expected = [run_scenario(spec, workspace=KernelWorkspace())
+                    for spec in (steady, flaky)]
+        # Member 2 raises once, past its step-2 snapshot.
+        original, crashed = MaxwellEngine._advance, []
+
+        def fail_flaky_once(self, num_steps):
+            if (self.spec.name == "flaky" and not crashed
+                    and self._step + num_steps >= 4):
+                crashed.append(self._step)
+                raise RuntimeError("injected crash")
+            original(self, num_steps)
+
+        monkeypatch.setattr(MaxwellEngine, "_advance", fail_flaky_once)
+        members = [
+            worker_payload(i, spec.to_dict(), f"run-{i}",
+                           checkpoint_dir=str(tmp_path), checkpoint_every=2,
+                           keep=0, retention=None, resume=False, attempt=1)
+            for i, spec in enumerate((steady, flaky), start=1)
+        ]
+        with WorkerPool(0, max_retries=1) as pool:
+            outcome = pool.submit({"index": 1, "batch": members}).result()
+        first, second = (RunResult.from_dict(member["ok"])
+                         for member in outcome["batch"])
+        assert outcome["index"] == 1
+        assert first.metadata["executor"]["attempt"] == 1
+        assert first.metadata["executor"]["resumed_from_step"] is None
+        assert_results_bit_identical(expected[0], first)
+        assert second.metadata["executor"]["attempt"] == 2
+        assert second.metadata["executor"]["resumed_from_step"] == 2
+        assert_results_bit_identical(expected[1], second)
+        # Only member 2 went back, alone, as its own payload.
+        assert len(dispatched) == 2
+        assert dispatched[1] == {**members[1], "attempt": 2, "resume": True}
+        assert isolated_runs() == 0
+
+    def test_a_retry_after_shutdown_is_cut_off_not_run(self, monkeypatch,
+                                                       dispatched):
+        pool = WorkerPool(0, max_retries=3)
+
+        def fail_and_shut_down(self, num_steps):
+            pool.shutdown()
+            raise RuntimeError("injected crash")
+
+        monkeypatch.setattr(MaxwellEngine, "_advance", fail_and_shut_down)
+        outcome = pool.submit(pool_payload(4)).result()
+        # The retry (attempt 2) never ran: the owner gets it back uncharged.
+        assert outcome["pool_broken"] is True
+        assert outcome["failure"]["attempts"] == 2
+        assert len(dispatched) == 1
 
 
 # ----------------------------------------------------------------------

@@ -32,9 +32,8 @@ from repro import faults, telemetry
 from repro.api import (
     BatchRunner, ScenarioServer, ServeClient, ServeError,
 )
-from repro.api.executor import ExecutionService
+from repro.api.executor import FAULT_RETRY_PRE_REQUEUE, ExecutionService
 from repro.api.result import RunFailure, RunResult
-from repro.api.server import FAULT_SERVE_RETRY_PRE_REQUEUE
 from repro.store import RunStore
 import repro.fleet.membership  # noqa: F401 - registers the fleet fault points
 import repro.fleet.router  # noqa: F401 - registers the router fault point
@@ -64,9 +63,8 @@ DRIVERS = {
     "server.journal.post_write": "TestServerCrashMatrix",
     "server.result.pre_persist": "TestServerCrashMatrix",
     "server.result.post_persist": "TestServerCrashMatrix",
-    "server.retry.pre_requeue": "TestServerRetryFault",
     "executor.worker.pre_run": "TestExecutorFaults",
-    "executor.retry.pre_requeue": "TestExecutorFaults",
+    "executor.retry.pre_requeue": "TestExecutorFaults, TestServerRetryFault",
     "executor.spawn.pre_submit": "TestExecutorFaults",
     # Fleet drivers live in test_fleet.py (same chaos marker, same CI job).
     "fleet.member.pre_join": "TestFleetFaults",
@@ -312,16 +310,19 @@ class TestServerRetryFault:
                                 max_retries=2)
         daemon.start()
         try:
-            faults.configure(f"{FAULT_SERVE_RETRY_PRE_REQUEUE}=raise")
+            # Armed in the daemon process, where its pool decides retries.
+            faults.configure(f"{FAULT_RETRY_PRE_REQUEUE}=raise")
             client = ServeClient(port=daemon.port, timeout=60.0)
             # The submission's own fault plan makes attempt 1 fail in the
-            # worker; the daemon-side requeue fault then abandons the retry.
+            # worker; the pool's requeue fault then abandons the retry.
             client.submit("maxwell-vacuum", overrides=OVERRIDES,
                           run_id="doomed",
                           faults="executor.worker.pre_run=raise")
             outcome = client.wait("doomed", timeout=120)
             assert isinstance(outcome, RunFailure)
             assert "injected fault" in outcome.error
+            # The run keeps its own error, not the requeue fault's.
+            assert "executor.worker.pre_run" in outcome.error
             record = client.status("doomed")
             assert record["status"] == "failed"
             assert record["attempts"] == 1  # charged, not retried

@@ -804,11 +804,8 @@ class TestFleetFaults:
         proc = _spawn_fleet_daemon(root, 0,
                                    plan="fleet.member.pre_join=crash")
         try:
-            deadline = time.monotonic() + 60
-            while proc.poll() is None and time.monotonic() < deadline:
-                time.sleep(0.05)
-            assert proc.poll() is not None, "daemon survived its crash plan"
-            assert proc.returncode == faults.CRASH_EXIT_CODE
+            # Times out (fails) if the daemon survived its crash plan.
+            assert proc.wait(timeout=60) == faults.CRASH_EXIT_CODE
         finally:
             _kill_group(proc)
         # The crash hit before the record write: never discoverable.
@@ -836,11 +833,8 @@ class TestFleetFaults:
             _await_port(doomed)  # startup replay is over; now the orphan
             atomic_write_json(root / "queue" / "orphan.json",
                               _orphan_entry("orphan", spec))
-            deadline = time.monotonic() + 60
-            while doomed.poll() is None and time.monotonic() < deadline:
-                time.sleep(0.05)
-            assert doomed.poll() is not None, "daemon never hit the point"
-            assert doomed.returncode == faults.CRASH_EXIT_CODE
+            # Times out (fails) if the daemon never hit the point.
+            assert doomed.wait(timeout=60) == faults.CRASH_EXIT_CODE
         finally:
             _kill_group(doomed)
         # The claim never landed: the entry still names the dead owner, so
