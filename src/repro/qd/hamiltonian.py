@@ -171,6 +171,12 @@ class LocalHamiltonian:
     # ------------------------------------------------------------------
     # Operator application
     # ------------------------------------------------------------------
+    def kinetic_matrices(self) -> tuple:
+        """The three per-axis ``(n_i, n_i)`` field-free kinetic matrices
+        ``p_i^2/2`` (complex, read-only) that :meth:`apply_kinetic` applies
+        along x, y and z."""
+        return tuple(basis.kinetic for basis in self._axes)
+
     def apply_kinetic(self, psi: np.ndarray,
                       vector_potential: Optional[np.ndarray] = None) -> np.ndarray:
         """(1/2)(p + A/c)^2 psi for a stacked orbital array.
@@ -184,7 +190,7 @@ class LocalHamiltonian:
         if single:
             psi = psi[None]
         if vector_potential is None:
-            matrices = [basis.kinetic for basis in self._axes]
+            matrices = self.kinetic_matrices()
             shift = 0.0
         else:
             a = np.asarray(vector_potential, dtype=float).reshape(3) / SPEED_OF_LIGHT_AU

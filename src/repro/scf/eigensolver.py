@@ -9,11 +9,13 @@ Two paths are provided:
   matrix is real symmetric (``k^2`` is even in ``k``); with the real local
   potential on the diagonal the whole matrix is, and it is assembled and
   diagonalised in ``float64`` — about a quarter of the cost of the same
-  ``eigh`` in ``complex128``;
+  ``eigh`` in ``complex128``.  The kinetic part is written straight from the
+  three per-axis matrices of :meth:`LocalHamiltonian.kinetic_matrices`;
 * a matrix-free path using scipy's LOBPCG on a ``LinearOperator`` built from
   :meth:`LocalHamiltonian.apply` — the form that scales to the larger grids of
   the benchmark runs (this is the per-domain "locally dense" solve of the
   GSLF/GSLD decomposition; the global problem never needs diagonalising).
+  ``scipy.sparse`` is imported only when this path runs.
 
 Orbitals are returned as ``complex128`` on either path, with a deterministic
 sign (see :func:`lowest_eigenstates`).
@@ -26,16 +28,16 @@ from typing import Dict, Tuple
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse.linalg import LinearOperator, lobpcg
 
 from repro.qd.hamiltonian import LocalHamiltonian
+from repro.telemetry import metrics as _telemetry
 
 # Cache of dense real kinetic matrices keyed by the grid geometry.  Inside an
 # SCF loop only the local potential changes between iterations, so rebuilding
-# the (expensive, column-by-column synthesised) kinetic matrix every iteration would
-# dominate the cost of small-cell ground-state solves.  Entries are shared
-# by every thread that solves in this process (inline daemons, concurrent
-# ``BatchRunner`` callers) and never written after insertion.
+# the kinetic matrix (an (n, n) assembly and a symmetrised copy) every
+# iteration would be wasted work.  Entries are shared by every thread that
+# solves in this process (inline daemons, concurrent ``BatchRunner``
+# callers) and never written after insertion.
 # Reads are lock-free; insert and evict hold the lock, because evicting
 # iterates the dict and another thread's insert would resize it mid-iteration.
 _KINETIC_CACHE: Dict[tuple, np.ndarray] = {}
@@ -49,14 +51,24 @@ def _dense_kinetic(hamiltonian: LocalHamiltonian) -> np.ndarray:
     kinetic = _KINETIC_CACHE.get(key)
     if kinetic is None:
         n = grid.num_points
-        # The spectral matrices leave a round-off (1e-16) imaginary part on a
-        # matrix that is real analytically; keep the real part, symmetrised
-        # once here.
-        columns = hamiltonian.apply_kinetic(
-            np.eye(n).reshape(n, *grid.shape)
-        ).reshape(n, n).real
-        kinetic = 0.5 * (columns + columns.T)
+        # T = K_x (x) 1 (x) 1 + 1 (x) K_y (x) 1 + 1 (x) 1 (x) K_z: each axis's
+        # matrix lands where the other two grid indices agree (an einsum
+        # with repeated indices is a writeable view of those entries).  The
+        # spectral matrices leave a round-off (1e-16) imaginary part on a
+        # matrix that is real analytically; only the real part is written,
+        # summed in apply_kinetic's order (x + y) + z so that every entry
+        # equals that operator's column bit for bit, then symmetrised once.
+        k_x, k_y, k_z = hamiltonian.kinetic_matrices()
+        matrix = np.zeros((n, n))
+        blocks = matrix.reshape(*grid.shape, *grid.shape)
+        np.einsum("ibcabc->bcia", blocks)[...] += k_x.real
+        np.einsum("ajcabc->acjb", blocks)[...] += k_y.real
+        np.einsum("abkabc->abkc", blocks)[...] += k_z.real
+        kinetic = matrix + matrix.T
+        kinetic *= 0.5
         kinetic.setflags(write=False)
+        _telemetry.incr("repro_scf_kinetic_builds_total", 1,
+                        "dense kinetic matrices assembled (cache misses)")
         with _KINETIC_LOCK:
             _KINETIC_CACHE[key] = kinetic
             if len(_KINETIC_CACHE) > 8:
@@ -136,6 +148,10 @@ def lowest_eigenstates(
             overwrite_a=True,
         )
     elif method == "lobpcg":
+        # Imported here: no registry grid is large enough to take this path,
+        # and scipy.sparse.linalg adds ~3.7 MB to every process that loads it.
+        from scipy.sparse.linalg import LinearOperator, lobpcg
+
         rng = rng if rng is not None else np.random.default_rng(7)
 
         def matvec(vec: np.ndarray) -> np.ndarray:

@@ -44,7 +44,9 @@ from repro.api import (
 )
 from repro.api.client import ServeTimeout
 from repro.api.wire import FINISHED, ServerError
-from repro.fleet import FleetRegistry, FleetRouter, member_id_for
+from repro.fleet import (
+    FleetRegistry, FleetRouter, FleetScheduler, member_id_for,
+)
 from repro.store import atomic_write_json
 
 from test_api import smoke_spec
@@ -101,6 +103,28 @@ def _dead_pid() -> int:
     proc = subprocess.Popen([sys.executable, "-c", "pass"])
     proc.wait(timeout=30)
     return proc.pid
+
+
+def _await_event(client: ServeClient, run_id: str, wanted,
+                 deadline_s: float) -> dict:
+    """Read ``run_id``'s event stream up to the first event ``wanted`` accepts.
+
+    The gate is the event itself; the deadline only turns a run that never
+    gets there (or settles first) into a failure instead of a hang.
+    """
+    deadline = time.monotonic() + deadline_s
+    stream = client.events(run_id)
+    try:
+        for event in stream:
+            if wanted(event):
+                return event
+            assert event["event"] not in FINISHED, \
+                f"{run_id} settled first: {event['event']}"
+            assert time.monotonic() < deadline, \
+                f"{run_id}: no such event within {deadline_s} s"
+    finally:
+        stream.close()
+    raise AssertionError(f"{run_id}: the event stream ended early")
 
 
 def _orphan_entry(run_id: str, spec, seq: int = 0) -> dict:
@@ -393,6 +417,8 @@ class TestWorkStealing:
                     adopted[name].extend(server.steal_once())
                     if len(adopted["a"]) + len(adopted["b"]) >= len(run_ids):
                         return
+                    # Not a wait for an event: this loop is the steal tick
+                    # under test, and the sleep is its interval.
                     time.sleep(0.01)
 
             threads = [threading.Thread(target=_race, args=("a", a)),
@@ -501,15 +527,35 @@ class TestWorkStealing:
         counters = telemetry.snapshot()["counters"]
         assert counters["repro_fleet_adoptions_total"]["value"] == 1
 
-    def test_stealing_is_opt_in(self, tmp_path):
+    def test_stealing_is_opt_in(self, tmp_path, monkeypatch):
         root = tmp_path / "shared"
-        with fleet_servers(root, count=1) as (daemon,):  # no steal_interval
+        beats = {"count": 0}
+        beat = threading.Condition()
+        genuine = FleetScheduler._heartbeat
+
+        def observed(scheduler):
+            genuine(scheduler)
+            with beat:
+                beats["count"] += 1
+                beat.notify_all()
+
+        monkeypatch.setattr(FleetScheduler, "_heartbeat", observed)
+        # No steal_interval; a 0.3 s member TTL makes the loop beat every
+        # 0.1 s.
+        with fleet_servers(root, count=1, fleet_ttl=0.3) as (daemon,):
+            with beat:
+                seen = beats["count"]
             atomic_write_json(
                 root / "queue" / "orphan.json",
                 _orphan_entry("orphan", smoke_spec("maxwell-vacuum")),
             )
-            time.sleep(0.3)
-            assert daemon._fleet is not None  # heartbeat loop still runs
+            # Two heartbeats after the orphan appeared: the loop has gone a
+            # full tick with it on disk, and a stealing loop would have
+            # taken it on that tick.
+            with beat:
+                assert beat.wait_for(lambda: beats["count"] >= seen + 2,
+                                     timeout=30), "the heartbeat loop stopped"
+            assert daemon._fleet is not None
             assert (root / "queue" / "orphan.json").exists()
             with pytest.raises(ServeError) as excinfo:
                 ServeClient(port=daemon.port, timeout=10.0).status("orphan")
@@ -703,10 +749,9 @@ class TestRouter:
                 mc = ServeClient(port=member.port, timeout=30.0, retries=0)
                 hog_id = f"hog-{index}"
                 mc.submit(hog, run_id=hog_id)
-                deadline = time.monotonic() + 30
-                while mc.status(hog_id)["status"] != "running":
-                    assert time.monotonic() < deadline
-                    time.sleep(0.02)
+                _await_event(mc, hog_id,
+                             lambda event: event.get("status") == "running",
+                             deadline_s=30)
                 mc.submit(smoke_spec("maxwell-vacuum"), run_id=f"fill-{index}")
                 hogs.append((mc, hog_id, f"fill-{index}"))
             strict = ServeClient(port=router.port, timeout=30.0, retries=0)
@@ -885,7 +930,6 @@ class TestFleetEndToEnd:
         short_spec = smoke_spec("maxwell-vacuum", num_steps=4)
         uninterrupted = BatchRunner().run([long_spec, short_spec],
                                           raise_on_error=True)
-        snapshot_dir = root / "checkpoints" / long_spec.name / "orph-long"
 
         # The survivors are LIVE before the victim's submissions exist, so
         # the orphans can only move through the work-stealing loop (the
@@ -904,15 +948,18 @@ class TestFleetEndToEnd:
                 vc = ServeClient(port=port, timeout=60.0)
                 vc.submit(long_spec, run_id="orph-long", checkpoint_every=20)
                 vc.submit(short_spec, run_id="orph-short")  # stays queued
-                deadline = time.monotonic() + 120
-                while not (snapshot_dir / "MANIFEST.json").exists():
-                    assert time.monotonic() < deadline, "no snapshot in time"
-                    time.sleep(0.02)
+                # A checkpoint event means a snapshot the manifest commits.
+                _await_event(vc, "orph-long",
+                             lambda event: event["event"] == "checkpoint",
+                             deadline_s=120)
             finally:
                 _kill_group(victim, signal.SIGKILL)
             assert (root / "queue" / "orph-long.json").exists()
             assert (root / "queue" / "orph-short.json").exists()
 
+            # No event to wait on: until a survivor's steal tick claims an
+            # orphan, neither survivor knows the run (its events() is a
+            # 404), so the shared results directory is the only signal.
             deadline = time.monotonic() + 300
             pending = {"orph-long", "orph-short"}
             while pending and time.monotonic() < deadline:
@@ -969,6 +1016,8 @@ class TestFleetEndToEnd:
             for proc in daemons:
                 _await_port(proc)
             rc = ServeClient(port=_await_port(router), timeout=60.0)
+            # No event to wait on: members join by writing membership
+            # records, and the router only reads them when asked.
             deadline = time.monotonic() + 60
             while rc.health()["members"] < 2:
                 assert time.monotonic() < deadline, "members never joined"

@@ -11,13 +11,22 @@ nothing about them.  These tests check truths that hold on any LAPACK build:
   *here* (not in ``src/``) and run a hundred times tighter;
 * the iteration count — an exact, noise-free number — stays at or below 10 and
   below the linear loop's;
-* the mixer's safeguard restarts instead of propagating a bad extrapolation.
+* the mixer's safeguard restarts instead of propagating a bad extrapolation;
+* the dense kinetic matrix equals, byte for byte, the column-by-column
+  construction it replaced (kept *here* as the oracle), in a third of that
+  construction's traced memory, and a quantum run never imports
+  ``scipy.sparse`` (only the LOBPCG path needs it);
+* the LOBPCG path agrees with the dense one.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
 import threading
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +67,18 @@ def _solver(material, grid, v_ext, **overrides):
     )
     options.update(overrides)
     return KohnShamSolver(LocalHamiltonian(grid, v_ext), **options)
+
+
+def _dense_kinetic_reference(hamiltonian):
+    """The kinetic matrix as ``_dense_kinetic`` built it before the direct
+    per-axis assembly: ``apply_kinetic`` on every column of the complex
+    identity, real part, symmetrised.  ~10x the matrix in peak memory."""
+    grid = hamiltonian.grid
+    n = grid.num_points
+    columns = hamiltonian.apply_kinetic(
+        np.eye(n).reshape(n, *grid.shape)
+    ).reshape(n, n).real
+    return 0.5 * (columns + columns.T)
 
 
 def _residual_norm(grid, a, b, n_electrons):
@@ -301,3 +322,91 @@ class TestKineticCache:
             sys.setswitchinterval(interval)
         assert not errors, errors
         assert len(eigensolver._KINETIC_CACHE) <= 8
+
+
+#: (shape, lengths): cubic grids of both parities, and a box whose three axes
+#: differ in both point count and length (a swapped axis cannot hide).
+KINETIC_GRIDS = [
+    ((8, 8, 8), (8.0, 8.0, 8.0)),
+    ((6, 6, 6), (8.0, 8.0, 8.0)),
+    ((3, 3, 3), (4.0, 4.0, 4.0)),
+    ((5, 6, 7), (5.0, 7.5, 9.1)),
+]
+
+
+class TestKineticAssembly:
+    @pytest.mark.parametrize("shape, lengths", KINETIC_GRIDS,
+                             ids=["x".join(map(str, s)) for s, _ in KINETIC_GRIDS])
+    def test_equals_the_column_by_column_reference_byte_for_byte(
+            self, monkeypatch, shape, lengths):
+        monkeypatch.setattr(eigensolver, "_KINETIC_CACHE", {})
+        hamiltonian = LocalHamiltonian(Grid3D(shape, lengths), np.zeros(shape))
+        kinetic = eigensolver._dense_kinetic(hamiltonian)
+        reference = _dense_kinetic_reference(hamiltonian)
+        assert kinetic.dtype == reference.dtype == np.float64
+        assert kinetic.shape == reference.shape
+        assert kinetic.tobytes() == reference.tobytes()
+        assert not kinetic.flags.writeable
+
+    def test_one_build_holds_at_most_three_matrices(self, monkeypatch):
+        """The exact, noise-free memory gate: the column-by-column build
+        traced ~10 matrices' worth on 8^3; the assembly holds the matrix
+        and its symmetrised copy."""
+        monkeypatch.setattr(eigensolver, "_KINETIC_CACHE", {})
+        shape = (8, 8, 8)
+        hamiltonian = LocalHamiltonian(Grid3D(shape, (8.0,) * 3),
+                                       np.zeros(shape))
+        n = hamiltonian.grid.num_points
+        tracemalloc.start()
+        try:
+            eigensolver._dense_kinetic(hamiltonian)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * n * n * 8, peak
+
+    def test_a_quantum_run_loads_no_scipy_sparse(self):
+        """LOBPCG is the only user of scipy.sparse; a fresh interpreter that
+        runs a few quickstart-tddft steps on the dense path never imports it."""
+        code = (
+            "import sys\n"
+            "import repro.api.cli\n"
+            "from repro.api import default_registry, run_scenario\n"
+            "spec = default_registry().get('quickstart-tddft').with_overrides(\n"
+            "    {'runtime.num_steps': 3, 'runtime.record_every': 1})\n"
+            "assert run_scenario(spec).metadata['scf_converged']\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith('scipy.sparse')))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]", done.stdout
+
+
+class TestLobpcg:
+    def test_matches_the_dense_path_on_the_dcmesh_pulse_cell(self):
+        material, grid, v_ext = _material("dcmesh-pulse", None)
+        solver = _solver(material, grid, v_ext)
+        solver.run()
+        hamiltonian = solver.hamiltonian
+        dense_values, dense = lowest_eigenstates(
+            hamiltonian, material.n_orbitals, method="dense")
+        values, orbitals = lowest_eigenstates(
+            hamiltonian, material.n_orbitals, method="lobpcg")
+        assert orbitals.dtype == np.complex128
+        assert orbitals.shape == dense.shape
+        assert np.max(np.abs(values - dense_values)) < 1e-12
+        # Orbitals are gauge-free only up to phase; the occupied density
+        # is not.
+        weights = OccupationState.ground_state(
+            material.n_orbitals, material.n_electrons).electrons_per_orbital()
+        density = WaveFunctions(grid, orbitals).density(weights)
+        reference = WaveFunctions(grid, dense).density(weights)
+        assert np.max(np.abs(density - reference)) < 1e-8
+        assert grid.integrate(density) == pytest.approx(
+            material.n_electrons, rel=1e-10)

@@ -255,6 +255,25 @@ class TestMetrics:
         assert snap["counters"][
             "repro_workspace_ground_state_misses_total"]["value"] == 1
 
+    def test_kinetic_matrix_is_built_once_per_grid(self, live_telemetry,
+                                                   monkeypatch):
+        import repro.scf.eigensolver as eigensolver
+        from repro.api import run_scenario
+        from repro.perf.workspace import KernelWorkspace
+
+        # An empty kinetic cache, and a fresh workspace per run so that both
+        # runs solve their SCF (no ground-state cache hit).
+        monkeypatch.setattr(eigensolver, "_KINETIC_CACHE", {})
+        spec = default_registry().get("dcmesh-pulse")
+        for _ in range(2):
+            result = run_scenario(spec, num_steps=1,
+                                  workspace=KernelWorkspace())
+            assert result.metadata["scf_cache"] == "miss"
+        snap = telemetry.snapshot()
+        assert snap["histograms"]["repro_scf_run_seconds"]["count"] == 2
+        assert snap["counters"]["repro_scf_iterations_total"]["value"] > 2
+        assert snap["counters"]["repro_scf_kinetic_builds_total"]["value"] == 1
+
     @pytest.mark.parametrize("name", ["quickstart-tddft", "dcmesh-pulse"])
     def test_quantum_steps_are_split_by_qd_kernel(self, live_telemetry, name):
         from repro.api import run_scenario
